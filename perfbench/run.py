@@ -25,6 +25,8 @@ from pathlib import Path
 _START = time.perf_counter()
 ROOT = Path(__file__).resolve().parent.parent
 
+# The names of ``workloads.WORKLOADS``, listed here so that arguments
+# parse (and a checkout without sources fails) before repro is imported.
 WORKLOAD_NAMES = (
     "paper_serial_cold",
     "structured_process_cold",
@@ -45,7 +47,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOAD_NAMES)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument(
         "--smoke",

@@ -435,7 +435,7 @@ def per_layer(run, trace_dir: Path) -> dict[str, tuple[float, str]]:
     records = _load(Path(trace_dir))
     spans = [(role, pid, r) for role, pid, r in records if lo <= r[1] and r[2] <= hi]
 
-    dur = defaultdict(float)  # (role or "*", name, label) -> seconds
+    dur = defaultdict(float)  # (role or "*", name) -> seconds
     count = defaultdict(int)
     value = defaultdict(int)
     value2 = defaultdict(int)

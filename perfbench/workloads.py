@@ -283,7 +283,7 @@ class Run:
                 workload.unit(self, phase)
                 phase.units += 1
                 if self.failed > failed_before and not self.plant_mismatch:
-                    break  # a broken system stops the run, not the driver
+                    break  # a broken system ends the run early
             phase.end_ns = time.monotonic_ns()
             self.phases.append(phase)
         self.set_tracing(False)  # the probes that follow run untraced
