@@ -70,11 +70,14 @@ def end_to_end(run) -> dict:
         if len(latencies) > 1
         else latencies[0]
     )
+    scale = phase.latency_scale
     return {
         "cells_per_s": (phase.cells_per_s, "1/s"),
-        "job_p50_ms": (statistics.median(latencies), "ms"),
-        "job_p90_ms": (p90, "ms"),
-        "setup_s": (run.setup_s, "s"),
+        "job_p50_ms": (statistics.median(latencies) * scale, "ms"),
+        "job_p90_ms": (p90 * scale, "ms"),
+        # Set-up is compute on every workload and runs right before the
+        # timed phase, whose host speed it is scaled by.
+        "setup_s": (run.setup_s * phase.speed, "s"),
         "peak_rss_mb": (run.rss.total_mb(), "MB"),
     }
 
@@ -173,6 +176,8 @@ def main(argv=None) -> int:
         return 1
     for text in run.problems:
         print(f"perfbench: {text}", file=sys.stderr)
+    speeds = ", ".join(f"{phase.name} {phase.speed:.3f}" for phase in run.phases)
+    print(f"perfbench: host speed relative to the reference: {speeds}", file=sys.stderr)
     if args.trace:
         metrics = layer
     else:

@@ -78,6 +78,16 @@ def test_smoke_prints_every_metric_with_its_unit(workload, trace):
     assert_clean()
 
 
+def test_host_speed_is_the_reference_over_the_median_loop_time():
+    from perfbench import clock
+
+    ref = clock.REFERENCE_MS
+    assert clock.speed([ref, ref, ref]) == 1.0
+    # One sample slowed by a burst of other load does not move it.
+    assert clock.speed([2 * ref, 2 * ref, 50 * ref]) == 0.5
+    assert 0.0 < clock.sample_ms() < 100 * ref
+
+
 def test_planted_mismatch_counts_as_failed():
     proc = bench("--workload", "paper_serial_cold", "--seed", "0", "--seconds",
                  "1", "--trace", "0", "--smoke", "--plant-mismatch")

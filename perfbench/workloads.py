@@ -5,6 +5,8 @@ Each workload is driven by one closed-loop client: it submits a job
 against the serial reference and only then submits the next one.  A
 job's latency runs from the submit until ``ResultSet.to_rows()``
 returns; the timed wall time of a run is the sum of its job latencies.
+A calibration loop timed before each job gives the host's speed, to
+which the compute-bound workloads scale their latencies (``clock.py``).
 
 Runs are made of whole *units* (a pass over a fixed cell set, or one
 balanced block of jobs) so that every run measures the same multiset of
@@ -41,6 +43,7 @@ from repro.experiments.instances import instance_set
 from repro.sweep import DEFAULT_MAPPER_NAMES, STENCIL_FAMILIES, WORKLOAD_AXIS
 from repro.workloads import StencilProgramWorkload, as_workload, clustered_workload
 
+from . import clock
 from .procs import Children, RssMeter
 from .reference import Reference, row_digest, row_key
 
@@ -154,12 +157,16 @@ class Phase:
     name: str
     seconds: float
     min_jobs: int = 0
+    #: Whether job latencies are scaled to the reference speed.
+    scaled: bool = False
     units: int = 0
     timed_s: float = 0.0
     latencies_ms: list[float] = field(default_factory=list)
     #: Latencies per job slot: the same job repeated in every unit.
     slots: dict[str, list[float]] = field(default_factory=dict)
     slot_cells: dict[str, int] = field(default_factory=dict)
+    #: Calibration loop times, one before each job.
+    samples_ms: list[float] = field(default_factory=list)
     start_ns: int = 0
     end_ns: int = 0
 
@@ -175,6 +182,16 @@ class Phase:
         return len(self.latencies_ms)
 
     @property
+    def speed(self) -> float:
+        """The host's speed over the phase relative to the reference."""
+        return clock.speed(self.samples_ms) if self.samples_ms else 1.0
+
+    @property
+    def latency_scale(self) -> float:
+        """Factor from measured to reported job latencies."""
+        return self.speed if self.scaled else 1.0
+
+    @property
     def cells_per_s(self) -> float:
         """Cells of one unit over the sum of its slots' median latencies.
 
@@ -182,6 +199,7 @@ class Phase:
         on the host out of the figure.
         """
         seconds = sum(statistics.median(v) for v in self.slots.values()) / 1e3
+        seconds *= self.latency_scale
         return sum(self.slot_cells.values()) / seconds if seconds else 0.0
 
 
@@ -254,6 +272,7 @@ class Run:
         """One closed-loop job: submit, wait for the rows, check them."""
         spec = spec_fn()
         rows = None
+        phase.samples_ms.append(clock.sample_ms())
         start = time.perf_counter()
         with self.span("job", job=f"{phase.name}{phase.jobs}"):
             try:
@@ -269,11 +288,15 @@ class Run:
 
     def measure(self, workload: "Workload") -> None:
         """Run the timed phases: one plain, or untraced then traced."""
+        scaled = workload.scaled
         if self.tracer is None:
-            plan = [Phase("main", self.seconds, workload.min_jobs)]
+            plan = [Phase("main", self.seconds, workload.min_jobs, scaled)]
         else:
             half = self.seconds / 2
-            plan = [Phase("untraced", half), Phase("traced", half)]
+            plan = [
+                Phase("untraced", half, scaled=scaled),
+                Phase("traced", half, scaled=scaled),
+            ]
         for phase in plan:
             self.set_tracing(phase.name == "traced")
             started = time.perf_counter()
@@ -296,6 +319,9 @@ class Workload:
     """Set up once, then repeat :meth:`unit` until the phase is done."""
 
     min_jobs = 0
+    #: Scale job latencies to the reference speed: set where the jobs
+    #: are compute, not waits on timers and round trips.
+    scaled = False
 
     def setup(self, run: Run) -> None:
         """Start what the workload needs; sets ``run.setup_s``."""
@@ -347,6 +373,8 @@ def check_anchors(run: Run, backend) -> None:
 class PaperSerialCold(Workload):
     """Cold serial engine: Figure 8 set + a stencil program + a graph."""
 
+    scaled = True
+
     def setup(self, run: Run) -> None:
         def fresh_engine():
             EvaluationEngine(max_workers=1).close()
@@ -393,6 +421,8 @@ class PaperSerialCold(Workload):
 # ----------------------------------------------------------------------
 class StructuredProcessCold(Workload):
     """Cold process pool: 144 instances x 3 families x 6 mappers."""
+
+    scaled = True
 
     def __init__(self):
         self.backend = None
@@ -585,6 +615,7 @@ class ServiceStoreReplay(_Service):
     """The cold paper sweep replayed from the daemon's result store."""
 
     cache_store = True
+    scaled = True
 
     def setup(self, run: Run) -> None:
         setup_start = time.monotonic_ns()
