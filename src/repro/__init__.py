@@ -18,8 +18,8 @@ The library provides:
 * a simulated MPI layer with Cartesian/stencil communicators and a real
   ``neighbor_alltoall`` data exchange (:mod:`repro.mpisim`),
 * the NP-hardness reduction of Theorem IV.3 (:mod:`repro.nphard`),
-* a pluggable registry of interchangeable batch-kernel implementations
-  behind every hot evaluation loop (:mod:`repro.kernels`),
+* the batched NumPy cost kernels behind every evaluation loop
+  (:mod:`repro.kernels`),
 * a batched, cached, parallel evaluation engine shared by every
   experiment driver (:mod:`repro.engine`),
 * a standing sweep service — one daemon, persistent workers, many
@@ -110,14 +110,6 @@ from .metrics import (
     median_ci,
     reduction_over_blocked,
     remove_outliers_iqr,
-)
-from .kernels import (
-    KernelImplementation,
-    active_kernel_name,
-    list_kernels,
-    register_kernels,
-    set_kernels,
-    use_kernels,
 )
 from .engine import (
     ClusterBackend,
@@ -221,13 +213,6 @@ __all__ = [
     "mean_ci",
     "median_ci",
     "remove_outliers_iqr",
-    # kernels
-    "KernelImplementation",
-    "active_kernel_name",
-    "list_kernels",
-    "register_kernels",
-    "set_kernels",
-    "use_kernels",
     # engine
     "EvaluationEngine",
     "MappingRequest",

@@ -13,8 +13,9 @@ those units run:
   each worker owns a private engine whose caches warm independently, so
   shards are grouped by evaluation instance before being dealt out
   (requests sharing a grid and stencil land in one shard and hit one
-  worker's caches).  Pointing the backend at a ``disk_cache_dir`` lets
-  all workers share one persistent edge cache.
+  worker's caches).  Each worker builds its own edge arrays; pointing
+  the backend at a ``disk_cache_dir`` lets all workers share one
+  persistent edge cache instead.
 * :class:`~repro.engine.cluster.ClusterBackend`
   (:mod:`repro.engine.cluster`) — the multi-host tier: the same
   instance-aligned shards travel over TCP sockets to remote workers
@@ -36,19 +37,16 @@ joins (``result.request is request``) keep working under every backend.
 
 from __future__ import annotations
 
-import atexit
+import inspect
 import os
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from multiprocessing import shared_memory
 from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..grid.graph import communication_edges
 from ..metrics.cost import MappingCost
-from .diskcache import DiskEdgeCache, resolve_cache_dir
 from .engine import EvaluationEngine
 from .request import MappingRequest, MappingResult
 
@@ -279,74 +277,10 @@ class ThreadBackend:
 # backend.
 _WORKER_ENGINE: EvaluationEngine | None = None
 
-#: Shared-memory edge blocks this worker has attached, by block name.
-#: One attach per block for the worker's lifetime, however many shards
-#: reference it.
-_ATTACHED_EDGES: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-
-
-def _release_attached_edges() -> None:
-    """Drop this worker's shared-memory attachments at interpreter exit.
-
-    Explicit (rather than leaving it to ``__del__`` during interpreter
-    teardown) so NumPy views exported from the mapped buffers — the
-    seeded engine edge cache still holds them — degrade to a swallowed
-    ``BufferError`` instead of an "Exception ignored in" traceback on
-    stderr.
-    """
-    while _ATTACHED_EDGES:
-        _, (shm, _) = _ATTACHED_EDGES.popitem()
-        try:
-            shm.close()
-        except BufferError:  # views of the mapping are still exported
-            pass
-
 
 def _init_worker(engine_options: dict) -> None:
     global _WORKER_ENGINE
     _WORKER_ENGINE = EvaluationEngine(**engine_options)
-    atexit.register(_release_attached_edges)
-
-
-def _attached_edges(name: str, shape: tuple, dtype: str) -> np.ndarray | None:
-    """Attach (once) to a parent edge block; ``None`` when unavailable.
-
-    Unavailability — the parent unlinked early, or the platform refused
-    the mapping — degrades to recomputing edges locally, never to an
-    error.
-    """
-    entry = _ATTACHED_EDGES.get(name)
-    if entry is None:
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except (OSError, ValueError):
-            return None
-        arr: np.ndarray = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-        arr.setflags(write=False)
-        entry = _ATTACHED_EDGES[name] = (shm, arr)
-    return entry[1]
-
-
-def _run_shard_shared(
-    shard: Sequence[tuple[int, MappingRequest]],
-    edge_refs: Sequence[tuple],
-) -> list[
-    tuple[int, np.ndarray | None, MappingCost | None, str | None, dict]
-]:
-    """Seed the worker engine from shared-memory edge blocks, then run.
-
-    ``edge_refs`` rows are ``(grid, stencil, block_name, shape, dtype)``
-    descriptors — a few dozen pickled bytes each, never the edge arrays
-    themselves.
-    """
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("process-backend worker was not initialised")
-    for grid, stencil, name, shape, dtype in edge_refs:
-        edges = _attached_edges(name, shape, dtype)
-        if edges is not None:
-            engine.seed_edges(grid, stencil, edges)
-    return _run_shard(shard)
 
 
 def _run_shard(
@@ -365,106 +299,6 @@ def _run_shard(
     ]
 
 
-class _SharedEdgeExporter:
-    """Parent-side shared-memory edge blocks, one per distinct instance.
-
-    The zero-copy half of the process backend's edge transport: the
-    parent computes (or disk-loads) each distinct ``(grid, stencil)``
-    edge array once, publishes it in a ``multiprocessing.shared_memory``
-    block, and hands workers a tiny ``(grid, stencil, name, shape,
-    dtype)`` descriptor per shard — same-host workers map the block
-    instead of recomputing the array or receiving it by value.  Blocks
-    live until :meth:`close` (they are reused across batches), and any
-    OS refusal (``/dev/shm`` exhaustion, platforms without POSIX shared
-    memory) permanently degrades to descriptor-less operation.
-    """
-
-    def __init__(self, disk_cache_dir: str | os.PathLike | None = None):
-        self._blocks: dict[str, tuple[shared_memory.SharedMemory, tuple]] = {}
-        self._lock = threading.Lock()
-        cache_dir = resolve_cache_dir(disk_cache_dir)
-        self._disk = None if cache_dir is None else DiskEdgeCache(cache_dir)
-        self._disabled = False
-
-    def refs_for(
-        self, shard: Sequence[tuple[int, MappingRequest]]
-    ) -> list[tuple]:
-        """Edge-block descriptors for the shard's distinct instances.
-
-        Workload instances are skipped: their edge arrays are not
-        grid x stencil products, so workers derive them from the request's
-        own workload (graph edges travel by value inside it; program
-        edges are cheap concatenations of cached per-stage arrays).
-        """
-        refs: list[tuple] = []
-        seen: set[str] = set()
-        for _, request in shard:
-            if request.effective_workload is not None:
-                continue
-            key = DiskEdgeCache.key_for(request.grid, request.stencil)
-            if key in seen:
-                continue
-            seen.add(key)
-            ref = self._ref(key, request.grid, request.stencil)
-            if ref is not None:
-                refs.append(ref)
-        return refs
-
-    def _ref(self, key: str, grid, stencil) -> tuple | None:
-        with self._lock:
-            entry = self._blocks.get(key)
-            if entry is not None:
-                return entry[1]
-            if self._disabled:
-                return None
-        edges = None if self._disk is None else self._disk.load(grid, stencil)
-        if edges is None:
-            edges = communication_edges(grid, stencil)
-            if self._disk is not None:
-                self._disk.store(grid, stencil, edges)
-        edges = np.ascontiguousarray(edges, dtype=np.int64)
-        try:
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(1, edges.nbytes)
-            )
-        except OSError:
-            with self._lock:
-                self._disabled = True
-            return None
-        if edges.nbytes:
-            view: np.ndarray = np.ndarray(
-                edges.shape, dtype=np.int64, buffer=shm.buf
-            )
-            view[...] = edges
-            del view  # keep the buffer unexported so close() can unmap
-        ref = (grid, stencil, shm.name, edges.shape, "int64")
-        with self._lock:
-            racing = self._blocks.get(key)
-            if racing is not None:  # another thread published first
-                entry = racing
-            else:
-                entry = self._blocks[key] = (shm, ref)
-        if entry[0] is not shm:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already reclaimed
-                pass
-        return entry[1]
-
-    def close(self) -> None:
-        """Unlink every published block (attached workers keep their
-        mappings until they detach; POSIX semantics)."""
-        with self._lock:
-            blocks, self._blocks = list(self._blocks.values()), {}
-        for shm, _ in blocks:
-            try:
-                shm.close()
-                shm.unlink()
-            except OSError:  # pragma: no cover - already reclaimed
-                pass
-
-
 class ProcessBackend:
     """Shard request lists across worker processes.
 
@@ -480,19 +314,12 @@ class ProcessBackend:
         Target shards per worker per batch.  More shards smooth out
         imbalanced instance sizes and tighten streaming latency at the
         price of more pickling round-trips.
-    share_edges:
-        Publish each distinct instance's communication-edge array in a
-        ``multiprocessing.shared_memory`` block that same-host workers
-        map directly (default), instead of every worker recomputing or
-        disk-loading its own copy.  Shards then carry only a
-        (grid, stencil, block name, shape, dtype) descriptor — zero
-        pickled edge-array bytes.  Results are byte-identical either
-        way; platforms without usable shared memory degrade
-        automatically.
     engine_options:
-        Extra keyword arguments for each worker's private engine.
-        Workers default to ``max_workers=1``: parallelism comes from the
-        process pool, not nested thread pools.
+        Extra keyword arguments for each worker's private engine,
+        checked against :class:`EvaluationEngine`'s signature here (an
+        unknown name raises ``TypeError`` at construction, not inside
+        the workers).  Workers default to ``max_workers=1``: parallelism
+        comes from the process pool, not nested thread pools.
 
     Notes
     -----
@@ -509,7 +336,6 @@ class ProcessBackend:
         *,
         disk_cache_dir: str | os.PathLike | None = None,
         shards_per_worker: int = 4,
-        share_edges: bool = True,
         **engine_options,
     ):
         if num_workers is None:
@@ -528,9 +354,8 @@ class ProcessBackend:
         )
         if self.disk_cache_dir is not None:
             engine_options["disk_cache_dir"] = self.disk_cache_dir
+        inspect.signature(EvaluationEngine).bind(**engine_options)
         self._engine_options = engine_options
-        self.share_edges = bool(share_edges)
-        self._exporter: _SharedEdgeExporter | None = None
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
@@ -555,28 +380,17 @@ class ProcessBackend:
             requests, self.num_workers * self.shards_per_worker
         )
 
-    def _exporter_get(self) -> _SharedEdgeExporter:
-        with self._pool_lock:
-            if self._exporter is None:
-                self._exporter = _SharedEdgeExporter(self.disk_cache_dir)
-            return self._exporter
-
     def _submit(
         self, requests: Sequence[MappingRequest]
     ) -> list[Future]:
         pool = self._pool_get()
-        exporter = self._exporter_get() if self.share_edges else None
-        futures = []
-        for shard in self._shards(requests):
-            payload = [
-                (i, strip_request_tag(request)) for i, request in shard
-            ]
-            if exporter is not None:
-                refs = exporter.refs_for(shard)
-                futures.append(pool.submit(_run_shard_shared, payload, refs))
-            else:
-                futures.append(pool.submit(_run_shard, payload))
-        return futures
+        return [
+            pool.submit(
+                _run_shard,
+                [(i, strip_request_tag(request)) for i, request in shard],
+            )
+            for shard in self._shards(requests)
+        ]
 
     _rebuild = staticmethod(rebuild_result)
 
@@ -627,14 +441,11 @@ class ProcessBackend:
                 future.cancel()
 
     def close(self) -> None:
-        """Shut down the worker processes and release shared edges."""
+        """Shut down the worker processes."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            exporter, self._exporter = self._exporter, None
         if pool is not None:
             pool.shutdown(wait=True)
-        if exporter is not None:
-            exporter.close()
 
     def __enter__(self) -> "ProcessBackend":
         return self

@@ -254,21 +254,6 @@ class EvaluationEngine:
             ("workload", workload.cache_key()), compute
         )
 
-    def seed_edges(
-        self, grid: CartesianGrid, stencil: Stencil, edges: np.ndarray
-    ) -> None:
-        """Pre-populate the edge cache with an externally supplied array.
-
-        The zero-copy seam of the process backend's shared-memory edge
-        transport: a worker maps the parent's published block and seeds
-        it here, so :meth:`edges` serves the mapped buffer instead of
-        recomputing (or disk-loading) the array.  The array is stored
-        read-only under the same structural key :meth:`edges` uses.
-        """
-        edges = np.asarray(edges, dtype=np.int64)
-        edges.setflags(write=False)
-        self._edge_cache.put((grid, stencil), edges)
-
     def permutation(
         self,
         grid: CartesianGrid,

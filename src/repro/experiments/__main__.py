@@ -1267,23 +1267,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="cache: size budget for --prune, in bytes",
     )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        metavar="IMPL",
-        help="batch-kernel implementation for this process: a name from "
-        "repro.kernels.list_kernels() or 'auto' to micro-benchmark "
-        "(default: $REPRO_KERNEL, else 'reference')",
-    )
     args = parser.parse_args(argv)
-
-    if args.kernel is not None:
-        from .. import kernels
-
-        try:
-            kernels.set_kernels(args.kernel)
-        except ValueError as exc:
-            parser.error(str(exc))
 
     if args.target == "work":
         if not args.connect:

@@ -1,13 +1,9 @@
-"""The ``"reference"`` kernels: the original stacked-NumPy hot path.
+"""The stacked-NumPy traversals behind the batch cost kernels.
 
-These are the bit-exactness baseline every other implementation in the
-registry is asserted against — the code is the batch-kernel bodies that
-lived in :mod:`repro.metrics.cost` before the dispatch tier existed,
-moved verbatim.  Each function implements one low-level kernel of the
-:class:`~repro.kernels.KernelImplementation` contract; validation, edge
-enumeration and the final scalar reductions live in the shared dispatch
-wrappers (:mod:`repro.kernels`), so implementations only ever differ in
-how they traverse the ``(batch, edges)`` iteration space.
+Each function scores a ``(batch, edges)`` iteration space with one
+gather and one flat ``bincount`` per memory slice.  Validation, edge
+enumeration and the final scalar reductions live in the entry points of
+:mod:`repro.kernels`, which call these functions directly.
 """
 
 from __future__ import annotations
@@ -62,8 +58,7 @@ def weighted_cut(
     """Per-node outgoing inter-node *bytes* (float64 ``(b, N)``).
 
     Each row's weighted ``bincount`` accumulates its edge bytes in edge
-    order — the float association every other implementation must
-    reproduce exactly.
+    order, the float association of the serial per-mapping path.
     """
     b = vertex_nodes.shape[0]
     m = edges.shape[0]
@@ -93,8 +88,7 @@ def hop_weighted_cut(
     Like :func:`weighted_cut`, but the weight of an edge is looked up
     from ``node_weights[src_node, dst_node]`` — the hop/contention cost
     the interconnect charges that node pair.  Each row's weighted
-    ``bincount`` accumulates in edge order (the float association every
-    other implementation must reproduce exactly).
+    ``bincount`` accumulates in edge order, like :func:`weighted_cut`.
     """
     b = vertex_nodes.shape[0]
     m = edges.shape[0]

@@ -99,10 +99,8 @@ def node_of_vertex_batch(perms: np.ndarray, alloc: NodeAllocation) -> np.ndarray
     """Node index of each grid vertex for a stack of mappings.
 
     ``perms`` has shape ``(b, p)``; the result has the same shape with
-    row ``i`` equal to ``node_of_vertex(perms[i], alloc)``.  Dispatches
-    through the selected kernel implementation
-    (:mod:`repro.kernels`; this forwarder is kept for call-site
-    compatibility).
+    row ``i`` equal to ``node_of_vertex(perms[i], alloc)``.  Forwards
+    to :mod:`repro.kernels` (kept for call-site compatibility).
     """
     from .. import kernels
 
@@ -140,8 +138,8 @@ def per_node_cut_batch(
 
     ``vertex_nodes`` has shape ``(b, p)``; the result has shape
     ``(b, num_nodes)`` with row ``i`` equal to
-    ``per_node_cut(edges, vertex_nodes[i], num_nodes)``.  Dispatches
-    through the selected kernel implementation (:mod:`repro.kernels`).
+    ``per_node_cut(edges, vertex_nodes[i], num_nodes)``.  Forwards to
+    :mod:`repro.kernels`.
     """
     from .. import kernels
 
@@ -244,8 +242,8 @@ def evaluate_mappings_batch(
     Equivalent to ``[evaluate_mapping(grid, stencil, p, alloc) for p in
     perms]`` but scores the whole batch with the stacked kernels,
     sharing one edge enumeration and one gather across all mappings.
-    Dispatches through the selected kernel implementation
-    (:mod:`repro.kernels`).  ``edges`` accepts a cached edge array.
+    Forwards to :mod:`repro.kernels`.  ``edges`` accepts a cached edge
+    array.
     """
     from .. import kernels
 
@@ -340,9 +338,9 @@ def hop_weighted_cut_batch(
 
     Returns a ``(b, num_nodes)`` float64 array; row ``i``, column ``n``
     is the total weighted cost of node ``n``'s outgoing inter-node
-    edges under mapping ``i``.  Dispatches through the selected kernel
-    implementation (:mod:`repro.kernels`); accumulation follows the
-    reference edge order, so every implementation is bit-identical.
+    edges under mapping ``i``.  Forwards to :mod:`repro.kernels`;
+    accumulation follows edge order, so a row is bit-identical to
+    :func:`hop_weighted_cut`.
     """
     from .. import kernels
 

@@ -363,14 +363,8 @@ class ServiceClient:
         ``{"jobs": [...], "clients": [...], "pool": {...}}`` — job
         records, per-tenant fair-share/quota counters, and worker-pool
         gauges (plus autoscaler counters when the daemon runs one).
-        A pre-v5 daemon answering with a bare job list is normalized
-        to ``{"jobs": [...]}``.
         """
-        reply = self._roundtrip((STATUS, job_id), STATUS_REPLY)
-        doc = reply[1]
-        if isinstance(doc, dict):
-            return doc
-        return {"jobs": doc if isinstance(doc, list) else []}
+        return self._roundtrip((STATUS, job_id), STATUS_REPLY)[1]
 
     def metrics(self) -> dict:
         """The daemon's live observability document (METRICS, v6).

@@ -872,6 +872,8 @@ class ServiceDaemon:
                 "runs": 0,
                 "removed_total": 0,
                 "last_removed": None,
+                "errors": 0,
+                "last_error": None,
             }
         try:
             self._run(self._coordinator.start())
@@ -890,9 +892,10 @@ class ServiceDaemon:
         """Apply the store prune policy periodically (daemon loop task).
 
         The scan/unlink work runs on a thread so a large cache
-        directory never stalls the event loop; errors are swallowed —
-        a failed prune must not take the daemon down, and the next
-        round retries.
+        directory never stalls the event loop.  A failed round must not
+        take the daemon down: it counts under ``errors`` with its
+        message in ``last_error`` (both reported by METRICS under
+        ``store.prune``), and the next round retries.
         """
         stats = self._coordinator.prune_stats
         while True:
@@ -906,7 +909,9 @@ class ServiceDaemon:
                 )
             except asyncio.CancelledError:
                 raise
-            except Exception:  # pragma: no cover - unreadable cache dir
+            except Exception as exc:  # noqa: BLE001 - the loop must keep running
+                stats["errors"] += 1
+                stats["last_error"] = f"{type(exc).__name__}: {exc}"
                 continue
             stats["runs"] += 1
             stats["removed_total"] += sum(removed.values())

@@ -293,6 +293,14 @@ class TestProcessBackend:
         with pytest.raises(ValueError):
             ProcessBackend(1, shards_per_worker=0)
 
+    def test_unknown_engine_option_fails_at_construction(self):
+        """A misspelt or removed option raises here, naming the option,
+        instead of breaking the pool on the first batch."""
+        with pytest.raises(TypeError, match="bogus"):
+            ProcessBackend(2, bogus=1)
+        with pytest.raises(TypeError, match="edge_cache"):
+            resolve_backend("process:2", edge_cache=4)
+
 
 class TestResolveBackend:
     def test_default_is_thread(self):
@@ -494,134 +502,3 @@ class TestFigure8Regressions:
         # hyperplane has nonzero cost over a zero baseline: inf, not 1.0
         assert np.isinf(red["hyperplane"]["jsum"][0])
         assert np.isinf(red["hyperplane"]["jmax"][0])
-
-
-class TestSharedEdgeTransport:
-    """The process backend's shared-memory edge transport.
-
-    Workers map the parent's published edge blocks instead of
-    recomputing (or receiving by value) the arrays; results must be
-    byte-identical with sharing on, off, and under graceful
-    degradation.
-    """
-
-    def test_share_edges_off_matches_serial(self, serial_results):
-        with ProcessBackend(num_workers=2, share_edges=False) as backend:
-            results = backend.evaluate_batch(_requests())
-        assert [_signature(r) for r in results] == [
-            _signature(r) for r in serial_results
-        ]
-
-    def test_share_edges_on_matches_off(self, serial_results):
-        with ProcessBackend(num_workers=2, share_edges=True) as backend:
-            assert backend.share_edges
-            results = backend.evaluate_batch(_requests())
-        assert [_signature(r) for r in results] == [
-            _signature(r) for r in serial_results
-        ]
-
-    def test_shard_payload_ships_zero_edge_array_bytes(self):
-        """The acceptance invariant: with sharing on, what crosses the
-        process boundary per shard is a fixed-size descriptor, never the
-        pickled edge array."""
-        import pickle
-
-        from repro import communication_edges
-        from repro.engine.backends import _SharedEdgeExporter
-
-        requests = _requests()
-        exporter = _SharedEdgeExporter()
-        try:
-            shard = [(i, r) for i, r in enumerate(requests)]
-            refs = exporter.refs_for(shard)
-            assert refs  # every distinct instance got a block
-            payload = pickle.dumps(refs)
-            for request in requests:
-                edges = communication_edges(request.grid, request.stencil)
-                assert edges.tobytes() not in payload
-                assert len(payload) < edges.nbytes
-        finally:
-            exporter.close()
-
-    def test_one_block_per_distinct_instance(self):
-        from repro.engine.backends import _SharedEdgeExporter
-
-        requests = _requests()
-        exporter = _SharedEdgeExporter()
-        try:
-            shard = [(i, r) for i, r in enumerate(requests)]
-            refs = exporter.refs_for(shard)
-            distinct = {
-                DiskEdgeCache.key_for(r.grid, r.stencil) for r in requests
-            }
-            assert len(refs) == len(distinct)
-            # a second batch reuses the published blocks
-            assert {ref[2] for ref in exporter.refs_for(shard)} == {
-                ref[2] for ref in refs
-            }
-        finally:
-            exporter.close()
-
-    def test_block_content_matches_edges(self):
-        from multiprocessing import shared_memory
-
-        from repro import communication_edges
-        from repro.engine.backends import _SharedEdgeExporter
-
-        request = _requests()[0]
-        exporter = _SharedEdgeExporter()
-        try:
-            (grid, stencil, name, shape, dtype), = exporter.refs_for(
-                [(0, request)]
-            )
-            edges = communication_edges(grid, stencil)
-            assert tuple(shape) == edges.shape and dtype == "int64"
-            shm = shared_memory.SharedMemory(name=name)
-            try:
-                view = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-                assert view.tobytes() == edges.tobytes()
-                del view
-            finally:
-                shm.close()
-        finally:
-            exporter.close()
-
-    def test_missing_block_degrades_to_recompute(self):
-        from repro.engine.backends import _attached_edges
-
-        assert _attached_edges("repro-no-such-block", (2, 2), "int64") is None
-
-    def test_seed_edges_serves_seeded_buffer(self):
-        engine = EvaluationEngine(max_workers=1)
-        request = _requests()[0]
-        from repro import communication_edges
-
-        edges = communication_edges(request.grid, request.stencil)
-        seeded = np.array(edges)  # a distinct buffer standing in for shm
-        engine.seed_edges(request.grid, request.stencil, seeded)
-        served = engine.edges(request.grid, request.stencil)
-        assert served.base is seeded or served is seeded
-        assert not served.flags.writeable
-        assert served.tobytes() == edges.tobytes()
-
-    def test_exporter_close_unlinks_blocks(self):
-        from multiprocessing import shared_memory
-
-        from repro.engine.backends import _SharedEdgeExporter
-
-        request = _requests()[0]
-        exporter = _SharedEdgeExporter()
-        (ref,) = exporter.refs_for([(0, request)])
-        exporter.close()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=ref[2])
-
-    def test_weighted_metrics_cross_shared_transport(self):
-        serial = EvaluationEngine(max_workers=1).evaluate_batch(
-            _weighted_requests()
-        )
-        with ProcessBackend(num_workers=2) as backend:
-            results = backend.evaluate_batch(_weighted_requests())
-        assert [_signature(r) for r in results] == [
-            _signature(r) for r in serial
-        ]

@@ -1,16 +1,9 @@
-"""Tests of the pluggable kernel-dispatch tier.
+"""Tests of the batch cost kernels (:mod:`repro.kernels`).
 
-The load-bearing invariant: every registered implementation is
-**bit-identical** to ``"reference"`` — integer kernels exactly, the
-float64 weighted kernel down to the last ulp (same accumulation order).
-The property tests assert it on random instances for every name in the
-registry, so a future ``numba`` (or any third-party) registration is
-covered automatically.
+The float64 kernels are checked against a plain per-edge Python loop
+with exact equality: both sides accumulate each node's weight in edge
+order, so even the last ulp must agree.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import kernels
+from repro.grid.graph import communication_edges_by_offset
 from repro.kernels import (
-    KernelImplementation,
-    KernelRegistry,
     evaluate_mappings_batch,
     hop_weighted_cut_batch,
     node_of_vertex_batch,
@@ -32,73 +23,60 @@ from repro.metrics.cost import evaluate_mapping, weighted_cut_bytes
 
 from .conftest import allocations_for, grids, stencils_for
 
-NON_REFERENCE = [n for n in kernels.list_kernels() if n != "reference"]
-
 
 def random_perms(p: int, b: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return np.stack([rng.permutation(p) for _ in range(b)]).astype(np.int64)
 
 
-# ----------------------------------------------------------------------
-# Bit-identity of every registered implementation
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("impl", NON_REFERENCE)
-@given(grids(max_ndim=3, max_size=96), st.data())
-@settings(max_examples=30, deadline=None)
-def test_integer_kernels_bit_identical(impl, grid, data):
-    """scatter + cut counts agree exactly with reference on random input."""
-    stencil = data.draw(stencils_for(grid.ndim))
-    alloc = data.draw(allocations_for(grid.size))
-    perms = random_perms(grid.size, data.draw(st.integers(1, 5)), seed=3)
+def per_edge_loop(edges, row, num_nodes, edge_weight) -> np.ndarray:
+    """Per-node outgoing inter-node weight, one directed edge at a time.
 
-    ref_nodes = node_of_vertex_batch(perms, alloc, impl="reference")
-    nodes = node_of_vertex_batch(perms, alloc, impl=impl)
-    assert nodes.dtype == ref_nodes.dtype
-    assert ref_nodes.tobytes() == nodes.tobytes()
-
-    edges = repro.communication_edges(grid, stencil)
-    ref_cuts = per_node_cut_batch(edges, ref_nodes, alloc.num_nodes,
-                                  impl="reference")
-    cuts = per_node_cut_batch(edges, nodes, alloc.num_nodes, impl=impl)
-    assert cuts.dtype == ref_cuts.dtype
-    assert ref_cuts.tobytes() == cuts.tobytes()
-
-
-@pytest.mark.parametrize("impl", NON_REFERENCE)
-@given(grids(max_ndim=3, max_size=96), st.data())
-@settings(max_examples=30, deadline=None)
-def test_weighted_kernel_bit_identical(impl, grid, data):
-    """The float64 weighted cut reproduces the reference bit pattern.
-
-    ``tobytes`` equality, not ``allclose``: implementations must keep
-    the reference accumulation order, so even the last ulp agrees.
+    ``edge_weight(e, src_node, dst_node)`` is the weight of edge ``e``;
+    each node's total accumulates in edge order.
     """
+    out = np.zeros(num_nodes)
+    for e, (u, v) in enumerate(edges):
+        if row[u] != row[v]:
+            out[row[u]] += edge_weight(e, row[u], row[v])
+    return out
+
+
+@given(grids(max_ndim=3, max_size=96), st.data())
+@settings(max_examples=30, deadline=None)
+def test_float_kernels_match_per_edge_loop(grid, data):
+    """``weighted_cut_bytes_batch`` and ``hop_weighted_cut_batch`` equal
+    the per-edge loop bit for bit on random instances."""
     stencil = data.draw(stencils_for(grid.ndim))
     alloc = data.draw(allocations_for(grid.size))
-    perms = random_perms(grid.size, 3, seed=5)
-    rng = np.random.default_rng(11)
-    volumes = {
-        off: float(v)
-        for off, v in zip(
-            stencil.offsets, rng.uniform(0.1, 1e6, size=stencil.k)
-        )
-    }
-    ref = weighted_cut_bytes_batch(grid, stencil, perms, alloc, volumes,
-                                   impl="reference")
-    got = weighted_cut_bytes_batch(grid, stencil, perms, alloc, volumes,
-                                   impl=impl)
-    assert np.asarray(ref).tobytes() == np.asarray(got).tobytes()
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    perms = random_perms(grid.size, data.draw(st.integers(1, 4)), seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    volumes = dict(
+        zip(stencil.offsets, rng.uniform(0.1, 1e6, size=stencil.k).tolist())
+    )
+    n = alloc.num_nodes
+    hops = rng.uniform(0.0, 9.0, size=(n, n))
+    edges, offset_index = communication_edges_by_offset(grid, stencil)
+    edge_bytes = [volumes[stencil.offsets[i]] for i in offset_index]
+
+    nodes = node_of_vertex_batch(perms, alloc)
+    pairs = weighted_cut_bytes_batch(grid, stencil, perms, alloc, volumes)
+    hop = hop_weighted_cut_batch(edges, nodes, hops)
+    for i, row in enumerate(nodes):
+        manual = per_edge_loop(edges, row, n, lambda e, a, b: edge_bytes[e])
+        assert pairs[i] == (float(manual.sum()), float(manual.max()))
+        manual = per_edge_loop(edges, row, n, lambda e, a, b: hops[a, b])
+        assert hop[i].tobytes() == manual.tobytes()
 
 
-@pytest.mark.parametrize("impl", kernels.list_kernels())
-def test_batch_matches_serial_evaluation(impl):
-    """Batch dispatch equals the serial per-mapping evaluation."""
+def test_batch_matches_serial_evaluation():
+    """The batch kernels equal the serial per-mapping evaluation."""
     grid = repro.CartesianGrid([6, 4, 2])
     stencil = repro.nearest_neighbor_with_hops(3)
     alloc = repro.NodeAllocation.homogeneous(8, 6)
     perms = random_perms(grid.size, 7, seed=23)
-    costs = evaluate_mappings_batch(grid, stencil, perms, alloc, impl=impl)
+    costs = evaluate_mappings_batch(grid, stencil, perms, alloc)
     for row, cost in zip(perms, costs):
         serial = evaluate_mapping(grid, stencil, row, alloc)
         assert (cost.jsum, cost.jmax, cost.total_edges,
@@ -108,35 +86,12 @@ def test_batch_matches_serial_evaluation(impl):
         assert cost.per_node.tobytes() == serial.per_node.tobytes()
 
     volumes = {off: float(8 * (i + 1)) for i, off in enumerate(stencil.offsets)}
-    pairs = weighted_cut_bytes_batch(
-        grid, stencil, perms, alloc, volumes, impl=impl
-    )
+    pairs = weighted_cut_bytes_batch(grid, stencil, perms, alloc, volumes)
     for row, (total, bottleneck) in zip(perms, pairs):
         serial_total, serial_bottleneck = weighted_cut_bytes(
             grid, stencil, row, alloc, volumes
         )
         assert (total, bottleneck) == (serial_total, serial_bottleneck)
-
-
-@pytest.mark.parametrize("impl", NON_REFERENCE)
-@given(grids(max_ndim=3, max_size=96), st.data())
-@settings(max_examples=30, deadline=None)
-def test_hop_weighted_kernel_bit_identical(impl, grid, data):
-    """The topology-weighted cut reproduces the reference bit pattern
-    on random hop matrices (same ``tobytes`` discipline as the other
-    float64 kernel)."""
-    stencil = data.draw(stencils_for(grid.ndim))
-    alloc = data.draw(allocations_for(grid.size))
-    perms = random_perms(grid.size, data.draw(st.integers(1, 4)), seed=7)
-    nodes = node_of_vertex_batch(perms, alloc)
-    rng = np.random.default_rng(13)
-    n = alloc.num_nodes
-    weights = rng.uniform(0.0, 9.0, size=(n, n))
-    edges = repro.communication_edges(grid, stencil)
-    ref = hop_weighted_cut_batch(edges, nodes, weights, impl="reference")
-    got = hop_weighted_cut_batch(edges, nodes, weights, impl=impl)
-    assert got.dtype == ref.dtype and got.shape == ref.shape
-    assert ref.tobytes() == got.tobytes()
 
 
 def test_hop_weighted_cut_validation_and_empties():
@@ -168,150 +123,18 @@ def test_hop_weighted_cut_matches_manual_sum():
     weights = np.random.default_rng(3).uniform(0.5, 4.0, size=(4, 4))
     out = hop_weighted_cut_batch(edges, nodes, weights)
     for row, result in zip(nodes, out):
-        manual = np.zeros(4)
-        for u, v in edges:
-            if row[u] != row[v]:
-                manual[row[u]] += weights[row[u], row[v]]
-        assert np.allclose(result, manual)
+        manual = per_edge_loop(edges, row, 4, lambda e, a, b: weights[a, b])
+        assert result.tobytes() == manual.tobytes()
 
 
-@pytest.mark.parametrize("impl", NON_REFERENCE)
-def test_empty_and_degenerate_batches(impl):
-    """Zero rows and edgeless stencils agree with reference."""
+def test_empty_and_degenerate_batches():
+    """Zero rows and edgeless stencils yield empty results and zero cuts."""
     grid = repro.CartesianGrid([4, 4])
     stencil = repro.nearest_neighbor(2)
     alloc = repro.NodeAllocation.homogeneous(4, 4)
     empty = np.empty((0, grid.size), dtype=np.int64)
-    assert evaluate_mappings_batch(grid, stencil, empty, alloc, impl=impl) == []
-    nodes = node_of_vertex_batch(random_perms(16, 2, seed=1), alloc, impl=impl)
+    assert evaluate_mappings_batch(grid, stencil, empty, alloc) == []
+    nodes = node_of_vertex_batch(random_perms(16, 2, seed=1), alloc)
     no_edges = np.empty((0, 2), dtype=np.int64)
-    cuts = per_node_cut_batch(no_edges, nodes, alloc.num_nodes, impl=impl)
+    cuts = per_node_cut_batch(no_edges, nodes, alloc.num_nodes)
     assert cuts.shape == (2, 4) and not cuts.any()
-
-
-# ----------------------------------------------------------------------
-# Registry and selection
-# ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtins_registered(self):
-        names = kernels.list_kernels()
-        assert "reference" in names
-        assert "blocked" in names
-
-    def test_get_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.REGISTRY.get("simd-fantasy")
-
-    def test_register_rejects_duplicates_and_auto(self):
-        registry = KernelRegistry()
-        impl = kernels.REGISTRY.get("reference")
-        registry.register(impl)
-        with pytest.raises(ValueError, match="already registered"):
-            registry.register(impl)
-        registry.register(impl, replace=True)  # explicit replace is fine
-        with pytest.raises(ValueError, match="selection mode"):
-            registry.register(
-                KernelImplementation(
-                    name="auto",
-                    description="",
-                    scatter_nodes=impl.scatter_nodes,
-                    cut_counts=impl.cut_counts,
-                    weighted_cut=impl.weighted_cut,
-                )
-            )
-
-    def test_auto_selects_a_registered_name(self):
-        registry = KernelRegistry()
-        for name in kernels.list_kernels():
-            registry.register(kernels.REGISTRY.get(name))
-        winner = registry.auto_select()
-        assert winner in registry.names()
-        assert registry.auto_select() == winner  # cached
-
-    def test_numba_fallback(self):
-        """Without numba the registry must not advertise it (this
-        container has no numba, so the import-gate path is live)."""
-        from repro.kernels import numba_impl
-
-        if not numba_impl.AVAILABLE:
-            assert "numba" not in kernels.list_kernels()
-            with pytest.raises(RuntimeError, match="numba is not installed"):
-                numba_impl.njit(lambda: None)
-
-
-class TestSelection:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
-        assert kernels.active_kernel_name() == "reference"
-        assert kernels.resolve_kernels().name == "reference"
-
-    def test_env_selection(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "blocked")
-        assert kernels.active_kernel_name() == "blocked"
-        assert kernels.resolve_kernels().name == "blocked"
-
-    def test_set_kernels_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "blocked")
-        kernels.set_kernels("reference")
-        try:
-            assert kernels.resolve_kernels().name == "reference"
-        finally:
-            kernels.set_kernels(None)
-
-    def test_explicit_impl_wins(self):
-        with kernels.use_kernels("blocked"):
-            assert kernels.resolve_kernels("reference").name == "reference"
-
-    def test_use_kernels_restores(self):
-        before = kernels.active_kernel_name()
-        with kernels.use_kernels("blocked"):
-            assert kernels.active_kernel_name() == "blocked"
-        assert kernels.active_kernel_name() == before
-
-    def test_set_kernels_validates_eagerly(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            kernels.set_kernels("simd-fantasy")
-
-    def test_auto_resolves_to_concrete_impl(self):
-        with kernels.use_kernels("auto"):
-            assert kernels.resolve_kernels().name in kernels.list_kernels()
-
-    def test_env_selection_crosses_process_boundary(self):
-        """REPRO_KERNEL reaches a fresh interpreter (and hence every
-        process/cluster worker, which inherit the environment)."""
-        env = dict(os.environ, REPRO_KERNEL="blocked", PYTHONPATH="src")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro import kernels; "
-             "print(kernels.resolve_kernels().name)"],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "blocked"
-
-
-# ----------------------------------------------------------------------
-# Dispatch seam: legacy call sites forward here
-# ----------------------------------------------------------------------
-def test_cost_module_forwards_to_dispatch(monkeypatch):
-    """metrics.cost batch entry points route through the kernel tier."""
-    from repro.metrics import cost
-
-    grid = repro.CartesianGrid([4, 4])
-    stencil = repro.nearest_neighbor(2)
-    alloc = repro.NodeAllocation.homogeneous(4, 4)
-    perms = random_perms(grid.size, 2, seed=9)
-
-    seen = []
-    real = kernels.resolve_kernels
-
-    def spy(spec=None):
-        impl = real(spec)
-        seen.append(impl.name)
-        return impl
-
-    monkeypatch.setattr(kernels, "resolve_kernels", spy)
-    with kernels.use_kernels("blocked"):
-        cost.evaluate_mappings_batch(grid, stencil, perms, alloc)
-    assert seen and set(seen) == {"blocked"}

@@ -354,7 +354,35 @@ class TestMetrics:
             assert store["prune"]["ttl"] == 3600.0
             assert store["prune"]["runs"] > 0
             assert store["prune"]["removed_total"] == 0  # nothing to evict
+            assert store["prune"]["errors"] == 0
             assert store["hits"] == 0 and store["misses"] == 0
+
+    def test_failed_prune_rounds_are_counted(self, tmp_path, monkeypatch):
+        """A prune round that raises is counted in METRICS, and the
+        daemon keeps answering."""
+
+        def broken_prune(*args, **kwargs):
+            raise OSError("cache dir unreadable")
+
+        monkeypatch.setattr("repro.service.daemon.prune", broken_prune)
+        with ServiceDaemon(
+            "127.0.0.1",
+            0,
+            heartbeat_timeout=30.0,
+            disk_cache_dir=tmp_path,
+            store_max_bytes=1 << 20,
+            store_prune_interval=0.05,
+        ) as daemon:
+            client = ServiceClient("127.0.0.1", daemon.port)
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                prune = client.metrics()["store"]["prune"]
+                if prune["errors"] >= 2:
+                    break
+                time.sleep(0.05)
+            assert prune["errors"] >= 2  # the loop survived its first failure
+            assert prune["last_error"] == "OSError: cache dir unreadable"
+            assert prune["runs"] == 0
 
     def test_store_policy_requires_a_cache_dir(self):
         with pytest.raises(ValueError, match="cache"):
