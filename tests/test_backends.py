@@ -502,3 +502,23 @@ class TestFigure8Regressions:
         # hyperplane has nonzero cost over a zero baseline: inf, not 1.0
         assert np.isinf(red["hyperplane"]["jsum"][0])
         assert np.isinf(red["hyperplane"]["jmax"][0])
+
+
+class TestSharedEdgeTransport:
+    """Edges reach process workers only by building them or loading them
+    from the on-disk edge cache the workers share; either way, results
+    must be byte-identical to the serial engine's."""
+
+    def test_weighted_metrics_cross_shared_transport(self, tmp_path):
+        serial = EvaluationEngine(max_workers=1).evaluate_batch(
+            _weighted_requests()
+        )
+        # A cold pool builds and stores the edges; a fresh pool's
+        # workers then load them from disk instead.
+        for phase in ("build", "disk-load"):
+            with ProcessBackend(2, disk_cache_dir=tmp_path) as backend:
+                results = backend.evaluate_batch(_weighted_requests())
+            assert [_signature(r) for r in results] == [
+                _signature(r) for r in serial
+            ], phase
+            assert list(tmp_path.glob("edges-*.npy")), phase
