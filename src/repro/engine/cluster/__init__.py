@@ -1,10 +1,12 @@
 """Distributed multi-host evaluation over TCP sockets.
 
-The third execution tier, above :class:`~repro.engine.ThreadBackend`
+The one distributed tier, above :class:`~repro.engine.ThreadBackend`
 (one process) and :class:`~repro.engine.ProcessBackend` (one machine):
-a :class:`ClusterBackend` hosts a work-stealing
-:class:`~repro.engine.cluster.coordinator.Coordinator`, and any host
-that can reach it contributes capacity by running::
+a :class:`~repro.service.ServiceDaemon` hosts a work-stealing
+:class:`~repro.engine.cluster.coordinator.Coordinator`, and a
+:class:`ClusterBackend` is such a daemon of its own, fed by an
+in-process :class:`~repro.service.ServiceBackend`.  Any host that can
+reach it contributes capacity by running::
 
     python -m repro.engine.cluster.worker --connect head:7077
 

@@ -2,87 +2,49 @@
 
 :class:`ClusterBackend` implements the :class:`~repro.engine.backends.
 Backend` protocol — ``evaluate_batch``, ``evaluate_stream``, ``close``,
-context manager — on top of a :class:`~repro.engine.cluster.coordinator.
-Coordinator` hosted on a private background event loop.  The calling
-thread stays synchronous: shards are submitted through the loop, and
-completed shard payloads come back over a thread-safe queue.
-
-Requests are dealt into the same instance-aligned LPT shards as the
-process backend (:func:`~repro.engine.backends.instance_aligned_shards`)
-and travel by value with their ``tag`` payloads stripped, so results are
-byte-identical to the serial engine's and ``result.request is request``
-holds for every caller.
+context manager — as an ephemeral :class:`~repro.service.ServiceDaemon`
+plus a :class:`~repro.service.ServiceBackend` connected to it: each
+batch is one job on the backend's own daemon, and closing the backend
+closes the daemon.  The port therefore also answers ``status``,
+``watch`` and any other service client, and a cache directory turns on
+the daemon's result store.  Results are byte-identical to the serial
+engine's and ``result.request is request`` holds, as for every backend.
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
-import queue
-import threading
 from collections.abc import Iterable, Iterator
 
 from ...exceptions import ClusterError
-from ..backends import rebuild_batch, rebuild_stream, shard_payloads
-from ..diskcache import resolve_cache_dir
 from ..request import MappingRequest, MappingResult
-from .coordinator import Coordinator
-from .protocol import (
-    FAIL,
-    RESULT,
-    SHUTDOWN,
-    resolve_secret,
-    resolve_tls,
-    server_tls_context,
-)
+from .protocol import resolve_secret, resolve_tls
 
 __all__ = ["ClusterBackend"]
+
+#: Where the in-process client reaches a daemon bound to a wildcard.
+_LOOPBACK = {"0.0.0.0": "127.0.0.1", "::": "::1"}
 
 
 class ClusterBackend:
     """Distribute instance-aligned shards to socket workers.
 
-    Parameters
-    ----------
-    host, port:
-        Coordinator bind address.  The default binds every interface on
-        an ephemeral port; read :attr:`host`/:attr:`port` for the bound
-        values and hand them to workers (``python -m
-        repro.engine.cluster.worker --connect host:port``).
-    heartbeat_timeout:
-        Seconds of silence after which a worker is presumed dead and
-        its in-flight shards are requeued (workers ping every third of
-        this).  A dead worker therefore costs throughput, not the sweep.
-    target_shards:
-        Upper bound on shards per batch.  More shards mean finer
-        work-stealing granularity (better balance across uneven hosts,
-        earlier streamed results) at the price of more round-trips.
-    disk_cache_dir:
-        Edge-cache directory advertised to workers (``WELCOME``), for
-        hosts sharing a filesystem with the coordinator; defaults to
-        ``REPRO_CACHE_DIR``.  The coordinator itself never evaluates.
-    max_shard_requeues:
-        Worker deaths one shard may survive before the sweep fails with
-        :class:`~repro.exceptions.ClusterError` (a shard that OOM-kills
-        its workers must not cycle through the whole cluster).
-    secret:
-        Shared authentication secret; workers must present the same
-        value (``--secret`` / ``REPRO_CLUSTER_SECRET``).  Defaults to
-        the coordinator process's own ``REPRO_CLUSTER_SECRET``; an
-        empty value disables authentication.
-    tls_cert, tls_key, tls_ca:
-        Serve the coordinator over TLS with this certificate/key pair
-        (defaults: ``REPRO_TLS_CERT``/``REPRO_TLS_KEY``); workers then
-        connect with ``--tls-ca`` naming the matching trust root.
-        *tls_ca* additionally demands client certificates (mutual
-        TLS).  Unset serves cleartext, the default.
+    The backend's own :class:`~repro.service.ServiceDaemon` binds
+    *host*:*port* (by default every interface, on an ephemeral port);
+    read :attr:`host`/:attr:`port` and hand them to workers (``python
+    -m repro.engine.cluster.worker --connect host:port``).
+    *heartbeat_timeout*, *disk_cache_dir*, *max_shard_requeues*,
+    *secret* and *tls_cert*/*tls_key*/*tls_ca* configure that daemon
+    and mean what its parameters of the same names mean, environment
+    fallbacks included; *target_shards* bounds the shards per batch, as
+    in :class:`~repro.service.ServiceBackend`.
 
-    Notes
-    -----
-    A batch submitted while no worker is connected simply waits in the
-    queue — the cluster is pull-based, so workers may join (and leave)
+    A batch submitted while no worker is connected waits in the queue —
+    the cluster is pull-based, so workers may join (and leave)
     mid-sweep.  Use :meth:`wait_for_workers` to gate a sweep on a
-    minimum cluster size.
+    minimum cluster size.  A failed sweep raises
+    :class:`~repro.exceptions.ServiceError`, a
+    :class:`~repro.exceptions.ClusterError`.
     """
 
     def __init__(
@@ -99,73 +61,59 @@ class ClusterBackend:
         tls_key: str | None = None,
         tls_ca: str | None = None,
     ):
-        if target_shards < 1:
-            raise ValueError(
-                f"target_shards must be >= 1, got {target_shards}",
-            )
-        self.target_shards = int(target_shards)
-        cache_dir = resolve_cache_dir(disk_cache_dir)
-        self.disk_cache_dir = None if cache_dir is None else str(cache_dir)
-        tls_cert, tls_key, tls_ca = resolve_tls(tls_cert, tls_key, tls_ca)
-        ssl_context = (
-            server_tls_context(tls_cert, tls_key, tls_ca) if tls_cert else None
-        )
-        self._closed = False
-        self._lifecycle_lock = threading.Lock()
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever,
-            name="repro-cluster-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
-        self._coordinator = Coordinator(
+        # Imported here: the service package builds on the engine.
+        from ...service import ServiceBackend, ServiceDaemon
+
+        # Resolved once, and handed on as "" when unset, so the daemon
+        # and its in-process client cannot read different defaults.
+        secret = resolve_secret(secret) or ""
+        tls = resolve_tls(tls_cert, tls_key, tls_ca)
+        tls_cert, tls_key, tls_ca = (value or "" for value in tls)
+        self._daemon = ServiceDaemon(
             host,
             port,
             heartbeat_timeout=heartbeat_timeout,
-            cache_dir=self.disk_cache_dir,
+            disk_cache_dir=disk_cache_dir,
             max_shard_requeues=max_shard_requeues,
-            secret=resolve_secret(secret),
-            ssl_context=ssl_context,
+            secret=secret,
+            tls_cert=tls_cert,
+            tls_key=tls_key,
+            tls_ca=tls_ca,
         )
+        self.disk_cache_dir = self._daemon.disk_cache_dir
         try:
-            self._run(self._coordinator.start())
+            # The client trusts its own daemon: the private CA, or the
+            # self-signed certificate itself; it presents the daemon's
+            # own pair when mutual TLS demands a client certificate.
+            self._backend = ServiceBackend(
+                _LOOPBACK.get(self.host, self.host),
+                self.port,
+                target_shards=target_shards,
+                secret=secret,
+                tls_ca=(tls_ca or tls_cert) if tls_cert else "",
+                tls_cert=tls_cert,
+                tls_key=tls_key,
+            )
         except BaseException:
-            self._stop_loop()
+            self._daemon.close()
             raise
+        self.target_shards = self._backend.target_shards
+        self._closed = False
 
-    # ------------------------------------------------------------------
-    # Event-loop plumbing
-    # ------------------------------------------------------------------
-    def _run(self, coro, timeout: float | None = 30.0):
-        """Run *coro* on the coordinator loop from this thread."""
-        if self._closed:
-            raise RuntimeError("cluster backend is closed")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
-
-    def _stop_loop(self) -> None:
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        if not self._thread.is_alive():
-            self._loop.close()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     @property
     def host(self) -> str:
         """The coordinator's bound host."""
-        return self._coordinator.address[0]
+        return self._daemon.host
 
     @property
     def port(self) -> int:
         """The coordinator's bound port (resolved when it was ``0``)."""
-        return self._coordinator.address[1]
+        return self._daemon.port
 
     @property
     def num_workers(self) -> int:
         """Currently connected worker count."""
-        return self._coordinator.num_workers
+        return self._daemon.num_workers
 
     def wait_for_workers(self, count: int, timeout: float | None = None) -> None:
         """Block until *count* workers are connected.
@@ -173,53 +121,16 @@ class ClusterBackend:
         Raises :class:`~repro.exceptions.ClusterError` on timeout.
         """
         try:
-            self._run(
-                self._coordinator.wait_for_workers(count, timeout),
-                timeout=None,
-            )
-        except (TimeoutError, asyncio.TimeoutError):
+            self._daemon.wait_for_workers(count, timeout)
+        except TimeoutError:
             raise ClusterError(
                 f"timed out after {timeout}s waiting for {count} worker(s); "
                 f"{self.num_workers} connected"
             ) from None
 
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def _completed_shards(self, requests: list[MappingRequest]) -> Iterator[list]:
-        """Submit *requests*, yielding each completed shard's payload."""
-        payloads = shard_payloads(requests, self.target_shards)
-        results: queue.Queue = queue.Queue()
-        job, shard_ids = self._run(self._coordinator.submit(payloads, results))
-        remaining = set(shard_ids)
-        try:
-            while remaining:
-                kind, shard_id, payload = results.get()
-                if kind == RESULT:
-                    remaining.discard(shard_id)
-                    yield payload
-                elif kind == FAIL:
-                    raise ClusterError(
-                        f"a worker failed evaluating shard {shard_id}: {payload}",
-                    )
-                elif kind == SHUTDOWN:
-                    raise ClusterError(
-                        f"coordinator closed with {len(remaining)} shard(s) "
-                        f"outstanding",
-                    )
-        finally:
-            if remaining and not self._closed and self._loop.is_running():
-                # Early exit (generator closed, FAIL raised): withdraw
-                # the job's queued shards so workers stop pulling them.
-                try:
-                    self._run(self._coordinator.cancel(job), timeout=5.0)
-                except (RuntimeError, TimeoutError):
-                    pass  # racing a concurrent close(); nothing to withdraw
-
     def evaluate_batch(self, requests: Iterable[MappingRequest]) -> list[MappingResult]:
         """Evaluate a batch across the cluster, in input order."""
-        requests = list(requests)
-        return rebuild_batch(requests, self._completed_shards(requests))
+        return self._backend.evaluate_batch(requests)
 
     def evaluate_stream(
         self, requests: Iterable[MappingRequest]
@@ -228,24 +139,15 @@ class ClusterBackend:
 
         Within one shard results keep their relative request order;
         across shards the order is completion order.  Closing the
-        generator early withdraws shards that have not been handed out.
+        generator early cancels the job's remaining shards.
         """
-        requests = list(requests)
-        return rebuild_stream(requests, self._completed_shards(requests))
+        return self._backend.evaluate_stream(requests)
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     def close(self) -> None:
         """Shut the cluster down: workers are told to exit cleanly."""
-        with self._lifecycle_lock:
-            if self._closed:
-                return
-            try:
-                self._run(self._coordinator.aclose(), timeout=30.0)
-            finally:
-                self._closed = True
-                self._stop_loop()
+        self._closed = True
+        self._backend.close()
+        self._daemon.close()
 
     def __enter__(self) -> "ClusterBackend":
         return self

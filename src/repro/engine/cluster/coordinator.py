@@ -1,12 +1,13 @@
 """The asyncio coordinator: a priority work-stealing shard queue over TCP.
 
-One :class:`Coordinator` runs inside the driver process (hosted by
-:class:`~repro.engine.cluster.ClusterBackend` on a background event
-loop, or standing inside a :class:`~repro.service.ServiceDaemon`).
-Workers connect, handshake, and *pull*: each ``GET`` hands the worker
-the next queued shard, so fast workers naturally steal load from slow
-ones and a heterogeneous cluster stays busy without any static
-partitioning.
+One :class:`Coordinator` runs on the event loop of every
+:class:`~repro.service.ServiceDaemon`, standing (``serve-jobs``) or
+ephemeral (:class:`~repro.engine.cluster.ClusterBackend`).  Peers
+declare their role in the handshake.  *Workers* connect, handshake,
+and *pull*: each ``GET`` hands the worker the next queued shard, so
+fast workers naturally steal load from slow ones and a heterogeneous
+cluster stays busy without any static partitioning.  *Clients* submit
+jobs and stream their results back (see "Client sessions" below).
 
 Work is organised in *jobs*: one :meth:`submit` call queues one job's
 shards and assigns it an id, a priority, a *tenant* (the submitting
@@ -26,10 +27,10 @@ pre-fair-share ``(priority desc, job FIFO, shard order)``.  Many jobs
 may be in flight at once; they share the worker pool but fail, finish
 and cancel independently.
 
-Per-tenant *admission control* is available to the hosting tier:
-:meth:`admission_error` answers whether a submission would exceed the
-configured bounds on unfinished jobs or queued shards per tenant (the
-service daemon turns a non-``None`` answer into a ``REJECTED`` reply).
+Per-tenant *admission control*: :meth:`admission_error` answers
+whether a submission would exceed the configured bounds on unfinished
+jobs or queued shards per tenant, and a client session turns a
+non-``None`` answer into a ``REJECTED`` reply.
 
 The pool is elastic: :meth:`drain_workers` marks workers as draining —
 each finishes its in-flight shards, is handed ``SHUTDOWN`` instead of
@@ -57,13 +58,51 @@ Failure semantics:
   fails the submitting job instead of requeueing, because a
   deterministically crashing shard would requeue forever.
 
-Results cross back to the submitting side through a per-job queue
-(thread-safe :class:`queue.Queue` for the cluster backend,
-:class:`asyncio.Queue` for the service daemon — anything with
-``put_nowait``); shard completion is idempotent, so a shard that was
-requeued *and* completed twice is only delivered once.  Cancelling a
-job posts a ``(CANCEL, None, None)`` notice on its queue so a consumer
-streaming results learns about a cancellation made from elsewhere.
+Results cross back to the submitting side through a per-job
+:class:`asyncio.Queue`; shard completion is idempotent, so a shard that
+was requeued *and* completed twice is only delivered once.  Cancelling
+a job posts a ``(CANCEL, None, None)`` notice on its queue so a
+consumer streaming results learns about a cancellation made from
+elsewhere.
+
+Client sessions
+---------------
+Semantics of one client connection:
+
+* ``SUBMIT`` queues a job and answers ``SUBMITTED`` with its id; the
+  coordinator then streams ``JOB_RESULT`` frames as shards complete,
+  terminated by exactly one of ``JOB_DONE`` (all shards delivered),
+  ``JOB_FAIL`` (a shard crashed a worker's engine — the job's
+  remaining shards are withdrawn), ``JOB_CANCELLED`` (cancelled by
+  this or any other connection) or ``SHUTDOWN`` (coordinator closing).
+* ``STATUS`` / ``METRICS`` / ``CANCEL`` may be sent on any client
+  connection — also one that never submitted — and answer
+  ``STATUS_REPLY`` / ``METRICS_REPLY`` / ``CANCEL_REPLY``.  Cancelling
+  another connection's job notifies that connection with
+  ``JOB_CANCELLED``.
+* A client that disconnects (or falls silent past the heartbeat
+  timeout — stream consumers must ping, see
+  :class:`~repro.service.client.JobHandle`) has its unfinished jobs
+  cancelled: abandoned work must not occupy the worker pool.
+
+The result store
+----------------
+With a cache directory configured the coordinator additionally runs a
+content-addressed *result store* (:class:`~repro.engine.diskcache.
+DiskStore`, kind ``result``): every completed cell — one ``(index,
+request)`` item of a shard — is published under the stable content key
+of its request (see :func:`~repro.engine.diskcache.request_payload`),
+and every submitted cell is first looked up there.  A job whose cells
+are all known is answered without dispatching a single shard to a
+worker, with byte-identical rows; partially known jobs dispatch only
+the unknown cells.  Identical cells *in flight* across concurrent jobs
+are single-flight: one computation fans its row out to every
+subscribing job (and into the store).  Cells with no stable content
+key — mapper *instances*, exotic metric params, or opaque non-request
+payloads — pass through to workers untouched, so the coordinator stays
+payload-agnostic where it cannot key.  Job STATUS records count
+*dispatched* shards only: a fully store-served job reports
+``shards: 0``.
 """
 
 from __future__ import annotations
@@ -77,21 +116,34 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from ..diskcache import DiskStore, request_payload, stable_digest
 from .protocol import (
     AUTH,
     CANCEL,
+    CANCEL_REPLY,
     CHALLENGE,
     FAIL,
     GET,
     HELLO,
+    JOB_CANCELLED,
+    JOB_DONE,
+    JOB_FAIL,
+    JOB_RESULT,
     MAGIC,
+    METRICS,
+    METRICS_REPLY,
     PING,
     PROTOCOL_VERSION,
     WIRE_PICKLE_PROTOCOL,
     REJECT,
+    REJECTED,
     RESULT,
     SHARD,
     SHUTDOWN,
+    STATUS,
+    STATUS_REPLY,
+    SUBMIT,
+    SUBMITTED,
     WELCOME,
     ProtocolError,
     auth_digest,
@@ -113,8 +165,7 @@ _AUTH_MISMATCH = (
 #: the cap only bites on peers that never read (already-dead sockets).
 _SHUTDOWN_GRACE = 2.0
 
-#: Default tenant identity of submissions that declare none (the
-#: cluster backend's own sweeps, legacy clients).
+#: Default tenant identity of submissions that declare none.
 DEFAULT_TENANT = "default"
 
 #: Idle tenant records kept before the oldest are evicted.  A tenant is
@@ -150,7 +201,7 @@ class _Job:
     """One submitted batch: shard ids still pending plus the result pipe."""
 
     id: str
-    results: object  # anything with put_nowait: queue.Queue or asyncio.Queue
+    results: asyncio.Queue
     priority: int = 0
     seq: int = 0
     label: str = ""
@@ -207,12 +258,238 @@ class _WorkerConn:
         self.draining = False
 
 
+class _ClientConn:
+    """Coordinator-side state of one connected client."""
+
+    def __init__(self, writer: asyncio.StreamWriter, name: str, tenant: str = ""):
+        self.writer = writer
+        self.name = name
+        self.tenant = tenant
+        self.task: asyncio.Task | None = None
+        self.jobs: dict[str, tuple[_Job, asyncio.Task | None]] = {}
+        # Session replies and job forwarders share one writer; without
+        # the lock, two tasks awaiting drain() during a flow-control
+        # pause trip asyncio's single-waiter assertion.
+        self.write_lock = asyncio.Lock()
+
+
+def _row_value(row) -> tuple | None:
+    """The storable ``(perm, cost, error, metrics)`` of one worker row.
+
+    Worker shards answer with ``(index, perm, cost, error, metrics)``
+    rows; anything else is not a row the store understands.
+    """
+    if isinstance(row, (tuple, list)) and len(row) == 5:
+        return tuple(row[1:])
+    return None
+
+
+class _PendingShard:
+    """One client-visible shard being assembled from store hits,
+    in-flight subscriptions, and (a sub-shard of) dispatched items."""
+
+    __slots__ = ("items", "rows", "keys", "dispatch", "id", "raw", "emitted", "missing")
+
+    def __init__(self, items: list):
+        self.items = items
+        self.rows: list = [None] * len(items)
+        self.keys: list = [None] * len(items)
+        self.dispatch: list[int] = []  # positions shipped to workers
+        self.id: int | None = None  # client-visible shard id
+        self.raw = False  # opaque passthrough (no parsing)
+        self.emitted = False
+        self.missing = len(items)
+
+
+class _InflightCell:
+    """One cell being computed once for every subscribing job."""
+
+    __slots__ = ("key", "request", "owner", "waiters")
+
+    def __init__(self, key: str, request, owner: "_Assembly"):
+        self.key = key
+        self.request = request
+        self.owner = owner
+        # (assembly, pending shard, position, client index) per subscriber.
+        self.waiters: list[tuple] = []
+
+
+class _Assembly:
+    """One client submission's result-store/single-flight bookkeeping.
+
+    The coordinator job(s) backing the submission stream into a private
+    ``internal`` queue; the pump task parses worker rows, publishes
+    keyed cells (store + fan-out to waiters), and emits fully assembled
+    shards as synthesized ``(RESULT, shard_id, rows)`` frames on the
+    ``client_queue`` the session forwarder streams from.  Raw
+    (unkeyable) shards are forwarded verbatim, unparsed.
+    """
+
+    def __init__(
+        self,
+        coord: "Coordinator",
+        client_queue: asyncio.Queue,
+        *,
+        priority: int,
+        label: str,
+        tenant: str = "",
+    ):
+        self.coord = coord
+        self.client_queue = client_queue
+        self.internal: asyncio.Queue = asyncio.Queue()
+        self.priority = priority
+        self.label = label
+        self.tenant = tenant
+        self.shards: list[_PendingShard] = []
+        self.dispatch_map: dict[int, tuple] = {}  # dispatched shard id -> plan
+        self.raw_ids: dict[int, _PendingShard] = {}
+        self.outstanding: set[int] = set()
+        self.jobs: list[_Job] = []  # coordinator jobs (primary first)
+        self.job_id: str | None = None
+        self.unemitted = 0
+        self.done = False
+        self.pump_task: asyncio.Task | None = None
+
+    # -- frame plumbing ------------------------------------------------
+    def _ensure_pump(self) -> None:
+        if self.pump_task is None or self.pump_task.done():
+            self.pump_task = asyncio.create_task(self._pump())
+
+    async def _pump(self) -> None:
+        while self.outstanding and not self.done:
+            kind, shard_id, payload = await self.internal.get()
+            if self.done:
+                return
+            if kind == RESULT:
+                incomplete = self._on_result(shard_id, payload)
+                if incomplete is not None:
+                    await self._abort(
+                        FAIL,
+                        incomplete.id,
+                        "worker returned an incomplete or unparseable "
+                        "shard payload",
+                    )
+                    return
+            elif kind == FAIL:
+                await self._abort(FAIL, shard_id, payload)
+                return
+            elif kind == CANCEL:
+                await self.cancel()
+                return
+            else:  # SHUTDOWN
+                self.done = True
+                self.coord._assemblies.pop(self.job_id, None)
+                self.client_queue.put_nowait((SHUTDOWN, None, None))
+                return
+
+    def _on_result(self, shard_id: int, payload) -> _PendingShard | None:
+        """Fold one dispatched shard's rows in; returns the pending
+        shard a malformed payload left unfillable, if any."""
+        self.outstanding.discard(shard_id)
+        ps = self.raw_ids.pop(shard_id, None)
+        if ps is not None:
+            ps.emitted = True
+            self.client_queue.put_nowait((RESULT, ps.id, payload))
+            self.unemitted -= 1
+            self._maybe_release()
+            return None
+        entry = self.dispatch_map.pop(shard_id, None)
+        if entry is None:
+            return None
+        kind, plan = entry
+        rows = payload if isinstance(payload, list) else []
+        if kind == "rescue":
+            # Rows resolve purely through the publish path: our own
+            # positions are waiter subscriptions on the rescued cells.
+            for row in rows:
+                value = _row_value(row)
+                key = plan.get(row[0]) if value is not None else None
+                if key is not None:
+                    self.coord._publish_cell(key, value)
+            return None
+        ps = plan
+        index_to_pos = {ps.items[pos][0]: pos for pos in ps.dispatch}
+        for row in rows:
+            value = _row_value(row)
+            if value is None:
+                continue
+            pos = index_to_pos.get(row[0])
+            if pos is None:
+                continue
+            if ps.rows[pos] is None:
+                ps.rows[pos] = tuple(row)
+                ps.missing -= 1
+            if ps.keys[pos] is not None:
+                self.coord._publish_cell(ps.keys[pos], value)
+        if ps.missing > 0:
+            return ps
+        if not ps.emitted:
+            self._emit(ps)
+        return None
+
+    def _emit(self, ps: _PendingShard) -> None:
+        ps.emitted = True
+        self.client_queue.put_nowait((RESULT, ps.id, list(ps.rows)))
+        self.unemitted -= 1
+        self._maybe_release()
+
+    def _maybe_release(self) -> None:
+        if self.unemitted == 0 and not self.outstanding and not self.done:
+            self.done = True
+            self.coord._assemblies.pop(self.job_id, None)
+
+    # -- termination ---------------------------------------------------
+    async def _abort(self, kind, shard_id, payload) -> None:
+        """Fail the submission: notify the client, withdraw all work."""
+        if self.done:
+            return
+        self.done = True
+        self.client_queue.put_nowait((kind, shard_id, payload))
+        await self._withdraw()
+
+    async def cancel(self) -> None:
+        """Cancel the submission across all its coordinator jobs."""
+        if self.done:
+            return
+        await self._abort(CANCEL, None, None)
+        current = asyncio.current_task()
+        if self.pump_task is not None and self.pump_task is not current:
+            # Its job queues may never produce another frame; don't
+            # leave it parked on the internal queue forever.
+            self.pump_task.cancel()
+
+    async def _withdraw(self) -> None:
+        self.coord._assemblies.pop(self.job_id, None)
+        await self.coord._abandon(self)
+        for job in self.jobs:
+            if not job.finished:
+                await self.coord.cancel(job)
+
+    async def _redispatch(self, key_by_index: dict[int, str]) -> None:
+        """Submit a supplemental job for in-flight cells inherited from
+        a dead owner; their rows resolve via the publish path."""
+        items = [
+            (index, self.coord._cells[key].request)
+            for index, key in key_by_index.items()
+        ]
+        job, shard_ids = await self.coord.submit(
+            [items],
+            self.internal,
+            priority=self.priority,
+            label=f"{self.label}:rescue" if self.label else "rescue",
+            tenant=self.tenant,
+        )
+        self.jobs.append(job)
+        self.dispatch_map[shard_ids[0]] = ("rescue", dict(key_by_index))
+        self.outstanding.add(shard_ids[0])
+        self._ensure_pump()
+
+
 class Coordinator:
-    """Asyncio server distributing job shards to pulling workers.
+    """Asyncio server distributing client jobs' shards to pulling workers.
 
     All coroutines must run on one event loop; the only thread-safe
-    surfaces are the per-job result queues handed to :meth:`submit` and
-    the :attr:`num_workers` counter.
+    surface is the :attr:`num_workers` counter.
 
     Parameters
     ----------
@@ -227,7 +504,8 @@ class Coordinator:
     cache_dir:
         Advertised to workers in ``WELCOME`` so hosts sharing the
         coordinator's filesystem reuse its on-disk edge cache without
-        per-worker configuration.
+        per-worker configuration, and home of the result store (see
+        the module docstring); ``None`` disables both.
     max_shard_requeues:
         How many worker deaths one shard may survive before it is
         treated as poisoned (a shard that OOM-kills or segfaults its
@@ -250,8 +528,8 @@ class Coordinator:
         weight-1 tenant dispatches one.  Unlisted tenants weigh 1.
     max_client_jobs:
         Admission bound on one tenant's simultaneously unfinished
-        jobs; ``0`` (the default) means unlimited.  Enforced by the
-        hosting tier through :meth:`admission_error`.
+        jobs; ``0`` (the default) means unlimited.  Client sessions
+        enforce it through :meth:`admission_error`.
     max_client_queued:
         Admission bound on one tenant's queued shards (dispatched
         shards do not count); ``0`` means unlimited.
@@ -338,9 +616,24 @@ class Coordinator:
         self._address: tuple[str, int] | None = None
         self._completed_total = 0
         self._worker_early_deaths = 0
+        self._clients: set[_ClientConn] = set()
+        self._result_store = (
+            None if cache_dir is None else DiskStore(cache_dir, "result")
+        )
+        self._cells: dict[str, _InflightCell] = {}
+        self._assemblies: dict[str, _Assembly] = {}
+        # Result-store accounting (METRICS): cells answered from the
+        # store / joined onto an identical in-flight computation /
+        # dispatched to workers.
+        self._store_hits = 0
+        self._store_joins = 0
+        self._store_misses = 0
         #: Set by the hosting service daemon when an autoscaler is
         #: attached; folded into :meth:`service_snapshot` pool gauges.
         self.autoscaler = None
+        #: Updated in place by the hosting daemon's auto-prune loop
+        #: (``None`` when no prune policy is configured).
+        self.prune_stats: dict | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -372,6 +665,16 @@ class Coordinator:
     async def aclose(self) -> None:
         """Stop serving: shut workers down, fail outstanding jobs."""
         self._closing = True
+        # Wake every submission: pumps are cancelled (their coordinator
+        # jobs are about to be failed anyway) and the client queues get
+        # the SHUTDOWN frame directly so forwarders unwind.
+        for asm in list(self._assemblies.values()):
+            asm.done = True
+            if asm.pump_task is not None:
+                asm.pump_task.cancel()
+            asm.client_queue.put_nowait((SHUTDOWN, None, None))
+        self._assemblies.clear()
+        self._cells.clear()
         if self._reaper is not None:
             self._reaper.cancel()
         if self._server is not None:
@@ -412,14 +715,29 @@ class Coordinator:
             job.failed = job.failed or "coordinator closed"
             self._finish_job(job)
             job.results.put_nowait((SHUTDOWN, None, None))
+        # Job queues got SHUTDOWN above; closing the transports EOFs the
+        # session read loops, which then unwind on their own.  They are
+        # awaited (not cancelled: cancelling a start_server connection
+        # task trips asyncio's stream callback on 3.11) so none outlive
+        # the event loop.
+        sessions = [c.task for c in self._clients if c.task is not None]
+        for conn in list(self._clients):
+            try:
+                await self._send(conn, (SHUTDOWN,))
+            except (ConnectionError, OSError):
+                pass
+            conn.writer.close()
+        self._clients.clear()
+        if sessions:
+            await asyncio.wait(sessions, timeout=5.0)
 
     # ------------------------------------------------------------------
-    # Submission (driven from the backend thread via the event loop)
+    # Submission
     # ------------------------------------------------------------------
     async def submit(
         self,
         shard_items: list[list],
-        results,
+        results: asyncio.Queue,
         *,
         priority: int = 0,
         label: str = "",
@@ -428,14 +746,13 @@ class Coordinator:
         """Queue one job of shards; results stream into *results*.
 
         Each element of *shard_items* is one shard's ``(index,
-        request)`` list; *results* is any object with ``put_nowait``.
-        Completed shards arrive on *results* as ``(RESULT, shard_id,
-        payload)`` tuples; a worker-crashed shard as ``(FAIL, shard_id,
-        message)``; a cancellation as ``(CANCEL, None, None)``;
-        coordinator shutdown as ``(SHUTDOWN, None, None)``.  Larger
-        *priority* values are scheduled first; *tenant* names the
-        submitting client for fair-share accounting (unnamed
-        submissions share the default tenant).
+        request)`` list.  Completed shards arrive on *results* as
+        ``(RESULT, shard_id, payload)`` tuples; a worker-crashed shard
+        as ``(FAIL, shard_id, message)``; a cancellation as ``(CANCEL,
+        None, None)``; coordinator shutdown as ``(SHUTDOWN, None,
+        None)``.  Larger *priority* values are scheduled first;
+        *tenant* names the submitting client for fair-share accounting
+        (unnamed submissions share the default tenant).
         """
         if self._closing:
             raise RuntimeError("coordinator is closed")
@@ -482,10 +799,6 @@ class Coordinator:
             self._discard_queued(job)
         self._finish_job(job)
         job.results.put_nowait((CANCEL, None, None))
-
-    def find_job(self, job_id: str) -> _Job | None:
-        """The live (unfinished) job with this id, if any."""
-        return self._jobs.get(job_id)
 
     def jobs_snapshot(self, job_id: str | None = None) -> list[dict]:
         """Status records of live and recently finished jobs.
@@ -557,13 +870,14 @@ class Coordinator:
         """The machine-readable observability document (METRICS, v6).
 
         ``{"schema": "repro.metrics/v1", "time", "queue": {"depth",
-        "oldest_age"}, "jobs": [...], "clients": [...], "pool":
-        {...}}``.  Each live job's record extends the STATUS record
-        with ``dispatched``, ``remaining``, ``progress`` (completed
-        fraction), ``rate`` (shards/second since first dispatch) and
-        ``eta`` (seconds to finish at that rate; ``None`` until the
-        first completion).  Finished jobs from the status history are
-        included with ``eta`` 0 so a watcher sees them land.
+        "oldest_age"}, "jobs": [...], "clients": [...], "pool": {...},
+        "store": {...}}``.  Each live job's record extends the STATUS
+        record with ``dispatched``, ``remaining``, ``progress``
+        (completed fraction), ``rate`` (shards/second since first
+        dispatch) and ``eta`` (seconds to finish at that rate; ``None``
+        until the first completion).  Finished jobs from the status history are
+        included with ``eta`` 0 so a watcher sees them land.  ``store``
+        carries the result store's hit counters and prune stats.
         """
         try:
             now = asyncio.get_running_loop().time()
@@ -600,6 +914,7 @@ class Coordinator:
         pool = self.load_snapshot()
         if self.autoscaler is not None:
             pool.update(self.autoscaler.stats())
+        looked_up = self._store_hits + self._store_joins + self._store_misses
         return {
             "schema": "repro.metrics/v1",
             "time": time.time(),
@@ -610,6 +925,19 @@ class Coordinator:
             "jobs": jobs,
             "clients": self.clients_snapshot(),
             "pool": pool,
+            "store": {
+                "enabled": self._result_store is not None,
+                "hits": self._store_hits,
+                "inflight_joins": self._store_joins,
+                "misses": self._store_misses,
+                "hit_rate": (
+                    None
+                    if not looked_up
+                    else (self._store_hits + self._store_joins) / looked_up
+                ),
+                "inflight_cells": len(self._cells),
+                "prune": self.prune_stats,
+            },
         }
 
     def clients_snapshot(self) -> list[dict]:
@@ -691,8 +1019,8 @@ class Coordinator:
     # ------------------------------------------------------------------
     def _alloc_shard_id(self) -> int:
         """Next shard id — one counter for every id a client ever sees,
-        so subclass-synthesized shards (result-store hits) never collide
-        with dispatched ones."""
+        so synthesized shards (result-store hits) never collide with
+        dispatched ones."""
         sid = self._next_shard_id
         self._next_shard_id += 1
         return sid
@@ -728,9 +1056,8 @@ class Coordinator:
         """Why a *shard_count*-shard submission by *tenant_name* must be
         refused under the per-client quotas, or ``None`` to admit it.
 
-        The hosting tier (service daemon) answers a non-``None`` reason
-        with a ``REJECTED`` reply; the base coordinator never refuses
-        its own backend's submissions.
+        A client session answers a non-``None`` reason with a
+        ``REJECTED`` reply.
         """
         if not self._max_client_jobs and not self._max_client_queued:
             return None
@@ -752,10 +1079,6 @@ class Coordinator:
                 f"or wait for queued work to dispatch"
             )
         return None
-
-    def note_rejection(self, tenant_name: str) -> None:
-        """Count one refused submission against *tenant_name*."""
-        self._tenant(tenant_name).rejected += 1
 
     def _push(self, shard: _Shard) -> None:
         """Queue one shard under its job's priority level and tenant.
@@ -1014,33 +1337,6 @@ class Coordinator:
         finally:
             await self._drop(conn, requeue=True)
 
-    async def _serve_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        name: str,
-        info: dict,
-    ) -> None:
-        """Serve a job-submitting client; the base coordinator has none.
-
-        Overridden by the service daemon's coordinator
-        (:mod:`repro.service.daemon`); a plain cluster coordinator
-        points clients at the service entry point instead.
-        """
-        try:
-            await write_message(
-                writer,
-                (
-                    REJECT,
-                    "this coordinator does not accept job clients; start a "
-                    "standing service daemon instead (python -m "
-                    "repro.experiments serve-jobs)",
-                ),
-            )
-        except (ConnectionError, OSError):
-            pass
-        writer.close()
-
     @staticmethod
     def _handshake_error(message: object) -> str | None:
         """Why *message* is not an acceptable ``HELLO`` (``None`` if it is)."""
@@ -1193,3 +1489,283 @@ class Coordinator:
                     # Abort the transport; the connection's inbound loop
                     # sees EOF and requeues via _drop.
                     conn.writer.close()
+
+    # ------------------------------------------------------------------
+    # Result store / cross-job single-flight
+    # ------------------------------------------------------------------
+    def _cell_key(self, item) -> str | None:
+        """Stable content key of one ``(index, request)`` shard item,
+        or ``None`` for opaque/unkeyable payloads (pure passthrough)."""
+        if not (isinstance(item, tuple) and len(item) == 2):
+            return None
+        payload = request_payload(item[1])
+        return None if payload is None else stable_digest(payload)
+
+    def _publish_cell(self, key: str, value: tuple) -> None:
+        """Persist one computed cell and fan it out to every subscriber."""
+        if self._result_store is not None:
+            self._result_store.store(key, value)
+        cell = self._cells.pop(key, None)
+        if cell is None:
+            return
+        for asm, ps, pos, index in cell.waiters:
+            if asm.done or ps.emitted or ps.rows[pos] is not None:
+                continue
+            ps.rows[pos] = (index, *value)
+            ps.missing -= 1
+            if ps.missing == 0:
+                asm._emit(ps)
+
+    async def _abandon(self, asm: _Assembly) -> None:
+        """Detach a finished/failed/cancelled submission from the
+        single-flight table: drop its subscriptions, and hand each
+        in-flight cell it owned to a surviving waiter, which dispatches
+        a supplemental (rescue) job for the inherited cells."""
+        rescues: dict[_Assembly, dict[int, str]] = {}
+        for key in list(self._cells):
+            cell = self._cells[key]
+            cell.waiters = [w for w in cell.waiters if not w[0].done]
+            if cell.owner is not asm and not cell.owner.done:
+                continue
+            if not cell.waiters:
+                del self._cells[key]
+                continue
+            heir = cell.waiters[0][0]
+            cell.owner = heir
+            rescues.setdefault(heir, {})[cell.waiters[0][3]] = key
+        for heir, key_by_index in rescues.items():
+            await heir._redispatch(key_by_index)
+
+    async def submit_job(
+        self,
+        payloads: list[list],
+        results: asyncio.Queue,
+        *,
+        priority: int = 0,
+        label: str = "",
+        tenant: str = "",
+    ) -> tuple[_Job, list[int]]:
+        """Queue one client job, serving repeat cells from the result
+        store and deduplicating identical in-flight cells across jobs.
+
+        Falls back to plain :meth:`submit` when no cache directory is
+        configured.  Returns ``(job, client_shard_ids)``; the ids cover
+        *every* submitted shard (dispatched or not), while the job's
+        STATUS record counts only dispatched shards.
+        """
+        if self._result_store is None:
+            return await self.submit(
+                payloads, results, priority=priority, label=label, tenant=tenant
+            )
+        asm = _Assembly(self, results, priority=priority, label=label, tenant=tenant)
+        # Everything up to the submit below runs without suspension, so
+        # the store lookups, in-flight subscriptions and client-visible
+        # shard ids are established atomically with respect to other
+        # submissions (and to publishes resolving our subscriptions).
+        for items in payloads:
+            ps = _PendingShard(items)
+            ps.id = self._alloc_shard_id()
+            for pos, item in enumerate(items):
+                key = self._cell_key(item)
+                if key is None:
+                    ps.dispatch.append(pos)
+                    continue
+                ps.keys[pos] = key
+                value = self._result_store.load(key)
+                if isinstance(value, tuple) and len(value) == 4:
+                    self._store_hits += 1
+                    ps.rows[pos] = (item[0], *value)
+                    ps.missing -= 1
+                    continue
+                cell = self._cells.get(key)
+                if cell is not None:
+                    self._store_joins += 1
+                    cell.waiters.append((asm, ps, pos, item[0]))
+                    continue
+                self._store_misses += 1
+                self._cells[key] = _InflightCell(key, item[1], asm)
+                ps.dispatch.append(pos)
+            # A shard with no keyable item at all is forwarded verbatim,
+            # payload unparsed: the coordinator stays agnostic to
+            # non-request workloads.
+            ps.raw = bool(ps.dispatch) and all(k is None for k in ps.keys)
+            asm.shards.append(ps)
+        asm.unemitted = len(asm.shards)
+        # Shards fully resolved from the store complete before any
+        # worker sees the job (possibly the whole job: zero dispatch).
+        for ps in asm.shards:
+            if ps.missing == 0 and not ps.emitted:
+                asm._emit(ps)
+        dispatched = [ps for ps in asm.shards if ps.dispatch]
+        job, shard_ids = await self.submit(
+            [
+                list(ps.items) if ps.raw else [ps.items[pos] for pos in ps.dispatch]
+                for ps in dispatched
+            ],
+            asm.internal,
+            priority=priority,
+            label=label,
+            tenant=tenant,
+        )
+        asm.jobs.append(job)
+        asm.job_id = job.id
+        for ps, sid in zip(dispatched, shard_ids):
+            asm.outstanding.add(sid)
+            if ps.raw:
+                asm.raw_ids[sid] = ps
+            else:
+                asm.dispatch_map[sid] = ("shard", ps)
+        if not asm.done and asm.unemitted:
+            self._assemblies[job.id] = asm
+            if asm.outstanding:
+                asm._ensure_pump()
+        return job, [ps.id for ps in asm.shards]
+
+    async def cancel_job(self, job_id: object) -> bool:
+        """Cancel a client job by id; ``False`` when unknown or finished.
+
+        A store-backed submission can outlive its (possibly already
+        finished) coordinator job while it waits on shared in-flight
+        cells, so cancelling goes through its assembly when it has one.
+        """
+        if not isinstance(job_id, str):
+            return False
+        asm = self._assemblies.get(job_id)
+        if asm is not None:
+            await asm.cancel()
+            return True
+        job = self._jobs.get(job_id)
+        if job is None:
+            return False
+        await self.cancel(job)
+        return True
+
+    # ------------------------------------------------------------------
+    # Client sessions
+    # ------------------------------------------------------------------
+    @staticmethod
+    async def _send(conn: _ClientConn, message: tuple) -> None:
+        async with conn.write_lock:
+            await write_message(conn.writer, message)
+
+    async def _serve_client(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        name: str,
+        info: dict,
+    ) -> None:
+        conn = _ClientConn(writer, name, str(info.get("tenant", "") or ""))
+        conn.task = asyncio.current_task()
+        self._clients.add(conn)
+        try:
+            await self._send(
+                conn,
+                (WELCOME, {"heartbeat_interval": self._heartbeat_timeout / 3.0}),
+            )
+            while True:
+                # Clients must stay audible (PING while waiting on a
+                # long job); a silent connection is treated as dead so
+                # its jobs stop occupying the worker pool.
+                try:
+                    message = await asyncio.wait_for(
+                        read_message(reader), timeout=self._heartbeat_timeout
+                    )
+                except asyncio.TimeoutError:
+                    break
+                if message is None or not isinstance(message, tuple) or not message:
+                    break
+                kind = message[0]
+                if kind == PING:
+                    continue
+                if kind == SUBMIT and len(message) == 3:
+                    await self._client_submit(conn, message[1], message[2])
+                elif kind == STATUS and len(message) == 2:
+                    await self._send(
+                        conn, (STATUS_REPLY, self.service_snapshot(message[1]))
+                    )
+                elif kind == METRICS:
+                    await self._send(conn, (METRICS_REPLY, self.metrics_snapshot()))
+                elif kind == CANCEL and len(message) == 2:
+                    ok = await self.cancel_job(message[1])
+                    await self._send(conn, (CANCEL_REPLY, message[1], ok))
+                else:
+                    break
+        except (ProtocolError, ConnectionError, OSError):
+            pass
+        finally:
+            self._clients.discard(conn)
+            for job, forwarder in list(conn.jobs.values()):
+                if forwarder is not None:
+                    forwarder.cancel()
+                await self.cancel_job(job.id)
+            conn.jobs.clear()
+            writer.close()
+
+    async def _client_submit(
+        self, conn: _ClientConn, payloads: object, options: object
+    ) -> None:
+        options = options if isinstance(options, dict) else {}
+        if not isinstance(payloads, list) or not all(
+            isinstance(shard, list) for shard in payloads
+        ):
+            raise ProtocolError("SUBMIT payload must be a list of shard lists")
+        # Admission control: a client over its job/backlog quota gets a
+        # clean REJECTED (with the reason) instead of queue admission —
+        # its session stays open, and other tenants' work is untouched.
+        reason = self.admission_error(conn.tenant, len(payloads))
+        if reason is not None:
+            self._tenant(conn.tenant).rejected += 1
+            await self._send(conn, (REJECTED, reason))
+            return
+        results: asyncio.Queue = asyncio.Queue()
+        job, shard_ids = await self.submit_job(
+            payloads,
+            results,
+            priority=int(options.get("priority", 0)),
+            label=str(options.get("label", "") or ""),
+            tenant=conn.tenant,
+        )
+        # Registered before the SUBMITTED write: if the client is
+        # already gone when the reply fails, the session's cleanup must
+        # find (and cancel) this job rather than orphan it on the
+        # worker pool.  The forwarder starts only *after* SUBMITTED is
+        # on the wire — result-store hits complete instantly, and a
+        # JOB_RESULT frame must not overtake the submission reply.
+        if shard_ids:
+            conn.jobs[job.id] = (job, None)
+        await self._send(conn, (SUBMITTED, job.id, shard_ids))
+        if shard_ids:
+            forwarder = asyncio.create_task(
+                self._forward_job(conn, job, results, set(shard_ids))
+            )
+            conn.jobs[job.id] = (job, forwarder)
+        else:
+            await self._send(conn, (JOB_DONE, job.id))
+
+    async def _forward_job(
+        self, conn: _ClientConn, job: _Job, results: asyncio.Queue, remaining: set
+    ) -> None:
+        """Stream one job's shard queue to its submitting client."""
+        try:
+            while remaining:
+                kind, shard_id, payload = await results.get()
+                if kind == RESULT:
+                    remaining.discard(shard_id)
+                    await self._send(conn, (JOB_RESULT, job.id, shard_id, payload))
+                elif kind == FAIL:
+                    await self._send(conn, (JOB_FAIL, job.id, shard_id, payload))
+                    # Withdraw the job's other shards: it already failed.
+                    await self.cancel_job(job.id)
+                    return
+                elif kind == CANCEL:
+                    await self._send(conn, (JOB_CANCELLED, job.id))
+                    return
+                else:  # SHUTDOWN
+                    await self._send(conn, (SHUTDOWN,))
+                    return
+            await self._send(conn, (JOB_DONE, job.id))
+        except (ConnectionError, OSError):
+            conn.writer.close()
+        finally:
+            conn.jobs.pop(job.id, None)

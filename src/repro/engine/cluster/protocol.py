@@ -136,6 +136,7 @@ import pickle
 import socket
 import ssl
 import struct
+import threading
 import time
 
 __all__ = [
@@ -183,6 +184,8 @@ __all__ = [
     "client_tls_context",
     "connect_with_retry",
     "enable_keepalive",
+    "handshake",
+    "start_heartbeat",
     "send_message",
     "recv_message",
     "read_message",
@@ -533,6 +536,62 @@ def send_message(sock: socket.socket, message: tuple) -> None:
     """Write one frame to a blocking socket (zero-copy array segments)."""
     for part in encode_frames(message):
         sock.sendall(part)
+
+
+def handshake(sock: socket.socket, info: dict, secret: str | None) -> tuple:
+    """A blocking peer's HELLO, CHALLENGE/AUTH and WELCOME exchange,
+    on a socket it first arms with :func:`enable_keepalive`.
+
+    Returns ``(WELCOME, settings)``, ``(REJECT, reason)``, ``(CHALLENGE,
+    None)`` when a secret is demanded and *secret* is ``None``, ``(None,
+    None)`` when the coordinator hung up, or ``(kind, None)`` for any
+    other reply; transport failures raise.  Callers map the outcomes
+    onto their own errors.
+    """
+    enable_keepalive(sock)
+    send_message(sock, hello(info))
+    reply = recv_message(sock)
+    if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == CHALLENGE:
+        if secret is None:
+            return CHALLENGE, None
+        send_message(sock, (AUTH, auth_digest(secret, reply[1])))
+        reply = recv_message(sock)
+    if not isinstance(reply, tuple) or not reply:
+        return None, None
+    detail = reply[1] if len(reply) > 1 else None
+    if reply[0] == WELCOME:
+        return WELCOME, detail if isinstance(detail, dict) else {}
+    return reply[0], detail if reply[0] == REJECT else None
+
+
+def start_heartbeat(
+    sock: socket.socket, write_lock: threading.Lock, interval: float, name: str
+) -> threading.Event:
+    """Ping *sock* every *interval* seconds from a daemon thread, under
+    the caller's *write_lock*, until the returned event is set; a peer
+    busy between frames stays audible to the heartbeat timeout."""
+    stop = threading.Event()
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(sock, write_lock, interval, stop),
+        name=name,
+        daemon=True,
+    ).start()
+    return stop
+
+
+def _heartbeat_loop(
+    sock: socket.socket,
+    write_lock: threading.Lock,
+    interval: float,
+    stop: threading.Event,
+) -> None:
+    while not stop.wait(interval):
+        try:
+            with write_lock:
+                send_message(sock, (PING,))
+        except OSError:
+            return
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> bytes | None:

@@ -49,27 +49,24 @@ import threading
 
 from ..diskcache import CACHE_DIR_ENV, resolve_cache_dir
 from .protocol import (
-    AUTH,
     CHALLENGE,
     FAIL,
     GET,
-    PING,
     REJECT,
     RESULT,
     SHARD,
     SHUTDOWN,
     WELCOME,
     ProtocolError,
-    auth_digest,
     client_tls_context,
     connect_with_retry,
-    enable_keepalive,
-    hello,
+    handshake,
     parse_address,
     recv_message,
     resolve_secret,
     resolve_tls,
     send_message,
+    start_heartbeat,
 )
 
 __all__ = ["run_worker", "main"]
@@ -78,57 +75,6 @@ __all__ = ["run_worker", "main"]
 _SHUTDOWN = "shutdown"
 _LOST = "lost"
 _REJECTED = "rejected"
-
-
-def _heartbeat_loop(
-    sock: socket.socket,
-    write_lock: threading.Lock,
-    interval: float,
-    stop: threading.Event,
-) -> None:
-    while not stop.wait(interval):
-        try:
-            with write_lock:
-                send_message(sock, (PING,))
-        except OSError:
-            return
-
-
-def _handshake(sock: socket.socket, secret: str | None, log) -> tuple[str, dict]:
-    """HELLO (and answer a secret challenge); ``(outcome, settings)``."""
-    try:
-        send_message(
-            sock, hello({"pid": os.getpid(), "host": socket.gethostname()})
-        )
-        reply = recv_message(sock)
-        if (
-            reply is not None
-            and isinstance(reply, tuple)
-            and len(reply) == 2
-            and reply[0] == CHALLENGE
-        ):
-            if secret is None:
-                log(
-                    "worker: coordinator requires a shared secret; pass "
-                    "--secret or set REPRO_CLUSTER_SECRET"
-                )
-                return _REJECTED, {}
-            send_message(sock, (AUTH, auth_digest(secret, reply[1])))
-            reply = recv_message(sock)
-    except (ProtocolError, OSError) as exc:
-        log(f"worker: handshake failed: {exc}")
-        return _LOST, {}
-    if reply is None or not isinstance(reply, tuple) or not reply:
-        log("worker: coordinator closed the connection during handshake")
-        return _LOST, {}
-    if reply[0] == REJECT:
-        log(f"worker: rejected by coordinator: {reply[1]}")
-        return _REJECTED, {}
-    if reply[0] != WELCOME:
-        log(f"worker: unexpected handshake reply {reply[0]!r}")
-        return _REJECTED, {}
-    settings = reply[1] if len(reply) > 1 and isinstance(reply[1], dict) else {}
-    return "ok", settings
 
 
 def _serve_connection(
@@ -151,12 +97,31 @@ def _serve_connection(
     from ..backends import resolve_backend
 
     sock.settimeout(None)
-    enable_keepalive(sock)
-    outcome, settings = _handshake(sock, secret, log)
-    if outcome != "ok":
+    try:
+        kind, detail = handshake(
+            sock, {"pid": os.getpid(), "host": socket.gethostname()}, secret
+        )
+    except (ProtocolError, OSError) as exc:
+        log(f"worker: handshake failed: {exc}")
         sock.close()
-        return outcome
+        return _LOST
+    if kind != WELCOME:
+        sock.close()
+        if kind is None:
+            log("worker: coordinator closed the connection during handshake")
+            return _LOST
+        if kind == CHALLENGE:
+            log(
+                "worker: coordinator requires a shared secret; pass "
+                "--secret or set REPRO_CLUSTER_SECRET"
+            )
+        elif kind == REJECT:
+            log(f"worker: rejected by coordinator: {detail}")
+        else:
+            log(f"worker: unexpected handshake reply {kind!r}")
+        return _REJECTED
 
+    settings = detail
     interval = float(settings.get("heartbeat_interval") or 5.0)
     # --cache-dir, then REPRO_CACHE_DIR, then the coordinator's
     # advertised directory — but an *explicitly empty* flag or variable
@@ -172,14 +137,7 @@ def _serve_connection(
     backend = resolve_backend(backend_spec, shards=shards, **options)
 
     write_lock = threading.Lock()
-    stop = threading.Event()
-    heartbeat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(sock, write_lock, interval, stop),
-        name="repro-cluster-heartbeat",
-        daemon=True,
-    )
-    heartbeat.start()
+    stop = start_heartbeat(sock, write_lock, interval, "repro-cluster-heartbeat")
     log(f"worker: serving coordinator {host}:{port} on {backend!r}")
 
     try:

@@ -18,7 +18,10 @@ json`` / ``--format csv`` emit the run's :class:`~repro.sweep.ResultSet`
 serialization instead, and ``--output PATH`` writes to a file rather
 than stdout.
 
-Multi-host sweeps pair the ``serve`` and ``work`` targets::
+Multi-host sweeps pair the ``serve`` and ``work`` targets (with
+``REPRO_CLUSTER_SECRET`` set on every host: ``serve``/``serve-jobs``
+bind ``127.0.0.1:7077`` by default and refuse any other interface
+without ``--secret`` or ``--tls-cert``)::
 
     # head node: host the coordinator, wait for 2 workers, run the sweep
     python -m repro.experiments serve figure8 --bind 0.0.0.0:7077 \
@@ -27,9 +30,10 @@ Multi-host sweeps pair the ``serve`` and ``work`` targets::
     # every other host
     python -m repro.experiments work --connect head-node:7077 --backend process:8
 
-A *standing* service — workers stay attached across many jobs from many
-concurrent drivers — pairs ``serve-jobs`` with ``submit``/``status``/
-``cancel`` (or any driver run with ``--backend service:host:port``)::
+``serve`` runs an ephemeral service daemon for one sweep.  A *standing*
+one — workers stay attached across many jobs from many concurrent
+drivers — pairs ``serve-jobs`` with ``submit``/``status``/``cancel``
+(or any driver run with ``--backend service:host:port``)::
 
     python -m repro.experiments serve-jobs --bind 0.0.0.0:7077    # head node
     python -m repro.experiments work --connect head-node:7077     # worker hosts
@@ -48,11 +52,12 @@ them exhaustively — dominated candidates are cancelled early::
         --backend service:head-node:7077
 
 ``--secret`` (or ``REPRO_CLUSTER_SECRET``) arms the shared-secret
-handshake on every cluster/service connection.  ``cache`` reports every
-persistent store sharing the cache directory — the ``edges`` array
-cache, the ``perm``/``cost``/``metric`` engine tiers and the service
-daemon's ``result`` store — one record per kind (``--clear`` empties
-them; each store removes exactly its own files).
+handshake on every cluster/service connection; ``status``, ``watch``
+and ``cancel`` work against a ``serve`` coordinator too.  ``cache``
+reports every persistent store sharing the cache directory — the
+``edges`` array cache, the ``perm``/``cost``/``metric`` engine tiers
+and the service daemon's ``result`` store — one record per kind
+(``--clear`` empties them; each store removes exactly its own files).
 
 Repetition counts default to quick settings; pass ``--reps 200`` for the
 paper's sample sizes.  ``--backend`` selects the execution backend of
@@ -60,8 +65,9 @@ the batched sweeps (``serial``, ``thread[:N]``, ``process[:N]``,
 ``cluster:[host:]port`` to bind a coordinator without waiting for a
 worker quorum, or ``service:[host:]port[:priority]`` to submit to a
 standing daemon), ``--shards`` overrides its worker count and
-``--cache-dir`` points the persistent caches at a directory
-(default: ``$REPRO_CACHE_DIR``).
+``--cache-dir`` points the persistent caches (for ``serve``, also the
+result store) at a directory (default: ``$REPRO_CACHE_DIR``; refused
+with a ``service:`` backend).
 """
 
 from __future__ import annotations
@@ -69,6 +75,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import ipaddress
 import json
 import math
 import sys
@@ -391,9 +398,32 @@ def _emit(args, text: str, results: ResultSet | None) -> None:
         print(payload)
 
 
+def _bind_address(args, parser) -> tuple[str, int]:
+    """``--bind`` as ``(host, port)``.  Peers send pickled frames, so
+    any bind but loopback (the empty host means every interface) needs
+    a shared secret or a TLS certificate."""
+    from ..engine.cluster.protocol import parse_address, resolve_secret, resolve_tls
+
+    try:
+        host, port = parse_address(args.bind, default_host="")
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        loopback = host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        loopback = False
+    if not (loopback or resolve_secret(args.secret) or resolve_tls(args.tls_cert)[0]):
+        parser.error(
+            f"refusing to bind {host or 'every interface'}:{port} without "
+            "authentication: pass --secret (or set REPRO_CLUSTER_SECRET) or "
+            "--tls-cert, or bind a loopback address such as 127.0.0.1"
+        )
+    return host, port
+
+
 def _serve(args, parser) -> int:
     """Host a cluster coordinator, wait for workers, run one sweep."""
-    from ..engine.cluster import ClusterBackend, parse_address
+    from ..engine.cluster import ClusterBackend
 
     sweep = args.table_id or "figure8"
     if sweep not in SERVE_TARGETS:
@@ -405,10 +435,7 @@ def _serve(args, parser) -> int:
             "serve always runs on its own cluster backend; --backend/--shards "
             "belong on the work side (each worker picks its local backend)"
         )
-    try:
-        host, port = parse_address(args.bind, default_host="")
-    except ValueError as exc:
-        parser.error(str(exc))
+    host, port = _bind_address(args, parser)
     backend = ClusterBackend(
         host,
         port,
@@ -491,13 +518,9 @@ _STATUS_COLUMNS = [
 
 def _serve_jobs(args, parser) -> int:
     """Host a standing sweep service until interrupted."""
-    from ..engine.cluster import parse_address
     from ..service import ServiceDaemon
 
-    try:
-        host, port = parse_address(args.bind, default_host="")
-    except ValueError as exc:
-        parser.error(str(exc))
+    host, port = _bind_address(args, parser)
     autoscale = {}
     if args.autoscale:
         autoscale = dict(
@@ -1017,9 +1040,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--bind",
-        default=":7077",
+        default="127.0.0.1:7077",
         metavar="[HOST:]PORT",
-        help="serve: coordinator bind address (default: all interfaces, 7077)",
+        help="serve/serve-jobs: coordinator bind address (default: "
+        "127.0.0.1:7077); any non-loopback address needs --secret or "
+        "--tls-cert",
     )
     parser.add_argument(
         "--min-workers",
@@ -1308,6 +1333,12 @@ def main(argv: list[str] | None = None) -> int:
 
     backend_options = {}
     if args.cache_dir is not None:
+        if (args.backend or "").partition(":")[0] == "service":
+            parser.error(
+                "--cache-dir does nothing for a service: backend, whose "
+                "daemon and workers own the caches; pass it to the daemon "
+                "(serve-jobs --cache-dir) and workers (work --cache-dir)"
+            )
         backend_options["disk_cache_dir"] = args.cache_dir
     try:
         backend = resolve_backend(

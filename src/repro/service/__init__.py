@@ -1,20 +1,21 @@
 """Standing sweep service: one daemon, many workers, many driver jobs.
 
-The fourth execution tier.  Where :class:`~repro.engine.cluster.
-ClusterBackend` spins a coordinator up per driver run — workers attach,
-one sweep executes, everything tears down — the service keeps the
-cluster *standing*: a :class:`ServiceDaemon` hosts one persistent
-coordinator, workers attach once and keep their engine and edge caches
-warm across jobs, and any number of concurrent drivers submit compiled
-sweeps as prioritised jobs over the same socket protocol.  That is the
-seam the repeated mapping decisions of the source paper's setting need:
-the per-query cost of a sweep drops to the shards themselves, because
-the service amortises worker start-up, cache warm-up and connection
-churn across every job it serves.
+The service is the repo's one distributed tier.  A
+:class:`ServiceDaemon` hosts one persistent coordinator, workers attach
+once and keep their engine and edge caches warm across jobs, and any
+number of concurrent drivers submit compiled sweeps as prioritised jobs
+over the same socket protocol.  That is the seam the repeated mapping
+decisions of the source paper's setting need: the per-query cost of a
+sweep drops to the shards themselves, because the service amortises
+worker start-up, cache warm-up and connection churn across every job it
+serves.  :class:`~repro.engine.cluster.ClusterBackend` (``cluster:``
+specs and the ``serve`` verb) runs the same daemon ephemerally, for the
+length of one driver run.
 
 Daemon host::
 
-    python -m repro.experiments serve-jobs --bind 0.0.0.0:7077
+    REPRO_CLUSTER_SECRET=... python -m repro.experiments serve-jobs \
+        --bind 0.0.0.0:7077
 
 Worker hosts (attach once, serve every job, reconnect on daemon
 restart)::
@@ -35,8 +36,9 @@ snapshot (per-job progress and ETA from shard completion rates, queue
 depth *and* age, per-tenant counters, autoscaler gauges, result-store
 hit rates) that ``watch`` renders as a refreshing progress table or
 raw JSON.  Set ``REPRO_CLUSTER_SECRET`` (or pass ``--secret``) on daemon,
-workers and clients to require the HMAC handshake on every connection;
-pass ``--tls-cert/--tls-key`` (daemon) and ``--tls-ca`` (workers,
+workers and clients to require the HMAC handshake on every connection
+(the CLI binds ``127.0.0.1:7077`` by default and refuses any other
+interface without a secret or TLS); pass ``--tls-cert/--tls-key`` (daemon) and ``--tls-ca`` (workers,
 clients) to run every connection over TLS.
 
 The tier is *elastic* and *multi-tenant*: with ``--autoscale`` the

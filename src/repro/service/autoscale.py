@@ -303,6 +303,8 @@ class Autoscaler:
         self._backoff_until = 0.0
         self._prev_early_deaths = 0
         self._prev_completed = 0
+        self._tick_errors = 0
+        self._last_tick_error: str | None = None
         self._task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -326,13 +328,16 @@ class Autoscaler:
             self._task = None
 
     async def _run(self) -> None:
+        # A failed tick (e.g. a spawn command that cannot start) must
+        # not kill the daemon: it is counted, and the next tick re-reads.
         while True:
             try:
                 await self._tick()
             except asyncio.CancelledError:
                 raise
-            except Exception:  # pragma: no cover - a bad tick must not
-                pass  # kill the daemon; the next tick re-reads state
+            except Exception as exc:  # noqa: BLE001 - the loop must keep running
+                self._tick_errors += 1
+                self._last_tick_error = f"{type(exc).__name__}: {exc}"
             await asyncio.sleep(self.interval)
 
     # ------------------------------------------------------------------
@@ -437,6 +442,8 @@ class Autoscaler:
             "spawn_failures": self._spawn_failures,
             "spawn_backoff_remaining": max(0.0, self._backoff_until - now),
             "queue_age_threshold": self.queue_age_threshold,
+            "tick_errors": self._tick_errors,
+            "last_tick_error": self._last_tick_error,
         }
 
     def __repr__(self) -> str:

@@ -3,13 +3,13 @@
 :class:`ServiceBackend` implements the
 :class:`~repro.engine.backends.Backend` protocol on top of a
 :class:`~repro.service.client.ServiceClient`: each batch is dealt into
-the same instance-aligned LPT shards as the process and cluster tiers,
+the same instance-aligned LPT shards as the process backend,
 submitted as one job, and rebuilt from the streamed shard payloads —
 results are byte-identical to the serial engine's and ``result.request
-is request`` holds for every caller.  Unlike
-:class:`~repro.engine.cluster.ClusterBackend` it owns no coordinator
-and no workers: many drivers (or many processes) may point at one
-daemon concurrently, each with its own priority.
+is request`` holds for every caller.  Many drivers (or many processes)
+may point at one daemon concurrently, each with its own priority;
+:class:`~repro.engine.cluster.ClusterBackend` is this backend bound to
+a daemon of its own.
 
 CLI spec syntax (:func:`~repro.engine.backends.resolve_backend`)::
 
@@ -92,11 +92,6 @@ class ServiceBackend:
     tls_ca, tls_cert, tls_key:
         TLS trust root (and optional client certificate, for mutual
         TLS) for daemon connections; all unset connects cleartext.
-    disk_cache_dir:
-        Accepted for CLI parity with the other backends and unused:
-        evaluation happens on the daemon's workers, which take their
-        edge-cache directory from the daemon's ``WELCOME`` (or their
-        own flags).
     """
 
     def __init__(
@@ -113,7 +108,6 @@ class ServiceBackend:
         tls_ca: str | None = None,
         tls_cert: str | None = None,
         tls_key: str | None = None,
-        disk_cache_dir: str | os.PathLike | None = None,
     ):
         if target_shards < 1:
             raise ValueError(

@@ -21,7 +21,6 @@ import socket
 import threading
 
 from ..engine.cluster.protocol import (
-    AUTH,
     CANCEL,
     CANCEL_REPLY,
     CHALLENGE,
@@ -31,7 +30,6 @@ from ..engine.cluster.protocol import (
     JOB_RESULT,
     METRICS,
     METRICS_REPLY,
-    PING,
     REJECT,
     REJECTED,
     SHUTDOWN,
@@ -41,33 +39,18 @@ from ..engine.cluster.protocol import (
     SUBMITTED,
     WELCOME,
     ProtocolError,
-    auth_digest,
     client_tls_context,
     connect_with_retry,
-    enable_keepalive,
-    hello,
+    handshake,
     recv_message,
     resolve_secret,
     resolve_tls,
     send_message,
+    start_heartbeat,
 )
 from ..exceptions import ServiceError
 
 __all__ = ["ServiceClient", "JobHandle"]
-
-
-def _heartbeat_loop(
-    sock: socket.socket,
-    write_lock: threading.Lock,
-    interval: float,
-    stop: threading.Event,
-) -> None:
-    while not stop.wait(interval):
-        try:
-            with write_lock:
-                send_message(sock, (PING,))
-        except OSError:
-            return
 
 
 class JobHandle:
@@ -90,16 +73,10 @@ class JobHandle:
         self.job_id = job_id
         self.shard_ids = list(shard_ids)
         self._sock = sock
-        self._write_lock = threading.Lock()
-        self._stop = threading.Event()
         self._closed = False
-        self._heartbeat = threading.Thread(
-            target=_heartbeat_loop,
-            args=(sock, self._write_lock, heartbeat_interval, self._stop),
-            name="repro-service-heartbeat",
-            daemon=True,
+        self._stop = start_heartbeat(
+            sock, threading.Lock(), heartbeat_interval, "repro-service-heartbeat"
         )
-        self._heartbeat.start()
 
     def results(self):
         """Yield ``(shard_id, payload)`` per completed shard, then stop.
@@ -225,56 +202,35 @@ class ServiceClient:
                 f"cannot reach service daemon {self.host}:{self.port} "
                 f"within {self._connect_timeout:g}s"
             )
-        # A daemon host that dies without a FIN must not hang the
-        # driver forever in a result read.
-        enable_keepalive(sock)
+        info = {
+            "role": "client",
+            "pid": os.getpid(),
+            "host": socket.gethostname(),
+            "tenant": self.tenant,
+        }
         try:
-            send_message(
-                sock,
-                hello(
-                    {
-                        "role": "client",
-                        "pid": os.getpid(),
-                        "host": socket.gethostname(),
-                        "tenant": self.tenant,
-                    }
-                ),
-            )
-            reply = recv_message(sock)
-            if (
-                isinstance(reply, tuple)
-                and len(reply) == 2
-                and reply[0] == CHALLENGE
-            ):
-                if self._secret is None:
-                    raise ServiceError(
-                        "the service daemon requires a shared secret; pass "
-                        "secret= or set REPRO_CLUSTER_SECRET"
-                    )
-                send_message(sock, (AUTH, auth_digest(self._secret, reply[1])))
-                reply = recv_message(sock)
+            kind, detail = handshake(sock, info, self._secret)
         except (ProtocolError, OSError) as exc:
             sock.close()
             raise ServiceError(f"service handshake failed: {exc}") from None
-        except ServiceError:
+        if kind != WELCOME:
             sock.close()
-            raise
-        if reply is None or not isinstance(reply, tuple) or not reply:
-            sock.close()
-            raise ServiceError(
-                "the service daemon closed the connection during the handshake"
-            )
-        if reply[0] == REJECT:
-            sock.close()
-            raise ServiceError(f"rejected by the service daemon: {reply[1]}")
-        if reply[0] != WELCOME:
-            sock.close()
-            raise ServiceError(f"unexpected handshake reply {reply[0]!r}")
-        settings = reply[1] if len(reply) > 1 and isinstance(reply[1], dict) else {}
+            if kind is None:
+                raise ServiceError(
+                    "the service daemon closed the connection during the handshake"
+                )
+            if kind == CHALLENGE:
+                raise ServiceError(
+                    "the service daemon requires a shared secret; pass "
+                    "secret= or set REPRO_CLUSTER_SECRET"
+                )
+            if kind == REJECT:
+                raise ServiceError(f"rejected by the service daemon: {detail}")
+            raise ServiceError(f"unexpected handshake reply {kind!r}")
         # Result frames may be minutes apart; the heartbeat thread keeps
         # the connection audible instead of a per-frame socket timeout.
         sock.settimeout(None)
-        return sock, settings
+        return sock, detail
 
     def _roundtrip(self, request: tuple, reply_kind: str) -> tuple:
         sock, _ = self._connect()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -68,6 +71,46 @@ def any_mapper(request) -> repro.Mapper:
 def paper_mapper(request) -> repro.Mapper:
     """Parametrised over the paper's three distributed algorithms."""
     return all_mappers()[request.param]
+
+
+OPENSSL = shutil.which("openssl")
+
+
+def make_cert(directory, name: str) -> tuple[str, str]:
+    """One self-signed cert/key pair for 127.0.0.1, via the openssl CLI."""
+    cert = str(directory / f"{name}.pem")
+    key = str(directory / f"{name}.key")
+    subprocess.run(
+        [
+            OPENSSL,
+            "req",
+            "-x509",
+            "-newkey",
+            "rsa:2048",
+            "-keyout",
+            key,
+            "-out",
+            cert,
+            "-days",
+            "2",
+            "-nodes",
+            "-subj",
+            "/CN=127.0.0.1",
+            "-addext",
+            "subjectAltName=IP:127.0.0.1,DNS:localhost",
+        ],
+        check=True,
+        capture_output=True,
+    )
+    return cert, key
+
+
+@pytest.fixture(scope="session")
+def tls_files(tmp_path_factory):
+    """A self-signed daemon certificate and key (TLS suites)."""
+    if OPENSSL is None:  # pragma: no cover - openssl ships everywhere we CI
+        pytest.skip("openssl CLI not available")
+    return make_cert(tmp_path_factory.mktemp("tls"), "daemon")
 
 
 # ----------------------------------------------------------------------

@@ -16,8 +16,6 @@ helpers.
 from __future__ import annotations
 
 import asyncio
-import shutil
-import subprocess
 import sys
 import time
 
@@ -45,47 +43,9 @@ from repro.engine.cluster.protocol import (
     server_tls_context,
 )
 
+from .conftest import make_cert
 from .test_backends import _requests, _signature
 from .test_service import _FakeServiceWorker
-
-_OPENSSL = shutil.which("openssl")
-
-
-def _make_cert(directory, name: str) -> tuple[str, str]:
-    """One self-signed cert/key pair for 127.0.0.1, via the openssl CLI."""
-    cert = str(directory / f"{name}.pem")
-    key = str(directory / f"{name}.key")
-    subprocess.run(
-        [
-            _OPENSSL,
-            "req",
-            "-x509",
-            "-newkey",
-            "rsa:2048",
-            "-keyout",
-            key,
-            "-out",
-            cert,
-            "-days",
-            "2",
-            "-nodes",
-            "-subj",
-            "/CN=127.0.0.1",
-            "-addext",
-            "subjectAltName=IP:127.0.0.1,DNS:localhost",
-        ],
-        check=True,
-        capture_output=True,
-    )
-    return cert, key
-
-
-@pytest.fixture(scope="module")
-def tls_files(tmp_path_factory):
-    if _OPENSSL is None:  # pragma: no cover - openssl ships everywhere we CI
-        pytest.skip("openssl CLI not available")
-    return _make_cert(tmp_path_factory.mktemp("tls"), "daemon")
-
 
 @pytest.fixture(scope="module")
 def serial_results():
@@ -411,6 +371,34 @@ class TestAutoscalerLoop:
         _tick(scaler, times=3)
         assert coord.drain_calls == []
 
+    def test_failed_ticks_are_counted_and_the_loop_keeps_ticking(self):
+        """A spawn command whose binary does not exist raises on every
+        tick: each failure counts under tick_errors (with the message
+        in last_tick_error), and the control loop keeps running."""
+        coord = _FakeCoordinator()
+        spawner = ExecSpawner("/nonexistent/repro-worker --connect {address}")
+        scaler = Autoscaler(
+            coord, spawner, min_workers=1, max_workers=2, interval=0.01
+        )
+        assert scaler.stats()["tick_errors"] == 0
+        assert scaler.stats()["last_tick_error"] is None
+
+        async def run() -> bool:
+            await scaler.start()
+            deadline = time.monotonic() + 10
+            while scaler.stats()["tick_errors"] < 3:
+                assert time.monotonic() < deadline, scaler.stats()
+                await asyncio.sleep(0.01)
+            alive = not scaler._task.done()
+            await scaler.aclose()
+            return alive
+
+        assert asyncio.run(run())
+        stats = scaler.stats()
+        assert stats["tick_errors"] >= 3
+        assert stats["last_tick_error"].startswith("FileNotFoundError")
+        assert stats["spawned_total"] == 0
+
     def test_bounds_validation(self):
         coord, spawner = _FakeCoordinator(), _RecordingSpawner()
         with pytest.raises(ValueError, match="min_workers"):
@@ -636,7 +624,7 @@ class TestTLS:
 
     def test_wrong_trust_root_rejected(self, tls_files, tmp_path):
         cert, key = tls_files
-        other_cert, _ = _make_cert(tmp_path, "other")
+        other_cert, _ = make_cert(tmp_path, "other")
         with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=30.0, tls_cert=cert, tls_key=key
         ) as daemon:

@@ -8,7 +8,10 @@ of a lower-priority job's remaining shards; cancelling one job does not
 disturb the other.  Also: the shared-secret handshake on cluster and
 service connections, worker reconnect after a coordinator restart,
 ``run_stream`` ordering/early-exit across thread, process and service
-backends, and the ``submit``/``status``/``cancel``/``cache`` CLI verbs.
+backends, the ``submit``/``status``/``cancel``/``cache`` CLI verbs and
+the loopback bind guard of ``serve``/``serve-jobs``; and
+:class:`ClusterBackend` as the ephemeral daemon it is (STATUS and
+METRICS on its port, TLS, the result store).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.engine.cluster.protocol import (
     SHARD,
     SHUTDOWN,
     RESULT,
+    TLS_CERT_ENV,
     WELCOME,
     auth_digest,
     hello,
@@ -353,11 +357,53 @@ class TestDaemonLifecycle:
             list(handle.results())
         handle.close()
 
-    def test_plain_cluster_coordinator_rejects_clients(self):
+
+# ----------------------------------------------------------------------
+# ClusterBackend: an ephemeral daemon answering every service client
+# ----------------------------------------------------------------------
+class TestClusterBackendDaemon:
+    def test_status_and_metrics_list_the_backends_own_job(self):
         with ClusterBackend("127.0.0.1", 0, heartbeat_timeout=6.0) as backend:
+            worker = _spawn_worker(backend.port)
+            backend.wait_for_workers(1, timeout=60)
+            backend.evaluate_batch(_requests())
             client = ServiceClient("127.0.0.1", backend.port)
-            with pytest.raises(ServiceError, match="serve-jobs"):
-                client.status()
+            status = client.status_full()
+            metrics = client.metrics()
+        (job,) = status["jobs"]
+        assert job["state"] == "done" and job["shards"] > 0
+        assert status["pool"]["workers"] == 1
+        assert metrics["schema"] == "repro.metrics/v1"
+        assert [r["job"] for r in metrics["jobs"]] == [job["job"]]
+        assert metrics["store"]["enabled"] is False
+        assert worker.wait(timeout=30) == 0
+
+    def test_tls_cluster_byte_identical_to_serial(self, tls_files, serial_results):
+        """The in-process client must trust its own self-signed daemon."""
+        cert, key = tls_files
+        with ClusterBackend(
+            "127.0.0.1", 0, heartbeat_timeout=6.0, tls_cert=cert, tls_key=key
+        ) as backend:
+            worker = _spawn_worker(backend.port, "--tls-ca", cert)
+            results = backend.evaluate_batch(_requests())
+        assert list(map(_signature, results)) == list(
+            map(_signature, serial_results)
+        )
+        assert worker.wait(timeout=30) == 0
+
+    def test_cache_dir_serves_a_repeat_batch_from_the_store(self, tmp_path):
+        with ClusterBackend(
+            "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=tmp_path
+        ) as backend:
+            worker = _spawn_worker(backend.port)
+            first = backend.evaluate_batch(_requests())
+            second = backend.evaluate_batch(_requests())
+            jobs = ServiceClient("127.0.0.1", backend.port).status()
+        assert [job["state"] for job in jobs] == ["done", "done"]
+        assert jobs[0]["shards"] > 0
+        assert jobs[1]["shards"] == 0  # every cell came from the store
+        assert list(map(_signature, second)) == list(map(_signature, first))
+        assert worker.wait(timeout=30) == 0
 
 
 # ----------------------------------------------------------------------
@@ -653,7 +699,86 @@ class TestServiceSpec:
 # ----------------------------------------------------------------------
 # CLI verbs
 # ----------------------------------------------------------------------
+class _Bound(Exception):
+    """Raised by a stand-in daemon/backend in place of binding."""
+
+
+class TestBindGuard:
+    """serve/serve-jobs bind loopback by default and refuse to expose an
+    unauthenticated port on any other interface."""
+
+    @pytest.fixture
+    def binds(self, monkeypatch):
+        """Stand-ins for the classes that would bind; records (host, port)."""
+        monkeypatch.delenv(SECRET_ENV, raising=False)
+        monkeypatch.delenv(TLS_CERT_ENV, raising=False)
+        seen: list[tuple[str, int]] = []
+
+        def stand_in(host, port, **options):
+            seen.append((host, port))
+            raise _Bound
+
+        monkeypatch.setattr("repro.service.ServiceDaemon", stand_in)
+        monkeypatch.setattr("repro.engine.cluster.ClusterBackend", stand_in)
+        return seen
+
+    @pytest.mark.parametrize("verb", ["serve", "serve-jobs"])
+    def test_default_bind_is_loopback(self, binds, verb):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(_Bound):
+            experiments_main([verb])
+        assert binds == [("127.0.0.1", 7077)]
+
+    @pytest.mark.parametrize("verb", ["serve", "serve-jobs"])
+    @pytest.mark.parametrize("bind", [":7077", "0.0.0.0:7077", "10.1.2.3:7077"])
+    def test_open_bind_without_auth_exits_before_binding(
+        self, binds, verb, bind, capsys
+    ):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(SystemExit):
+            experiments_main([verb, "--bind", bind])
+        assert binds == []
+        assert "refusing to bind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "auth", [["--secret", "s3cret"], ["--tls-cert", "daemon.pem"]]
+    )
+    def test_open_bind_with_auth_proceeds(self, binds, auth):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(_Bound):
+            experiments_main(["serve-jobs", "--bind", "0.0.0.0:7077", *auth])
+        assert binds == [("0.0.0.0", 7077)]
+
+    def test_env_secret_authorises_an_open_bind(self, binds, monkeypatch):
+        from repro.experiments.__main__ import main as experiments_main
+
+        monkeypatch.setenv(SECRET_ENV, "from-env")
+        with pytest.raises(_Bound):
+            experiments_main(["serve", "--bind", ":7077"])
+        assert binds == [("", 7077)]
+
+
 class TestServiceCLI:
+    def test_cache_dir_with_service_backend_is_an_error(self, tmp_path, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(SystemExit):
+            experiments_main(
+                [
+                    "figure8",
+                    "--fast",
+                    "--backend",
+                    "service:127.0.0.1:1",
+                    "--cache-dir",
+                    str(tmp_path),
+                ]
+            )
+        err = capsys.readouterr().err
+        assert "serve-jobs --cache-dir" in err and "work --cache-dir" in err
+
     def test_submit_status_roundtrip(self, service, capsys):
         from repro.experiments.__main__ import main as experiments_main
 
