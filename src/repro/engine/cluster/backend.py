@@ -3,9 +3,10 @@
 :class:`ClusterBackend` implements the :class:`~repro.engine.backends.
 Backend` protocol — ``evaluate_batch``, ``evaluate_stream``, ``close``,
 context manager — as an ephemeral :class:`~repro.service.ServiceDaemon`
-plus a :class:`~repro.service.ServiceBackend` connected to it: each
-batch is one job on the backend's own daemon, and closing the backend
-closes the daemon.  The port therefore also answers ``status``,
+plus a :class:`~repro.service.ServiceBackend` connected to it over
+in-process socket pairs, which no TLS setting of the port applies to:
+each batch is one job on the backend's own daemon, and closing the
+backend closes the daemon.  The port therefore also answers ``status``,
 ``watch`` and any other service client, and a cache directory turns on
 the daemon's result store.  Results are byte-identical to the serial
 engine's and ``result.request is request`` holds, as for every backend.
@@ -18,29 +19,55 @@ from collections.abc import Iterable, Iterator
 
 from ...exceptions import ClusterError
 from ..request import MappingRequest, MappingResult
-from .protocol import resolve_secret, resolve_tls
+from .protocol import resolve_secret
 
 __all__ = ["ClusterBackend"]
-
-#: Where the in-process client reaches a daemon bound to a wildcard.
-_LOOPBACK = {"0.0.0.0": "127.0.0.1", "::": "::1"}
 
 
 class ClusterBackend:
     """Distribute instance-aligned shards to socket workers.
 
-    The backend's own :class:`~repro.service.ServiceDaemon` binds
-    *host*:*port* (by default every interface, on an ephemeral port);
-    read :attr:`host`/:attr:`port` and hand them to workers (``python
-    -m repro.engine.cluster.worker --connect host:port``).
-    *heartbeat_timeout*, *disk_cache_dir*, *max_shard_requeues*,
-    *secret* and *tls_cert*/*tls_key*/*tls_ca* configure that daemon
-    and mean what its parameters of the same names mean, environment
-    fallbacks included; *target_shards* bounds the shards per batch, as
-    in :class:`~repro.service.ServiceBackend`.
+    Parameters
+    ----------
+    host, port:
+        Coordinator bind address.  The default binds every interface on
+        an ephemeral port; read :attr:`host`/:attr:`port` for the bound
+        values and hand them to workers (``python -m
+        repro.engine.cluster.worker --connect host:port``).
+    heartbeat_timeout:
+        Seconds of silence after which a worker is presumed dead and
+        its in-flight shards are requeued (workers ping every third of
+        this).  A dead worker therefore costs throughput, not the sweep.
+    target_shards:
+        Upper bound on shards per batch.  More shards mean finer
+        work-stealing granularity (better balance across uneven hosts,
+        earlier streamed results) at the price of more round-trips.
+    disk_cache_dir:
+        Cache directory, for hosts sharing a filesystem with the
+        coordinator: advertised to workers (``WELCOME``) and home of
+        the daemon's result store, which answers repeat cells without
+        dispatching them; defaults to ``REPRO_CACHE_DIR``.
+    max_shard_requeues:
+        Worker deaths one shard may survive before the sweep fails with
+        :class:`~repro.exceptions.ServiceError` (a shard that OOM-kills
+        its workers must not cycle through the whole cluster).
+    secret:
+        Shared authentication secret; workers and clients must present
+        the same value (``--secret`` / ``REPRO_CLUSTER_SECRET``).
+        Defaults to the coordinator process's own
+        ``REPRO_CLUSTER_SECRET``; an empty value disables
+        authentication.
+    tls_cert, tls_key, tls_ca:
+        Serve the port over TLS with this certificate/key pair
+        (defaults: ``REPRO_TLS_CERT``/``REPRO_TLS_KEY``); workers then
+        connect with ``--tls-ca`` naming the matching trust root.
+        *tls_ca* additionally demands client certificates signed by it
+        (mutual TLS).  Unset serves cleartext, the default.
 
-    A batch submitted while no worker is connected waits in the queue —
-    the cluster is pull-based, so workers may join (and leave)
+    Notes
+    -----
+    A batch submitted while no worker is connected simply waits in the
+    queue — the cluster is pull-based, so workers may join (and leave)
     mid-sweep.  Use :meth:`wait_for_workers` to gate a sweep on a
     minimum cluster size.  A failed sweep raises
     :class:`~repro.exceptions.ServiceError`, a
@@ -67,8 +94,6 @@ class ClusterBackend:
         # Resolved once, and handed on as "" when unset, so the daemon
         # and its in-process client cannot read different defaults.
         secret = resolve_secret(secret) or ""
-        tls = resolve_tls(tls_cert, tls_key, tls_ca)
-        tls_cert, tls_key, tls_ca = (value or "" for value in tls)
         self._daemon = ServiceDaemon(
             host,
             port,
@@ -81,22 +106,24 @@ class ClusterBackend:
             tls_ca=tls_ca,
         )
         self.disk_cache_dir = self._daemon.disk_cache_dir
+        # Jobs reach the daemon over in-process socket pairs, not its
+        # port, so no TLS layout the port serves (a CA-signed
+        # certificate, client certificates demanded) can shut the
+        # backend out; its client loads no TLS files at all.
         try:
-            # The client trusts its own daemon: the private CA, or the
-            # self-signed certificate itself; it presents the daemon's
-            # own pair when mutual TLS demands a client certificate.
             self._backend = ServiceBackend(
-                _LOOPBACK.get(self.host, self.host),
+                self.host,
                 self.port,
                 target_shards=target_shards,
                 secret=secret,
-                tls_ca=(tls_ca or tls_cert) if tls_cert else "",
-                tls_cert=tls_cert,
-                tls_key=tls_key,
+                tls_ca="",
+                tls_cert="",
+                tls_key="",
             )
         except BaseException:
             self._daemon.close()
             raise
+        self._backend.client._open_socket = self._daemon.connect_in_process
         self.target_shards = self._backend.target_shards
         self._closed = False
 

@@ -111,6 +111,7 @@ import asyncio
 import heapq
 import hmac
 import secrets
+import socket
 import ssl
 import time
 from collections import OrderedDict
@@ -649,6 +650,22 @@ class Coordinator:
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         self._reaper = asyncio.create_task(self._reap_loop())
+
+    async def serve_socket(self, sock: socket.socket) -> None:
+        """Serve an already-connected socket as if it had been accepted
+        on the port, minus the port's TLS: the peer is in this process
+        (see :meth:`~repro.service.ServiceDaemon.connect_in_process`).
+        The handshake, secret included, is the same."""
+        if self._closing:
+            sock.close()
+            return
+        loop = asyncio.get_running_loop()
+        # What start_server does per accepted connection; the protocol
+        # holds the connection's task.
+        protocol = asyncio.StreamReaderProtocol(
+            asyncio.StreamReader(loop=loop), self._handle_connection, loop=loop
+        )
+        await loop.connect_accepted_socket(lambda: protocol, sock)
 
     @property
     def address(self) -> tuple[str, int]:

@@ -399,9 +399,11 @@ def _emit(args, text: str, results: ResultSet | None) -> None:
 
 
 def _bind_address(args, parser) -> tuple[str, int]:
-    """``--bind`` as ``(host, port)``.  Peers send pickled frames, so
-    any bind but loopback (the empty host means every interface) needs
-    a shared secret or a TLS certificate."""
+    """``--bind`` as ``(host, port)``.  Any bind but loopback (the
+    empty host means every interface) needs a shared secret or a TLS
+    certificate.  Neither stops the daemon from unpickling a peer's
+    handshake frames before it checks the secret; only the loopback
+    default or mutual TLS (``--tls-ca``) keep unknown peers out."""
     from ..engine.cluster.protocol import parse_address, resolve_secret, resolve_tls
 
     try:
@@ -414,9 +416,10 @@ def _bind_address(args, parser) -> tuple[str, int]:
         loopback = False
     if not (loopback or resolve_secret(args.secret) or resolve_tls(args.tls_cert)[0]):
         parser.error(
-            f"refusing to bind {host or 'every interface'}:{port} without "
-            "authentication: pass --secret (or set REPRO_CLUSTER_SECRET) or "
-            "--tls-cert, or bind a loopback address such as 127.0.0.1"
+            f"refusing to bind {host or 'every interface'}:{port} with "
+            "neither a shared secret nor TLS: pass --secret (or set "
+            "REPRO_CLUSTER_SECRET) or --tls-cert, or bind a loopback "
+            "address such as 127.0.0.1"
         )
     return host, port
 
@@ -1044,7 +1047,8 @@ def main(argv: list[str] | None = None) -> int:
         metavar="[HOST:]PORT",
         help="serve/serve-jobs: coordinator bind address (default: "
         "127.0.0.1:7077); any non-loopback address needs --secret or "
-        "--tls-cert",
+        "--tls-cert, and should still be reachable from trusted hosts "
+        "only",
     )
     parser.add_argument(
         "--min-workers",

@@ -188,15 +188,22 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Connection handshake
     # ------------------------------------------------------------------
-    def _connect(self) -> tuple[socket.socket, dict]:
+    def _open_socket(self) -> socket.socket | None:
+        """One connected socket to the daemon; ``None`` when it stays
+        unreachable for the connect timeout.  A :class:`~repro.engine.
+        cluster.ClusterBackend` replaces this on its own client with
+        :meth:`~repro.service.ServiceDaemon.connect_in_process`."""
         # Retry with capped backoff for the whole budget: the daemon may
         # still be binding (scripted start-ups) or mid-restart.
-        sock = connect_with_retry(
+        return connect_with_retry(
             self.host,
             self.port,
             self._connect_timeout,
             ssl_context=self._ssl_context,
         )
+
+    def _connect(self) -> tuple[socket.socket, dict]:
+        sock = self._open_socket()
         if sock is None:
             raise ServiceError(
                 f"cannot reach service daemon {self.host}:{self.port} "

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 import threading
 
 from ..engine.cluster.coordinator import Coordinator
@@ -349,6 +350,26 @@ class ServiceDaemon:
     def cancel_job(self, job_id: str) -> bool:
         """Cancel a live job; ``False`` when unknown or already finished."""
         return self._run(self._coordinator.cancel_job(job_id))
+
+    def connect_in_process(self) -> socket.socket:
+        """A blocking socket the daemon serves like a connection on its
+        port, over an in-process socket pair instead.
+
+        It needs no route to the bound address and no certificate,
+        whatever TLS the port demands; the handshake, shared secret
+        included, is the one every peer runs.  Handshake replies are
+        awaited for at most ten seconds, as by a default
+        :class:`~repro.service.client.ServiceClient`.
+        """
+        ours, theirs = socket.socketpair()
+        try:
+            self._run(self._coordinator.serve_socket(theirs))
+        except BaseException:
+            ours.close()
+            theirs.close()
+            raise
+        ours.settimeout(10.0)
+        return ours
 
     # ------------------------------------------------------------------
     # Lifecycle

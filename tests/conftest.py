@@ -105,12 +105,56 @@ def make_cert(directory, name: str) -> tuple[str, str]:
     return cert, key
 
 
+def make_signed_cert(
+    directory, name: str, ca: tuple[str, str], usage: str
+) -> tuple[str, str]:
+    """A cert/key pair for 127.0.0.1 signed by *ca*, for *usage* only
+    (``serverAuth`` or ``clientAuth``), via the openssl CLI."""
+    cert = str(directory / f"{name}.pem")
+    key = str(directory / f"{name}.key")
+    csr = directory / f"{name}.csr"
+    extensions = directory / f"{name}.ext"
+    extensions.write_text(
+        "basicConstraints=CA:FALSE\n"
+        f"extendedKeyUsage={usage}\n"
+        "subjectAltName=IP:127.0.0.1,DNS:localhost\n"
+    )
+    for command in (
+        ["req", "-new", "-newkey", "rsa:2048", "-nodes", "-keyout", key,
+         "-out", str(csr), "-subj", f"/CN={name}"],
+        ["x509", "-req", "-in", str(csr), "-CA", ca[0], "-CAkey", ca[1],
+         "-set_serial", "1", "-days", "2", "-out", cert,
+         "-extfile", str(extensions)],
+    ):
+        subprocess.run([OPENSSL, *command], check=True, capture_output=True)
+    return cert, key
+
+
 @pytest.fixture(scope="session")
 def tls_files(tmp_path_factory):
     """A self-signed daemon certificate and key (TLS suites)."""
     if OPENSSL is None:  # pragma: no cover - openssl ships everywhere we CI
         pytest.skip("openssl CLI not available")
     return make_cert(tmp_path_factory.mktemp("tls"), "daemon")
+
+
+@pytest.fixture(scope="session")
+def tls_pki(tmp_path_factory) -> dict:
+    """Two private CAs and a leaf from each: ``daemon`` (signed by
+    ``server_ca``, server use only) and ``client`` (signed by the
+    separate ``client_ca``, client use only), as ``(cert, key)`` pairs;
+    the CAs are their certificate paths."""
+    if OPENSSL is None:  # pragma: no cover - openssl ships everywhere we CI
+        pytest.skip("openssl CLI not available")
+    directory = tmp_path_factory.mktemp("pki")
+    server_ca = make_cert(directory, "server-ca")
+    client_ca = make_cert(directory, "client-ca")
+    return {
+        "server_ca": server_ca[0],
+        "client_ca": client_ca[0],
+        "daemon": make_signed_cert(directory, "daemon", server_ca, "serverAuth"),
+        "client": make_signed_cert(directory, "client", client_ca, "clientAuth"),
+    }
 
 
 # ----------------------------------------------------------------------

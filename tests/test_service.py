@@ -391,6 +391,68 @@ class TestClusterBackendDaemon:
         )
         assert worker.wait(timeout=30) == 0
 
+    def test_ca_signed_tls_cluster_byte_identical_to_serial(
+        self, tls_pki, serial_results
+    ):
+        """A daemon certificate signed by a private CA, with no *tls_ca*:
+        the certificate is no trust root of its own."""
+        cert, key = tls_pki["daemon"]
+        with ClusterBackend(
+            "127.0.0.1", 0, heartbeat_timeout=6.0, tls_cert=cert, tls_key=key
+        ) as backend:
+            worker = _spawn_worker(
+                backend.port, "--tls-ca", tls_pki["server_ca"]
+            )
+            results = backend.evaluate_batch(_requests())
+        assert list(map(_signature, results)) == list(
+            map(_signature, serial_results)
+        )
+        assert worker.wait(timeout=30) == 0
+
+    def test_mutual_tls_cluster_with_a_separate_client_ca(
+        self, tls_pki, serial_results
+    ):
+        """*tls_ca* signs client certificates, not the daemon's: the
+        backend still runs its batches, and the port still turns away
+        every peer without a client certificate."""
+        cert, key = tls_pki["daemon"]
+        client_cert, client_key = tls_pki["client"]
+        with ClusterBackend(
+            "127.0.0.1",
+            0,
+            heartbeat_timeout=6.0,
+            tls_cert=cert,
+            tls_key=key,
+            tls_ca=tls_pki["client_ca"],
+        ) as backend:
+            worker = _spawn_worker(
+                backend.port,
+                "--tls-ca", tls_pki["server_ca"],
+                "--tls-cert", client_cert,
+                "--tls-key", client_key,
+            )
+            results = backend.evaluate_batch(_requests())
+            jobs = ServiceClient(
+                "127.0.0.1",
+                backend.port,
+                tls_ca=tls_pki["server_ca"],
+                tls_cert=client_cert,
+                tls_key=client_key,
+            ).status()
+            anonymous = ServiceClient(
+                "127.0.0.1",
+                backend.port,
+                connect_timeout=1.0,
+                tls_ca=tls_pki["server_ca"],
+            )
+            with pytest.raises(ServiceError):
+                anonymous.status()
+        assert list(map(_signature, results)) == list(
+            map(_signature, serial_results)
+        )
+        assert [job["state"] for job in jobs] == ["done"]
+        assert worker.wait(timeout=30) == 0
+
     def test_cache_dir_serves_a_repeat_batch_from_the_store(self, tmp_path):
         with ClusterBackend(
             "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=tmp_path
