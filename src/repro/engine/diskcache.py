@@ -1,30 +1,34 @@
-"""Persistent on-disk caches: edge arrays plus typed memoized stores.
+"""Persistent on-disk caches: edge arrays plus the result-cell store.
 
 The engine's in-memory caches die with the process; sweeps sharded
-across worker processes (or restarted after a crash) would rebuild the
-same expensive intermediates once per process.  This module persists
-them as one file per entry, keyed exactly like their in-memory
-counterparts, so any process pointed at the same directory reads what
-another already computed:
+across worker processes (or restarted after a crash) and service
+daemons answering repeat requests would otherwise recompute the same
+results once per process.  This module persists them as one file per
+entry, so any process pointed at the same directory reads what another
+already computed:
 
 * :class:`DiskEdgeCache` — ``edges-<sha256>.npy`` communication-edge
   arrays keyed by grid dimensions/periodicity plus stencil offsets.
-* :class:`DiskStore` — ``<kind>-<sha256>.pkl`` pickled values behind
-  the permutation/cost/metric LRUs (kinds ``perm``/``cost``/``metric``)
-  and the service daemon's content-addressed result store (``result``).
+* :class:`DiskStore` — ``result-<sha256>.pkl`` result cells, the
+  ``(perm, cost, error, metrics)`` outcome of one request keyed by
+  :func:`cell_key`.  It is the one persistent memo layer: every engine
+  (serial, thread, process and service workers) and every service
+  daemon reads and publishes the same cells, so a cell computed by any
+  of them is answered to all the others.
 
 The cache directory is chosen per engine via the ``disk_cache_dir``
 argument, or globally via the ``REPRO_CACHE_DIR`` environment variable;
 with neither set the disk layer is disabled and the engine behaves as
 before.  Writes are atomic (tmp file + ``os.replace``), so concurrent
-writers on one POSIX filesystem can only ever publish complete entries;
-a truncated or corrupt entry (e.g. a pre-atomic-write crash of an older
-layout) reads back as a miss, never an error.
+writers on one POSIX filesystem can only ever publish complete entries.
+An absent entry is a miss; an unreadable one — undecodable bytes, or a
+cell of the wrong shape — is a miss that also counts under ``corrupt``,
+never an error.
 
 Stable content keys
 -------------------
 The in-memory caches key on live objects (``CartesianGrid`` instances,
-mapper registry names, ``MetricSpec``); the disk tier needs keys that
+mapper registry names, ``MetricSpec``); the disk layer needs keys that
 are stable across processes and restarts.  :func:`request_payload`
 derives such a key from a :class:`~repro.engine.request.MappingRequest`
 — grids, stencils and allocations project to their defining integer
@@ -32,7 +36,8 @@ tuples, registry-name mappers to the name, explicit permutations to a
 digest of their bytes — or returns ``None`` for requests with no stable
 identity (configured :class:`Mapper` *instances* are identity-keyed in
 memory and therefore uncacheable on disk, exactly mirroring the
-in-memory ``spec_key`` semantics).
+in-memory ``spec_key`` semantics).  :func:`cell_key` hashes it into
+the file-name key of the request's cell.
 """
 
 from __future__ import annotations
@@ -50,12 +55,12 @@ import numpy as np
 
 from ..grid.grid import CartesianGrid
 from ..grid.stencil import Stencil
+from ..metrics.cost import MappingCost
 
 __all__ = [
     "DiskCacheStats",
     "DiskEdgeCache",
     "DiskStore",
-    "MISSING",
     "STORE_KINDS",
     "CACHE_DIR_ENV",
     "prune",
@@ -66,33 +71,16 @@ __all__ = [
     "mapper_payload",
     "metric_payload",
     "request_payload",
+    "cell_key",
 ]
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Every store kind sharing one cache directory: the ``.npy`` edge
-#: cache plus the pickled :class:`DiskStore` tiers.  The CLI ``cache``
-#: verb reports/clears each kind separately.
-STORE_KINDS = ("edges", "perm", "cost", "metric", "result")
-
-#: File suffix of each store kind sharing a cache directory.
-_KIND_SUFFIX = {
-    kind: ".npy" if kind == "edges" else ".pkl" for kind in STORE_KINDS
-}
-
-
-class _Missing:
-    """Sentinel distinguishing "no entry" from a stored ``None``."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "MISSING"
-
-
-#: Returned by :meth:`DiskStore.load` when the key has no (readable) entry.
-MISSING = _Missing()
+#: cache and the pickled result cells.  The CLI ``cache`` verb
+#: reports/clears each kind separately.
+STORE_KINDS = ("edges", "result")
 
 
 def resolve_cache_dir(spec: str | os.PathLike | None) -> Path | None:
@@ -130,7 +118,7 @@ def prune(
     """Evict cache entries by age (*ttl*) and size budget (*max_bytes*).
 
     Scans every store kind sharing *cache_dir* — the ``.npy`` edge cache
-    and the four pickled :class:`DiskStore` tiers.  Entries not used
+    and the pickled :class:`DiskStore` cells.  Entries not used
     (mtime) for more than *ttl* seconds are unlinked unconditionally;
     the survivors are then unlinked oldest-mtime-first (both ``load``
     paths bump mtime on hit, so mtime order is recency-of-use order)
@@ -154,12 +142,8 @@ def prune(
     entries: list[tuple[float, int, str, Path]] = []
     total = 0
     now = time.time()
-    for kind in STORE_KINDS:
-        try:
-            paths = list(directory.glob(f"{kind}-*{_KIND_SUFFIX[kind]}"))
-        except OSError:  # pragma: no cover - unreadable directory
-            continue
-        for path in paths:
+    for store in (DiskEdgeCache(directory), DiskStore(directory)):
+        for path in list(store._entries()):
             try:
                 stat = path.stat()
             except OSError:
@@ -169,9 +153,9 @@ def prune(
                     path.unlink()
                 except OSError:
                     continue  # racing another eviction, or permissions
-                removed[kind] += 1
+                removed[store.kind] += 1
                 continue
-            entries.append((stat.st_mtime, stat.st_size, kind, path))
+            entries.append((stat.st_mtime, stat.st_size, store.kind, path))
             total += stat.st_size
     if max_bytes is None:
         return removed
@@ -322,13 +306,40 @@ def request_payload(request) -> str | None:
     return repr(tuple(parts))
 
 
+def cell_key(request) -> str | None:
+    """File-name key of one request's result cell, or ``None``.
+
+    The :func:`stable_digest` of :func:`request_payload`: engines and
+    the service daemon's coordinator key every cell with it, so each
+    answers the cells the others computed.  ``None`` marks the request
+    uncacheable.
+    """
+    payload = request_payload(request)
+    return None if payload is None else stable_digest(payload)
+
+
+def _is_cell(value) -> bool:
+    """Whether *value* is a ``(perm, cost, error, metrics)`` result cell."""
+    if not (isinstance(value, tuple) and len(value) == 4):
+        return False
+    perm, cost, error, metrics = value
+    return (
+        (perm is None or isinstance(perm, np.ndarray))
+        and (cost is None or isinstance(cost, MappingCost))
+        and (error is None or isinstance(error, str))
+        and isinstance(metrics, dict)
+    )
+
+
 @dataclass(frozen=True)
 class DiskCacheStats:
     """Point-in-time counters of one on-disk cache.
 
-    ``hits``/``misses``/``stores`` are this process's handle counters;
-    ``entries``/``total_bytes`` are a directory scan at call time, so
-    they reflect every process sharing the cache.
+    ``hits``/``misses``/``stores``/``corrupt`` are this process's handle
+    counters; ``corrupt`` counts the misses whose entry existed but
+    could not be used (undecodable bytes, or a cell of the wrong
+    shape).  ``entries``/``total_bytes`` are a directory scan at call
+    time, so they reflect every process sharing the cache.
     """
 
     hits: int
@@ -336,6 +347,7 @@ class DiskCacheStats:
     stores: int
     entries: int = 0
     total_bytes: int = 0
+    corrupt: int = 0
 
 
 class _DiskCacheBase:
@@ -347,15 +359,17 @@ class _DiskCacheBase:
     bumps would lose updates.
     """
 
+    #: File-name prefix distinguishing this store in a shared dir.
+    kind: str
     _suffix: str
 
-    def __init__(self, cache_dir: str | os.PathLike, kind: str):
+    def __init__(self, cache_dir: str | os.PathLike):
         self._dir = Path(cache_dir)
-        self._kind = str(kind)
         self._counter_lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._stores = 0
+        self._corrupt = 0
 
     @property
     def cache_dir(self) -> Path:
@@ -363,19 +377,21 @@ class _DiskCacheBase:
         return self._dir
 
     @property
-    def kind(self) -> str:
-        """File-name prefix distinguishing this store in a shared dir."""
-        return self._kind
+    def corrupt(self) -> int:
+        """Unreadable entries this handle has met (no directory scan)."""
+        with self._counter_lock:
+            return self._corrupt
 
     def _path(self, key: str) -> Path:
-        return self._dir / f"{self._kind}-{key}{self._suffix}"
+        return self._dir / f"{self.kind}-{key}{self._suffix}"
 
     def _count(self, *, hit: bool = False, miss: bool = False,
-               store: bool = False) -> None:
+               store: bool = False, corrupt: bool = False) -> None:
         with self._counter_lock:
             self._hits += hit
             self._misses += miss
             self._stores += store
+            self._corrupt += corrupt
 
     def _publish(self, path: Path, write) -> bool:
         """Atomically write one entry via ``write(fh)``.
@@ -404,12 +420,12 @@ class _DiskCacheBase:
 
     def _entries(self):
         try:
-            yield from self._dir.glob(f"{self._kind}-*{self._suffix}")
+            yield from self._dir.glob(f"{self.kind}-*{self._suffix}")
         except OSError:  # pragma: no cover - unreadable directory
             return
 
     def stats(self) -> DiskCacheStats:
-        """This handle's hit/miss/store counters plus a directory scan."""
+        """This handle's counters plus a directory scan."""
         entries = 0
         total_bytes = 0
         for path in self._entries():
@@ -419,14 +435,14 @@ class _DiskCacheBase:
                 continue  # racing a concurrent clear()
             entries += 1
         with self._counter_lock:
-            hits, misses, stores = self._hits, self._misses, self._stores
-        return DiskCacheStats(
-            hits=hits,
-            misses=misses,
-            stores=stores,
-            entries=entries,
-            total_bytes=total_bytes,
-        )
+            return DiskCacheStats(
+                hits=self._hits,
+                misses=self._misses,
+                stores=self._stores,
+                entries=entries,
+                total_bytes=total_bytes,
+                corrupt=self._corrupt,
+            )
 
     def clear(self) -> int:
         """Delete every entry of *this* store; returns how many removed.
@@ -447,7 +463,7 @@ class _DiskCacheBase:
     def __repr__(self) -> str:
         s = self.stats()
         return (
-            f"{type(self).__name__}({str(self._dir)!r}, kind={self._kind!r}, "
+            f"{type(self).__name__}({str(self._dir)!r}, kind={self.kind!r}, "
             f"hits={s.hits}, misses={s.misses}, stores={s.stores})"
         )
 
@@ -462,10 +478,8 @@ class DiskEdgeCache(_DiskCacheBase):
         first use.  Many processes may share one directory.
     """
 
+    kind = "edges"
     _suffix = ".npy"
-
-    def __init__(self, cache_dir: str | os.PathLike):
-        super().__init__(cache_dir, "edges")
 
     @staticmethod
     def key_for(grid: CartesianGrid, stencil: Stencil) -> str:
@@ -486,15 +500,17 @@ class DiskEdgeCache(_DiskCacheBase):
     def load(self, grid: CartesianGrid, stencil: Stencil) -> np.ndarray | None:
         """Read the cached edge array, or ``None`` when absent/corrupt.
 
-        A truncated or unreadable file (e.g. from a pre-atomic-write
-        crash of an older layout) counts as a miss rather than an error.
+        A truncated or unreadable file counts as a miss (and as
+        ``corrupt``) rather than an error.
         """
         path = self._path_for(grid, stencil)
         try:
             arr = np.load(path)
-        except (OSError, ValueError, EOFError):
+        except (OSError, ValueError, EOFError) as exc:
             # EOFError: np.load on a zero-byte/truncated-header file
-            self._count(miss=True)
+            self._count(
+                miss=True, corrupt=not isinstance(exc, FileNotFoundError)
+            )
             return None
         self._count(hit=True)
         _touch(path)
@@ -515,49 +531,54 @@ class DiskEdgeCache(_DiskCacheBase):
 
 
 class DiskStore(_DiskCacheBase):
-    """Typed file-per-entry pickle store for memoized values.
+    """File-per-entry pickle store of result cells.
 
-    The persistent tier behind the engine's permutation/cost/metric
-    LRUs and the service daemon's content-addressed result store.  Keys
-    are hex digests (see :func:`stable_digest` and the payload helpers
-    above); values are arbitrary picklable objects stored as
-    ``<kind>-<key>.pkl``.
+    The one persistent memo layer behind every engine's in-memory LRUs
+    and the service daemon's content-addressed result serving.  A cell
+    is the ``(perm, cost, error, metrics)`` outcome of one request —
+    the tuple that worker and process-pool result rows carry after
+    their index — stored as ``result-<key>.pkl`` under the request's
+    :func:`cell_key`.
 
     Parameters
     ----------
     cache_dir:
         Directory holding the entries; created on first use and safely
-        shared between kinds, processes, and the edge cache.
-    kind:
-        File-name prefix namespacing this store within the directory
-        (``perm``/``cost``/``metric``/``result``).
+        shared between processes and the edge cache.
     """
 
+    kind = "result"
     _suffix = ".pkl"
 
-    def load(self, key: str):
-        """The stored value of *key*, or :data:`MISSING`.
+    def load(self, key: str) -> tuple | None:
+        """The cell stored under *key*, or ``None``.
 
-        Absent, truncated, corrupt or otherwise unreadable entries all
-        count as misses rather than errors — a crashed writer or a
-        stray file must never fail a sweep.
+        An absent entry is a plain miss.  Truncated, undecodable or
+        otherwise unreadable bytes, and a value that is not a cell, are
+        misses counted as ``corrupt`` — a crashed writer or a stray
+        file must never fail a sweep.
         """
         path = self._path(key)
         try:
             with open(path, "rb") as fh:
-                value = pickle.load(fh)
+                cell = pickle.load(fh)
+        except FileNotFoundError:
+            self._count(miss=True)
+            return None
         except Exception:
             # pickle raises anything from EOFError to arbitrary
-            # constructor errors on corrupt bytes; all mean "no entry".
-            self._count(miss=True)
-            return MISSING
+            # constructor errors on corrupt bytes.
+            cell = None
+        if not _is_cell(cell):
+            self._count(miss=True, corrupt=True)
+            return None
         self._count(hit=True)
         _touch(path)
-        return value
+        return cell
 
-    def store(self, key: str, value) -> bool:
-        """Atomically publish *value* under *key*; ``False`` if unwritable."""
+    def store(self, key: str, cell: tuple) -> bool:
+        """Atomically publish *cell* under *key*; ``False`` if unwritable."""
         return self._publish(
             self._path(key),
-            lambda fh: pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL),
+            lambda fh: pickle.dump(cell, fh, protocol=pickle.HIGHEST_PROTOCOL),
         )

@@ -8,7 +8,10 @@ that loop:
 * **memoization** — communication-edge arrays (keyed by the grid and
   stencil) plus computed permutations and costs (keyed by instance and
   mapper spec) live behind LRU caches, so sweeps that revisit the same
-  instances never recompute the expensive intermediates;
+  instances never recompute the expensive intermediates; with a cache
+  directory, whole result cells persist in the result store that
+  process workers and service daemons share
+  (:mod:`repro.engine.diskcache`);
 * **batching** — all permutations of one instance are scored as a single
   stacked NumPy operation (:func:`repro.metrics.cost.evaluate_mappings_batch`)
   instead of one pass per mapping;
@@ -22,7 +25,7 @@ honour the ``MappingRequest -> MappingResult`` contract.
 :mod:`repro.engine.backends` builds on that seam — ``ThreadBackend``
 wraps one engine, ``ProcessBackend`` shards request lists across worker
 processes, each running its own engine warmed through the shared
-on-disk edge cache (:mod:`repro.engine.diskcache`).
+on-disk edge cache and result store.
 """
 
 from __future__ import annotations
@@ -47,16 +50,12 @@ from .diskcache import (
     DiskCacheStats,
     DiskEdgeCache,
     DiskStore,
-    instance_payload,
-    mapper_payload,
-    metric_payload,
+    cell_key,
     resolve_cache_dir,
-    stable_digest,
-    workload_payload,
 )
 from .metrics import MetricContext, MetricSpec, resolve_metric
 from .registry import list_mappers, resolve_mapper, spec_key
-from .request import MappingRequest, MappingResult
+from .request import MappingRequest, MappingResult, rebuild_result
 
 __all__ = ["EvaluationEngine"]
 
@@ -78,10 +77,12 @@ class EvaluationEngine:
     disk_cache_dir:
         Directory of the persistent caches shared across processes and
         restarts (see :mod:`repro.engine.diskcache`): the edge-array
-        cache plus disk tiers behind the permutation, cost and metric
-        LRUs, keyed like their in-memory counterparts.  Defaults to the
-        ``REPRO_CACHE_DIR`` environment variable; with neither set the
-        disk layer is disabled.
+        cache, and the result store of whole ``(perm, cost, error,
+        metrics)`` cells that service daemons read and write too.  The
+        store sits behind the in-memory LRUs: a request whose
+        permutation the engine already holds never touches disk.
+        Defaults to the ``REPRO_CACHE_DIR`` environment variable; with
+        neither set the disk layer is disabled.
 
     The engine owns one persistent thread pool, created lazily on the
     first parallel batch and reused by every later call; :meth:`close`
@@ -111,14 +112,7 @@ class EvaluationEngine:
         self._metric_cache = LRUCache(cost_cache_entries)
         cache_dir = resolve_cache_dir(disk_cache_dir)
         self._disk_cache = None if cache_dir is None else DiskEdgeCache(cache_dir)
-        self._disk_stores: dict[str, DiskStore] = (
-            {}
-            if cache_dir is None
-            else {
-                kind: DiskStore(cache_dir, kind)
-                for kind in ("perm", "cost", "metric")
-            }
-        )
+        self._result_store = None if cache_dir is None else DiskStore(cache_dir)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
 
@@ -151,43 +145,6 @@ class EvaluationEngine:
     # ------------------------------------------------------------------
     # Cached intermediates
     # ------------------------------------------------------------------
-    def _tier_digest(
-        self,
-        grid: CartesianGrid | None,
-        stencil: Stencil | None,
-        alloc: NodeAllocation,
-        mapper_key: object,
-        spec: MetricSpec | None = None,
-        workload=None,
-    ) -> str | None:
-        """File-name key of one perm/cost/metric disk entry, or ``None``.
-
-        ``None`` means the entry cannot go to disk: the layer is
-        disabled, the mapper spec is an identity-keyed instance, the
-        metric spec's params are not process-stable, or the workload has
-        no stable content key.  With a *workload* the instance part is
-        its content key (Cartesian-equivalent workloads never get here —
-        they keep the classic grid/stencil payload upstream).
-        """
-        if not self._disk_stores:
-            return None
-        mapped = mapper_payload(mapper_key)
-        if mapped is None:
-            return None
-        if workload is not None:
-            instance = workload_payload(workload, alloc)
-            if instance is None:
-                return None
-        else:
-            instance = instance_payload(grid, stencil, alloc)
-        parts = [instance, mapped]
-        if spec is not None:
-            part = metric_payload(spec)
-            if part is None:
-                return None
-            parts.append(part)
-        return stable_digest("|".join(parts))
-
     def edges(self, grid: CartesianGrid, stencil: Stencil) -> np.ndarray:
         """Directed communication edges, memoized by ``(grid, stencil)``.
 
@@ -239,10 +196,11 @@ class EvaluationEngine:
 
         The workload analogue of :meth:`edges` for requests whose
         communication graph is not a grid x stencil product (stencil
-        programs, general graphs).  No disk tier backs this entry:
-        program edges are cheap concatenations of cached per-stage
-        enumerations, and graph edges already travel by value inside the
-        workload object.  Returned arrays are read-only shared buffers.
+        programs, general graphs).  The on-disk edge cache does not
+        back this entry: program edges are cheap concatenations of
+        cached per-stage enumerations, and graph edges already travel by
+        value inside the workload object.  Returned arrays are read-only
+        shared buffers.
         """
 
         def compute() -> np.ndarray:
@@ -267,37 +225,11 @@ class EvaluationEngine:
         the mapper rejects the instance; rejections are memoized too, so
         a sweep pays for each "not applicable" cell once.  Permutations
         come back read-only: every caller shares the cached buffer.
-
-        With a configured ``disk_cache_dir``, registry-name mapper specs
-        fall through to the persistent ``perm`` store on an in-memory
-        miss (rejections included) before running the mapper.
         """
-        key_spec = spec_key(mapper)
-
-        def compute() -> tuple[np.ndarray | None, str | None]:
-            digest = self._tier_digest(grid, stencil, alloc, key_spec)
-            store = self._disk_stores["perm"] if digest is not None else None
-            if store is not None:
-                cached = store.load(digest)
-                if isinstance(cached, tuple) and len(cached) == 2:
-                    perm, error = cached
-                    if perm is not None:
-                        perm = np.ascontiguousarray(perm)
-                        perm.setflags(write=False)
-                    return perm, error
-            try:
-                perm = resolve_mapper(mapper).map_ranks(grid, stencil, alloc)
-            except MappingError as exc:
-                if store is not None:
-                    store.store(digest, (None, str(exc)))
-                return None, str(exc)
-            perm.setflags(write=False)
-            if store is not None:
-                store.store(digest, (perm, None))
-            return perm, None
-
-        key = (grid, stencil, alloc, key_spec)
-        return self._perm_cache.get_or_compute(key, compute)
+        return self._mapped(
+            (grid, stencil, alloc, spec_key(mapper)),
+            lambda: resolve_mapper(mapper).map_ranks(grid, stencil, alloc),
+        )
 
     def workload_permutation(
         self,
@@ -309,39 +241,27 @@ class EvaluationEngine:
 
         The workload counterpart of :meth:`permutation`: same
         ``(perm, None)`` / ``(None, message)`` contract, same rejection
-        memoization, same persistent ``perm`` tier (keyed by the
-        workload's content key when it has one).  Dispatches through
+        memoization.  Dispatches through
         :meth:`~repro.core.Mapper.map_workload`, so Cartesian-structured
         workloads reach the classic ``map_ranks`` and raw-graph mappers
         get the full weighted edge multiset.
         """
-        key_spec = spec_key(mapper)
+        return self._mapped(
+            ("workload", workload.cache_key(), alloc, spec_key(mapper)),
+            lambda: resolve_mapper(mapper).map_workload(workload, alloc),
+        )
+
+    def _mapped(self, key: tuple, run) -> tuple[np.ndarray | None, str | None]:
+        """The memoized ``(perm, error)`` of ``run()`` under *key*."""
 
         def compute() -> tuple[np.ndarray | None, str | None]:
-            digest = self._tier_digest(
-                None, None, alloc, key_spec, workload=workload
-            )
-            store = self._disk_stores["perm"] if digest is not None else None
-            if store is not None:
-                cached = store.load(digest)
-                if isinstance(cached, tuple) and len(cached) == 2:
-                    perm, error = cached
-                    if perm is not None:
-                        perm = np.ascontiguousarray(perm)
-                        perm.setflags(write=False)
-                    return perm, error
             try:
-                perm = resolve_mapper(mapper).map_workload(workload, alloc)
+                perm = run()
             except MappingError as exc:
-                if store is not None:
-                    store.store(digest, (None, str(exc)))
                 return None, str(exc)
             perm.setflags(write=False)
-            if store is not None:
-                store.store(digest, (perm, None))
             return perm, None
 
-        key = ("workload", workload.cache_key(), alloc, key_spec)
         return self._perm_cache.get_or_compute(key, compute)
 
     # ------------------------------------------------------------------
@@ -431,20 +351,90 @@ class EvaluationEngine:
         """Evaluate requests sharing one instance key.
 
         An instance is either a Cartesian ``(grid, stencil, alloc)``
-        triple or a ``(workload, alloc)`` pair; both kinds share the
-        same dedupe/stack/score structure, differing only in where the
-        edge array and the permutations come from and in how the cache
-        keys are spelled.
+        triple or a ``(workload, alloc)`` pair; ``mem_base`` spells it
+        as the prefix of the permutation/cost/metric LRU keys.  With a
+        result store, the store sits behind the permutation LRU: a
+        request whose permutation is not in memory looks up its cell
+        before any mapper runs.  A hit answers the request and seeds
+        the permutation and cost LRUs; every cell computed after a miss
+        is published for other engines and daemons.
+        """
+        first = requests[0]
+        workload = first.effective_workload
+        if workload is not None:
+            mem_base: tuple = ("workload", workload.cache_key(), first.alloc)
+        else:
+            mem_base = (first.grid, first.stencil, first.alloc)
+        if self._result_store is None:
+            return self._compute_group(requests, workload, mem_base, {})
+        results: list[MappingResult | None] = [None] * len(requests)
+        held: dict[object, tuple] = {}  # mapper spec -> (perm, error)
+        cells: dict[int, tuple] = {}  # request index -> cell loaded for it
+        computed: dict[str, int] = {}  # cell key -> request index computing it
+        todo: list[int] = []
+        for i, request in enumerate(requests):
+            spec = None if request.perm is not None else spec_key(request.mapper)
+            if spec is None or spec in held:
+                todo.append(i)
+                continue
+
+            def load_or_map(i=i, request=request) -> np.ndarray:
+                key = cell_key(request)
+                cell = None if key is None else self._result_store.load(key)
+                if cell is None:
+                    if key is not None:
+                        computed[key] = i
+                    mapper = resolve_mapper(request.mapper)
+                    if workload is not None:
+                        return mapper.map_workload(workload, first.alloc)
+                    return mapper.map_ranks(first.grid, first.stencil, first.alloc)
+                cells[i] = cell
+                if cell[0] is None:
+                    raise MappingError(cell[2])  # memoized as the rejection
+                return cell[0]
+
+            held[spec] = self._mapped(mem_base + (spec,), load_or_map)
+            cell = cells.get(i)
+            if cell is None:
+                todo.append(i)
+                continue
+            results[i] = rebuild_result(request, *cell)
+            if cell[1] is not None:
+                self._cost_cache.put(mem_base + (spec,), cell[1])
+        if todo:
+            fresh = self._compute_group(
+                [requests[i] for i in todo], workload, mem_base, held
+            )
+            for i, result in zip(todo, fresh):
+                results[i] = result
+            for key, i in computed.items():
+                result = results[i]
+                self._result_store.store(
+                    key, (result.perm, result.cost, result.error, result.metrics)
+                )
+        return results  # type: ignore[return-value]  # every slot is filled
+
+    def _compute_group(
+        self,
+        requests: Sequence[MappingRequest],
+        workload,
+        mem_base: tuple,
+        held: dict[object, tuple],
+    ) -> list[MappingResult]:
+        """Evaluate requests sharing one instance key, without the store.
+
+        Both instance kinds share the same dedupe/stack/score
+        structure, differing only in where the edge array and the
+        permutations come from and in how the cache keys are spelled.
+        *held* maps mapper specs to ``(perm, error)`` pairs already
+        taken from the permutation LRU.
         """
         first = requests[0]
         grid, stencil, alloc = first.grid, first.stencil, first.alloc
-        workload = first.effective_workload
         if workload is not None:
             edges = self.workload_edges(workload)
-            mem_base: tuple = ("workload", workload.cache_key(), alloc)
         else:
             edges = self.edges(grid, stencil)
-            mem_base = (grid, stencil, alloc)
         num_processes = first.num_processes
 
         # Deduplicate: one permutation/score per distinct mapper spec
@@ -475,6 +465,8 @@ class EvaluationEngine:
                     )
                 except MappingError as exc:
                     perm, error = None, str(exc)
+            elif key in held:
+                perm, error = held[key]
             elif workload is not None:
                 perm, error = self.workload_permutation(
                     workload, alloc, request.mapper
@@ -490,21 +482,10 @@ class EvaluationEngine:
             # Memoized costs only apply to mapper-spec requests: explicit
             # perms are keyed by object identity, which gc can recycle.
             if request.perm is None:
-                cache_key = mem_base + (key,)
-                cached = self._cost_cache.get(cache_key)
+                cached = self._cost_cache.get(mem_base + (key,))
                 if cached is not None:
                     costs[key] = cached
                     continue
-                digest = self._tier_digest(
-                    grid, stencil, alloc, key, workload=workload
-                )
-                if digest is not None:
-                    value = self._disk_stores["cost"].load(digest)
-                    if isinstance(value, MappingCost):
-                        value.per_node.setflags(write=False)
-                        costs[key] = value
-                        self._cost_cache.put(cache_key, value)
-                        continue
             to_score.append(key)
 
         if to_score:
@@ -521,11 +502,6 @@ class EvaluationEngine:
                 costs[key] = cost
                 if requests[slots[key][0]].perm is None:
                     self._cost_cache.put(mem_base + (key,), cost)
-                    digest = self._tier_digest(
-                        grid, stencil, alloc, key, workload=workload
-                    )
-                    if digest is not None:
-                        self._disk_stores["cost"].store(digest, cost)
         metric_values, metric_errors = self._group_metrics(
             requests,
             slots,
@@ -598,21 +574,10 @@ class EvaluationEngine:
             to_compute: list[object] = []
             for key in keyset:
                 if requests[slots[key][0]].perm is None:
-                    mem_key = mem_base + (key, spec)
-                    cached = self._metric_cache.get(mem_key)
+                    cached = self._metric_cache.get(mem_base + (key, spec))
                     if cached is not None:
                         values[(key, spec)] = cached
                         continue
-                    digest = self._tier_digest(
-                        ctx.grid, ctx.stencil, ctx.alloc, key, spec,
-                        workload=ctx.workload,
-                    )
-                    if digest is not None:
-                        value = self._disk_stores["metric"].load(digest)
-                        if isinstance(value, dict):
-                            values[(key, spec)] = value
-                            self._metric_cache.put(mem_key, value)
-                            continue
                 to_compute.append(key)
             if not to_compute:
                 continue
@@ -636,12 +601,6 @@ class EvaluationEngine:
                 values[(key, spec)] = row
                 if requests[slots[key][0]].perm is None:
                     self._metric_cache.put(mem_base + (key, spec), row)
-                    digest = self._tier_digest(
-                        ctx.grid, ctx.stencil, ctx.alloc, key, spec,
-                        workload=ctx.workload,
-                    )
-                    if digest is not None:
-                        self._disk_stores["metric"].store(digest, row)
         return values, errors
 
     # ------------------------------------------------------------------
@@ -671,18 +630,19 @@ class EvaluationEngine:
         return None if self._disk_cache is None else self._disk_cache.stats()
 
     def disk_store_stats(self) -> dict[str, DiskCacheStats]:
-        """Counters of every persistent tier, keyed by store kind.
+        """Counters of both persistent stores, keyed by store kind.
 
         Empty when the disk layer is disabled.  ``edges`` is the
-        ``.npy`` edge-array cache; ``perm``/``cost``/``metric`` are the
-        pickled tiers behind the corresponding LRUs.
+        ``.npy`` edge-array cache; ``result`` is the store of whole
+        result cells behind the LRUs.  Each carries its ``corrupt``
+        count of unreadable entries.
         """
-        stats: dict[str, DiskCacheStats] = {}
-        if self._disk_cache is not None:
-            stats["edges"] = self._disk_cache.stats()
-        for kind, store in self._disk_stores.items():
-            stats[kind] = store.stats()
-        return stats
+        if self._disk_cache is None:
+            return {}
+        return {
+            "edges": self._disk_cache.stats(),
+            "result": self._result_store.stats(),
+        }
 
     def clear_caches(self) -> None:
         """Drop every cached intermediate (counters are kept)."""

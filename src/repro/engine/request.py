@@ -16,7 +16,7 @@ from ..metrics.cost import MappingCost
 from ..workloads.base import WorkloadBase
 from .metrics import MetricSpec, as_metric_spec, list_metrics
 
-__all__ = ["MappingRequest", "MappingResult"]
+__all__ = ["MappingRequest", "MappingResult", "rebuild_result"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,3 +211,29 @@ class MappingResult:
     def jmax(self) -> int | None:
         """``Jmax`` of the mapping, or ``None`` on rejection."""
         return None if self.cost is None else self.cost.jmax
+
+
+def rebuild_result(
+    request: MappingRequest,
+    perm: np.ndarray | None,
+    cost: MappingCost | None,
+    error: str | None,
+    metrics: dict | None = None,
+) -> MappingResult:
+    """Rebuild a result that travelled by value against its original request.
+
+    Process pools, service workers and the result store all hand cells
+    back by value.  The unpickled buffers are frozen so results are indistinguishable
+    from the in-process engine's (which shares read-only caches).
+    """
+    if perm is not None:
+        perm.setflags(write=False)
+    if cost is not None:
+        cost.per_node.setflags(write=False)
+    return MappingResult(
+        request=request,
+        perm=perm,
+        cost=cost,
+        error=error,
+        metrics=dict(metrics or {}),
+    )

@@ -54,10 +54,10 @@ them exhaustively — dominated candidates are cancelled early::
 ``--secret`` (or ``REPRO_CLUSTER_SECRET``) arms the shared-secret
 handshake on every cluster/service connection; ``status``, ``watch``
 and ``cancel`` work against a ``serve`` coordinator too.  ``cache``
-reports every persistent store sharing the cache directory — the
-``edges`` array cache, the ``perm``/``cost``/``metric`` engine tiers
-and the service daemon's ``result`` store — one record per kind
-(``--clear`` empties them; each store removes exactly its own files).
+reports both persistent stores sharing the cache directory — the
+``edges`` array cache and the ``result`` cells that engines and
+service daemons share — one record per kind (``--clear`` empties
+them; each store removes exactly its own files).
 
 Repetition counts default to quick settings; pass ``--reps 200`` for the
 paper's sample sizes.  ``--backend`` selects the execution backend of
@@ -65,9 +65,9 @@ the batched sweeps (``serial``, ``thread[:N]``, ``process[:N]``,
 ``cluster:[host:]port`` to bind a coordinator without waiting for a
 worker quorum, or ``service:[host:]port[:priority]`` to submit to a
 standing daemon), ``--shards`` overrides its worker count and
-``--cache-dir`` points the persistent caches (for ``serve``, also the
-result store) at a directory (default: ``$REPRO_CACHE_DIR``; refused
-with a ``service:`` backend).
+``--cache-dir`` points the persistent caches (edge arrays and result
+cells) at a directory (default: ``$REPRO_CACHE_DIR``; refused with a
+``service:`` backend).
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ import io
 import ipaddress
 import json
 import math
+import signal
 import sys
 import time
 
@@ -519,8 +520,18 @@ _STATUS_COLUMNS = [
 ]
 
 
+def _interrupt(signum, frame) -> None:
+    """Signal handler: stop the way Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def _serve_jobs(args, parser) -> int:
-    """Host a standing sweep service until interrupted."""
+    """Host a standing sweep service until interrupted.
+
+    SIGTERM stops it like Ctrl-C: a background job of a non-interactive
+    shell starts with SIGINT ignored, so ``kill -TERM`` is the signal
+    that reliably reaches it.
+    """
     from ..service import ServiceDaemon
 
     host, port = _bind_address(args, parser)
@@ -552,6 +563,7 @@ def _serve_jobs(args, parser) -> int:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         print(
             f"service daemon listening on {daemon.host}:{daemon.port}",
@@ -580,6 +592,7 @@ def _serve_jobs(args, parser) -> int:
     except KeyboardInterrupt:
         print("service daemon interrupted; shutting down", flush=True)
     finally:
+        signal.signal(signal.SIGTERM, previous)
         daemon.close()
     return 0
 
@@ -920,13 +933,14 @@ def _cache(args, parser) -> int:
     """Report (and optionally clear or prune) the persistent caches.
 
     One record per store kind sharing the cache directory: the
-    ``edges`` array cache plus the ``perm``/``cost``/``metric`` engine
-    tiers and the service daemon's ``result`` store.  ``--prune
-    --max-bytes N`` LRU-evicts entries across all kinds (oldest access
-    first — loads bump mtime) until the directory fits the budget.
+    ``edges`` array cache and the ``result`` cells that engines and
+    service daemons share.  ``--prune --max-bytes N`` LRU-evicts
+    entries across both kinds (oldest access first — loads bump mtime)
+    until the directory fits the budget.  Files of any other name,
+    such as ``perm-``/``cost-``/``metric-`` entries of older releases,
+    are never read, cleared or pruned.
     """
     from ..engine.diskcache import (
-        STORE_KINDS,
         DiskEdgeCache,
         DiskStore,
         prune,
@@ -954,17 +968,12 @@ def _cache(args, parser) -> int:
     if args.clear or args.prune:
         columns.append("removed")
     records: list[dict] = []
-    for kind in STORE_KINDS:
-        store = (
-            DiskEdgeCache(directory)
-            if kind == "edges"
-            else DiskStore(directory, kind)
-        )
-        record: dict = {"kind": kind, "dir": str(directory)}
+    for store in (DiskEdgeCache(directory), DiskStore(directory)):
+        record: dict = {"kind": store.kind, "dir": str(directory)}
         if args.clear:
             record["removed"] = store.clear()
         elif args.prune:
-            record["removed"] = pruned[kind]
+            record["removed"] = pruned[store.kind]
         stats = store.stats()
         record.update(entries=stats.entries, bytes=stats.total_bytes)
         records.append(record)

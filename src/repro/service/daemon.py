@@ -65,12 +65,13 @@ class ServiceDaemon:
         connection is presumed dead; workers' in-flight shards are
         requeued, clients' unfinished jobs are cancelled.
     disk_cache_dir:
-        Persistent cache directory: advertised to workers (edge/perm/
-        cost/metric tiers) *and* backing the daemon's own
-        content-addressed result store, which answers repeat cells
+        Persistent cache directory: advertised to workers (edge cache
+        and result store) *and* backing the daemon's own
+        content-addressed result serving, which answers repeat cells
         without dispatching work (see :mod:`repro.engine.cluster.
-        coordinator`).  Defaults
-        to ``REPRO_CACHE_DIR``; unset disables both.
+        coordinator`).  Engines pointed at the same directory share
+        those cells.  Defaults to ``REPRO_CACHE_DIR``; unset disables
+        both.
     max_shard_requeues:
         Worker deaths one shard may survive before its job fails.
     secret:
@@ -104,9 +105,12 @@ class ServiceDaemon:
         Where autoscaled workers come from; defaults to a
         :class:`~repro.service.autoscale.LocalSpawner` launching
         ``cluster.worker`` subprocesses on this host (inheriting the
-        daemon's secret and trust root), or an
+        daemon's secret and trusting its certificate), or an
         :class:`~repro.service.autoscale.ExecSpawner` when
-        *spawn_command* is given.
+        *spawn_command* is given.  Local workers present no client
+        certificate, so under mutual TLS (*tls_cert* plus *tls_ca*)
+        autoscaling without a *spawner* or *spawn_command* raises
+        ``ValueError`` before anything binds.
     spawn_command:
         Command template (``{host}``/``{port}``/``{address}``
         placeholders) run once per spawned worker — the remote-host
@@ -177,6 +181,14 @@ class ServiceDaemon:
         self._store_prune_interval = float(store_prune_interval)
         secret = resolve_secret(secret)
         tls_cert, tls_key, tls_ca = resolve_tls(tls_cert, tls_key, tls_ca)
+        local_spawn = max_workers is not None and spawner is None and not spawn_command
+        if tls_cert and tls_ca and local_spawn:
+            raise ValueError(
+                "autoscaled local workers cannot join a mutual-TLS daemon "
+                "(tls_ca): they present no client certificate; pass a "
+                "spawn_command (serve-jobs --spawn-command) that runs "
+                "'work --tls-cert ... --tls-key ...'"
+            )
         ssl_context = (
             server_tls_context(tls_cert, tls_key, tls_ca) if tls_cert else None
         )
@@ -200,13 +212,12 @@ class ServiceDaemon:
                 if spawn_command:
                     spawner = ExecSpawner(spawn_command)
                 else:
-                    # Spawned workers must trust the daemon's own cert:
-                    # with a private CA that is tls_ca, self-signed it
-                    # is the certificate itself.
+                    # Spawned workers trust the daemon's own (self-signed)
+                    # certificate; mutual TLS was refused above.
                     spawner = LocalSpawner(
                         backend_spec=worker_backend,
                         secret=secret,
-                        tls_ca=(tls_ca or tls_cert) if tls_cert else None,
+                        tls_ca=tls_cert,
                     )
             self._spawner = spawner
             self._autoscaler = Autoscaler(

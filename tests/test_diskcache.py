@@ -1,10 +1,10 @@
-"""The typed persistent store family and the engine's disk tiers.
+"""The persistent stores and the engine's use of the result-cell store.
 
-Covers the persistence layer's failure modes — truncated/corrupt
-entries count as misses (never errors) for every store kind, concurrent
-writers publish only complete entries, ``clear`` removes exactly the
-store's own files — plus counter consistency under a threaded hammer
-and the perm/cost/metric disk tiers warming a fresh engine.
+Covers the persistence layer's failure modes — truncated, corrupt or
+wrong-shaped entries count as misses (never errors) for every store
+kind, concurrent writers publish only complete entries, ``clear``
+removes exactly the store's own files — plus counter consistency under
+a threaded hammer and the result store warming a fresh engine.
 """
 
 from __future__ import annotations
@@ -24,14 +24,15 @@ from repro import (
 )
 from repro.engine import DiskEdgeCache, DiskStore, weighted_bytes_metric
 from repro.engine.diskcache import (
-    MISSING,
     STORE_KINDS,
+    cell_key,
     instance_payload,
     mapper_payload,
     metric_payload,
     request_payload,
     stable_digest,
 )
+from repro.metrics.cost import MappingCost
 
 KEY = "a" * 64
 
@@ -41,52 +42,88 @@ def _instance():
     return grid, nearest_neighbor(2), NodeAllocation.homogeneous(4, 12)
 
 
+def _cell(fill: int = 0, size: int = 8) -> tuple:
+    """A well-formed ``(perm, cost, error, metrics)`` result cell."""
+    cost = MappingCost(
+        jsum=fill, jmax=fill, total_edges=size, per_node=np.zeros(2),
+        bottleneck_node=0,
+    )
+    return (np.full(size, fill, dtype=np.int64), cost, None, {"m": 1.0})
+
+
 class TestDiskStore:
     def test_round_trip_and_missing(self, tmp_path):
-        store = DiskStore(tmp_path, "perm")
-        assert store.load(KEY) is MISSING
-        perm = np.arange(8, dtype=np.int64)
-        assert store.store(KEY, (perm, None)) is True
-        value = store.load(KEY)
-        np.testing.assert_array_equal(value[0], perm)
-        assert value[1] is None
+        store = DiskStore(tmp_path)
+        assert store.load(KEY) is None
+        cell = _cell(3)
+        assert store.store(KEY, cell) is True
+        perm, cost, error, metrics = store.load(KEY)
+        np.testing.assert_array_equal(perm, cell[0])
+        assert (cost.jsum, error, metrics) == (3, None, {"m": 1.0})
         stats = store.stats()
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
+        assert stats.corrupt == 0  # an absent entry is a plain miss
         assert stats.entries == 1 and stats.total_bytes > 0
+        assert list(tmp_path.glob("result-*.pkl"))
 
-    def test_stored_none_is_not_missing(self, tmp_path):
-        store = DiskStore(tmp_path, "perm")
-        store.store(KEY, None)
-        assert store.load(KEY) is None  # a memoized rejection, not a miss
+    def test_rejection_cell_round_trips(self, tmp_path):
+        store = DiskStore(tmp_path)
+        store.store(KEY, (None, None, "not applicable", {}))
+        assert store.load(KEY) == (None, None, "not applicable", {})
 
     @pytest.mark.parametrize("garbage", [b"", b"\x80", b"not a pickle at all"])
     def test_corrupt_entry_is_a_miss(self, tmp_path, garbage):
-        store = DiskStore(tmp_path, "cost")
-        store.store(KEY, {"x": 1})
-        (path,) = tmp_path.glob("cost-*.pkl")
+        store = DiskStore(tmp_path)
+        store.store(KEY, _cell())
+        (path,) = tmp_path.glob("result-*.pkl")
         path.write_bytes(garbage)
-        assert store.load(KEY) is MISSING
-        assert store.stats().misses == 1
+        assert store.load(KEY) is None
+        stats = store.stats()
+        assert (stats.misses, stats.corrupt) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            ("perm", None, None, {}),  # wrong-typed 4-tuple
+            (None, None, None, []),
+            (np.arange(4), {"jsum": 1}, None, {}),
+            (None, None, 7, {}),
+            [None, None, None, {}],  # a list, not a tuple
+            (None, None, None),
+            None,
+            {"x": 1},
+        ],
+    )
+    def test_wrong_shape_is_a_corrupt_miss(self, tmp_path, value):
+        store = DiskStore(tmp_path)
+        store.store(KEY, value)
+        assert store.load(KEY) is None
+        stats = store.stats()
+        assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
 
     def test_truncated_pickle_is_a_miss(self, tmp_path):
-        store = DiskStore(tmp_path, "result")
-        store.store(KEY, ("perm", np.arange(64), None, {"m": 1.0}))
+        store = DiskStore(tmp_path)
+        store.store(KEY, _cell(size=64))
         (path,) = tmp_path.glob("result-*.pkl")
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        assert store.load(KEY) is MISSING
+        assert store.load(KEY) is None
+        assert store.corrupt == 1
 
     def test_corrupt_npy_is_a_miss(self, tmp_path):
         cache = DiskEdgeCache(tmp_path)
         grid, stencil, _ = _instance()
+        assert cache.load(grid, stencil) is None  # absent: not corrupt
         cache.store(grid, stencil, np.zeros((6, 2), dtype=np.int64))
         (path,) = tmp_path.glob("edges-*.npy")
         path.write_bytes(b"")
         assert cache.load(grid, stencil) is None
-        assert cache.stats().misses == 1
+        stats = cache.stats()
+        assert (stats.misses, stats.corrupt) == (2, 1)
 
     def test_clear_removes_exactly_its_own_files(self, tmp_path):
-        for kind in STORE_KINDS[1:]:
-            DiskStore(tmp_path, kind).store(KEY, kind)
+        store = DiskStore(tmp_path)
+        for i in range(3):
+            store.store(stable_digest(str(i)), _cell(i))
         grid, stencil, _ = _instance()
         edge_cache = DiskEdgeCache(tmp_path)
         edge_cache.store(grid, stencil, np.zeros((6, 2), dtype=np.int64))
@@ -94,28 +131,23 @@ class TestDiskStore:
         unrelated.write_text("keep me")
         decoy = tmp_path / "result-decoy.json"  # wrong suffix
         decoy.write_text("{}")
+        legacy = tmp_path / f"perm-{KEY}.pkl"  # an older release's tier
+        legacy.write_bytes(b"legacy")
 
-        assert DiskStore(tmp_path, "perm").clear() == 1
-        assert DiskStore(tmp_path, "perm").stats().entries == 0
-        for kind in ("cost", "metric", "result"):
-            assert DiskStore(tmp_path, kind).stats().entries == 1
+        assert store.clear() == 3
+        assert store.stats().entries == 0
         assert edge_cache.stats().entries == 1
         assert edge_cache.clear() == 1
         assert unrelated.read_text() == "keep me"
         assert decoy.exists()
-
-    def test_kinds_do_not_collide_on_one_key(self, tmp_path):
-        DiskStore(tmp_path, "cost").store(KEY, "cost-value")
-        DiskStore(tmp_path, "metric").store(KEY, "metric-value")
-        assert DiskStore(tmp_path, "cost").load(KEY) == "cost-value"
-        assert DiskStore(tmp_path, "metric").load(KEY) == "metric-value"
+        assert legacy.exists()
 
     def test_unwritable_directory_degrades_to_noop(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file where the cache dir should be")
-        store = DiskStore(target, "perm")
-        assert store.store(KEY, 1) is False
-        assert store.load(KEY) is MISSING
+        store = DiskStore(target)
+        assert store.store(KEY, _cell()) is False
+        assert store.load(KEY) is None
         assert store.stats().stores == 0
 
 
@@ -127,9 +159,9 @@ class TestCounterConsistency:
     OPS = 60
 
     def test_disk_store_counters_survive_a_threaded_hammer(self, tmp_path):
-        store = DiskStore(tmp_path, "perm")
+        store = DiskStore(tmp_path)
         hot = stable_digest("hot")
-        store.store(hot, 0)
+        store.store(hot, _cell())
         barrier = threading.Barrier(self.THREADS)
 
         def hammer(worker: int) -> None:
@@ -137,7 +169,7 @@ class TestCounterConsistency:
             for i in range(self.OPS):
                 store.load(hot)  # hit
                 store.load(stable_digest(f"absent-{worker}-{i}"))  # miss
-                store.store(stable_digest(f"w{worker}-{i}"), i)
+                store.store(stable_digest(f"w{worker}-{i}"), _cell(i))
 
         threads = [
             threading.Thread(target=hammer, args=(w,))
@@ -181,15 +213,15 @@ class TestCounterConsistency:
 
 def _process_writer(args) -> bool:
     directory, key, worker = args
-    store = DiskStore(directory, "result")
-    payload = (np.full(4096, worker, dtype=np.int64), None, None, {})
+    store = DiskStore(directory)
+    payload = _cell(worker, size=4096)
     ok = True
     for _ in range(20):
         ok &= store.store(key, payload)
         value = store.load(key)
         # Readers must only ever observe a complete published entry:
         # a homogeneous array from *some* writer, never torn bytes.
-        if value is MISSING or len(set(value[0].tolist())) != 1:
+        if value is None or len(set(value[0].tolist())) != 1:
             return False
     return ok
 
@@ -206,13 +238,13 @@ class TestConcurrentWriters:
             )
         assert all(outcomes)
         # and the survivor is a valid entry
-        value = DiskStore(tmp_path, "result").load(key)
-        assert value is not MISSING and len(value) == 4
+        value = DiskStore(tmp_path).load(key)
+        assert value is not None and len(value) == 4
 
     def test_tmp_files_never_linger_after_publish(self, tmp_path):
-        store = DiskStore(tmp_path, "perm")
+        store = DiskStore(tmp_path)
         for i in range(10):
-            store.store(stable_digest(str(i)), i)
+            store.store(stable_digest(str(i)), _cell(i))
         assert list(tmp_path.glob("*.tmp")) == []
 
 
@@ -276,6 +308,8 @@ class TestStableKeys:
 
 
 class TestEngineDiskTiers:
+    """The engine's one persistent tier: whole result cells."""
+
     def _requests(self):
         grid, stencil, alloc = _instance()
         metric = weighted_bytes_metric(
@@ -295,49 +329,65 @@ class TestEngineDiskTiers:
             None if result.cost is None else result.cost.jsum,
             None if result.cost is None else result.cost.jmax,
             None if result.perm is None else result.perm.tobytes(),
+            None if result.cost is None else result.cost.per_node.tobytes(),
             result.error,
             tuple(sorted(result.metrics.items())),
         )
+
+    @staticmethod
+    def _loads(engine) -> int:
+        """``DiskStore.load`` calls so far: each is one hit or one miss."""
+        stats = engine.disk_store_stats()["result"]
+        return stats.hits + stats.misses
 
     def test_fresh_engine_serves_perm_cost_metric_from_disk(self, tmp_path):
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as cold:
             reference = [
                 self._signature(r) for r in cold.evaluate_batch(self._requests())
             ]
-            stores = cold.disk_store_stats()
-            assert stores["perm"].stores == 3
-            assert stores["cost"].stores == 3
-            assert stores["metric"].stores == 3
+            assert cold.disk_store_stats()["result"].stores == 3
+        kinds = {path.name.split("-")[0] for path in tmp_path.iterdir()}
+        assert kinds == set(STORE_KINDS)
 
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as warm:
-            warmed = [
-                self._signature(r) for r in warm.evaluate_batch(self._requests())
-            ]
-            stores = warm.disk_store_stats()
-        assert warmed == reference
-        assert stores["perm"].hits == 3 and stores["perm"].stores == 0
-        assert stores["cost"].hits == 3 and stores["cost"].stores == 0
-        assert stores["metric"].hits == 3 and stores["metric"].stores == 0
+            results = warm.evaluate_batch(self._requests())
+            stats = warm.disk_store_stats()["result"]
+            # hits seed the permutation and cost LRUs
+            assert warm.cache_stats()["permutations"].size == 3
+            assert warm.cache_stats()["costs"].size == 3
+        assert [self._signature(r) for r in results] == reference
+        assert (stats.hits, stats.misses, stats.stores) == (3, 0, 0)
+        for result in results:
+            assert not result.perm.flags.writeable
+            assert not result.cost.per_node.flags.writeable
 
-    def test_mapper_rejections_are_memoized_on_disk(self, tmp_path):
-        grid = CartesianGrid([5, 7])  # nodecart rejects non-factorable splits?
+    def test_mapper_rejections_are_memoized_on_disk(self, tmp_path, monkeypatch):
+        grid = CartesianGrid([5, 7])
         stencil = nearest_neighbor(2)
-        alloc = NodeAllocation.homogeneous(5, 7)
+        alloc = NodeAllocation([5, 10, 20])  # heterogeneous: nodecart rejects
+        request = MappingRequest(grid, stencil, alloc, "nodecart")
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
-            perm, error = engine.permutation(grid, stencil, alloc, "nodecart")
+            (cold,) = engine.evaluate_batch([request])
+        assert cold.perm is None and cold.error
+
+        def no_mapper(name):
+            raise AssertionError("the stored rejection must be reused")
+
+        monkeypatch.setattr("repro.engine.engine.resolve_mapper", no_mapper)
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            (warm,) = engine.evaluate_batch([request])
+            # the hit seeded the permutation LRU with the rejection
             again = engine.permutation(grid, stencil, alloc, "nodecart")
-            stats = engine.disk_store_stats()["perm"]
-        assert (perm is None) == (again[0] is None)
-        assert again[1] == error
+            stats = engine.disk_store_stats()["result"]
+        assert (warm.perm, warm.cost, warm.error) == (None, None, cold.error)
+        assert again == (None, cold.error)
         assert stats.hits == 1
 
-    def test_disabled_disk_layer_keeps_store_stats_empty(self):
+    def test_disabled_disk_layer_keeps_store_stats_empty(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         with EvaluationEngine(max_workers=1, disk_cache_dir=None) as engine:
             engine.evaluate_batch(self._requests()[:1])
-            # None unless REPRO_CACHE_DIR leaks in from the environment
-            stats = engine.disk_store_stats()
-        assert set(stats) <= {"edges", "perm", "cost", "metric"}
+            assert engine.disk_store_stats() == {}
 
     def test_corrupt_store_entry_falls_back_to_compute(self, tmp_path):
         requests = self._requests()
@@ -345,15 +395,65 @@ class TestEngineDiskTiers:
             reference = [
                 self._signature(r) for r in cold.evaluate_batch(requests)
             ]
-        for path in tmp_path.glob("perm-*.pkl"):
+        for path in tmp_path.glob("result-*.pkl"):
             path.write_bytes(b"\x00garbage")
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as warm:
             warmed = [
                 self._signature(r) for r in warm.evaluate_batch(requests)
             ]
-            stats = warm.disk_store_stats()["perm"]
+            stats = warm.disk_store_stats()["result"]
         assert warmed == reference
-        assert stats.misses == 3 and stats.stores == 3  # recomputed + republished
+        assert (stats.misses, stats.corrupt) == (3, 3)
+        assert stats.stores == 3  # recomputed + republished
+
+    def test_repeat_batch_on_one_engine_never_touches_disk(self, tmp_path):
+        requests = self._requests()
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            engine.evaluate_batch(requests)
+            assert self._loads(engine) == 3  # cold: one miss per cell
+            assert engine.disk_store_stats()["result"].stores == 3
+            engine.evaluate_batch(self._requests())
+            assert self._loads(engine) == 3
+            assert engine.disk_store_stats()["result"].stores == 3
+
+    def test_warm_directory_costs_one_load_per_cell(self, tmp_path):
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as cold:
+            reference = [
+                self._signature(r) for r in cold.evaluate_batch(self._requests())
+            ]
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as warm:
+            for _ in range(2):
+                results = warm.evaluate_batch(self._requests())
+                assert [self._signature(r) for r in results] == reference
+                for result in results:
+                    assert not result.perm.flags.writeable
+                    assert not result.cost.per_node.flags.writeable
+            assert self._loads(warm) == len(reference)
+            assert warm.disk_store_stats()["result"].stores == 0
+
+    def test_explicit_perm_requests_never_touch_disk(self, tmp_path):
+        grid, stencil, alloc = _instance()
+        perm = np.arange(grid.size, dtype=np.int64)
+        request = MappingRequest(grid, stencil, alloc, "blocked", perm=perm)
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            (result,) = engine.evaluate_batch([request])
+            assert result.ok
+            assert self._loads(engine) == 0
+        assert not list(tmp_path.glob("result-*.pkl"))
+
+    def test_cells_match_the_coordinator_key(self, tmp_path):
+        """The engine files each cell under the key the service daemon
+        looks up, with the value worker rows carry after their index."""
+        requests = self._requests()
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            results = engine.evaluate_batch(requests)
+        store = DiskStore(tmp_path)
+        for request, result in zip(requests, results):
+            perm, cost, error, metrics = store.load(cell_key(request))
+            assert perm.tobytes() == result.perm.tobytes()
+            assert (cost.jsum, error, metrics) == (
+                result.cost.jsum, result.error, result.metrics
+            )
 
 
 class TestSweepFingerprint:
@@ -386,22 +486,25 @@ class TestSweepFingerprint:
 class TestPrune:
     """LRU eviction across every store kind sharing one directory."""
 
+    #: One edge entry plus this many result cells.
+    ENTRIES = 5
+
     @staticmethod
     def _fill(tmp_path, ages):
-        """One entry per store kind, mtimes spread by *ages* seconds ago."""
+        """One edge entry and four result cells (both store kinds),
+        mtimes spread by *ages* seconds ago, edge entry first."""
         import os
         import time
-
-        from repro.engine.diskcache import prune  # noqa: F401 - import check
 
         grid, stencil, _ = _instance()
         edge = DiskEdgeCache(tmp_path)
         edge.store(grid, stencil, np.arange(40, dtype=np.int64).reshape(-1, 2))
-        for kind in STORE_KINDS[1:]:
-            DiskStore(tmp_path, kind).store(KEY, list(range(50)))
+        store = DiskStore(tmp_path)
+        for i in range(1, TestPrune.ENTRIES):
+            store.store(KEY[:-1] + str(i), _cell(i, size=50))
         now = time.time()
-        paths = sorted(tmp_path.iterdir())
-        assert len(paths) == len(STORE_KINDS)
+        paths = sorted(tmp_path.iterdir())  # "edges-" sorts before "result-"
+        assert len(paths) == TestPrune.ENTRIES
         for path, age in zip(paths, ages):
             os.utime(path, (now - age, now - age))
         return edge, grid, stencil
@@ -409,9 +512,9 @@ class TestPrune:
     def test_prune_to_zero_clears_every_kind(self, tmp_path):
         from repro.engine.diskcache import prune
 
-        self._fill(tmp_path, [10] * len(STORE_KINDS))
+        self._fill(tmp_path, [10] * self.ENTRIES)
         removed = prune(tmp_path, 0)
-        assert sum(removed.values()) == len(STORE_KINDS)
+        assert removed == {"edges": 1, "result": self.ENTRIES - 1}
         assert set(removed) == set(STORE_KINDS)
         assert not list(tmp_path.iterdir())
 
@@ -427,13 +530,13 @@ class TestPrune:
         prune(tmp_path, budget)
         left = {p.name for p in tmp_path.iterdir()}
         assert oldest.name not in left
-        assert len(left) == len(STORE_KINDS) - 1
+        assert len(left) == self.ENTRIES - 1
         assert sum(p.stat().st_size for p in tmp_path.iterdir()) <= budget
 
     def test_prune_under_budget_is_a_no_op(self, tmp_path):
         from repro.engine.diskcache import prune
 
-        self._fill(tmp_path, [10] * len(STORE_KINDS))
+        self._fill(tmp_path, [10] * self.ENTRIES)
         before = sorted(p.name for p in tmp_path.iterdir())
         removed = prune(tmp_path, 1 << 30)
         assert sum(removed.values()) == 0
@@ -454,16 +557,17 @@ class TestPrune:
         from repro.engine.diskcache import prune
 
         self._fill(tmp_path, [100, 500, 100, 100, 100])
-        store = DiskStore(tmp_path, STORE_KINDS[1])
-        assert store.load(KEY) is not MISSING  # bumps mtime
+        store = DiskStore(tmp_path)
+        oldest = KEY[:-1] + "1"
+        assert store.load(oldest) is not None  # bumps mtime
         total = sum(p.stat().st_size for p in tmp_path.iterdir())
         prune(tmp_path, total - 1)
-        assert store.load(KEY) is not MISSING  # survived
+        assert store.load(oldest) is not None  # survived
 
     def test_foreign_files_never_touched(self, tmp_path):
         from repro.engine.diskcache import prune
 
-        self._fill(tmp_path, [10] * len(STORE_KINDS))
+        self._fill(tmp_path, [10] * self.ENTRIES)
         foreign = tmp_path / "notes.txt"
         foreign.write_text("keep me")
         prune(tmp_path, 0)
@@ -489,15 +593,15 @@ class TestPrune:
         self._fill(tmp_path, [5000, 4000, 10, 10, 10])
         removed = prune(tmp_path, ttl=3600)
         assert sum(removed.values()) == 2
-        assert len(list(tmp_path.iterdir())) == len(STORE_KINDS) - 2
+        assert len(list(tmp_path.iterdir())) == self.ENTRIES - 2
 
     def test_ttl_alone_ignores_size(self, tmp_path):
         from repro.engine.diskcache import prune
 
-        self._fill(tmp_path, [10] * len(STORE_KINDS))
+        self._fill(tmp_path, [10] * self.ENTRIES)
         removed = prune(tmp_path, ttl=3600)
         assert sum(removed.values()) == 0
-        assert len(list(tmp_path.iterdir())) == len(STORE_KINDS)
+        assert len(list(tmp_path.iterdir())) == self.ENTRIES
 
     def test_ttl_combines_with_size_budget(self, tmp_path):
         import time

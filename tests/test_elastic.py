@@ -637,6 +637,44 @@ class TestTLS:
                 ).status()
 
 
+    def test_mutual_tls_refuses_local_autoscaled_workers(self, tls_pki):
+        """Locally spawned workers present no client certificate, so a
+        mutual-TLS daemon could never grow its pool: refuse up front."""
+        cert, key = tls_pki["daemon"]
+        with pytest.raises(ValueError, match="--spawn-command"):
+            ServiceDaemon(
+                "127.0.0.1",
+                0,
+                min_workers=1,
+                max_workers=1,
+                tls_cert=cert,
+                tls_key=key,
+                tls_ca=tls_pki["client_ca"],
+            )
+        # A spawn command can pass `work --tls-cert/--tls-key`: allowed.
+        with ServiceDaemon(
+            "127.0.0.1",
+            0,
+            max_workers=1,
+            spawn_command="true",
+            tls_cert=cert,
+            tls_key=key,
+            tls_ca=tls_pki["client_ca"],
+        ) as daemon:
+            assert daemon.num_workers == 0
+
+    def test_cli_mutual_tls_autoscale_is_a_usage_error(self, tls_pki, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+
+        cert, key = tls_pki["daemon"]
+        argv = ["serve-jobs", "--bind", "127.0.0.1:0", "--autoscale"]
+        tls = ["--tls-cert", cert, "--tls-key", key]
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main([*argv, *tls, "--tls-ca", tls_pki["client_ca"]])
+        assert excinfo.value.code == 2
+        assert "--spawn-command" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # The elastic end-to-end: scale up from zero, serve, drain — over TLS
 # ----------------------------------------------------------------------

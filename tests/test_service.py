@@ -17,6 +17,7 @@ METRICS on its port, TLS, the result store).
 from __future__ import annotations
 
 import json
+import pickle
 import signal
 import socket
 import subprocess
@@ -32,6 +33,7 @@ from repro import (
     ClusterBackend,
     EvaluationEngine,
     InstanceSpec,
+    ProcessBackend,
     ServiceBackend,
     ServiceClient,
     ServiceDaemon,
@@ -42,7 +44,7 @@ from repro import (
     run,
     run_stream,
 )
-from repro.engine import Backend
+from repro.engine import Backend, DiskStore
 from repro.engine.cluster.protocol import (
     AUTH,
     CHALLENGE,
@@ -60,9 +62,10 @@ from repro.engine.cluster.protocol import (
     send_message,
 )
 from repro.engine.cluster.worker import run_worker
+from repro.engine.diskcache import cell_key
 from repro.service import parse_service_spec
 
-from .test_backends import _requests, _signature
+from .test_backends import _requests, _signature, _weighted_requests
 from .test_cluster import _spawn_worker, _worker_env
 
 
@@ -71,7 +74,7 @@ def serial_results():
     return EvaluationEngine(max_workers=1).evaluate_batch(_requests())
 
 
-def _spawn_daemon(*extra: str) -> tuple[subprocess.Popen, int]:
+def _spawn_daemon(*extra: str, **popen) -> tuple[subprocess.Popen, int]:
     """A serve-jobs daemon subprocess; returns it plus its bound port."""
     proc = subprocess.Popen(
         [
@@ -87,6 +90,7 @@ def _spawn_daemon(*extra: str) -> tuple[subprocess.Popen, int]:
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        **popen,
     )
     deadline = time.monotonic() + 60
     while True:
@@ -936,11 +940,14 @@ class TestCacheCLI:
         from repro.engine.diskcache import STORE_KINDS, DiskStore
 
         self._seed(tmp_path)
-        DiskStore(tmp_path, "result").store("a" * 64, ("perm", None, None, {}))
+        DiskStore(tmp_path).store("a" * 64, (None, None, "rejected", {}))
+        # an older release's engine tier: read, cleared and pruned by nothing
+        legacy = tmp_path / f"perm-{'a' * 64}.pkl"
+        legacy.write_bytes(b"legacy")
         assert experiments_main(["cache", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out and str(tmp_path) in out
-        assert "result" in out
+        assert "result" in out and "perm" not in out
 
         assert experiments_main(
             [
@@ -954,11 +961,11 @@ class TestCacheCLI:
         ) == 0
         records = json.loads(capsys.readouterr().out)
         by_kind = {record["kind"]: record for record in records}
-        assert set(by_kind) == set(STORE_KINDS)
+        assert set(by_kind) == set(STORE_KINDS) == {"edges", "result"}
         assert by_kind["edges"]["removed"] == 1
         assert by_kind["result"]["removed"] == 1
-        assert by_kind["perm"]["removed"] == 0
         assert all(record["entries"] == 0 for record in records)
+        assert legacy.exists()
 
     def test_cache_cli_without_directory_fails(self, monkeypatch):
         from repro.engine.diskcache import CACHE_DIR_ENV
@@ -1153,3 +1160,165 @@ class TestResultStore:
             finally:
                 worker.close()
                 handle.close()
+
+
+# ----------------------------------------------------------------------
+# One cell store: engines and daemons answer each other's cells
+# ----------------------------------------------------------------------
+def _weighted_spec() -> SweepSpec:
+    """A small sweep with a metric column and nodecart rejections."""
+    from repro import weighted_bytes_metric
+    from repro.workloads import halo_exchange_volume
+
+    volumes = halo_exchange_volume(
+        CartesianGrid([4, 8]), nearest_neighbor(2), (8, 8), 4
+    )
+    from repro import NodeAllocation
+
+    # a heterogeneous allocation, which nodecart rejects
+    uneven = InstanceSpec(CartesianGrid([5, 7]), NodeAllocation([5, 10, 20]), "uneven")
+    return SweepSpec(
+        instances=[
+            InstanceSpec.from_nodes(4, 8),
+            InstanceSpec.from_nodes(6, 8),
+            uneven,
+        ],
+        stencils=["nearest_neighbor"],
+        mappers=["blocked", "hyperplane", "nodecart"],
+        metrics=[weighted_bytes_metric(volumes)],
+    )
+
+
+class TestSharedCellStore:
+    def test_process_cells_answer_a_workerless_daemon(self, tmp_path):
+        """Cells a process pool computed are served by a daemon that has
+        no worker at all: zero shards dispatched, rows as serial."""
+        spec = _weighted_spec()
+        serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
+        with ProcessBackend(2, disk_cache_dir=tmp_path) as backend:
+            assert run(spec, backend).to_rows() == serial
+        store = DiskStore(tmp_path)
+        assert all(store.load(cell_key(r)) for r in spec.compile())
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            assert daemon.num_workers == 0
+            box: dict = {}
+
+            def submit() -> None:
+                with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                    box["rows"] = run(spec, backend).to_rows()
+
+            # A dispatched shard would wait forever for a worker: bound it.
+            submitter = threading.Thread(target=submit, daemon=True)
+            submitter.start()
+            submitter.join(timeout=30)
+            assert not submitter.is_alive(), "the daemon dispatched shards"
+            (record,) = daemon.jobs()
+            counters = daemon.metrics()["store"]
+        assert record["shards"] == 0 and record["state"] == "done"
+        assert counters["hits"] == len(serial) and counters["misses"] == 0
+        assert box["rows"] == serial
+
+    def test_daemon_cells_answer_a_fresh_serial_engine(self, tmp_path, monkeypatch):
+        """Cells a daemon's worker computed are served to a fresh serial
+        engine with no mapper run and no edge array built.  The worker's
+        own disk layer is off, so every cell is one the daemon stored."""
+        spec = _weighted_spec()
+        serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            env = _worker_env()
+            env["REPRO_CACHE_DIR"] = ""
+            worker = subprocess.Popen(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.engine.cluster.worker",
+                    "--connect",
+                    f"127.0.0.1:{daemon.port}",
+                    "--backend",
+                    "serial",
+                    "--connect-timeout",
+                    "30",
+                ],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL,
+            )
+            daemon.wait_for_workers(1, timeout=60)
+            with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                assert run(spec, backend).to_rows() == serial
+        assert worker.wait(timeout=30) == 0
+        assert not list(tmp_path.glob("edges-*.npy"))  # the worker wrote nothing
+
+        calls: list[str] = []
+
+        def no_mapper(name):
+            calls.append(f"mapper {name}")
+            raise AssertionError("a stored cell ran its mapper")
+
+        def no_edges(grid, stencil):
+            calls.append("communication_edges")
+            raise AssertionError("a stored cell built its edges")
+
+        monkeypatch.setattr("repro.engine.engine.resolve_mapper", no_mapper)
+        monkeypatch.setattr("repro.engine.engine.communication_edges", no_edges)
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            rows = run(spec, engine).to_rows()
+            stats = engine.disk_store_stats()["result"]
+            assert engine.cache_stats()["edges"].size == 0  # none built or loaded
+        assert calls == []
+        assert rows == serial
+        assert (stats.hits, stats.misses) == (len(serial), 0)
+
+    @pytest.mark.parametrize("corruption", ["garbage", "wrong-shape"])
+    def test_corrupt_cell_is_recomputed_and_counted(self, tmp_path, corruption):
+        """An unreadable cell is a counted miss: an engine recomputes it
+        (rows as serial), a daemon dispatches it."""
+        request = _weighted_requests()[0]
+        (reference,) = EvaluationEngine(max_workers=1).evaluate_batch([request])
+        path = tmp_path / f"result-{cell_key(request)}.pkl"
+
+        def corrupt() -> None:
+            if corruption == "garbage":
+                path.write_bytes(b"\x80\x05garbage")
+            else:  # well-formed pickle, wrong-typed cell
+                path.write_bytes(pickle.dumps(("perm", None, None, {})))
+
+        corrupt()
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            (result,) = engine.evaluate_batch([request])
+            stats = engine.disk_store_stats()["result"]
+        assert _signature(result) == _signature(reference)
+        assert (stats.corrupt, stats.misses, stats.stores) == (1, 1, 1)
+
+        corrupt()
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+            client = ServiceClient("127.0.0.1", daemon.port)
+            handle = client.submit([[(0, request)]], label="corrupt")
+            try:
+                message = worker.pull()  # the cell was dispatched
+                rows = _worker_rows(message[2])
+                send_message(worker.sock, (RESULT, message[1], rows))
+                ((_, got),) = list(handle.results())
+                store = client.metrics()["store"]
+            finally:
+                worker.close()
+                handle.close()
+        assert store["corrupt"] == 1 and store["misses"] == 1
+        assert list(map(_row_signature, got)) == list(map(_row_signature, rows))
+
+
+class TestServeJobsSignals:
+    def test_sigterm_stops_a_daemon_started_with_sigint_ignored(self):
+        """A background job of a non-interactive shell starts with SIGINT
+        ignored; SIGTERM must still stop serve-jobs cleanly."""
+        proc, _ = _spawn_daemon(
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
+        )
+        try:
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=10)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert "service daemon interrupted; shutting down" in out
