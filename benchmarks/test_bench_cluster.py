@@ -32,7 +32,8 @@ def _spawn_worker(port: int) -> subprocess.Popen:
         [
             sys.executable,
             "-m",
-            "repro.engine.cluster.worker",
+            "repro.experiments",
+            "work",
             "--connect",
             f"127.0.0.1:{port}",
             "--backend",

@@ -8,8 +8,7 @@ cold rows that populated the store) and *independence from workers*
 (the warm daemon has none at all, so a single dispatched shard would
 hang the test rather than silently recompute).  The benchmark clock
 measures warm end-to-end throughput — client submit, store lookups,
-ResultSet assembly — and publishes it via ``--benchmark-json`` as the
-cache-path throughput artifact.
+ResultSet assembly.
 """
 
 from __future__ import annotations

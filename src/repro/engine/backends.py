@@ -451,8 +451,9 @@ def resolve_backend(
     worker count as ``"thread:8"`` / ``"process:4"``, which the
     *shards* argument overrides — and ``"cluster:[host:]port"``, which
     binds a :class:`~repro.engine.cluster.ClusterBackend` coordinator at
-    that address (remote workers connect with ``python -m
-    repro.engine.cluster.worker --connect host:port``), or
+    that address, every interface when the host is omitted (remote
+    workers connect with ``python -m repro.experiments work --connect
+    host:port``), or
     ``"service:[host:]port[:priority]"``, which submits jobs to an
     already-running standing service daemon
     (:class:`~repro.service.ServiceBackend`; start one with ``python -m
@@ -477,7 +478,7 @@ def resolve_backend(
         if shards is not None:
             raise ValueError(
                 "the cluster backend takes no --shards; worker width is "
-                "chosen per worker (python -m repro.engine.cluster.worker)"
+                "chosen per worker (python -m repro.experiments work)"
             )
         try:
             host, port = parse_address(count_text, default_host="")
@@ -493,7 +494,7 @@ def resolve_backend(
         if shards is not None:
             raise ValueError(
                 "the service backend takes no --shards; worker width is "
-                "chosen per worker (python -m repro.engine.cluster.worker)"
+                "chosen per worker (python -m repro.experiments work)"
             )
         try:
             host, port, priority = parse_service_spec(count_text)

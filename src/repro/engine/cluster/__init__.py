@@ -6,15 +6,16 @@ a :class:`~repro.service.ServiceDaemon` hosts a work-stealing
 :class:`~repro.engine.cluster.coordinator.Coordinator`, and a
 :class:`ClusterBackend` is such a daemon of its own, fed by an
 in-process :class:`~repro.service.ServiceBackend`.  Any host that can
-reach it contributes capacity by running::
+reach it contributes capacity by running the ``work`` verb::
 
-    python -m repro.engine.cluster.worker --connect head:7077
+    python -m repro.experiments work --connect head:7077
 
-Driver side::
+Driver side (the default host is loopback; ``""`` binds every
+interface, so read the README's Trust section first)::
 
     from repro.engine.cluster import ClusterBackend
 
-    with ClusterBackend(port=7077) as backend:   # or resolve_backend("cluster:7077")
+    with ClusterBackend("", 7077) as backend:    # or resolve_backend("cluster:7077")
         backend.wait_for_workers(2, timeout=60)
         for result in backend.evaluate_stream(requests):
             consume(result)                      # live, as shards complete

@@ -8,7 +8,8 @@ in-process socket pairs, which no TLS setting of the port applies to:
 each batch is one job on the backend's own daemon, and closing the
 backend closes the daemon.  The port therefore also answers ``status``,
 ``watch`` and any other service client, and a cache directory turns on
-the daemon's result store.  Results are byte-identical to the serial
+the daemon's result store.  Like the daemon, it binds loopback unless
+given another host.  Results are byte-identical to the serial
 engine's and ``result.request is request`` holds, as for every backend.
 """
 
@@ -30,10 +31,11 @@ class ClusterBackend:
     Parameters
     ----------
     host, port:
-        Coordinator bind address.  The default binds every interface on
-        an ephemeral port; read :attr:`host`/:attr:`port` for the bound
-        values and hand them to workers (``python -m
-        repro.engine.cluster.worker --connect host:port``).
+        Coordinator bind address.  The default binds loopback on an
+        ephemeral port (``""`` binds every interface); read
+        :attr:`host`/:attr:`port` for the bound values and hand them to
+        workers (``python -m repro.experiments work --connect
+        host:port``).
     heartbeat_timeout:
         Seconds of silence after which a worker is presumed dead and
         its in-flight shards are requeued (workers ping every third of
@@ -76,7 +78,7 @@ class ClusterBackend:
 
     def __init__(
         self,
-        host: str = "",
+        host: str = "127.0.0.1",
         port: int = 0,
         *,
         heartbeat_timeout: float = 15.0,

@@ -1,9 +1,10 @@
-"""Cluster worker entrypoint: pull shards, evaluate, stream results.
+"""Cluster worker loop: pull shards, evaluate, stream results.
 
-Run one per host (or several, one per NUMA domain)::
+:func:`run_worker` is what the ``work`` verb runs, one per host (or
+several, one per NUMA domain)::
 
-    python -m repro.engine.cluster.worker --connect head-node:7077
-    python -m repro.engine.cluster.worker --connect head-node:7077 \\
+    python -m repro.experiments work --connect head-node:7077
+    python -m repro.experiments work --connect head-node:7077 \\
         --backend process:8 --cache-dir /shared/repro-cache
 
 The worker connects to a coordinator (retrying for ``--connect-timeout``
@@ -41,10 +42,8 @@ on a handshake rejection (e.g. stale protocol version, bad secret).
 
 from __future__ import annotations
 
-import argparse
 import os
 import socket
-import sys
 import threading
 
 from ..diskcache import CACHE_DIR_ENV, resolve_cache_dir
@@ -69,7 +68,7 @@ from .protocol import (
     start_heartbeat,
 )
 
-__all__ = ["run_worker", "main"]
+__all__ = ["run_worker"]
 
 #: _serve_connection outcomes driving the run_worker reconnect loop.
 _SHUTDOWN = "shutdown"
@@ -222,7 +221,7 @@ def run_worker(
     the module docstring).
     """
     # Imported here, not at module top: resolve_backend lazily imports
-    # this package, and the worker is also run as a script via -m.
+    # this package.
     from ..backends import resolve_backend
 
     if backend_spec is not None and backend_spec.partition(":")[0] in (
@@ -282,92 +281,3 @@ def run_worker(
         )
         if sock is None:
             return 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.engine.cluster.worker",
-        description="Evaluation worker of a repro socket cluster.",
-    )
-    parser.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="coordinator address (as printed by the serving driver)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="local execution backend: serial, thread[:N] (default) or "
-        "process[:N]",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker count of the local backend (overrides a :N suffix)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent edge-cache directory (default: $REPRO_CACHE_DIR, "
-        "then the coordinator's advertised directory)",
-    )
-    parser.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        help="seconds to keep retrying the initial connection",
-    )
-    parser.add_argument(
-        "--reconnect-timeout",
-        type=float,
-        default=60.0,
-        help="seconds to keep retrying after losing an established "
-        "coordinator (0 exits immediately instead)",
-    )
-    parser.add_argument(
-        "--secret",
-        default=None,
-        help="shared cluster secret (default: $REPRO_CLUSTER_SECRET)",
-    )
-    parser.add_argument(
-        "--tls-ca",
-        default=None,
-        metavar="PEM",
-        help="trust root verifying the coordinator's TLS certificate "
-        "(default: $REPRO_TLS_CA); enables TLS",
-    )
-    parser.add_argument(
-        "--tls-cert",
-        default=None,
-        metavar="PEM",
-        help="worker certificate for mutual-TLS coordinators "
-        "(default: $REPRO_TLS_CERT)",
-    )
-    parser.add_argument(
-        "--tls-key",
-        default=None,
-        metavar="PEM",
-        help="private key of --tls-cert (default: $REPRO_TLS_KEY)",
-    )
-    args = parser.parse_args(argv)
-    try:
-        return run_worker(
-            args.connect,
-            backend_spec=args.backend,
-            shards=args.shards,
-            cache_dir=args.cache_dir,
-            connect_timeout=args.connect_timeout,
-            reconnect_timeout=args.reconnect_timeout,
-            secret=args.secret,
-            tls_ca=args.tls_ca,
-            tls_cert=args.tls_cert,
-            tls_key=args.tls_key,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

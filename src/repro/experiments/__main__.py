@@ -1,8 +1,10 @@
 """Command-line entry point: regenerate any figure, table or sweep.
 
-Usage::
+One subcommand per verb, each taking only the flags it reads, so a flag
+that does not apply is a usage error (``VERB --help`` lists the rest)::
 
     python -m repro.experiments                       # README example sweep
+    python -m repro.experiments sweep --backend process:2 --format json
     python -m repro.experiments figure6 [--machine VSC4] [--reps 50]
     python -m repro.experiments figure7 [--machine JUWELS]
     python -m repro.experiments figure8 [--family nearest_neighbor] [--fast]
@@ -13,15 +15,16 @@ Usage::
     python -m repro.experiments scaling [--machine VSC4]
     python -m repro.experiments weighted [--machine VSC4]
 
-Every subcommand renders a human-readable table by default; ``--format
-json`` / ``--format csv`` emit the run's :class:`~repro.sweep.ResultSet`
-serialization instead, and ``--output PATH`` writes to a file rather
-than stdout.
+Every artefact verb renders a human-readable table by default;
+``--format json`` / ``--format csv`` emit the run's
+:class:`~repro.sweep.ResultSet` serialization instead, and ``--output
+PATH`` writes to a file rather than stdout.
 
-Multi-host sweeps pair the ``serve`` and ``work`` targets (with
-``REPRO_CLUSTER_SECRET`` set on every host: ``serve``/``serve-jobs``
-bind ``127.0.0.1:7077`` by default and refuse any other interface
-without ``--secret`` or ``--tls-cert``)::
+Multi-host sweeps pair ``serve`` with ``work``, the one worker entry
+point (with ``REPRO_CLUSTER_SECRET`` set on every host).  ``serve`` and
+``serve-jobs`` bind ``127.0.0.1:7077`` by default; they, and every verb
+given ``--backend cluster:ADDRESS``, refuse to bind any other interface
+without a shared secret or a TLS certificate::
 
     # head node: host the coordinator, wait for 2 workers, run the sweep
     python -m repro.experiments serve figure8 --bind 0.0.0.0:7077 \
@@ -51,7 +54,8 @@ them exhaustively — dominated candidates are cancelled early::
     python -m repro.experiments search --nodes 4,8,16,27 \
         --backend service:head-node:7077
 
-``--secret`` (or ``REPRO_CLUSTER_SECRET``) arms the shared-secret
+``--secret`` (or ``REPRO_CLUSTER_SECRET``, the only source for a
+``--backend cluster:``/``service:`` sweep) arms the shared-secret
 handshake on every cluster/service connection; ``status``, ``watch``
 and ``cancel`` work against a ``serve`` coordinator too.  ``cache``
 reports both persistent stores sharing the cache directory — the
@@ -378,68 +382,108 @@ def _sweep(backend: Backend) -> tuple[str, ResultSet]:
     return results.to_table(), results
 
 
-#: Sweep targets the ``serve`` mode can distribute (the backend-aware ones).
+#: The artefacts that need no backend, by verb: ``args -> (text,
+#: results)``.
+_REPORTS = {
+    "figure6": lambda args: _figure(6, args.machine, args.reps),
+    "figure7": lambda args: _figure(7, args.machine, args.reps),
+    "figure9": lambda args: _figure9(),
+    "table": lambda args: _table(args.table_id, args.reps),
+}
+
+#: The sweeps that run on a backend, by verb (``serve`` and ``submit``
+#: run them by name too): ``(args, backend) -> (text, results)``.
+_SWEEPS = {
+    "sweep": lambda args, backend: _sweep(backend),
+    "figure8": lambda args, backend: _figure8(args.family, args.fast, backend),
+    "ablations": lambda args, backend: _ablations(backend),
+    "scaling": lambda args, backend: _scaling(args.machine, args.family, backend),
+    "weighted": lambda args, backend: _weighted(args.machine, backend),
+}
+
+#: Sweeps the ``serve`` verb can distribute.
 SERVE_TARGETS = ("figure8", "ablations")
 
-
-def _emit(args, text: str, results: ResultSet | None) -> None:
-    """Render one subcommand's outcome per ``--format``/``--output``."""
-    if args.format == "table":
-        payload = text
-    elif results is None:  # pragma: no cover - all targets build a ResultSet
-        raise SystemExit(f"--format {args.format} is not supported here")
-    elif args.format == "json":
-        payload = results.to_json()
-    else:
-        payload = results.to_csv()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        print(payload)
+#: Sweeps the ``submit`` verb can run against a standing service daemon.
+SUBMIT_TARGETS = tuple(_SWEEPS)
 
 
-def _bind_address(args, parser) -> tuple[str, int]:
-    """``--bind`` as ``(host, port)``.  Any bind but loopback (the
-    empty host means every interface) needs a shared secret or a TLS
-    certificate.  Neither stops the daemon from unpickling a peer's
-    handshake frames before it checks the secret; only the loopback
-    default or mutual TLS (``--tls-ca``) keep unknown peers out."""
+def _emit(args, text: str, results: ResultSet) -> None:
+    """Render one artefact per ``--format``/``--output``."""
+    if args.format == "json":
+        text = results.to_json()
+    elif args.format == "csv":
+        text = results.to_csv()
+    _write_payload(args, text)
+
+
+def _bind_address(args, parser, address: str) -> tuple[str, int]:
+    """A bind *address* (``--bind``, or a ``cluster:`` backend's) as
+    ``(host, port)``.  Any bind but loopback (the empty host means every
+    interface) needs a shared secret or a TLS certificate: the verb's
+    ``--secret``/``--tls-cert``, else ``REPRO_CLUSTER_SECRET``/
+    ``REPRO_TLS_CERT``.  Neither stops the daemon from unpickling a
+    peer's handshake frames before it checks the secret; only loopback
+    or mutual TLS (``--tls-ca``) keep unknown peers out."""
     from ..engine.cluster.protocol import parse_address, resolve_secret, resolve_tls
 
     try:
-        host, port = parse_address(args.bind, default_host="")
+        host, port = parse_address(address, default_host="")
     except ValueError as exc:
         parser.error(str(exc))
     try:
         loopback = host == "localhost" or ipaddress.ip_address(host).is_loopback
     except ValueError:
         loopback = False
-    if not (loopback or resolve_secret(args.secret) or resolve_tls(args.tls_cert)[0]):
+    secret = resolve_secret(getattr(args, "secret", None))
+    if not (loopback or secret or resolve_tls(getattr(args, "tls_cert", None))[0]):
+        how = (
+            "pass --secret (or set REPRO_CLUSTER_SECRET) or --tls-cert"
+            if hasattr(args, "secret")
+            else "set REPRO_CLUSTER_SECRET or REPRO_TLS_CERT"
+        )
         parser.error(
             f"refusing to bind {host or 'every interface'}:{port} with "
-            "neither a shared secret nor TLS: pass --secret (or set "
-            "REPRO_CLUSTER_SECRET) or --tls-cert, or bind a loopback "
+            f"neither a shared secret nor TLS: {how}, or bind a loopback "
             "address such as 127.0.0.1"
         )
     return host, port
+
+
+def _run_report(args, parser) -> int:
+    """Build one artefact that needs no backend, and emit it."""
+    _emit(args, *_REPORTS[args.verb](args))
+    return 0
+
+
+def _run_sweep(args, parser) -> int:
+    """Run one sweep on the ``--backend``/``--shards``/``--cache-dir``
+    backend, and emit it."""
+    options = {}
+    if args.cache_dir is not None:
+        if (args.backend or "").partition(":")[0] == "service":
+            parser.error(
+                "--cache-dir does nothing for a service: backend, whose "
+                "daemon and workers own the caches; pass it to the daemon "
+                "(serve-jobs --cache-dir) and workers (work --cache-dir)"
+            )
+        options["disk_cache_dir"] = args.cache_dir
+    try:
+        backend = resolve_backend(args.backend, shards=args.shards, **options)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        _emit(args, *_SWEEPS[args.verb](args, backend))
+    finally:
+        backend.close()
+    return 0
 
 
 def _serve(args, parser) -> int:
     """Host a cluster coordinator, wait for workers, run one sweep."""
     from ..engine.cluster import ClusterBackend
 
-    sweep = args.table_id or "figure8"
-    if sweep not in SERVE_TARGETS:
-        parser.error(
-            f"serve target must be one of {', '.join(SERVE_TARGETS)}, got {sweep!r}"
-        )
-    if args.backend is not None or args.shards is not None:
-        parser.error(
-            "serve always runs on its own cluster backend; --backend/--shards "
-            "belong on the work side (each worker picks its local backend)"
-        )
-    host, port = _bind_address(args, parser)
+    host, port = _bind_address(args, parser, args.bind)
     backend = ClusterBackend(
         host,
         port,
@@ -456,15 +500,32 @@ def _serve(args, parser) -> int:
             f"(python -m repro.experiments work --connect HOST:{backend.port})"
         )
         backend.wait_for_workers(args.min_workers)
-        print(f"{backend.num_workers} worker(s) connected; starting {sweep}")
-        if sweep == "figure8":
-            text, results = _figure8(args.family, args.fast, backend)
-        else:
-            text, results = _ablations(backend)
-        _emit(args, text, results)
+        print(f"{backend.num_workers} worker(s) connected; starting {args.sweep}")
+        _emit(args, *_SWEEPS[args.sweep](args, backend))
     finally:
         backend.close()
     return 0
+
+
+def _work(args, parser) -> int:
+    """Serve a coordinator as a worker until it shuts the cluster down."""
+    from ..engine.cluster.worker import run_worker
+
+    try:
+        return run_worker(
+            args.connect,
+            backend_spec=args.backend,
+            shards=args.shards,
+            cache_dir=args.cache_dir,
+            connect_timeout=args.connect_timeout,
+            reconnect_timeout=args.reconnect_timeout,
+            secret=args.secret,
+            tls_ca=args.tls_ca,
+            tls_cert=args.tls_cert,
+            tls_key=args.tls_key,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _write_payload(args, payload: str) -> None:
@@ -504,9 +565,6 @@ def _emit_records(args, records: list[dict], columns: list[str]) -> None:
     _write_payload(args, payload)
 
 
-#: Sweep targets `submit` can run against a standing service daemon.
-SUBMIT_TARGETS = ("sweep", "figure8", "ablations", "scaling", "weighted")
-
 #: Columns of the `status` listing.
 _STATUS_COLUMNS = [
     "job",
@@ -534,7 +592,7 @@ def _serve_jobs(args, parser) -> int:
     """
     from ..service import ServiceDaemon
 
-    host, port = _bind_address(args, parser)
+    host, port = _bind_address(args, parser, args.bind)
     autoscale = {}
     if args.autoscale:
         autoscale = dict(
@@ -597,74 +655,43 @@ def _serve_jobs(args, parser) -> int:
     return 0
 
 
-def _submit(args, parser) -> int:
-    """Run one sweep target as a job on a standing service daemon."""
+def _connect(args, parser, cls, **options):
+    """A *cls* (``ServiceClient`` or ``ServiceBackend``) for the daemon at
+    ``--connect``, with the verb's secret, tenant and TLS flags."""
     from ..engine.cluster import parse_address
-    from ..service import ServiceBackend
 
-    target = args.table_id or "sweep"
-    if target not in SUBMIT_TARGETS:
-        parser.error(
-            f"submit target must be one of {', '.join(SUBMIT_TARGETS)}, "
-            f"got {target!r}"
-        )
-    if not args.connect:
-        parser.error("the submit target requires --connect HOST:PORT")
-    if args.backend is not None or args.shards is not None:
-        parser.error(
-            "submit always runs on the service backend; --backend/--shards "
-            "belong on the work side (each worker picks its local backend)"
-        )
     try:
         host, port = parse_address(args.connect, default_host="127.0.0.1")
     except ValueError as exc:
         parser.error(str(exc))
-    backend = ServiceBackend(
+    return cls(
         host,
         port,
-        priority=args.priority,
         secret=args.secret,
         tenant=args.tenant or "",
         tls_ca=args.tls_ca,
         tls_cert=args.tls_cert,
         tls_key=args.tls_key,
+        **options,
     )
-    try:
-        if target == "sweep":
-            text, results = _sweep(backend)
-        elif target == "figure8":
-            text, results = _figure8(args.family, args.fast, backend)
-        elif target == "scaling":
-            text, results = _scaling(args.machine, args.family, backend)
-        elif target == "weighted":
-            text, results = _weighted(args.machine, backend)
-        else:  # ablations
-            text, results = _ablations(backend)
-        _emit(args, text, results)
-    finally:
-        backend.close()
-    return 0
 
 
 def _client(args, parser):
-    from ..engine.cluster import parse_address
     from ..service import ServiceClient
 
-    if not args.connect:
-        parser.error(f"the {args.target} target requires --connect HOST:PORT")
+    return _connect(args, parser, ServiceClient)
+
+
+def _submit(args, parser) -> int:
+    """Run one sweep as a job on a standing service daemon."""
+    from ..service import ServiceBackend
+
+    backend = _connect(args, parser, ServiceBackend, priority=args.priority)
     try:
-        host, port = parse_address(args.connect, default_host="127.0.0.1")
-    except ValueError as exc:
-        parser.error(str(exc))
-    return ServiceClient(
-        host,
-        port,
-        secret=args.secret,
-        tenant=args.tenant or "",
-        tls_ca=args.tls_ca,
-        tls_cert=args.tls_cert,
-        tls_key=args.tls_key,
-    )
+        _emit(args, *_SWEEPS[args.sweep](args, backend))
+    finally:
+        backend.close()
+    return 0
 
 
 def _status(args, parser) -> int:
@@ -697,8 +724,6 @@ def _status(args, parser) -> int:
 
 def _cancel(args, parser) -> int:
     """Cancel one job on a standing service daemon."""
-    if not args.job:
-        parser.error("the cancel target requires --job JOB_ID")
     if _client(args, parser).cancel(args.job):
         print(f"cancelled {args.job}")
         return 0
@@ -953,8 +978,6 @@ def _cache(args, parser) -> int:
             "no cache directory configured; pass --cache-dir or set "
             "REPRO_CACHE_DIR"
         )
-    if args.prune and args.clear:
-        parser.error("--prune and --clear are mutually exclusive")
     if args.prune and args.max_bytes is None:
         parser.error("--prune requires --max-bytes N")
     if args.max_bytes is not None and not args.prune:
@@ -981,410 +1004,337 @@ def _cache(args, parser) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.experiments")
-    parser.add_argument(
-        "target",
-        nargs="?",
-        default="sweep",
-        choices=[
-            "sweep",
-            "figure6",
-            "figure7",
-            "figure8",
-            "figure9",
-            "table",
-            "ablations",
-            "scaling",
-            "weighted",
-            "serve",
-            "work",
-            "serve-jobs",
-            "submit",
-            "status",
-            "cancel",
-            "watch",
-            "search",
-            "cache",
-        ],
-        help="what to run (default: the README example sweep)",
-    )
-    parser.add_argument(
-        "table_id",
-        nargs="?",
-        help="II..VII for the table target; figure8/ablations for serve; "
-        "any of sweep/figure8/ablations/scaling/weighted for submit",
-    )
-    parser.add_argument("--machine", default="VSC4")
-    parser.add_argument("--family", default="nearest_neighbor")
-    parser.add_argument("--reps", type=int, default=50)
-    parser.add_argument("--fast", action="store_true")
-    parser.add_argument(
-        "--format",
+#: Every flag's ``add_argument`` keywords, declared once; ``_VERBS``
+#: attaches each to the verbs that read it.
+_FLAGS: dict[str, dict] = {
+    "--format": dict(
         choices=["table", "json", "csv"],
         default="table",
         help="output format: human-readable table (default), or the "
         "ResultSet as JSON/CSV",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
+    ),
+    "--output": dict(
+        metavar="PATH", help="write the rendered output to a file, not stdout"
+    ),
+    "--backend": dict(
+        help="execution backend: serial, thread[:N] (default), process[:N], "
+        "cluster:[host:]port or service:[host:]port[:priority]; for work "
+        "and serve-jobs --autoscale, the workers' local backend"
+    ),
+    "--shards": dict(
+        type=int, help="worker count of the backend (overrides a :N suffix)"
+    ),
+    "--cache-dir": dict(
+        help="persistent cache directory (default: $REPRO_CACHE_DIR)"
+    ),
+    "--secret": dict(
+        help="shared cluster/service secret armoring every connection "
+        "(default: $REPRO_CLUSTER_SECRET; empty disables)"
+    ),
+    "--tls-cert": dict(
         metavar="PATH",
-        help="write the rendered output to a file instead of stdout",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="execution backend: serial, thread[:N] (default), process[:N] "
-        "or cluster:[host:]port; for the work target, the worker's local "
-        "backend",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="worker count of the backend (overrides a :N suffix)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent cache directory (default: $REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--bind",
+        help="serve/serve-jobs: serve over TLS with this certificate "
+        "(default: $REPRO_TLS_CERT); other verbs: client certificate for "
+        "mutual TLS",
+    ),
+    "--tls-key": dict(
+        metavar="PATH",
+        help="private key of --tls-cert (default: $REPRO_TLS_KEY, or "
+        "inside the certificate file)",
+    ),
+    "--tls-ca": dict(
+        metavar="PATH",
+        help="trust root the daemon's TLS certificate must verify against "
+        "(a self-signed daemon's own certificate works; default: "
+        "$REPRO_TLS_CA); serve/serve-jobs: demand client certificates "
+        "signed by it",
+    ),
+    "--connect": dict(
+        required=True,
+        metavar="HOST:PORT",
+        help="address of the coordinator or service daemon",
+    ),
+    "--tenant": dict(
+        metavar="NAME",
+        help="fair-share identity declared to the daemon; clients naming "
+        "the same tenant share one accounting bucket (default: the shared "
+        "default tenant)",
+    ),
+    "--machine": dict(default="VSC4", help="machine model (default: VSC4)"),
+    "--family": dict(
+        default="nearest_neighbor", help="stencil family (default: nearest_neighbor)"
+    ),
+    "--reps": dict(type=int, default=50, help="timing repetitions (default: 50)"),
+    "--fast": dict(
+        action="store_true", help="every 4th instance, and no graphmap"
+    ),
+    "--bind": dict(
         default="127.0.0.1:7077",
         metavar="[HOST:]PORT",
-        help="serve/serve-jobs: coordinator bind address (default: "
-        "127.0.0.1:7077); any non-loopback address needs --secret or "
-        "--tls-cert, and should still be reachable from trusted hosts "
-        "only",
-    )
-    parser.add_argument(
-        "--min-workers",
+        help="bind address (default: 127.0.0.1:7077); any non-loopback "
+        "address needs --secret or --tls-cert, and should still be "
+        "reachable from trusted hosts only",
+    ),
+    "--min-workers": dict(
         type=int,
         default=1,
         help="serve: wait for this many workers before starting the sweep; "
         "serve-jobs --autoscale: worker-pool floor kept alive when idle",
-    )
-    parser.add_argument(
-        "--autoscale",
+    ),
+    "--priority": dict(
+        type=int, default=0, help="job priority (larger is scheduled first)"
+    ),
+    "--connect-timeout": dict(
+        type=float,
+        default=10.0,
+        help="seconds to keep retrying the initial connection",
+    ),
+    "--reconnect-timeout": dict(
+        type=float,
+        default=60.0,
+        help="seconds to keep retrying after losing an established "
+        "coordinator (0 exits immediately instead)",
+    ),
+    "--autoscale": dict(
         action="store_true",
-        help="serve-jobs: size the worker pool to the load, spawning "
-        "workers on demand and draining idle ones (see --min-workers/"
-        "--max-workers)",
-    )
-    parser.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve-jobs --autoscale: worker-pool ceiling (default: 4)",
-    )
-    parser.add_argument(
-        "--spawn-command",
-        default=None,
+        help="size the worker pool to the load, spawning workers on demand "
+        "and draining idle ones (see --min-workers/--max-workers)",
+    ),
+    "--max-workers": dict(
+        type=int, metavar="N", help="--autoscale: worker-pool ceiling (default: 4)"
+    ),
+    "--spawn-command": dict(
         metavar="TEMPLATE",
-        help="serve-jobs --autoscale: command run once per spawned worker "
+        help="--autoscale: command run once per spawned worker "
         "({host}/{port}/{address} placeholders) instead of local "
         "subprocesses — the remote-host seam (ssh, batch schedulers)",
-    )
-    parser.add_argument(
-        "--idle-grace",
+    ),
+    "--idle-grace": dict(
         type=float,
         default=5.0,
         metavar="SECONDS",
-        help="serve-jobs --autoscale: idle seconds before excess workers "
-        "drain back to --min-workers (default: 5)",
-    )
-    parser.add_argument(
-        "--max-client-jobs",
+        help="--autoscale: idle seconds before excess workers drain back to "
+        "--min-workers (default: 5)",
+    ),
+    "--max-client-jobs": dict(
         type=int,
         default=0,
         metavar="N",
-        help="serve-jobs: per-client admission quota on live jobs "
-        "(0 = unlimited); over-quota submissions are REJECTED",
-    )
-    parser.add_argument(
-        "--max-client-queued",
+        help="per-client admission quota on live jobs (0 = unlimited); "
+        "over-quota submissions are REJECTED",
+    ),
+    "--max-client-queued": dict(
         type=int,
         default=0,
         metavar="N",
-        help="serve-jobs: per-client admission quota on queued shards "
-        "(0 = unlimited)",
-    )
-    parser.add_argument(
-        "--tenant",
-        default=None,
-        metavar="NAME",
-        help="submit/status/cancel: fair-share identity declared to the "
-        "daemon; clients naming the same tenant share one accounting "
-        "bucket (default: the shared default tenant)",
-    )
-    parser.add_argument(
-        "--tls-cert",
-        default=None,
-        metavar="PATH",
-        help="serve/serve-jobs: serve over TLS with this certificate "
-        "(default: $REPRO_TLS_CERT); submit/status/cancel: client "
-        "certificate for mutual TLS",
-    )
-    parser.add_argument(
-        "--tls-key",
-        default=None,
-        metavar="PATH",
-        help="private key of --tls-cert (default: $REPRO_TLS_KEY, or "
-        "inside the certificate file)",
-    )
-    parser.add_argument(
-        "--tls-ca",
-        default=None,
-        metavar="PATH",
-        help="work/submit/status/cancel: trust root the daemon's TLS "
-        "certificate must verify against (a self-signed daemon's own "
-        "certificate works; default: $REPRO_TLS_CA); serve/serve-jobs: "
-        "additionally demand client certificates signed by it",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="work: coordinator address to serve",
-    )
-    parser.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=10.0,
-        help="work: seconds to keep retrying the initial connection",
-    )
-    parser.add_argument(
-        "--reconnect-timeout",
-        type=float,
-        default=60.0,
-        help="work: seconds to keep retrying after losing an established "
-        "coordinator (0 exits immediately instead)",
-    )
-    parser.add_argument(
-        "--secret",
-        default=None,
-        help="shared cluster/service secret armoring every connection "
-        "(default: $REPRO_CLUSTER_SECRET; empty disables)",
-    )
-    parser.add_argument(
-        "--priority",
+        help="per-client admission quota on queued shards (0 = unlimited)",
+    ),
+    "--store-max-bytes": dict(
         type=int,
-        default=0,
-        help="submit: job priority (larger values are scheduled first)",
-    )
-    parser.add_argument(
-        "--job",
-        default=None,
-        metavar="JOB_ID",
-        help="status/cancel: the job to inspect or cancel",
-    )
-    parser.add_argument(
-        "--store-max-bytes",
-        type=int,
-        default=None,
         metavar="N",
-        help="serve-jobs: auto-prune the daemon's result store (LRU, "
-        "oldest access first) to this size budget periodically",
-    )
-    parser.add_argument(
-        "--store-ttl",
+        help="auto-prune the daemon's result store (LRU, oldest access "
+        "first) to this size budget periodically",
+    ),
+    "--store-ttl": dict(
         type=float,
-        default=None,
         metavar="SECONDS",
-        help="serve-jobs: auto-prune result-store entries older than "
-        "this many seconds (combines with --store-max-bytes)",
-    )
-    parser.add_argument(
-        "--interval",
+        help="auto-prune result-store entries older than this many seconds "
+        "(combines with --store-max-bytes)",
+    ),
+    "--interval": dict(
         type=float,
         default=2.0,
         metavar="SECONDS",
-        help="watch: seconds between table refreshes (default: 2)",
-    )
-    parser.add_argument(
-        "--once",
-        action="store_true",
-        help="watch: render a single snapshot instead of refreshing",
-    )
-    parser.add_argument(
-        "--nodes",
+        help="seconds between table refreshes (default: 2)",
+    ),
+    "--once": dict(
+        action="store_true", help="render a single snapshot instead of refreshing"
+    ),
+    "--nodes": dict(
         default="4,8,16,27",
         metavar="N,N,...",
-        help="search: comma list of node counts forming the instance set "
+        help="comma list of node counts forming the instance set "
         "(default: 4,8,16,27)",
-    )
-    parser.add_argument(
-        "--ppn",
+    ),
+    "--ppn": dict(
         type=int,
         default=8,
         metavar="N",
-        help="search: processes per node of each instance (default: 8)",
-    )
-    parser.add_argument(
-        "--mappers",
-        default=None,
+        help="processes per node of each instance (default: 8)",
+    ),
+    "--mappers": dict(
         metavar="NAME,NAME,...",
-        help="search: comma list of candidate mappers to race "
-        "(default: the paper's seven algorithms)",
-    )
-    parser.add_argument(
-        "--objective",
+        help="comma list of candidate mappers to race (default: the paper's "
+        "seven algorithms)",
+    ),
+    "--objective": dict(
         default="jsum",
         metavar="COLUMN",
-        help="search: result column to minimize (default: jsum)",
-    )
-    parser.add_argument(
-        "--eta",
-        type=int,
-        default=2,
-        metavar="N",
-        help="search: successive-halving factor (default: 2)",
-    )
-    parser.add_argument(
-        "--min-instances",
+        help="result column to minimize (default: jsum)",
+    ),
+    "--eta": dict(
+        type=int, default=2, metavar="N", help="successive-halving factor (default: 2)"
+    ),
+    "--min-instances": dict(
         type=int,
         default=1,
         metavar="N",
-        help="search: instance-prefix length of the first rung (default: 1)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="search: instance-shuffle seed (default: 0)",
-    )
-    parser.add_argument(
-        "--budget-seconds",
+        help="instance-prefix length of the first rung (default: 1)",
+    ),
+    "--seed": dict(
+        type=int, default=0, metavar="N", help="instance-shuffle seed (default: 0)"
+    ),
+    "--budget-seconds": dict(
         type=float,
-        default=None,
         metavar="SECONDS",
-        help="search: wall-clock budget; on expiry the deepest fully "
-        "ranked rung decides the winner",
-    )
-    parser.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
-        metavar="N",
-        help="search: evaluated-cell budget (see --budget-seconds)",
-    )
-    parser.add_argument(
-        "--topology",
-        default=None,
+        help="wall-clock budget; on expiry the deepest fully ranked rung "
+        "decides the winner",
+    ),
+    "--max-cells": dict(
+        type=int, metavar="N", help="evaluated-cell budget (see --budget-seconds)"
+    ),
+    "--topology": dict(
         metavar="KIND:PARAMS",
-        help="search: machine topology scoring every cell with the "
-        "hop-weighted cut columns hop_cut/hop_max (torus3d:4x4x4, "
-        "dragonfly:2x4x4, fat_tree:64x32, island:64, single_switch:16); "
-        "combine with --objective hop_cut",
-    )
-    parser.add_argument(
-        "--contention",
+        help="machine topology scoring every cell with the hop-weighted cut "
+        "columns hop_cut/hop_max (torus3d:4x4x4, dragonfly:2x4x4, "
+        "fat_tree:64x32, island:64, single_switch:16); combine with "
+        "--objective hop_cut",
+    ),
+    "--contention": dict(
         action="store_true",
-        help="search: also divide cross-leaf hop costs of --topology by "
-        "its up-link capacity fraction (models blocked up-links)",
+        help="also divide cross-leaf hop costs of --topology by its up-link "
+        "capacity fraction (models blocked up-links)",
+    ),
+    "--max-bytes": dict(
+        type=int, metavar="N", help="size budget for --prune, in bytes"
+    ),
+}
+
+#: The flag sets several verbs share.
+_OUTPUT = ("--format", "--output")
+_BACKEND = ("--backend", "--shards", "--cache-dir")
+_AUTH = ("--secret", "--tls-cert", "--tls-key", "--tls-ca")
+_CLIENT = ("--connect", "--tenant")
+
+#: Every verb: its handler, the flags it reads, and its help line.
+_VERBS = {
+    "sweep": (_run_sweep, _BACKEND + _OUTPUT, "the README example sweep"),
+    "figure6": (
+        _run_report,
+        ("--machine", "--reps", *_OUTPUT),
+        "Figure 6: mapping scores and speedups at N=50",
+    ),
+    "figure7": (
+        _run_report,
+        ("--machine", "--reps", *_OUTPUT),
+        "Figure 7: mapping scores and speedups at N=100",
+    ),
+    "figure8": (
+        _run_sweep,
+        ("--family", "--fast", *_BACKEND, *_OUTPUT),
+        "Figure 8: Jsum/Jmax reductions over the instance set",
+    ),
+    "figure9": (_run_report, _OUTPUT, "Figure 9: mapper instantiation times"),
+    "table": (_run_report, ("--reps", *_OUTPUT), "appendix Tables II-VII"),
+    "ablations": (_run_sweep, _BACKEND + _OUTPUT, "the design-choice ablations"),
+    "scaling": (
+        _run_sweep,
+        ("--machine", "--family", *_BACKEND, *_OUTPUT),
+        "mapping quality and modelled speedup across node counts",
+    ),
+    "weighted": (
+        _run_sweep,
+        ("--machine", *_BACKEND, *_OUTPUT),
+        "the weighted hops exchange",
+    ),
+    "serve": (
+        _serve,
+        ("--family", "--fast", "--bind", "--min-workers", "--cache-dir")
+        + _AUTH
+        + _OUTPUT,
+        "host an ephemeral coordinator, wait for workers, run one sweep",
+    ),
+    "work": (
+        _work,
+        ("--connect", *_BACKEND, *_AUTH, "--connect-timeout", "--reconnect-timeout"),
+        "evaluate shards for a coordinator or daemon (the worker entry point)",
+    ),
+    "serve-jobs": (
+        _serve_jobs,
+        ("--bind", "--min-workers", "--backend", "--cache-dir", *_AUTH)
+        + ("--autoscale", "--max-workers", "--spawn-command", "--idle-grace")
+        + ("--max-client-jobs", "--max-client-queued")
+        + ("--store-max-bytes", "--store-ttl"),
+        "host a standing sweep service until interrupted",
+    ),
+    "submit": (
+        _submit,
+        ("--family", "--fast", "--machine", "--priority", *_CLIENT, *_AUTH)
+        + _OUTPUT,
+        "run one sweep as a job on a standing service daemon",
+    ),
+    "status": (_status, _CLIENT + _AUTH + _OUTPUT, "list a daemon's jobs"),
+    "cancel": (_cancel, _CLIENT + _AUTH, "cancel one job on a daemon"),
+    "watch": (
+        _watch,
+        _CLIENT + _AUTH + _OUTPUT + ("--interval", "--once"),
+        "render a daemon's live METRICS document",
+    ),
+    "search": (
+        _search,
+        ("--family", "--priority", "--backend", *_OUTPUT)
+        + ("--nodes", "--ppn", "--mappers", "--objective", "--eta")
+        + ("--min-instances", "--seed", "--budget-seconds", "--max-cells")
+        + ("--topology", "--contention"),
+        "race mapper candidates under a budget",
+    ),
+    "cache": (
+        _cache,
+        ("--cache-dir", *_OUTPUT, "--max-bytes"),
+        "report, clear or prune the persistent caches",
+    ),
+}
+
+
+def _parser():
+    """The top-level parser and its action holding one subparser per verb."""
+    parser = argparse.ArgumentParser(prog="repro.experiments")
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
+    for name, (handler, flags, text) in _VERBS.items():
+        verb = verbs.add_parser(name, help=text, description=text)
+        verb.set_defaults(handler=handler)
+        for flag in flags:
+            verb.add_argument(flag, **_FLAGS[flag])
+    sub = verbs.choices
+    sub["table"].add_argument("table_id", choices=list(TABLE_INDEX))
+    for name, default, targets in (
+        ("serve", "figure8", SERVE_TARGETS),
+        ("submit", "sweep", SUBMIT_TARGETS),
+    ):
+        sub[name].add_argument("sweep", nargs="?", default=default, choices=targets)
+    sub["status"].add_argument("--job", metavar="JOB_ID", help="only this job")
+    sub["cancel"].add_argument("--job", required=True, metavar="JOB_ID")
+    clear_or_prune = sub["cache"].add_mutually_exclusive_group()
+    clear_or_prune.add_argument(
+        "--clear", action="store_true", help="delete every cached entry"
     )
-    parser.add_argument(
-        "--clear",
-        action="store_true",
-        help="cache: delete every cached entry after reporting",
-    )
-    parser.add_argument(
+    clear_or_prune.add_argument(
         "--prune",
         action="store_true",
-        help="cache: LRU-evict entries (oldest access first, across all "
-        "store kinds) until the directory fits --max-bytes",
+        help="LRU-evict entries (oldest access first, across all store "
+        "kinds) until the directory fits --max-bytes",
     )
-    parser.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cache: size budget for --prune, in bytes",
-    )
-    args = parser.parse_args(argv)
+    return parser, verbs
 
-    if args.target == "work":
-        if not args.connect:
-            parser.error("the work target requires --connect HOST:PORT")
-        from ..engine.cluster.worker import run_worker
 
-        try:
-            return run_worker(
-                args.connect,
-                backend_spec=args.backend,
-                shards=args.shards,
-                cache_dir=args.cache_dir,
-                connect_timeout=args.connect_timeout,
-                reconnect_timeout=args.reconnect_timeout,
-                secret=args.secret,
-                tls_ca=args.tls_ca,
-                tls_cert=args.tls_cert,
-                tls_key=args.tls_key,
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.target == "serve":
-        return _serve(args, parser)
-    if args.target == "serve-jobs":
-        return _serve_jobs(args, parser)
-    if args.target == "submit":
-        return _submit(args, parser)
-    if args.target == "status":
-        return _status(args, parser)
-    if args.target == "cancel":
-        return _cancel(args, parser)
-    if args.target == "watch":
-        return _watch(args, parser)
-    if args.target == "search":
-        return _search(args, parser)
-    if args.target == "cache":
-        return _cache(args, parser)
-
-    backend_options = {}
-    if args.cache_dir is not None:
-        if (args.backend or "").partition(":")[0] == "service":
-            parser.error(
-                "--cache-dir does nothing for a service: backend, whose "
-                "daemon and workers own the caches; pass it to the daemon "
-                "(serve-jobs --cache-dir) and workers (work --cache-dir)"
-            )
-        backend_options["disk_cache_dir"] = args.cache_dir
-    try:
-        backend = resolve_backend(
-            args.backend, shards=args.shards, **backend_options
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-    try:
-        if args.target == "sweep":
-            text, results = _sweep(backend)
-        elif args.target == "figure6":
-            text, results = _figure(6, args.machine, args.reps)
-        elif args.target == "figure7":
-            text, results = _figure(7, args.machine, args.reps)
-        elif args.target == "figure8":
-            text, results = _figure8(args.family, args.fast, backend)
-        elif args.target == "figure9":
-            text, results = _figure9()
-        elif args.target == "table":
-            if args.table_id not in TABLE_INDEX:
-                parser.error(f"table_id must be one of {sorted(TABLE_INDEX)}")
-            text, results = _table(args.table_id, args.reps)
-        elif args.target == "scaling":
-            text, results = _scaling(args.machine, args.family, backend)
-        elif args.target == "weighted":
-            text, results = _weighted(args.machine, backend)
-        else:  # args.target == "ablations"
-            text, results = _ablations(backend)
-        _emit(args, text, results)
-    finally:
-        backend.close()
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    parser, verbs = _parser()
+    args = parser.parse_args((sys.argv[1:] if argv is None else argv) or ["sweep"])
+    verb = verbs.choices[args.verb]
+    kind, _, address = (getattr(args, "backend", None) or "").partition(":")
+    if kind == "cluster":
+        _bind_address(args, verb, address)
+    return args.handler(args, verb)
 
 
 if __name__ == "__main__":

@@ -30,9 +30,9 @@ worker pool between ``min_workers`` and ``max_workers``:
   ``SHUTDOWN`` in place of their next shard, and exit cleanly.  Work
   in flight is never killed.
 
-Spawners are pluggable.  :class:`LocalSpawner` launches
-``repro.engine.cluster.worker`` subprocesses on the daemon's own host —
-the zero-configuration case.  :class:`ExecSpawner` runs an arbitrary
+Spawners are pluggable.  :class:`LocalSpawner` launches ``python -m
+repro.experiments work`` subprocesses on the daemon's own host — the
+zero-configuration case.  :class:`ExecSpawner` runs an arbitrary
 command template per worker (``{host}``/``{port}``/``{address}``
 placeholders), the seam for remote hosts: point it at ``ssh``, a batch
 scheduler submission, or a container runtime, and the spawned process
@@ -41,7 +41,7 @@ is expected to (eventually) connect a worker back to the coordinator::
     ExecSpawner("ssh worker-pool repro-worker --connect {address}")
 
 Both spawners only manage the processes they launched; workers that
-attach on their own (a manually started ``work`` target) are counted by
+attach on their own (a manually started ``work`` verb) are counted by
 the coordinator like any other and simply reduce how many the
 autoscaler asks for.
 """
@@ -108,11 +108,11 @@ class _ProcSpawner:
 
 
 class LocalSpawner(_ProcSpawner):
-    """Spawn ``cluster.worker`` subprocesses on the daemon's host.
+    """Spawn ``work`` subprocesses on the daemon's host.
 
     Parameters
     ----------
-    backend_spec, shards:
+    backend_spec:
         The spawned workers' local execution backend
         (``resolve_backend`` syntax), e.g. ``"process:4"`` for
         multi-core hosts; default thread.
@@ -134,7 +134,6 @@ class LocalSpawner(_ProcSpawner):
         self,
         *,
         backend_spec: str | None = None,
-        shards: int | None = None,
         secret: str | None = None,
         tls_ca: str | None = None,
         connect_host: str = "127.0.0.1",
@@ -142,7 +141,6 @@ class LocalSpawner(_ProcSpawner):
     ):
         super().__init__()
         self.backend_spec = backend_spec
-        self.shards = shards
         self.secret = secret
         self.tls_ca = tls_ca
         self.connect_host = connect_host or "127.0.0.1"
@@ -152,7 +150,8 @@ class LocalSpawner(_ProcSpawner):
         args = [
             self.python,
             "-m",
-            "repro.engine.cluster.worker",
+            "repro.experiments",
+            "work",
             "--connect",
             f"{self.connect_host}:{port}",
             "--connect-timeout",
@@ -160,8 +159,6 @@ class LocalSpawner(_ProcSpawner):
         ]
         if self.backend_spec:
             args += ["--backend", self.backend_spec]
-        if self.shards is not None:
-            args += ["--shards", str(self.shards)]
         if self.tls_ca:
             args += ["--tls-ca", self.tls_ca]
         env = dict(os.environ)

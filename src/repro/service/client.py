@@ -239,7 +239,11 @@ class ServiceClient:
         sock.settimeout(None)
         return sock, detail
 
-    def _roundtrip(self, request: tuple, reply_kind: str) -> tuple:
+    def _roundtrip(self, request: tuple, reply_kind: str, *fields: type) -> tuple:
+        """Send *request* on its own connection; return the fields of the
+        ``(reply_kind, *fields)`` reply, one value of each type in
+        *fields*.  Any other reply raises :class:`~repro.exceptions.
+        ServiceError`."""
         sock, _ = self._connect()
         try:
             send_message(sock, request)
@@ -248,16 +252,16 @@ class ServiceClient:
             raise ServiceError(f"service request failed: {exc}") from None
         finally:
             sock.close()
-        if (
-            reply is None
-            or not isinstance(reply, tuple)
-            or not reply
-            or reply[0] != reply_kind
+        if not (
+            isinstance(reply, tuple)
+            and len(reply) == 1 + len(fields)
+            and reply[0] == reply_kind
+            and all(map(isinstance, reply[1:], fields))
         ):
             raise ServiceError(
                 f"unexpected service reply {reply!r} (wanted {reply_kind})"
             )
-        return reply
+        return reply[1:]
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -327,7 +331,8 @@ class ServiceClient:
         records, per-tenant fair-share/quota counters, and worker-pool
         gauges (plus autoscaler counters when the daemon runs one).
         """
-        return self._roundtrip((STATUS, job_id), STATUS_REPLY)[1]
+        (doc,) = self._roundtrip((STATUS, job_id), STATUS_REPLY, dict)
+        return doc
 
     def metrics(self) -> dict:
         """The daemon's live observability document (METRICS, v6).
@@ -338,14 +343,13 @@ class ServiceClient:
         rates, queue depth and age, per-tenant counters, pool and
         autoscaler gauges, and result-store hit rates.
         """
-        reply = self._roundtrip((METRICS,), METRICS_REPLY)
-        doc = reply[1] if len(reply) > 1 else None
-        return doc if isinstance(doc, dict) else {}
+        (doc,) = self._roundtrip((METRICS,), METRICS_REPLY, dict)
+        return doc
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a live job; ``False`` when unknown or already finished."""
-        reply = self._roundtrip((CANCEL, job_id), CANCEL_REPLY)
-        return bool(reply[2])
+        _, ok = self._roundtrip((CANCEL, job_id), CANCEL_REPLY, object, bool)
+        return ok
 
     def close(self) -> None:
         """No-op for symmetry: connections are per-operation."""

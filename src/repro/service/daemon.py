@@ -15,7 +15,9 @@ directory turns on.
 
 The daemon runs standing (``serve-jobs``) or ephemeral: every
 :class:`~repro.engine.cluster.ClusterBackend` (``cluster:`` specs and
-the ``serve`` verb) starts one and closes it with the backend.
+the ``serve`` verb) starts one and closes it with the backend.  It
+binds loopback unless given another host (``""`` is every interface);
+before exposing the port, read the README's Trust section.
 
 The elastic multi-tenant tier
 -----------------------------
@@ -57,9 +59,9 @@ class ServiceDaemon:
     ----------
     host, port:
         Bind address for workers *and* clients (one port, roles are
-        declared in the handshake).  The default binds every interface
-        on an ephemeral port; read :attr:`host`/:attr:`port` for the
-        bound values.
+        declared in the handshake).  The default binds loopback on an
+        ephemeral port (``""`` binds every interface); read
+        :attr:`host`/:attr:`port` for the bound values.
     heartbeat_timeout:
         Seconds of silence after which a worker (or streaming client)
         connection is presumed dead; workers' in-flight shards are
@@ -104,7 +106,7 @@ class ServiceDaemon:
     spawner:
         Where autoscaled workers come from; defaults to a
         :class:`~repro.service.autoscale.LocalSpawner` launching
-        ``cluster.worker`` subprocesses on this host (inheriting the
+        ``work`` subprocesses on this host (inheriting the
         daemon's secret and trusting its certificate), or an
         :class:`~repro.service.autoscale.ExecSpawner` when
         *spawn_command* is given.  Local workers present no client
@@ -133,7 +135,7 @@ class ServiceDaemon:
 
     def __init__(
         self,
-        host: str = "",
+        host: str = "127.0.0.1",
         port: int = 0,
         *,
         heartbeat_timeout: float = 15.0,

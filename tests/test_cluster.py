@@ -65,7 +65,8 @@ def _spawn_worker(port: int, *extra: str) -> subprocess.Popen:
         [
             sys.executable,
             "-m",
-            "repro.engine.cluster.worker",
+            "repro.experiments",
+            "work",
             "--connect",
             f"127.0.0.1:{port}",
             "--backend",
@@ -324,7 +325,8 @@ class TestWorkerFailure:
                 [
                     sys.executable,
                     "-m",
-                    "repro.engine.cluster.worker",
+                    "repro.experiments",
+                    "work",
                     "--connect",
                     f"127.0.0.1:{backend.port}",
                     "--backend",

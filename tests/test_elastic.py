@@ -555,12 +555,11 @@ class TestSpawners:
     def test_local_spawner_argv_and_env(self):
         spawner = LocalSpawner(
             backend_spec="process:2",
-            shards=2,
             secret="hush",
             tls_ca="/tmp/ca.pem",
         )
         args, env = spawner._build("0.0.0.0", 7077)
-        assert args[:3] == [sys.executable, "-m", "repro.engine.cluster.worker"]
+        assert args[:4] == [sys.executable, "-m", "repro.experiments", "work"]
         assert "127.0.0.1:7077" in args  # loopback, not the bind host
         assert "--backend" in args and "process:2" in args
         assert "--tls-ca" in args and "/tmp/ca.pem" in args

@@ -6,7 +6,9 @@ from repro import BlockedMapper, HyperplaneMapper, StencilStripsMapper
 from repro.engine import ProcessBackend
 from repro.exceptions import AllocationError
 from repro.experiments import scaling_sweep, speedup_ratio
+from repro.experiments.__main__ import example_sweep
 from repro.experiments.__main__ import main as experiments_main
+from repro.sweep import run
 
 
 class TestScalingSweep:
@@ -121,6 +123,32 @@ class TestCLI:
     def test_invalid_target(self):
         with pytest.raises(SystemExit):
             experiments_main(["figure10"])
+
+    def test_no_arguments_run_the_readme_example_sweep(self, capsys):
+        assert experiments_main([]) == 0
+        assert capsys.readouterr().out == run(example_sweep()).to_table() + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "figure6 --backend serial",
+            "figure9 --cache-dir d",
+            "table II --fast",
+            "search --shards 2",
+            "search --cache-dir d",
+            "status --connect h:1 --fast",
+            "watch --connect h:1 --backend serial",
+            "cache --connect h:1",
+            "work --connect h:1 --format json",
+            "serve-jobs --connect h:1",
+            "submit sweep --connect h:1 --shards 2",
+        ],
+    )
+    def test_flag_the_verb_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(argv.split())
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGraphMapperRestarts:

@@ -47,11 +47,14 @@ from repro import (
 from repro.engine import Backend, DiskStore
 from repro.engine.cluster.protocol import (
     AUTH,
+    CANCEL_REPLY,
     CHALLENGE,
     GET,
+    METRICS_REPLY,
     SECRET_ENV,
     SHARD,
     SHUTDOWN,
+    STATUS_REPLY,
     RESULT,
     TLS_CERT_ENV,
     WELCOME,
@@ -562,7 +565,8 @@ class TestSharedSecret:
                 [
                     sys.executable,
                     "-m",
-                    "repro.engine.cluster.worker",
+                    "repro.experiments",
+                    "work",
                     "--connect",
                     f"127.0.0.1:{backend.port}",
                     "--backend",
@@ -623,6 +627,54 @@ class _FlakyCoordinator:
 
     def close(self) -> None:
         self.listener.close()
+
+
+class _MalformedDaemon:
+    """Welcomes one client, then answers its request with *reply*."""
+
+    def __init__(self, reply: tuple):
+        self.listener = socket.socket()
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(1)
+        self.port = self.listener.getsockname()[1]
+        self.reply = reply
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        conn, _ = self.listener.accept()
+        with conn:
+            recv_message(conn)  # HELLO
+            send_message(conn, (WELCOME, {"heartbeat_interval": 1.0}))
+            recv_message(conn)  # the request
+            send_message(conn, self.reply)
+            recv_message(conn)  # until the client hangs up
+
+    def close(self) -> None:
+        self.listener.close()
+        self.thread.join(timeout=10)
+
+
+class TestMalformedReplies:
+    @pytest.mark.parametrize(
+        "method, args, reply",
+        [
+            ("cancel", ("job-000001",), (CANCEL_REPLY, "job-000001")),
+            ("status_full", (), (STATUS_REPLY,)),
+            ("status_full", (), (STATUS_REPLY, [])),
+            ("metrics", (), (METRICS_REPLY, "x")),
+        ],
+        ids=["cancel-short", "status-short", "status-list", "metrics-str"],
+    )
+    def test_malformed_reply_raises_service_error(self, method, args, reply):
+        fake = _MalformedDaemon(reply)
+        try:
+            client = ServiceClient("127.0.0.1", fake.port)
+            with pytest.raises(ServiceError, match="unexpected service reply"):
+                getattr(client, method)(*args)
+        finally:
+            fake.close()
+        assert not fake.thread.is_alive()
 
 
 class TestWorkerReconnect:
@@ -770,8 +822,9 @@ class _Bound(Exception):
 
 
 class TestBindGuard:
-    """serve/serve-jobs bind loopback by default and refuse to expose an
-    unauthenticated port on any other interface."""
+    """serve/serve-jobs and the library classes bind loopback by
+    default, and no verb exposes an unauthenticated port on any other
+    interface — ``--backend cluster:`` included."""
 
     @pytest.fixture
     def binds(self, monkeypatch):
@@ -825,6 +878,33 @@ class TestBindGuard:
         with pytest.raises(_Bound):
             experiments_main(["serve", "--bind", ":7077"])
         assert binds == [("", 7077)]
+
+    @pytest.mark.parametrize("spec", ["cluster:7077", "cluster:0.0.0.0:7077"])
+    def test_open_cluster_backend_without_auth_exits_before_binding(
+        self, binds, spec, capsys
+    ):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            experiments_main(["figure8", "--fast", "--backend", spec])
+        assert excinfo.value.code == 2
+        assert binds == []
+        assert "refusing to bind" in capsys.readouterr().err
+
+    def test_loopback_cluster_backend_proceeds(self, binds):
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(_Bound):
+            experiments_main(
+                ["figure8", "--fast", "--backend", "cluster:127.0.0.1:0"]
+            )
+        assert binds == [("127.0.0.1", 0)]
+
+    def test_library_default_bind_is_loopback(self):
+        with ServiceDaemon() as daemon:
+            assert daemon.host == "127.0.0.1"
+        with ClusterBackend() as backend:
+            assert backend.host == "127.0.0.1"
 
 
 class TestServiceCLI:
@@ -1231,7 +1311,8 @@ class TestSharedCellStore:
                 [
                     sys.executable,
                     "-m",
-                    "repro.engine.cluster.worker",
+                    "repro.experiments",
+                    "work",
                     "--connect",
                     f"127.0.0.1:{daemon.port}",
                     "--backend",
