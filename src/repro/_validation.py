@@ -2,8 +2,9 @@
 
 These helpers normalise user input (sequences to tuples, numpy scalars to
 Python ints) and raise the library's exception types with actionable
-messages.  They are deliberately small and dependency-free so every module
-can use them without import cycles.
+messages.  They are deliberately small and import nothing from :mod:`repro`
+but its exception types, so every module can use them without import
+cycles.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any
 
-from .exceptions import InvalidGridError
+import numpy as np
+
+from .exceptions import InvalidGridError, ReproError
 
 __all__ = [
     "as_int",
     "as_int_tuple",
+    "check_edges",
     "check_positive_dims",
     "check_rank",
 ]
@@ -48,6 +52,24 @@ def as_int_tuple(values: Sequence[Any], *, name: str = "values") -> tuple[int, .
     except TypeError as exc:
         raise TypeError(f"{name} must be a sequence of integers, got {values!r}") from exc
     return tuple(as_int(v, name=f"{name}[{i}]") for i, v in enumerate(items))
+
+
+def check_edges(
+    edges: Any, num_vertices: int, *, error: type[ReproError] = ReproError
+) -> np.ndarray:
+    """A contiguous ``(m, 2)`` int64 array of *edges*, endpoints in range.
+
+    Raises *error* naming the bad shape or the endpoint range found.
+    """
+    array = np.ascontiguousarray(edges, dtype=np.int64)
+    if array.ndim != 2 or array.shape[1] != 2:
+        raise error(f"edges must have shape (m, 2), got {array.shape}")
+    if array.size and (array.min() < 0 or array.max() >= num_vertices):
+        raise error(
+            f"edge endpoints must be in [0, {num_vertices}), got range "
+            f"[{array.min()}, {array.max()}]"
+        )
+    return array
 
 
 def check_positive_dims(dims: tuple[int, ...], *, name: str = "dims") -> None:

@@ -24,15 +24,45 @@ cost (Figure 9).
 The mapper also accepts arbitrary communication graphs via
 :meth:`GraphMapper.map_graph`, matching VieM's scope beyond Cartesian
 instances.
+
+Data layout
+-----------
+One :meth:`GraphMapper.map_graph` call aggregates the directed edges into
+``E`` weighted undirected pairs sorted by ``(lo, hi)`` (:class:`_UndirectedCSR`)
+and builds, once, Python neighbour and weight lists from their CSR
+(:class:`_Adjacency`).  Every stage of the call shares those lists: the
+pseudo-peripheral BFS, the growth loop, refinement's candidate-pair
+weights and the local search.  Which vertices belong to the bisection in
+progress is one byte per vertex in a ``bytearray`` that the Python loops
+read and NumPy writes a whole level of at once.
+
+Each recursion level owns the ascending array of its ``n`` vertices and
+its ``m`` internal pairs renumbered to positions in that array: its
+parent's pairs, filtered in order to the side it inherits.  One bisection
+of a level therefore costs O(n + m) for the BFS, O((n + m) log m) for the
+growth heap, and O(m + n log n) per refinement round (the gain sums and
+two ``argsort`` calls); nothing it does scales with the whole graph.
+Every vertex and pair belongs to one level per recursion depth, so
+mapping onto ``k`` nodes makes O(log k) passes over the graph.
+
+On one host the output is a pure function of the inputs and the seed:
+the same ``rng`` draws in the same order, neighbours in
+:meth:`_UndirectedCSR.neighbors` order, heap ties broken by insertion
+order, and a default-kind ``np.argsort`` of each side's int64 gains in
+ascending vertex order.  That last sort breaks ties through NumPy's SIMD
+sort where the CPU has one, so a permutation can differ between hosts
+with different vector units.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
 from .base import Mapper, register_mapper
+from .._validation import check_edges
 from ..exceptions import MappingError
 from ..grid.graph import communication_edges
 from ..grid.grid import CartesianGrid
@@ -41,6 +71,11 @@ from ..hardware.allocation import NodeAllocation
 from ..metrics.cost import check_permutation
 
 __all__ = ["GraphMapper"]
+
+#: Candidates per side that refinement pairs up for a swap.
+_TOP = 16
+#: Vertex states during one bisection; 0 is "outside the level".
+_MEMBER, _GROWN, _SEEN = 1, 2, 3
 
 
 class _UndirectedCSR:
@@ -86,20 +121,46 @@ class _UndirectedCSR:
         return self.indices[s:e], self.weights[s:e]
 
 
+class _Adjacency:
+    """The Python adjacency one ``map_graph`` call shares across stages.
+
+    ``nbrs[v]`` and ``wts[v]`` list *v*'s neighbours and pair weights in
+    :meth:`_UndirectedCSR.neighbors` order (a self-loop appears twice).
+    ``state`` holds one byte per vertex for the bisection in progress;
+    ``view`` is the same memory as a NumPy array, for writing a level.
+    """
+
+    __slots__ = ("nbrs", "wts", "state", "view")
+
+    def __init__(self, csr: _UndirectedCSR):
+        ptr = csr.indptr.tolist()
+        indices = csr.indices.tolist()
+        weights = csr.weights.tolist()
+        spans = list(zip(ptr, ptr[1:]))
+        self.nbrs = [indices[s:e] for s, e in spans]
+        self.wts = [weights[s:e] for s, e in spans]
+        self.state = bytearray(csr.num_vertices)
+        self.view = np.frombuffer(self.state, dtype=np.uint8)
+
+
 class GraphMapper(Mapper):
     """General graph mapping via recursive bisection + local search.
 
     Parameters
     ----------
     seed:
-        RNG seed; runs are deterministic for a fixed seed.
+        RNG seed (a non-negative integer); runs are deterministic for a
+        fixed seed.
     refinement_swaps:
-        Maximum improving swaps applied per bisection refinement.
+        Maximum improving swaps applied per bisection refinement (>= 0).
     local_search_factor:
         The global local-search budget is
-        ``local_search_factor * (number of directed edges)`` trial swaps;
-        the paper's VieM setting prioritises quality over speed, so the
-        default is generous.
+        ``local_search_factor * (number of undirected edges)`` trial swaps
+        (finite, >= 0); the paper's VieM setting prioritises quality over
+        speed, so the default is generous.
+    restarts:
+        Independent runs with seeds ``seed, seed + 1, ...`` (>= 1); the
+        smallest cut wins.
     """
 
     name = "graphmap"
@@ -114,6 +175,15 @@ class GraphMapper(Mapper):
     ):
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
+        if int(seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if refinement_swaps < 0:
+            raise ValueError(f"refinement_swaps must be >= 0, got {refinement_swaps}")
+        if not (math.isfinite(local_search_factor) and local_search_factor >= 0):
+            raise ValueError(
+                "local_search_factor must be finite and >= 0, "
+                f"got {local_search_factor}"
+            )
         self._seed = int(seed)
         self._refinement_swaps = int(refinement_swaps)
         self._local_search_factor = float(local_search_factor)
@@ -169,14 +239,19 @@ class GraphMapper(Mapper):
 
         Returns the permutation ``perm[old_rank] = vertex`` assigning the
         contiguous rank block of each node to the vertices chosen for it.
+        *directed_edges* must have shape ``(m, 2)`` with endpoints in
+        ``[0, num_vertices)``; anything else raises :class:`MappingError`.
         """
         if alloc.total_processes != num_vertices:
             raise MappingError(
                 f"allocation covers {alloc.total_processes} processes but the "
                 f"graph has {num_vertices} vertices"
             )
-        directed_edges = np.asarray(directed_edges, dtype=np.int64)
+        directed_edges = check_edges(directed_edges, num_vertices, error=MappingError)
         csr = _UndirectedCSR(directed_edges, num_vertices)
+        adj = _Adjacency(csr)
+        node_sizes = list(alloc.node_sizes)
+        pairs, weights = csr.pairs, csr.pair_weights
 
         # Multi-restart: run the whole pipeline with derived seeds and
         # keep the assignment with the smallest cut (VieM's quality-first
@@ -186,16 +261,18 @@ class GraphMapper(Mapper):
         for attempt in range(self._restarts):
             rng = np.random.default_rng(self._seed + attempt)
             vertex_node = np.full(num_vertices, -1, dtype=np.int64)
-            all_vertices = np.arange(num_vertices, dtype=np.int64)
             self._recurse(
-                csr,
-                all_vertices,
+                adj,
+                np.arange(num_vertices, dtype=np.int64),
+                pairs[:, 0],
+                pairs[:, 1],
+                weights,
                 list(range(alloc.num_nodes)),
-                np.asarray(alloc.node_sizes, dtype=np.int64),
+                node_sizes,
                 vertex_node,
                 rng,
             )
-            self._local_search(csr, vertex_node, rng)
+            self._local_search(adj, csr, vertex_node, rng)
             cut = self._total_cut(csr, vertex_node)
             if best_cut is None or cut < best_cut:
                 best_cut = cut
@@ -223,158 +300,160 @@ class GraphMapper(Mapper):
     # ------------------------------------------------------------------
     def _recurse(
         self,
-        csr: _UndirectedCSR,
+        adj: _Adjacency,
         vertices: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        weights: np.ndarray,
         nodes: list[int],
-        node_sizes: np.ndarray,
+        node_sizes: list[int],
         vertex_node: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
+        """Assign one level: ascending *vertices*, and its pairs
+        ``(lo[i], hi[i])`` of weight ``weights[i]`` as positions in
+        *vertices*, onto *nodes*."""
         if len(nodes) == 1:
             vertex_node[vertices] = nodes[0]
             return
         half = len(nodes) // 2
-        nodes_a, nodes_b = nodes[:half], nodes[half:]
-        cap_a = int(node_sizes[nodes_a].sum())
-        side_a, side_b = self._bisect(csr, vertices, cap_a, rng)
-        self._recurse(csr, side_a, nodes_a, node_sizes, vertex_node, rng)
-        self._recurse(csr, side_b, nodes_b, node_sizes, vertex_node, rng)
+        cap_a = sum(node_sizes[i] for i in nodes[:half])
+        in_a = self._bisect(adj, vertices, lo, hi, weights, cap_a, rng)
+        for side, side_nodes in ((in_a, nodes[:half]), (~in_a, nodes[half:])):
+            inside = side[lo] & side[hi]
+            local = np.cumsum(side) - 1
+            self._recurse(
+                adj,
+                vertices[side],
+                local[lo[inside]],
+                local[hi[inside]],
+                weights[inside],
+                side_nodes,
+                node_sizes,
+                vertex_node,
+                rng,
+            )
 
     def _bisect(
         self,
-        csr: _UndirectedCSR,
+        adj: _Adjacency,
         vertices: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        weights: np.ndarray,
         cap_a: int,
         rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Split *vertices* into sides of size ``cap_a`` / rest."""
-        member = np.zeros(csr.num_vertices, dtype=bool)
-        member[vertices] = True
-        seed_vertex = self._pseudo_peripheral(csr, vertices, member, rng)
+    ) -> np.ndarray:
+        """Split a level; returns the mask of its ``cap_a`` side-A vertices."""
+        nbrs, wts, state = adj.nbrs, adj.wts, adj.state
+        adj.view[vertices] = _MEMBER
+        v = self._pseudo_peripheral(adj, vertices, rng)
 
-        in_a = np.zeros(csr.num_vertices, dtype=bool)
+        # Greedy growth: always take the ungrown vertex most connected to
+        # side A; stale heap entries (older gains) are skipped on pop.
         gain: dict[int, int] = {}
         heap: list[tuple[int, int, int]] = []
         counter = 0
+        ungrown = None
+        for step in range(cap_a):
+            if step:
+                while heap:
+                    negg, _, v = heapq.heappop(heap)
+                    if state[v] == _MEMBER and gain[v] == -negg:
+                        break
+                else:
+                    # Disconnected remainder: take the lowest ungrown vertex.
+                    if ungrown is None:
+                        ungrown = iter(vertices.tolist())
+                    for v in ungrown:
+                        if state[v] == _MEMBER:
+                            break
+            state[v] = _GROWN
+            for z, w in zip(nbrs[v], wts[v]):
+                if state[z] == _MEMBER:
+                    g = gain.get(z, 0) + w
+                    gain[z] = g
+                    heapq.heappush(heap, (-g, counter, z))
+                    counter += 1
 
-        def push(v: int) -> None:
-            nonlocal counter
-            heapq.heappush(heap, (-gain[v], counter, v))
-            counter += 1
-
-        def add_to_a(v: int) -> None:
-            in_a[v] = True
-            nbrs, ws = csr.neighbors(v)
-            for z, w in zip(nbrs.tolist(), ws.tolist()):
-                if member[z] and not in_a[z]:
-                    gain[z] = gain.get(z, 0) + int(w)
-                    push(z)
-
-        add_to_a(int(seed_vertex))
-        size_a = 1
-        while size_a < cap_a:
-            v = None
-            while heap:
-                negg, _, cand = heapq.heappop(heap)
-                if not in_a[cand] and gain.get(cand, 0) == -negg:
-                    v = cand
-                    break
-            if v is None:
-                # Disconnected remainder: take any ungrown member vertex.
-                rest = vertices[~in_a[vertices]]
-                v = int(rest[0])
-            add_to_a(v)
-            size_a += 1
-
-        self._refine(csr, vertices, member, in_a, rng)
-        side_a = vertices[in_a[vertices]]
-        side_b = vertices[~in_a[vertices]]
-        return side_a, side_b
+        in_a = adj.view[vertices] == _GROWN
+        adj.view[vertices] = 0
+        self._refine(adj, vertices, lo, hi, weights, in_a)
+        return in_a
 
     @staticmethod
     def _pseudo_peripheral(
-        csr: _UndirectedCSR,
+        adj: _Adjacency,
         vertices: np.ndarray,
-        member: np.ndarray,
         rng: np.random.Generator,
     ) -> int:
-        """Farthest vertex of a BFS from a random member vertex."""
+        """Farthest vertex of a BFS from a random vertex of the level."""
+        nbrs, state = adj.nbrs, adj.state
         start = int(vertices[rng.integers(len(vertices))])
-        visited = {start}
+        state[start] = _SEEN
         frontier = [start]
         last = start
         while frontier:
             nxt = []
             for v in frontier:
-                nbrs, _ = csr.neighbors(v)
-                for z in nbrs.tolist():
-                    if member[z] and z not in visited:
-                        visited.add(z)
+                for z in nbrs[v]:
+                    if state[z] == _MEMBER:
+                        state[z] = _SEEN
                         nxt.append(z)
             if nxt:
                 last = nxt[0]
             frontier = nxt
+        adj.view[vertices] = _MEMBER
         return last
 
     def _refine(
         self,
-        csr: _UndirectedCSR,
+        adj: _Adjacency,
         vertices: np.ndarray,
-        member: np.ndarray,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        weights: np.ndarray,
         in_a: np.ndarray,
-        rng: np.random.Generator,
     ) -> None:
-        """Swap-based balanced refinement of one bisection."""
-        pairs = csr.pairs
-        if pairs.size == 0:
+        """Swap-based balanced refinement of one bisection, in place."""
+        if lo.size == 0:
             return
-        mask = member[pairs[:, 0]] & member[pairs[:, 1]]
-        sub_pairs = pairs[mask]
-        sub_w = csr.pair_weights[mask]
-        if sub_pairs.size == 0:
-            return
-
-        # Weight of the direct edge between swap candidates (counted twice
-        # in the naive gain sum when the candidates are adjacent).
-        wmap: dict[tuple[int, int], int] = {}
-        for (u, v), w in zip(sub_pairs.tolist(), sub_w.tolist()):
-            wmap[(u, v)] = w
-            wmap[(v, u)] = w
-
+        neg_weights = -weights
         for _ in range(self._refinement_swaps):
             # Gain of moving each vertex to the other side: ext - int.
-            cut_mask = in_a[sub_pairs[:, 0]] != in_a[sub_pairs[:, 1]]
-            sign = np.where(cut_mask, 1, -1) * sub_w
-            move_gain = np.zeros(csr.num_vertices, dtype=np.int64)
-            np.add.at(move_gain, sub_pairs[:, 0], sign)
-            np.add.at(move_gain, sub_pairs[:, 1], sign)
+            sign = np.where(in_a[lo] != in_a[hi], weights, neg_weights)
+            move_gain = np.zeros(len(vertices), dtype=np.int64)
+            np.add.at(move_gain, lo, sign)
+            np.add.at(move_gain, hi, sign)
 
-            side_a = vertices[in_a[vertices]]
-            side_b = vertices[~in_a[vertices]]
-            if side_a.size == 0 or side_b.size == 0:
+            side_a = np.flatnonzero(in_a)
+            side_b = np.flatnonzero(~in_a)
+            best_a = side_a[np.argsort(move_gain[side_a])[::-1][:_TOP]]
+            best_b = side_b[np.argsort(move_gain[side_b])[::-1][:_TOP]]
+            # Swap gain of every candidate pair.  A direct a-b edge stays
+            # cut under the swap, yet both move gains count it as saved.
+            swap_gain = move_gain[best_a][:, None] + move_gain[best_b]
+            column = {b: j for j, b in enumerate(vertices[best_b].tolist())}
+            for i, a in enumerate(vertices[best_a].tolist()):
+                for z, w in zip(adj.nbrs[a], adj.wts[a]):
+                    j = column.get(z)
+                    if j is not None:
+                        swap_gain[i, j] -= 2 * w
+            # argmax is the first maximum in row-major order, the pair a
+            # scan of (a, b) keeping strictly better gains would pick.
+            best = int(swap_gain.argmax())
+            if swap_gain.flat[best] <= 0:
                 return
-            top = 16
-            best_a = side_a[np.argsort(move_gain[side_a])[::-1][:top]]
-            best_b = side_b[np.argsort(move_gain[side_b])[::-1][:top]]
-            best_gain = 0
-            best_pair = None
-            for a in best_a.tolist():
-                for b in best_b.tolist():
-                    g = move_gain[a] + move_gain[b] - 2 * wmap.get((a, b), 0)
-                    if g > best_gain:
-                        best_gain = int(g)
-                        best_pair = (a, b)
-            if best_pair is None:
-                return
-            a, b = best_pair
-            in_a[a] = False
-            in_a[b] = True
+            i, j = divmod(best, swap_gain.shape[1])
+            in_a[best_a[i]] = False
+            in_a[best_b[j]] = True
 
     # ------------------------------------------------------------------
     # Randomised local search on the final assignment
     # ------------------------------------------------------------------
     def _local_search(
         self,
+        adj: _Adjacency,
         csr: _UndirectedCSR,
         vertex_node: np.ndarray,
         rng: np.random.Generator,
@@ -386,38 +465,42 @@ class GraphMapper(Mapper):
         if trials <= 0:
             return
         picks = rng.integers(len(pairs), size=trials)
-        for idx in picks:
-            u, v = int(pairs[idx, 0]), int(pairs[idx, 1])
-            nu, nv = int(vertex_node[u]), int(vertex_node[v])
-            if nu == nv:
-                continue
-            if self._swap_delta(csr, vertex_node, u, v) < 0:
-                vertex_node[u] = nv
-                vertex_node[v] = nu
-
-    @staticmethod
-    def _swap_delta(
-        csr: _UndirectedCSR,
-        vertex_node: np.ndarray,
-        u: int,
-        v: int,
-    ) -> int:
-        """Exact ``Jsum`` change of swapping the nodes of *u* and *v*."""
-        nu, nv = int(vertex_node[u]), int(vertex_node[v])
-        delta = 0
-        nbrs, ws = csr.neighbors(u)
-        for z, w in zip(nbrs.tolist(), ws.tolist()):
-            if z == v:
-                continue  # the u-v edge stays cut under a swap
-            nz = int(vertex_node[z])
-            delta += w * (int(nz == nu) - int(nz == nv))
-        nbrs, ws = csr.neighbors(v)
-        for z, w in zip(nbrs.tolist(), ws.tolist()):
-            if z == u:
-                continue
-            nz = int(vertex_node[z])
-            delta += w * (int(nz == nv) - int(nz == nu))
-        return delta
+        first, second = pairs[picks, 0], pairs[picks, 1]
+        nbrs, wts = adj.nbrs, adj.wts
+        node = vertex_node.tolist()
+        start = 0
+        while start < trials:
+            # Only a pick whose pair is cut can swap, and the assignment
+            # changes only at an accepted swap: walk the cut picks up to
+            # the first swap, then look again at the picks after it.
+            cut = start + np.flatnonzero(
+                vertex_node[first[start:]] != vertex_node[second[start:]]
+            )
+            start = trials
+            for k, u, v in zip(cut.tolist(), first[cut].tolist(), second[cut].tolist()):
+                nu, nv = node[u], node[v]
+                # Exact Jsum change of swapping the nodes of u and v; the
+                # u-v edge itself stays cut.
+                delta = 0
+                for z, w in zip(nbrs[u], wts[u]):
+                    if z != v:
+                        nz = node[z]
+                        if nz == nu:
+                            delta += w
+                        elif nz == nv:
+                            delta -= w
+                for z, w in zip(nbrs[v], wts[v]):
+                    if z != u:
+                        nz = node[z]
+                        if nz == nv:
+                            delta += w
+                        elif nz == nu:
+                            delta -= w
+                if delta < 0:
+                    node[u] = vertex_node[u] = nv
+                    node[v] = vertex_node[v] = nu
+                    start = k + 1
+                    break
 
     def __repr__(self) -> str:
         return (

@@ -34,7 +34,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .._validation import as_int
+from .._validation import as_int, check_edges
 from ..exceptions import ReproError
 from ..grid.graph import communication_edges
 from ..grid.grid import CartesianGrid
@@ -120,22 +120,6 @@ class WorkloadBase(ABC):
 
     def __hash__(self) -> int:
         return hash(self.cache_key())
-
-
-def _validated_edges(edges, num_processes: int) -> np.ndarray:
-    """A read-only, contiguous ``(m, 2)`` int64 copy of *edges*."""
-    array = np.ascontiguousarray(edges, dtype=np.int64)
-    if array.ndim != 2 or array.shape[1] != 2:
-        raise ReproError(
-            f"edges must have shape (m, 2), got {array.shape}"
-        )
-    if array.size and (array.min() < 0 or array.max() >= num_processes):
-        raise ReproError(
-            f"edge endpoints must be in [0, {num_processes}), got range "
-            f"[{array.min()}, {array.max()}]"
-        )
-    array.setflags(write=False)
-    return array
 
 
 class CartesianWorkload(WorkloadBase):
@@ -328,7 +312,8 @@ class GraphWorkload(WorkloadBase):
                 f"num_processes must be positive, got {num_processes}"
             )
         self._num_processes = num_processes
-        self._edges = _validated_edges(edges, num_processes)
+        self._edges = check_edges(edges, num_processes)
+        self._edges.setflags(write=False)
         self._name = str(name)
         self._digest: str | None = None
 

@@ -1,18 +1,29 @@
 """Tests for the VieM-substitute general graph mapper."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     CartesianGrid,
     GraphMapper,
     MappingError,
     NodeAllocation,
+    StencilProgramWorkload,
+    as_workload,
     component,
+    dims_create,
     evaluate_mapping,
     nearest_neighbor,
+    nearest_neighbor_with_hops,
 )
+import repro.core.graphmap as graphmap_module
 from repro.core.graphmap import _UndirectedCSR
+from repro.workloads import clustered_workload, random_sparse_workload
 
 
 class TestUndirectedCSR:
@@ -103,6 +114,111 @@ class TestGeneralGraphs:
         assert counts.tolist() == [10, 8, 6]
 
 
+class TestMalformedEdges:
+    """``map_graph`` rejects edge arrays it would otherwise misread."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            # The pair key 0*4+4 would decode to the edge (1, 0).
+            (np.array([[0, 4]]), r"endpoints must be in \[0, 4\), got range \[0, 4\]"),
+            (np.array([[0, 1], [3, -2]]), r"got range \[-2, 3\]"),
+            (np.zeros((2, 3), dtype=np.int64), r"shape \(m, 2\), got \(2, 3\)"),
+            (np.array([0, 1, 2, 3]), r"shape \(m, 2\), got \(4,\)"),
+        ],
+        ids=[
+            "endpoint-too-large",
+            "negative-endpoint",
+            "three-columns",
+            "one-dimensional",
+        ],
+    )
+    def test_rejected_before_any_work(self, monkeypatch, edges, message):
+        def no_work(*args):
+            raise AssertionError("map_graph built its graph from bad edges")
+
+        monkeypatch.setattr(graphmap_module, "_UndirectedCSR", no_work)
+        with pytest.raises(MappingError, match=message):
+            GraphMapper().map_graph(edges, 4, NodeAllocation([2, 2]))
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"local_search_factor": float("nan")}, "local_search_factor"),
+            ({"local_search_factor": float("inf")}, "local_search_factor"),
+            ({"local_search_factor": -0.5}, "local_search_factor"),
+            ({"seed": -1}, "seed"),
+            ({"refinement_swaps": -1}, "refinement_swaps"),
+            ({"restarts": 0}, "restarts"),
+        ],
+    )
+    def test_rejected_at_construction(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GraphMapper(**kwargs)
+
+    def test_zero_budgets_accepted(self):
+        mapper = GraphMapper(seed=0, refinement_swaps=0, local_search_factor=0)
+        perm = mapper.map_graph(np.array([[0, 1], [2, 3]]), 4, NodeAllocation([2, 2]))
+        assert sorted(perm.tolist()) == [0, 1, 2, 3]
+
+    def test_repr_unchanged(self):
+        assert repr(GraphMapper()) == (
+            "GraphMapper(seed=1, refinement_swaps=64, "
+            "local_search_factor=4.0, restarts=1)"
+        )
+
+
+@st.composite
+def general_graphs(draw):
+    """Heterogeneous node sizes and a random directed edge list over their
+    vertices: duplicates, self-loops and isolated vertices all occur."""
+    node_sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+    n = sum(node_sizes)
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=4 * n))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2), node_sizes
+
+
+def _node_of_vertex(perm, node_sizes) -> dict[int, int]:
+    """Node of every vertex, read off the contiguous rank blocks."""
+    node_of = {}
+    rank = 0
+    for node, size in enumerate(node_sizes):
+        for _ in range(size):
+            node_of[int(perm[rank])] = node
+            rank += 1
+    return node_of
+
+
+def _plain_jsum(edges, node_of) -> int:
+    return sum(1 for u, v in edges.tolist() if node_of[u] != node_of[v])
+
+
+class TestOracleOnGeneralGraphs:
+    @given(general_graphs(), st.integers(0, 2**16), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_capacities_and_local_search_never_worsens(self, graph, seed, restarts):
+        edges, node_sizes = graph
+        n = sum(node_sizes)
+        alloc = NodeAllocation(node_sizes)
+        jsum = {}
+        for factor in (4.0, 0.0):
+            mapper = GraphMapper(
+                seed=seed, restarts=restarts, local_search_factor=factor
+            )
+            node_of = _node_of_vertex(mapper.map_graph(edges, n, alloc), node_sizes)
+            # (a) every vertex lands once, node i on exactly node_sizes[i].
+            assert sorted(node_of) == list(range(n))
+            counts = Counter(node_of.values())
+            assert [counts[i] for i in range(len(node_sizes))] == node_sizes
+            jsum[factor] = _plain_jsum(edges, node_of)
+        # (b) Bisection draws the same rng values with or without a local
+        # search budget, and local search only accepts strict gains.
+        assert jsum[4.0] <= jsum[0.0]
+
+
 class TestDeterminismAndConfig:
     def test_seed_determinism(self):
         grid = CartesianGrid([8, 8])
@@ -131,3 +247,138 @@ class TestDeterminismAndConfig:
 
     def test_not_distributed(self):
         assert GraphMapper.distributed is False
+
+
+# ----------------------------------------------------------------------
+# Golden permutation digests
+# ----------------------------------------------------------------------
+def _grid_case(nodes, per_node, stencil, **params):
+    grid = CartesianGrid(dims_create(nodes * per_node, stencil.ndim))
+    alloc = NodeAllocation.homogeneous(nodes, per_node)
+    return GraphMapper(**params).map_ranks(grid, stencil, alloc)
+
+
+def _clustered_case():
+    graph = as_workload(
+        clustered_workload(31, 32, intra_degree=6, inter_links=2, seed=0)
+    )
+    return GraphMapper().map_workload(graph, NodeAllocation.homogeneous(31, 32))
+
+
+def _program_case():
+    alloc = NodeAllocation.homogeneous(31, 32)
+    grid = CartesianGrid(dims_create(alloc.total_processes, 2))
+    program = StencilProgramWorkload(
+        grid,
+        [
+            ("advect", nearest_neighbor(2)),
+            ("diffuse", nearest_neighbor_with_hops(2)),
+        ],
+    )
+    return GraphMapper().map_workload(program, alloc)
+
+
+def _disconnected_case():
+    """Two 5-cliques (one edge doubled, one self-loop) and four isolated
+    vertices on nodes of 4, 3, 3 and 4: growing a side runs out of
+    connected vertices three times, so the growth loop must take ungrown
+    ones."""
+    clique_a = [(i, j) for i in range(5) for j in range(5) if i != j]
+    clique_b = [(i + 6, j + 6) for i, j in clique_a]
+    edges = np.array(clique_a + clique_b + [(0, 1), (7, 7)])
+    alloc = NodeAllocation([4, 3, 3, 4])
+    return GraphMapper(seed=4).map_graph(edges, 14, alloc)
+
+
+def _random_case(**params):
+    """A random graph on which local search does accept swaps."""
+    graph = as_workload(random_sparse_workload(200, 6, seed=3))
+    alloc = NodeAllocation.homogeneous(10, 20)
+    return GraphMapper(**params).map_workload(graph, alloc)
+
+
+def _edgeless_case():
+    edges = np.empty((0, 2), dtype=np.int64)
+    return GraphMapper().map_graph(edges, 10, NodeAllocation([3, 3, 4]))
+
+
+GOLDEN_CASES = {
+    "nn2-P48000": (
+        lambda: _grid_case(1000, 48, nearest_neighbor(2)),
+        "48155bb2f658d81f31f0dec860c20b9f4151d099b09058f584ec69c135eff782",
+    ),
+    "nnh2-P9600": (
+        lambda: _grid_case(200, 48, nearest_neighbor_with_hops(2)),
+        "931f8d94c2028782193f475db1cab24e522520131e3521fdae741cfe6f94e375",
+    ),
+    "nn3-P9600": (
+        lambda: _grid_case(200, 48, nearest_neighbor(3)),
+        "0f938b3aba987ff3058142e4d546f1ef8662b760dc9f85d3facac201d5a85536",
+    ),
+    "component2-20x12": (
+        lambda: _grid_case(20, 12, component(2), seed=5),
+        "4cd240f45389e8d67898109880267727962f74beb3528af80d3aad063105031e",
+    ),
+    "restarts3": (
+        lambda: _grid_case(50, 48, nearest_neighbor_with_hops(2), restarts=3),
+        "9841f518de5f96fff1c3da966a3f2681f780f250f5e0e493823bb573ebeea681",
+    ),
+    "refinement_swaps2": (
+        lambda: _grid_case(50, 48, nearest_neighbor(2), refinement_swaps=2),
+        "5df00aef25c4c4ae55f52b09328203fa0ace7bf8215f8622f00a653fcd632ffa",
+    ),
+    "random-200": (
+        _random_case,
+        "11b8b896bfa7cf7e9cf6c51cd29f5c62083105cbbdcf7b609b3b3410a76f81b2",
+    ),
+    "no-local-search": (
+        lambda: _random_case(local_search_factor=0),
+        "0b551f920f207ce37643432e24a89c88bb715da7f4ccde75911fd18e4b255685",
+    ),
+    "heterogeneous": (
+        lambda: GraphMapper(seed=2).map_ranks(
+            CartesianGrid([6, 4]), nearest_neighbor(2), NodeAllocation([10, 8, 6])
+        ),
+        "f785b2d906ce22c35f29f4a1e2266a602b5bdd5fd460c8575a7c2c4daf92d0c2",
+    ),
+    "clustered-31x32": (
+        _clustered_case,
+        "6aeadfe04fd7e5f01e41332c153bfe9ea720fcc362a32fa8e8c90595ee10fe5e",
+    ),
+    "program-31x32": (
+        _program_case,
+        "a155f8a1857382c1784beb7c5bad689ab937b2d834c8e42f9853dbd666bccc24",
+    ),
+    "disconnected": (
+        _disconnected_case,
+        "2f288753ae20b1828715559a540f188c83a943e053c775dd6311b590ddd4b61f",
+    ),
+    "edgeless": (
+        _edgeless_case,
+        "65d98c31232a3f18f41536bf71123d311ede43c2d66c820e306e548d9b430fbb",
+    ),
+}
+
+
+def _digest(perm: np.ndarray) -> str:
+    return hashlib.sha256(perm.astype("<i8").tobytes()).hexdigest()
+
+
+class TestGoldenPermutations:
+    """graphmap's permutations, pinned byte for byte.
+
+    Any rewrite of the mapper must keep every ``rng`` draw, neighbour
+    order, heap tie-break and ``argsort`` input of the implementation
+    these digests were recorded with; they catch the first deviation.
+
+    They were recorded on an x86-64 host with AVX-512.  ``_refine``'s
+    default-kind ``argsort`` breaks gain ties through NumPy's SIMD sort,
+    so on a host limited to AVX2 ``nn2-P48000`` and ``nn3-P9600`` differ,
+    and without AVX2 two more do (ROADMAP: "graphmap output depends on
+    the host CPU").
+    """
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_digest(self, case):
+        build, expected = GOLDEN_CASES[case]
+        assert _digest(build()) == expected
