@@ -43,7 +43,10 @@ of a level therefore costs O(n + m) for the BFS, O((n + m) log m) for the
 growth heap, and O(m + n log n) per refinement round (the gain sums and
 two ``argsort`` calls); nothing it does scales with the whole graph.
 Every vertex and pair belongs to one level per recursion depth, so
-mapping onto ``k`` nodes makes O(log k) passes over the graph.
+mapping onto ``k`` nodes makes O(log k) passes over the graph.  The local
+search then makes one pass over its ``local_search_factor * E`` picks,
+reading the neighbour lists of both endpoints of each pick whose pair is
+cut.
 
 On one host the output is a pure function of the inputs and the seed:
 the same ``rng`` draws in the same order, neighbours in
@@ -468,39 +471,32 @@ class GraphMapper(Mapper):
         first, second = pairs[picks, 0], pairs[picks, 1]
         nbrs, wts = adj.nbrs, adj.wts
         node = vertex_node.tolist()
-        start = 0
-        while start < trials:
-            # Only a pick whose pair is cut can swap, and the assignment
-            # changes only at an accepted swap: walk the cut picks up to
-            # the first swap, then look again at the picks after it.
-            cut = start + np.flatnonzero(
-                vertex_node[first[start:]] != vertex_node[second[start:]]
-            )
-            start = trials
-            for k, u, v in zip(cut.tolist(), first[cut].tolist(), second[cut].tolist()):
-                nu, nv = node[u], node[v]
-                # Exact Jsum change of swapping the nodes of u and v; the
-                # u-v edge itself stays cut.
-                delta = 0
-                for z, w in zip(nbrs[u], wts[u]):
-                    if z != v:
-                        nz = node[z]
-                        if nz == nu:
-                            delta += w
-                        elif nz == nv:
-                            delta -= w
-                for z, w in zip(nbrs[v], wts[v]):
-                    if z != u:
-                        nz = node[z]
-                        if nz == nv:
-                            delta += w
-                        elif nz == nu:
-                            delta -= w
-                if delta < 0:
-                    node[u] = vertex_node[u] = nv
-                    node[v] = vertex_node[v] = nu
-                    start = k + 1
-                    break
+        # Memoryviews yield the picks as Python ints one at a time; as two
+        # lists they raised perfbench paper_serial_cold's peak RSS by 2%.
+        for u, v in zip(memoryview(first), memoryview(second)):
+            nu, nv = node[u], node[v]
+            if nu == nv:
+                continue
+            # Exact Jsum change of swapping the nodes of u and v; the u-v
+            # edge itself stays cut.
+            delta = 0
+            for z, w in zip(nbrs[u], wts[u]):
+                if z != v:
+                    nz = node[z]
+                    if nz == nu:
+                        delta += w
+                    elif nz == nv:
+                        delta -= w
+            for z, w in zip(nbrs[v], wts[v]):
+                if z != u:
+                    nz = node[z]
+                    if nz == nv:
+                        delta += w
+                    elif nz == nu:
+                        delta -= w
+            if delta < 0:
+                node[u] = vertex_node[u] = nv
+                node[v] = vertex_node[v] = nu
 
     def __repr__(self) -> str:
         return (

@@ -16,8 +16,8 @@ meaningful on the reproduction machine.  Both views are reported:
 
 Our VieM stand-in, ``graphmap``, is not two orders of magnitude slower
 everywhere.  Timed on a 2-vCPU Xeon VM (Python 3.11, NumPy 2.4), its
-full mapping of this instance takes ~330–430x the time of the fastest
-structured mapper (~1300–1700x before its inner loops moved to Python
+full mapping of this instance takes ~330–510x the time of the fastest
+structured mapper (~1200–1700x before its inner loops moved to Python
 adjacency lists and per-level pair sets).  Per call over the cold
 Figure 8 pass of ``perfbench`` it takes ~30x the time of
 ``stencil_strips`` (107x before): below two orders of magnitude.  The

@@ -312,7 +312,11 @@ class GraphWorkload(WorkloadBase):
                 f"num_processes must be positive, got {num_processes}"
             )
         self._num_processes = num_processes
-        self._edges = check_edges(edges, num_processes)
+        # A private copy: the caller's array stays writeable, and writing
+        # it cannot change a workload whose digest is already cached.
+        self._edges = check_edges(
+            np.array(edges, dtype=np.int64, order="C"), num_processes
+        )
         self._edges.setflags(write=False)
         self._name = str(name)
         self._digest: str | None = None

@@ -275,6 +275,16 @@ class TestGraphWorkload:
         with pytest.raises(ValueError):
             w.comm_edges()[0, 0] = 3
 
+    def test_keeps_a_private_copy_of_the_edges(self):
+        edges = np.array([[0, 1], [1, 0]], dtype=np.int64)
+        w = GraphWorkload(4, edges)
+        digest = w.edge_digest()
+        assert edges.flags.writeable
+        edges[0] = [2, 3]
+        assert w.comm_edges().tolist() == [[0, 1], [1, 0]]
+        same = GraphWorkload(4, [[0, 1], [1, 0]])
+        assert w.edge_digest() == digest == same.edge_digest()
+
     def test_as_workload_coercion(self):
         generated = random_sparse_workload(10, 3, seed=7)
         w = as_workload(generated)
