@@ -26,6 +26,14 @@ its first byte:
   raw framed segments instead of being copied into the pickle stream,
   and decode as zero-copy (read-only) views over the received payload.
 
+The blocking peers (worker and service client) turn Nagle's algorithm
+off (``TCP_NODELAY``) on the TCP sockets :func:`connect_with_retry`
+opens, and :func:`send_message` writes each frame with one ``sendall``
+of the joined frame, so no part of a request waits on the daemon's
+delayed ACK.  The daemon's asyncio transports set ``TCP_NODELAY``
+themselves, and :func:`write_message` hands each frame over in one
+``writelines`` call.
+
 The pickle protocol of the stream is pinned to
 :data:`WIRE_PICKLE_PROTOCOL` (not ``pickle.HIGHEST_PROTOCOL``, which
 varies by interpreter) and advertised in the HELLO ``info`` dict under
@@ -276,8 +284,9 @@ def encode_frames(message: tuple) -> list:
     the payload.  Messages without array buffers produce a plain-pickle
     payload; messages carrying NumPy arrays produce the segmented v4
     layout, whose raw buffer segments are *views* of the arrays being
-    sent — nothing is copied into the pickle stream.  Send each element
-    in order (``sendall`` per part, or ``writer.writelines``).
+    sent — nothing is copied into the pickle stream.  The asyncio side
+    hands the list to ``writer.writelines``; blocking peers join it
+    once (:func:`encode_message`) and write the frame in one call.
     """
     buffers: list[pickle.PickleBuffer] = []
     try:
@@ -311,16 +320,13 @@ def encode_frames(message: tuple) -> list:
 
 
 def encode_message(message: tuple) -> bytes:
-    """One wire frame as contiguous bytes (copies any buffer segments).
+    """One wire frame as contiguous bytes: the blocking peers' encoder.
 
-    :func:`encode_frames` is the zero-copy encoder the transport
-    functions use; this joined form exists for callers that need one
-    ``bytes`` object (tests, size accounting).
+    Joins the parts of :func:`encode_frames` once, so each array
+    segment is copied exactly once, into the frame that
+    :func:`send_message` writes in a single ``sendall``.
     """
-    return b"".join(
-        part if isinstance(part, bytes) else bytes(part)
-        for part in encode_frames(message)
-    )
+    return b"".join(encode_frames(message))
 
 
 def decode_payload(payload) -> tuple:
@@ -483,10 +489,13 @@ def connect_with_retry(
     exponential backoff (the coordinator may not be up yet when its
     peers launch first, or may be mid-restart).  ``None`` on timeout.
 
-    With *ssl_context* the socket is TLS-wrapped and handshaken before
-    being returned; a failed handshake is retried like a refused
-    connection (a daemon restarting with new certificates looks
-    exactly like one still binding).
+    The TCP socket gets ``TCP_NODELAY`` before anything is sent on it:
+    the peers' request/reply traffic is small frames, which Nagle's
+    algorithm would hold back for the daemon's delayed ACK (up to
+    ~40 ms each).  With *ssl_context* the socket is then TLS-wrapped
+    and handshaken before being returned; a failed handshake is retried
+    like a refused connection (a daemon restarting with new
+    certificates looks exactly like one still binding).
     """
     deadline = time.monotonic() + timeout
     delay = 0.1
@@ -496,6 +505,7 @@ def connect_with_retry(
             sock = socket.create_connection(
                 (host, port), timeout=max(timeout, 1.0)
             )
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if ssl_context is not None:
                 sock = ssl_context.wrap_socket(sock, server_hostname=host)
             return sock
@@ -533,9 +543,13 @@ def enable_keepalive(sock: socket.socket) -> None:
 
 
 def send_message(sock: socket.socket, message: tuple) -> None:
-    """Write one frame to a blocking socket (zero-copy array segments)."""
-    for part in encode_frames(message):
-        sock.sendall(part)
+    """Write one frame to a blocking socket in a single ``sendall``.
+
+    One write per frame on plain and TLS sockets alike: a frame written
+    part by part would leave its later parts waiting on the peer's
+    delayed ACK wherever Nagle's algorithm is on.
+    """
+    sock.sendall(encode_message(message))
 
 
 def handshake(sock: socket.socket, info: dict, secret: str | None) -> tuple:
@@ -641,7 +655,8 @@ async def read_message(reader: asyncio.StreamReader) -> tuple | None:
 
 
 async def write_message(writer: asyncio.StreamWriter, message: tuple) -> None:
-    """Write one frame to a stream and drain (zero-copy array segments)."""
+    """Write one frame to a stream and drain; the frame's parts reach
+    the transport in one ``writelines`` call."""
     writer.writelines(encode_frames(message))
     await writer.drain()
 

@@ -8,11 +8,13 @@ several, one per NUMA domain)::
         --backend process:8 --cache-dir /shared/repro-cache
 
 The worker connects to a coordinator (retrying for ``--connect-timeout``
-seconds, so it may be launched before the sweep), handshakes, then
-loops: ``GET`` a shard, evaluate it on a local backend (thread by
-default; ``--backend process[:N]`` for multi-core hosts), send the
-``RESULT`` back.  A heartbeat thread pings throughout, including while
-a shard is being evaluated, so long shards are not mistaken for death.
+seconds, so it may be launched before the sweep), handshakes (a peer
+that does not answer within that timeout, at least 1 s, counts as a
+lost coordinator), then loops: ``GET`` a shard, evaluate it on a local
+backend (thread by default; ``--backend process[:N]`` for multi-core
+hosts), send the ``RESULT`` back.  A heartbeat thread pings throughout,
+including while a shard is being evaluated, so long shards are not
+mistaken for death.
 
 Losing an *established* coordinator (a standing service daemon that
 restarted, a network blip) does not kill the worker: it reconnects with
@@ -95,7 +97,6 @@ def _serve_connection(
     """
     from ..backends import resolve_backend
 
-    sock.settimeout(None)
     try:
         kind, detail = handshake(
             sock, {"pid": os.getpid(), "host": socket.gethostname()}, secret
@@ -119,6 +120,10 @@ def _serve_connection(
         else:
             log(f"worker: unexpected handshake reply {kind!r}")
         return _REJECTED
+    # The handshake ran under the connect timeout, so a peer that never
+    # answers HELLO fails it; from here a parked GET may wait for work
+    # indefinitely (keepalive, not a socket timeout, detects a dead peer).
+    sock.settimeout(None)
 
     settings = detail
     interval = float(settings.get("heartbeat_interval") or 5.0)

@@ -82,6 +82,12 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: reports/clears each kind separately.
 STORE_KINDS = ("edges", "result")
 
+#: Serialises every ``np.load`` of the edge cache in this process.
+#: ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``, and
+#: on CPython 3.11 concurrent parses in threads can raise ``SystemError:
+#: AST constructor recursion depth mismatch``.
+_NPY_LOAD_LOCK = threading.Lock()
+
 
 def resolve_cache_dir(spec: str | os.PathLike | None) -> Path | None:
     """Turn a cache-dir spec into a concrete path, or ``None`` (disabled).
@@ -505,7 +511,8 @@ class DiskEdgeCache(_DiskCacheBase):
         """
         path = self._path_for(grid, stencil)
         try:
-            arr = np.load(path)
+            with _NPY_LOAD_LOCK:
+                arr = np.load(path)
         except (OSError, ValueError, EOFError) as exc:
             # EOFError: np.load on a zero-byte/truncated-header file
             self._count(

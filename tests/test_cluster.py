@@ -418,6 +418,42 @@ class TestHandshake:
         assert code == 2
         assert any("stale protocol" in line for line in logged)
 
+    def test_silent_coordinator_fails_the_handshake(self):
+        """A peer that accepts but never answers HELLO fails the worker's
+        handshake within the connect timeout instead of hanging it."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(30)
+        port = listener.getsockname()[1]
+        logged: list[str] = []
+        codes: list[int] = []
+        worker = threading.Thread(
+            target=lambda: codes.append(
+                run_worker(
+                    f"127.0.0.1:{port}",
+                    backend_spec="serial",
+                    connect_timeout=1.0,
+                    reconnect_timeout=0,
+                    log=logged.append,
+                )
+            ),
+            daemon=True,
+        )
+        accepted: list[socket.socket] = []
+        try:
+            worker.start()
+            accepted.append(listener.accept()[0])
+            worker.join(timeout=10)
+            assert not worker.is_alive(), "worker still waiting for WELCOME"
+            assert codes == [1]
+            assert any("handshake failed" in line for line in logged)
+        finally:
+            for conn in accepted:
+                conn.close()  # a still-blocked worker sees EOF and exits
+            listener.close()
+            worker.join(timeout=30)
+
     def test_unreachable_coordinator_exits_with_code_1(self):
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))

@@ -10,6 +10,7 @@ a threaded hammer and the result store warming a fresh engine.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -209,6 +210,61 @@ class TestCounterConsistency:
         stats = cache.stats()
         total = self.THREADS * self.OPS
         assert (stats.hits, stats.misses, stats.stores) == (total, total, 1)
+
+
+class TestThreadedEdgeLoads:
+    """``np.load`` parses the ``.npy`` header with ``ast.literal_eval``,
+    which on CPython 3.11 can raise ``SystemError`` when threads parse at
+    once, so the edge cache runs one ``np.load`` at a time.  The race
+    itself is too rare to reproduce on demand; this pins the
+    serialisation."""
+
+    THREADS = 8
+    LOADS = 5
+
+    def test_edge_cache_never_runs_two_loads_at_once(self, tmp_path, monkeypatch):
+        cache = DiskEdgeCache(tmp_path)
+        grid, stencil, _ = _instance()
+        edges = np.arange(12, dtype=np.int64).reshape(6, 2)
+        cache.store(grid, stencil, edges)
+        real_load = np.load
+        gauge = threading.Lock()
+        running = peak = 0
+
+        def slow_load(*args, **kwargs):
+            nonlocal running, peak
+            with gauge:
+                running += 1
+                peak = max(peak, running)
+            try:
+                time.sleep(0.002)
+                return real_load(*args, **kwargs)
+            finally:
+                with gauge:
+                    running -= 1
+
+        monkeypatch.setattr(np, "load", slow_load)
+        barrier = threading.Barrier(self.THREADS)
+        loaded = []
+
+        def hammer() -> None:
+            barrier.wait()
+            for _ in range(self.LOADS):
+                loaded.append(cache.load(grid, stencil))
+
+        threads = [
+            threading.Thread(target=hammer) for _ in range(self.THREADS)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert peak == 1
+        assert len(loaded) == self.THREADS * self.LOADS
+        assert all(
+            arr is not None and arr.tobytes() == edges.tobytes()
+            for arr in loaded
+        )
 
 
 def _process_writer(args) -> bool:

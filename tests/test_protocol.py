@@ -5,25 +5,35 @@ npy-framed segments (PEP 574 out-of-band buffers), so NumPy arrays cross
 the socket without a serialisation copy.  Messages without arrays — and
 in particular the HELLO handshake — stay plain pickles, which is what
 lets mismatched peers exchange a clean REJECT instead of a parse error.
+
+The blocking peers' transport is pinned too: ``TCP_NODELAY`` on every
+socket :func:`connect_with_retry` opens, and one ``sendall`` per frame,
+so no part of a frame waits on the daemon's delayed ACK.
 """
 
 from __future__ import annotations
 
 import pickle
 import socket
+import struct
 
 import numpy as np
+import pytest
 
 from repro import CartesianGrid, NodeAllocation, nearest_neighbor
 from repro.engine import ClusterBackend, EvaluationEngine, MappingRequest
 from repro.engine.cluster.protocol import (
     HELLO,
     MAGIC,
+    PING,
     PROTOCOL_VERSION,
     REJECT,
+    RESULT,
     SHARD,
     WELCOME,
     WIRE_PICKLE_PROTOCOL,
+    client_tls_context,
+    connect_with_retry,
     decode_payload,
     encode_frames,
     encode_message,
@@ -31,6 +41,7 @@ from repro.engine.cluster.protocol import (
     recv_message,
     send_message,
 )
+from repro.service import ServiceClient, ServiceDaemon
 
 from .test_backends import _requests, _signature
 from .test_cluster import _spawn_worker
@@ -122,6 +133,110 @@ class TestSegmentedEncoding:
             right.close()
         assert message[0] == SHARD and message[1] == 5
         assert message[2][0].tobytes() == arr.tobytes()
+
+
+def _nodelay(sock: socket.socket) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+@pytest.fixture
+def listener():
+    """A bound, listening TCP socket that accepts nothing."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(4)
+    yield sock
+    sock.close()
+
+
+class TestNoDelay:
+    """Nagle's algorithm is off on every blocking peer socket.
+
+    With it on, a peer's small frames wait for the daemon's delayed ACK
+    (up to ~40 ms per shard and per RPC).
+    """
+
+    def test_plain_connect_sets_nodelay(self, listener):
+        sock = connect_with_retry("127.0.0.1", listener.getsockname()[1], 5.0)
+        with sock:
+            assert _nodelay(sock)
+
+    def test_tls_connect_sets_nodelay(self, tls_files):
+        cert, key = tls_files
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=30.0, tls_cert=cert, tls_key=key
+        ) as daemon:
+            sock = connect_with_retry(
+                "127.0.0.1",
+                daemon.port,
+                5.0,
+                ssl_context=client_tls_context(cert),
+            )
+            with sock:
+                assert sock.version() is not None  # TLS handshake done
+                assert _nodelay(sock)
+
+    def test_service_client_socket_sets_nodelay(self, listener):
+        client = ServiceClient(
+            "127.0.0.1", listener.getsockname()[1], connect_timeout=5.0
+        )
+        sock = client._open_socket()
+        with sock:
+            assert _nodelay(sock)
+
+
+class _RecordingSocket:
+    """A socket stand-in recording each ``sendall``; it has no other
+    write method, so a frame written any other way fails loudly."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+
+    def sendall(self, data) -> None:
+        self.writes.append(bytes(data))
+
+
+def _same(sent, received) -> bool:
+    if isinstance(sent, np.ndarray):
+        return (
+            isinstance(received, np.ndarray)
+            and sent.dtype == received.dtype
+            and sent.shape == received.shape
+            and sent.tobytes() == received.tobytes()
+        )
+    if isinstance(sent, (tuple, list)):
+        return (
+            type(sent) is type(received)
+            and len(sent) == len(received)
+            and all(map(_same, sent, received))
+        )
+    return sent == received
+
+
+class TestOneWritePerFrame:
+    """``send_message`` hands each frame to the socket in one write."""
+
+    @pytest.mark.parametrize(
+        "message, parts",
+        [
+            ((PING,), 2),
+            ((SHARD, 5, [np.arange(2000, dtype=np.int64).reshape(-1, 2)]), 5),
+            (
+                (RESULT, 9, [np.arange(i, i + 4, dtype=np.int64) for i in range(600)]),
+                1203,
+            ),
+        ],
+        ids=["ping", "shard-one-array", "600-arrays"],
+    )
+    def test_one_sendall_per_message(self, message, parts):
+        assert len(encode_frames(message)) == parts
+        sock = _RecordingSocket()
+        send_message(sock, message)
+        assert len(sock.writes) == 1
+        (frame,) = sock.writes
+        (length,) = struct.unpack(">I", frame[:4])
+        assert length == len(frame) - 4
+        assert _same(message, decode_payload(frame[4:]))
 
 
 class TestHandshakePinning:
