@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 
 from repro import EvaluationEngine, ProcessBackend, ThreadBackend
+from repro.engine.diskcache import cell_key
 
 from .conftest import WORKLOAD_MAPPERS, WORKLOAD_NODE_COUNTS, backend_workload
 from .conftest import result_signature as _signature
@@ -52,10 +53,11 @@ def test_thread_and_process_backends_agree(tmp_path):
     assert [_signature(r) for r in process_results] == reference
     assert streamed == sorted(reference)
 
-    # the workers published every instance's edges to the shared disk cache
-    assert len(list(tmp_path.glob("edges-*.npy"))) == len(
-        {r.instance_key for r in requests}
-    )
+    # the workers published every distinct cell to the shared result
+    # store, and nothing else
+    assert {p.name for p in tmp_path.iterdir()} == {
+        f"result-{cell_key(r)}.pkl" for r in requests
+    }
     print(
         f"\nbackend timings on {len(requests)} requests: "
         + ", ".join(f"{k}={v * 1e3:.1f} ms" for k, v in timings.items())
@@ -63,13 +65,15 @@ def test_thread_and_process_backends_agree(tmp_path):
 
 
 def test_process_backend_warm_disk_cache_skips_edge_rebuild(tmp_path):
-    """A second backend pointed at the same cache dir reloads, not rebuilds."""
+    """A second backend pointed at the same cache dir answers every
+    request from the stored cells, so it neither maps nor builds edges."""
     requests = _workload()[: len(WORKLOAD_NODE_COUNTS) * len(WORKLOAD_MAPPERS)]
     with ProcessBackend(1, disk_cache_dir=tmp_path) as cold:
-        cold.evaluate_batch(requests)
-    stored = {p.name for p in tmp_path.glob("edges-*.npy")}
-    assert len(stored) == len({r.instance_key for r in requests})
+        reference = [_signature(r) for r in cold.evaluate_batch(requests)]
+    stored = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
+    assert stored.keys() == {f"result-{cell_key(r)}.pkl" for r in requests}
     with ProcessBackend(1, disk_cache_dir=tmp_path) as warm:
-        warm.evaluate_batch(requests)
-    # warm run added no new files (every instance was served from disk)
-    assert {p.name for p in tmp_path.glob("edges-*.npy")} == stored
+        assert [_signature(r) for r in warm.evaluate_batch(requests)] == reference
+    # the warm run published nothing: a computed cell would have replaced
+    # its file (and inode)
+    assert {p.name: p.stat().st_ino for p in tmp_path.iterdir()} == stored

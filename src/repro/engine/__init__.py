@@ -20,14 +20,14 @@ Where those requests execute is pluggable (:mod:`repro.engine.backends`):
 
 See :mod:`repro.engine.engine` for the caching/batching/fan-out design,
 :mod:`repro.engine.backends` for the thread/process execution backends,
-:mod:`repro.engine.diskcache` for the persistent edge cache and result
-store, and :mod:`repro.engine.registry` for name-based mapper discovery.
+:mod:`repro.engine.diskcache` for the persistent result store, and
+:mod:`repro.engine.registry` for name-based mapper discovery.
 """
 
 from .backends import Backend, ProcessBackend, ThreadBackend, resolve_backend
 from .cache import CacheStats, LRUCache
 from .cluster import ClusterBackend
-from .diskcache import CACHE_DIR_ENV, DiskCacheStats, DiskEdgeCache, DiskStore
+from .diskcache import CACHE_DIR_ENV, DiskCacheStats, DiskStore
 from .engine import EvaluationEngine
 from .metrics import (
     MetricSpec,
@@ -55,7 +55,6 @@ __all__ = [
     "resolve_backend",
     "LRUCache",
     "CacheStats",
-    "DiskEdgeCache",
     "DiskStore",
     "DiskCacheStats",
     "CACHE_DIR_ENV",

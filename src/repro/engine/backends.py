@@ -15,7 +15,8 @@ those units run:
   (requests sharing a grid and stencil land in one shard and hit one
   worker's caches).  Each worker builds its own edge arrays; pointing
   the backend at a ``disk_cache_dir`` lets all workers share one
-  persistent edge cache and result store instead.
+  persistent result store, so a cell any of them computed is answered
+  to the others.
 * :class:`~repro.engine.cluster.ClusterBackend`
   (:mod:`repro.engine.cluster`) — the multi-host tier: the same
   instance-aligned shards travel over TCP sockets to remote workers
@@ -282,10 +283,9 @@ class ProcessBackend:
     num_workers:
         Worker-process count; ``None`` picks ``min(8, cpu_count)``.
     disk_cache_dir:
-        Optional persistent cache directory (edge arrays and result
-        cells) shared by all workers, and by any other engine or
-        service daemon pointed at it; defaults to the
-        ``REPRO_CACHE_DIR`` environment variable.
+        Optional result-store directory shared by all workers, and by
+        any other engine or service daemon pointed at it; defaults to
+        the ``REPRO_CACHE_DIR`` environment variable.
     shards_per_worker:
         Target shards per worker per batch.  More shards smooth out
         imbalanced instance sizes and tighten streaming latency at the
@@ -325,11 +325,8 @@ class ProcessBackend:
         self.num_workers = int(num_workers)
         self.shards_per_worker = int(shards_per_worker)
         engine_options.setdefault("max_workers", 1)
-        self.disk_cache_dir = (
-            None if disk_cache_dir is None else os.fspath(disk_cache_dir)
-        )
-        if self.disk_cache_dir is not None:
-            engine_options["disk_cache_dir"] = self.disk_cache_dir
+        if disk_cache_dir is not None:
+            engine_options["disk_cache_dir"] = os.fspath(disk_cache_dir)
         inspect.signature(EvaluationEngine).bind(**engine_options)
         self._engine_options = engine_options
         self._pool: ProcessPoolExecutor | None = None

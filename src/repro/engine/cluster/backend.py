@@ -45,10 +45,9 @@ class ClusterBackend:
         work-stealing granularity (better balance across uneven hosts,
         earlier streamed results) at the price of more round-trips.
     disk_cache_dir:
-        Cache directory, for hosts sharing a filesystem with the
-        coordinator: advertised to workers (``WELCOME``) and home of
-        the daemon's result store, which answers repeat cells without
-        dispatching them; defaults to ``REPRO_CACHE_DIR``.
+        Home of the daemon's result store, which answers repeat cells
+        without dispatching them; defaults to ``REPRO_CACHE_DIR``.
+        Workers keep their own setting (``work --cache-dir``).
     max_shard_requeues:
         Worker deaths one shard may survive before the sweep fails with
         :class:`~repro.exceptions.ServiceError` (a shard that OOM-kills
@@ -107,7 +106,6 @@ class ClusterBackend:
             tls_key=tls_key,
             tls_ca=tls_ca,
         )
-        self.disk_cache_dir = self._daemon.disk_cache_dir
         # Jobs reach the daemon over in-process socket pairs, not its
         # port, so no TLS layout the port serves (a CA-signed
         # certificate, client certificates demanded) can shut the

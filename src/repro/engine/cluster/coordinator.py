@@ -505,10 +505,9 @@ class Coordinator:
         presumed dead, closed, and its in-flight shards requeued.
         Workers are told to ping every third of this.
     cache_dir:
-        Advertised to workers in ``WELCOME`` so hosts sharing the
-        coordinator's filesystem reuse its on-disk edge cache without
-        per-worker configuration, and home of the result store (see
-        the module docstring); ``None`` disables both.
+        Home of the result store (see the module docstring); ``None``
+        disables it.  Workers are not told about it: each keeps its own
+        setting (``work --cache-dir`` or ``REPRO_CACHE_DIR``).
     max_shard_requeues:
         How many worker deaths one shard may survive before it is
         treated as poisoned (a shard that OOM-kills or segfaults its
@@ -587,7 +586,6 @@ class Coordinator:
         self._host = host
         self._port = port
         self._heartbeat_timeout = float(heartbeat_timeout)
-        self._cache_dir = cache_dir
         self._max_shard_requeues = int(max_shard_requeues)
         self._secret = secret or None
         self._history_limit = int(history_limit)
@@ -1318,13 +1316,7 @@ class Coordinator:
         try:
             await write_message(
                 writer,
-                (
-                    WELCOME,
-                    {
-                        "heartbeat_interval": self._heartbeat_timeout / 3.0,
-                        "cache_dir": self._cache_dir,
-                    },
-                ),
+                (WELCOME, {"heartbeat_interval": self._heartbeat_timeout / 3.0}),
             )
         except (ConnectionError, OSError):
             writer.close()
@@ -1730,6 +1722,9 @@ class Coordinator:
             isinstance(shard, list) for shard in payloads
         ):
             raise ProtocolError("SUBMIT payload must be a list of shard lists")
+        priority = options.get("priority", 0)
+        if not isinstance(priority, int):
+            raise ProtocolError(f"SUBMIT priority must be an int, not {priority!r}")
         # Admission control: a client over its job/backlog quota gets a
         # clean REJECTED (with the reason) instead of queue admission —
         # its session stays open, and other tenants' work is untouched.
@@ -1742,7 +1737,7 @@ class Coordinator:
         job, shard_ids = await self.submit_job(
             payloads,
             results,
-            priority=int(options.get("priority", 0)),
+            priority=priority,
             label=str(options.get("label", "") or ""),
             tenant=conn.tenant,
         )

@@ -86,9 +86,9 @@ Message catalogue (worker ``->`` coordinator unless noted):
 ``AUTH``    ``(AUTH, digest: str)`` — the HMAC-SHA256 response to a
             CHALLENGE (see :func:`auth_digest`)
 ``WELCOME`` coordinator: ``(WELCOME, settings: dict)`` — settings carry
-            ``heartbeat_interval`` (seconds between peer pings) and
-            ``cache_dir`` (the coordinator's edge-cache directory, for
-            workers sharing its filesystem)
+            ``heartbeat_interval`` (seconds between peer pings); peers
+            read keys with ``.get`` and ignore the rest, such as the
+            ``cache_dir`` that older coordinators send
 ``REJECT``  coordinator: ``(REJECT, reason: str)``; the connection is
             closed afterwards
 ``GET``     ``(GET,)`` — the work-stealing pull: hand me the next shard
@@ -334,11 +334,13 @@ def decode_payload(payload) -> tuple:
 
     Array buffers of a segmented payload are handed to pickle as
     memoryview slices of *payload*, so decoded NumPy arrays are
-    zero-copy read-only views over the received bytes.
+    zero-copy read-only views over the received bytes.  A payload that
+    does not decode (not a pickle, truncated, a bad segment table)
+    raises :class:`ProtocolError`, whatever pickle itself raised.
     """
     view = memoryview(payload)
     if not view.nbytes or view[0] != _SEGMENTED:
-        return pickle.loads(view)
+        return _unpickle(view)
     offset = 1
 
     def take(count: int) -> memoryview:
@@ -356,7 +358,16 @@ def decode_payload(payload) -> tuple:
     while offset < view.nbytes:
         (segment_len,) = _HEADER.unpack(take(_HEADER.size))
         buffers.append(take(segment_len))
-    return pickle.loads(header, buffers=buffers)
+    return _unpickle(header, buffers)
+
+
+def _unpickle(data: memoryview, buffers: list | None = None) -> tuple:
+    try:
+        return pickle.loads(data, buffers=buffers)
+    except Exception as exc:  # pickle raises almost anything on bad bytes
+        raise ProtocolError(
+            f"undecodable payload: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def hello(info: dict | None = None) -> tuple:

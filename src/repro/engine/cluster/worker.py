@@ -33,9 +33,12 @@ If the coordinator serves TLS, pass ``--tls-ca`` with its trust root
 ``$REPRO_TLS_CA``); ``--tls-cert``/``--tls-key`` additionally load a
 worker certificate for mutual-TLS coordinators.
 
-Edge-cache resolution order: ``--cache-dir``, then ``REPRO_CACHE_DIR``,
-then the directory the coordinator advertises in ``WELCOME`` (useful
-when worker hosts share the coordinator's filesystem).
+The worker's engines use a result store only when given one:
+``--cache-dir``, else ``REPRO_CACHE_DIR`` (an empty value disables it).
+The coordinator's own cache directory is not shared with workers: a
+daemon with a store already looks up and publishes every cell it
+dispatches, so a worker with the same directory would only do both a
+second time.
 
 Exit codes: ``0`` after a coordinator ``SHUTDOWN`` (sweep over), ``1``
 on a lost/unreachable coordinator (after the reconnect budget), ``2``
@@ -48,7 +51,6 @@ import os
 import socket
 import threading
 
-from ..diskcache import CACHE_DIR_ENV, resolve_cache_dir
 from .protocol import (
     CHALLENGE,
     FAIL,
@@ -83,9 +85,7 @@ def _serve_connection(
     host: str,
     port: int,
     *,
-    backend_spec: str | None,
-    shards: int | None,
-    cache_dir: str | os.PathLike | None,
+    backend,
     secret: str | None,
     log,
 ) -> str:
@@ -95,8 +95,6 @@ def _serve_connection(
     shutdown), ``_LOST`` (connection died; the caller may reconnect) or
     ``_REJECTED`` (handshake refused; retrying would loop).
     """
-    from ..backends import resolve_backend
-
     try:
         kind, detail = handshake(
             sock, {"pid": os.getpid(), "host": socket.gethostname()}, secret
@@ -125,21 +123,7 @@ def _serve_connection(
     # indefinitely (keepalive, not a socket timeout, detects a dead peer).
     sock.settimeout(None)
 
-    settings = detail
-    interval = float(settings.get("heartbeat_interval") or 5.0)
-    # --cache-dir, then REPRO_CACHE_DIR, then the coordinator's
-    # advertised directory — but an *explicitly empty* flag or variable
-    # means "disable the disk layer" and must not fall through to the
-    # advertised path (the worker may not share that filesystem).
-    if cache_dir is not None or CACHE_DIR_ENV in os.environ:
-        effective_cache = resolve_cache_dir(cache_dir)
-    else:
-        effective_cache = settings.get("cache_dir")
-    options = {}
-    if effective_cache:
-        options["disk_cache_dir"] = str(effective_cache)
-    backend = resolve_backend(backend_spec, shards=shards, **options)
-
+    interval = float(detail.get("heartbeat_interval") or 5.0)
     write_lock = threading.Lock()
     stop = start_heartbeat(sock, write_lock, interval, "repro-cluster-heartbeat")
     log(f"worker: serving coordinator {host}:{port} on {backend!r}")
@@ -195,7 +179,6 @@ def _serve_connection(
                 return _LOST
     finally:
         stop.set()
-        backend.close()
         sock.close()
 
 
@@ -216,7 +199,9 @@ def run_worker(
     """Serve one coordinator until it shuts the cluster down.
 
     *backend_spec*/*shards* choose the local execution backend
-    (``resolve_backend`` syntax; ``cluster`` itself is refused).  After
+    (``resolve_backend`` syntax; ``cluster`` itself is refused), built
+    once and kept, caches and all, across reconnects; *cache_dir* is its
+    result-store directory (default ``REPRO_CACHE_DIR``).  After
     losing an *established* coordinator, the worker reconnects with
     capped exponential backoff for up to *reconnect_timeout* seconds
     (``0`` exits immediately, the pre-service behaviour); the budget
@@ -236,12 +221,6 @@ def run_worker(
         raise ValueError(
             "a cluster worker cannot itself execute on a cluster or service"
         )
-    # Validate the local backend spec *before* connecting: a worker that
-    # would die on a bad spec must not first satisfy a serve quorum and
-    # then leave the sweep hung with zero workers.  (The real backend is
-    # built after WELCOME, which may add the advertised cache dir.)
-    resolve_backend(backend_spec, shards=shards).close()
-
     secret = resolve_secret(secret)
     tls_cert, tls_key, tls_ca = resolve_tls(tls_cert, tls_key, tls_ca)
     ssl_context = (
@@ -250,39 +229,37 @@ def run_worker(
         else None
     )
     host, port = parse_address(connect, default_host="127.0.0.1")
-    sock = connect_with_retry(
-        host, port, connect_timeout, log=log, ssl_context=ssl_context
-    )
-    if sock is None:
-        return 1
-    while True:
-        outcome = _serve_connection(
-            sock,
-            host,
-            port,
-            backend_spec=backend_spec,
-            shards=shards,
-            cache_dir=cache_dir,
-            secret=secret,
-            log=log,
-        )
-        if outcome == _SHUTDOWN:
-            return 0
-        if outcome == _REJECTED:
-            return 2
-        if reconnect_timeout <= 0:
-            return 1
-        log(
-            f"worker: reconnecting to {host}:{port} for up to "
-            f"{reconnect_timeout:g}s"
-        )
+    # Built *before* connecting: a worker that would die on a bad spec
+    # must not first satisfy a serve quorum and then leave the sweep
+    # hung with zero workers.
+    options = {} if cache_dir is None else {"disk_cache_dir": cache_dir}
+    backend = resolve_backend(backend_spec, shards=shards, **options)
+    try:
         sock = connect_with_retry(
-            host,
-            port,
-            reconnect_timeout,
-            max_delay=5.0,
-            log=log,
-            ssl_context=ssl_context,
+            host, port, connect_timeout, log=log, ssl_context=ssl_context
         )
-        if sock is None:
-            return 1
+        while sock is not None:
+            outcome = _serve_connection(
+                sock, host, port, backend=backend, secret=secret, log=log
+            )
+            if outcome == _SHUTDOWN:
+                return 0
+            if outcome == _REJECTED:
+                return 2
+            if reconnect_timeout <= 0:
+                return 1
+            log(
+                f"worker: reconnecting to {host}:{port} for up to "
+                f"{reconnect_timeout:g}s"
+            )
+            sock = connect_with_retry(
+                host,
+                port,
+                reconnect_timeout,
+                max_delay=5.0,
+                log=log,
+                ssl_context=ssl_context,
+            )
+        return 1
+    finally:
+        backend.close()

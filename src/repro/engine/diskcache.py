@@ -1,20 +1,18 @@
-"""Persistent on-disk caches: edge arrays plus the result-cell store.
+"""The persistent result-cell store.
 
 The engine's in-memory caches die with the process; sweeps sharded
 across worker processes (or restarted after a crash) and service
 daemons answering repeat requests would otherwise recompute the same
-results once per process.  This module persists them as one file per
-entry, so any process pointed at the same directory reads what another
-already computed:
-
-* :class:`DiskEdgeCache` — ``edges-<sha256>.npy`` communication-edge
-  arrays keyed by grid dimensions/periodicity plus stencil offsets.
-* :class:`DiskStore` — ``result-<sha256>.pkl`` result cells, the
-  ``(perm, cost, error, metrics)`` outcome of one request keyed by
-  :func:`cell_key`.  It is the one persistent memo layer: every engine
-  (serial, thread, process and service workers) and every service
-  daemon reads and publishes the same cells, so a cell computed by any
-  of them is answered to all the others.
+results once per process.  :class:`DiskStore` persists them as one
+``result-<sha256>.pkl`` file per result cell — the ``(perm, cost,
+error, metrics)`` outcome of one request keyed by :func:`cell_key` —
+so any process pointed at the same directory reads what another
+already computed.  It is the one persistent memo layer: every engine
+(serial, thread, process and service workers) and every service daemon
+reads and publishes the same cells, so a cell computed by any of them
+is answered to all the others.  Communication edges are not persisted:
+a stored cell answers its request without them, and an engine that
+must compute a cell rebuilds them in memory.
 
 The cache directory is chosen per engine via the ``disk_cache_dir``
 argument, or globally via the ``REPRO_CACHE_DIR`` environment variable;
@@ -23,7 +21,9 @@ before.  Writes are atomic (tmp file + ``os.replace``), so concurrent
 writers on one POSIX filesystem can only ever publish complete entries.
 An absent entry is a miss; an unreadable one — undecodable bytes, or a
 cell of the wrong shape — is a miss that also counts under ``corrupt``,
-never an error.
+never an error.  Files of any other name in the directory (such as the
+``edges-*.npy`` arrays of older releases) are never read, cleared or
+pruned.
 
 Stable content keys
 -------------------
@@ -53,15 +53,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..grid.grid import CartesianGrid
-from ..grid.stencil import Stencil
 from ..metrics.cost import MappingCost
 
 __all__ = [
     "DiskCacheStats",
-    "DiskEdgeCache",
     "DiskStore",
-    "STORE_KINDS",
     "CACHE_DIR_ENV",
     "prune",
     "resolve_cache_dir",
@@ -76,17 +72,6 @@ __all__ = [
 
 #: Environment variable naming the default on-disk cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Every store kind sharing one cache directory: the ``.npy`` edge
-#: cache and the pickled result cells.  The CLI ``cache`` verb
-#: reports/clears each kind separately.
-STORE_KINDS = ("edges", "result")
-
-#: Serialises every ``np.load`` of the edge cache in this process.
-#: ``np.load`` parses the ``.npy`` header with ``ast.literal_eval``, and
-#: on CPython 3.11 concurrent parses in threads can raise ``SystemError:
-#: AST constructor recursion depth mismatch``.
-_NPY_LOAD_LOCK = threading.Lock()
 
 
 def resolve_cache_dir(spec: str | os.PathLike | None) -> Path | None:
@@ -121,21 +106,19 @@ def prune(
     *,
     ttl: float | None = None,
 ) -> dict[str, int]:
-    """Evict cache entries by age (*ttl*) and size budget (*max_bytes*).
+    """Evict result cells by age (*ttl*) and size budget (*max_bytes*).
 
-    Scans every store kind sharing *cache_dir* — the ``.npy`` edge cache
-    and the pickled :class:`DiskStore` cells.  Entries not used
-    (mtime) for more than *ttl* seconds are unlinked unconditionally;
-    the survivors are then unlinked oldest-mtime-first (both ``load``
-    paths bump mtime on hit, so mtime order is recency-of-use order)
-    until the combined size is at or under *max_bytes*.  Either policy
-    may be ``None`` to skip it, but not both.  Returns
-    ``{kind: removed_count}`` for every kind in :data:`STORE_KINDS`; a
-    missing directory prunes nothing.
+    Cells not used (mtime) for more than *ttl* seconds are unlinked
+    unconditionally; the survivors are then unlinked oldest-mtime-first
+    (:meth:`DiskStore.load` bumps mtime on hit, so mtime order is
+    recency-of-use order) until their combined size is at or under
+    *max_bytes*.  Either policy may be ``None`` to skip it, but not
+    both.  Returns ``{"result": removed_count}``; a missing directory
+    prunes nothing.
 
-    Only recognised ``<kind>-*<suffix>`` entries are candidates: foreign
-    files in a shared directory are never touched (and never counted
-    against the budget).
+    Only ``result-*.pkl`` entries are candidates: foreign files in a
+    shared directory are never touched (and never counted against the
+    budget).
     """
     if max_bytes is None and ttl is None:
         raise ValueError("prune needs max_bytes, ttl, or both")
@@ -143,39 +126,37 @@ def prune(
         raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
     if ttl is not None and ttl <= 0:
         raise ValueError(f"ttl must be positive, got {ttl}")
-    directory = Path(cache_dir)
-    removed = dict.fromkeys(STORE_KINDS, 0)
-    entries: list[tuple[float, int, str, Path]] = []
+    store = DiskStore(cache_dir)
+    removed = 0
+    entries: list[tuple[float, int, Path]] = []
     total = 0
     now = time.time()
-    for store in (DiskEdgeCache(directory), DiskStore(directory)):
-        for path in list(store._entries()):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # racing a concurrent clear()/prune()
-            if ttl is not None and now - stat.st_mtime > ttl:
-                try:
-                    path.unlink()
-                except OSError:
-                    continue  # racing another eviction, or permissions
-                removed[store.kind] += 1
-                continue
-            entries.append((stat.st_mtime, stat.st_size, store.kind, path))
-            total += stat.st_size
-    if max_bytes is None:
-        return removed
-    entries.sort(key=lambda entry: entry[0])
-    for _, size, kind, path in entries:
-        if total <= max_bytes:
-            break
+    for path in list(store._entries()):
         try:
-            path.unlink()
+            stat = path.stat()
         except OSError:
-            continue  # racing another eviction, or permissions
-        total -= size
-        removed[kind] += 1
-    return removed
+            continue  # racing a concurrent clear()/prune()
+        if ttl is not None and now - stat.st_mtime > ttl:
+            try:
+                path.unlink()
+            except OSError:
+                continue  # racing another eviction, or permissions
+            removed += 1
+            continue
+        entries.append((stat.st_mtime, stat.st_size, path))
+        total += stat.st_size
+    if max_bytes is not None:
+        entries.sort(key=lambda entry: entry[0])
+        for _, size, path in entries:
+            if total <= max_bytes:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue  # racing another eviction, or permissions
+            total -= size
+            removed += 1
+    return {store.kind: removed}
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +320,7 @@ def _is_cell(value) -> bool:
 
 @dataclass(frozen=True)
 class DiskCacheStats:
-    """Point-in-time counters of one on-disk cache.
+    """Point-in-time counters of one :class:`DiskStore` handle.
 
     ``hits``/``misses``/``stores``/``corrupt`` are this process's handle
     counters; ``corrupt`` counts the misses whose entry existed but
@@ -356,18 +337,28 @@ class DiskCacheStats:
     corrupt: int = 0
 
 
-class _DiskCacheBase:
-    """Shared machinery of the on-disk stores.
+class DiskStore:
+    """File-per-entry pickle store of result cells.
 
-    One directory, one file per entry named ``<kind>-<key><suffix>``,
-    atomic publishes, and lock-guarded counters: handles are shared
-    between concurrent engine worker threads, so unguarded ``+= 1``
-    bumps would lose updates.
+    The one persistent memo layer behind every engine's in-memory LRUs
+    and the service daemon's content-addressed result serving.  A cell
+    is the ``(perm, cost, error, metrics)`` outcome of one request —
+    the tuple that worker and process-pool result rows carry after
+    their index — stored as ``result-<key>.pkl`` under the request's
+    :func:`cell_key`.  Publishes are atomic, and the counters are
+    lock-guarded: handles are shared between concurrent engine worker
+    threads, so unguarded ``+= 1`` bumps would lose updates.
+
+    Parameters
+    ----------
+    cache_dir:
+        Directory holding the entries; created on first use and safely
+        shared between processes.
     """
 
-    #: File-name prefix distinguishing this store in a shared dir.
-    kind: str
-    _suffix: str
+    #: File-name prefix of the store's entries (``result-<key>.pkl``).
+    kind = "result"
+    _suffix = ".pkl"
 
     def __init__(self, cache_dir: str | os.PathLike):
         self._dir = Path(cache_dir)
@@ -379,7 +370,7 @@ class _DiskCacheBase:
 
     @property
     def cache_dir(self) -> Path:
-        """The directory backing this cache."""
+        """The directory backing this store."""
         return self._dir
 
     @property
@@ -399,14 +390,41 @@ class _DiskCacheBase:
             self._stores += store
             self._corrupt += corrupt
 
-    def _publish(self, path: Path, write) -> bool:
-        """Atomically write one entry via ``write(fh)``.
+    def load(self, key: str) -> tuple | None:
+        """The cell stored under *key*, or ``None``.
+
+        An absent entry is a plain miss.  Truncated, undecodable or
+        otherwise unreadable bytes, and a value that is not a cell, are
+        misses counted as ``corrupt`` — a crashed writer or a stray
+        file must never fail a sweep.
+        """
+        path = self._path(key)
+        try:
+            with open(path, "rb") as fh:
+                cell = pickle.load(fh)
+        except FileNotFoundError:
+            self._count(miss=True)
+            return None
+        except Exception:
+            # pickle raises anything from EOFError to arbitrary
+            # constructor errors on corrupt bytes.
+            cell = None
+        if not _is_cell(cell):
+            self._count(miss=True, corrupt=True)
+            return None
+        self._count(hit=True)
+        _touch(path)
+        return cell
+
+    def store(self, key: str, cell: tuple) -> bool:
+        """Atomically publish *cell* under *key*; ``False`` if unwritable.
 
         Best-effort: an unwritable cache directory degrades to ``False``
         (callers still hold the in-memory copy).  Readers can only ever
         observe complete entries — the tmp file carries a ``.tmp``
         suffix no reader globs, and ``os.replace`` is atomic.
         """
+        path = self._path(key)
         try:
             self._dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -414,7 +432,7 @@ class _DiskCacheBase:
             )
             try:
                 with os.fdopen(fd, "wb") as fh:
-                    write(fh)
+                    pickle.dump(cell, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(tmp, path)
             except BaseException:
                 os.unlink(tmp)
@@ -451,11 +469,10 @@ class _DiskCacheBase:
             )
 
     def clear(self) -> int:
-        """Delete every entry of *this* store; returns how many removed.
+        """Delete every cell of the store; returns how many removed.
 
-        Only the store's own ``<kind>-*<suffix>`` files are touched, so
-        a directory shared with other stores (or other data) is safe to
-        clear.
+        Only ``result-*.pkl`` files are touched, so a directory shared
+        with other data is safe to clear.
         """
         removed = 0
         for path in self._entries():
@@ -471,121 +488,4 @@ class _DiskCacheBase:
         return (
             f"{type(self).__name__}({str(self._dir)!r}, kind={self.kind!r}, "
             f"hits={s.hits}, misses={s.misses}, stores={s.stores})"
-        )
-
-
-class DiskEdgeCache(_DiskCacheBase):
-    """File-per-entry ``np.save``/``np.load`` store of edge arrays.
-
-    Parameters
-    ----------
-    cache_dir:
-        Directory holding the ``edges-<sha256>.npy`` files; created on
-        first use.  Many processes may share one directory.
-    """
-
-    kind = "edges"
-    _suffix = ".npy"
-
-    @staticmethod
-    def key_for(grid: CartesianGrid, stencil: Stencil) -> str:
-        """Deterministic file-name key of ``(grid, stencil)``.
-
-        Mirrors the in-memory edge-cache key: structurally equal
-        instances — same dimensions, periodicity and offset set — map to
-        the same file in every process, today and after a restart.
-        Offsets are sorted because :class:`Stencil` equality is
-        set-based; permuted insertion orders must share one entry.
-        """
-        payload = repr((grid.dims, grid.periods, tuple(sorted(stencil.offsets))))
-        return stable_digest(payload)
-
-    def _path_for(self, grid: CartesianGrid, stencil: Stencil) -> Path:
-        return self._path(self.key_for(grid, stencil))
-
-    def load(self, grid: CartesianGrid, stencil: Stencil) -> np.ndarray | None:
-        """Read the cached edge array, or ``None`` when absent/corrupt.
-
-        A truncated or unreadable file counts as a miss (and as
-        ``corrupt``) rather than an error.
-        """
-        path = self._path_for(grid, stencil)
-        try:
-            with _NPY_LOAD_LOCK:
-                arr = np.load(path)
-        except (OSError, ValueError, EOFError) as exc:
-            # EOFError: np.load on a zero-byte/truncated-header file
-            self._count(
-                miss=True, corrupt=not isinstance(exc, FileNotFoundError)
-            )
-            return None
-        self._count(hit=True)
-        _touch(path)
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    def store(self, grid: CartesianGrid, stencil: Stencil, edges: np.ndarray) -> None:
-        """Atomically publish the edge array of ``(grid, stencil)``.
-
-        Best-effort: an unwritable cache directory degrades to a no-op
-        (the sweep still has the in-memory copy).
-        """
-        self._publish(
-            self._path_for(grid, stencil),
-            lambda fh: np.save(fh, np.asarray(edges, dtype=np.int64)),
-        )
-
-
-class DiskStore(_DiskCacheBase):
-    """File-per-entry pickle store of result cells.
-
-    The one persistent memo layer behind every engine's in-memory LRUs
-    and the service daemon's content-addressed result serving.  A cell
-    is the ``(perm, cost, error, metrics)`` outcome of one request —
-    the tuple that worker and process-pool result rows carry after
-    their index — stored as ``result-<key>.pkl`` under the request's
-    :func:`cell_key`.
-
-    Parameters
-    ----------
-    cache_dir:
-        Directory holding the entries; created on first use and safely
-        shared between processes and the edge cache.
-    """
-
-    kind = "result"
-    _suffix = ".pkl"
-
-    def load(self, key: str) -> tuple | None:
-        """The cell stored under *key*, or ``None``.
-
-        An absent entry is a plain miss.  Truncated, undecodable or
-        otherwise unreadable bytes, and a value that is not a cell, are
-        misses counted as ``corrupt`` — a crashed writer or a stray
-        file must never fail a sweep.
-        """
-        path = self._path(key)
-        try:
-            with open(path, "rb") as fh:
-                cell = pickle.load(fh)
-        except FileNotFoundError:
-            self._count(miss=True)
-            return None
-        except Exception:
-            # pickle raises anything from EOFError to arbitrary
-            # constructor errors on corrupt bytes.
-            cell = None
-        if not _is_cell(cell):
-            self._count(miss=True, corrupt=True)
-            return None
-        self._count(hit=True)
-        _touch(path)
-        return cell
-
-    def store(self, key: str, cell: tuple) -> bool:
-        """Atomically publish *cell* under *key*; ``False`` if unwritable."""
-        return self._publish(
-            self._path(key),
-            lambda fh: pickle.dump(cell, fh, protocol=pickle.HIGHEST_PROTOCOL),
         )

@@ -25,7 +25,7 @@ honour the ``MappingRequest -> MappingResult`` contract.
 :mod:`repro.engine.backends` builds on that seam — ``ThreadBackend``
 wraps one engine, ``ProcessBackend`` shards request lists across worker
 processes, each running its own engine warmed through the shared
-on-disk edge cache and result store.
+result store.
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from ..hardware.allocation import NodeAllocation
 from ..kernels import evaluate_mappings_batch
 from ..metrics.cost import MappingCost, check_permutation
 from .cache import CacheStats, LRUCache
-from .diskcache import (
-    DiskCacheStats,
-    DiskEdgeCache,
-    DiskStore,
-    cell_key,
-    resolve_cache_dir,
-)
+from .diskcache import DiskCacheStats, DiskStore, cell_key, resolve_cache_dir
 from .metrics import MetricContext, MetricSpec, resolve_metric
 from .registry import list_mappers, resolve_mapper, spec_key
 from .request import MappingRequest, MappingResult, rebuild_result
@@ -75,12 +69,11 @@ class EvaluationEngine:
         small but numerous.  (Rank-to-node arrays need no engine cache:
         :class:`NodeAllocation` precomputes them at construction.)
     disk_cache_dir:
-        Directory of the persistent caches shared across processes and
-        restarts (see :mod:`repro.engine.diskcache`): the edge-array
-        cache, and the result store of whole ``(perm, cost, error,
-        metrics)`` cells that service daemons read and write too.  The
-        store sits behind the in-memory LRUs: a request whose
-        permutation the engine already holds never touches disk.
+        Directory of the result store shared across processes and
+        restarts (see :mod:`repro.engine.diskcache`): whole ``(perm,
+        cost, error, metrics)`` cells that service daemons read and
+        write too.  The store sits behind the in-memory LRUs: a request
+        whose permutation the engine already holds never touches disk.
         Defaults to the ``REPRO_CACHE_DIR`` environment variable; with
         neither set the disk layer is disabled.
 
@@ -111,7 +104,6 @@ class EvaluationEngine:
         self._cost_cache = LRUCache(cost_cache_entries)
         self._metric_cache = LRUCache(cost_cache_entries)
         cache_dir = resolve_cache_dir(disk_cache_dir)
-        self._disk_cache = None if cache_dir is None else DiskEdgeCache(cache_dir)
         self._result_store = None if cache_dir is None else DiskStore(cache_dir)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -152,21 +144,11 @@ class EvaluationEngine:
         stencil's offset set, so structurally equal instances share one
         entry regardless of object identity.  Returned arrays are
         read-only: every caller shares the cached buffer.
-
-        With a configured ``disk_cache_dir`` an in-memory miss falls
-        through to the on-disk cache (same key) before recomputing, and
-        fresh arrays are published there for other processes/restarts.
         """
 
         def compute() -> np.ndarray:
-            if self._disk_cache is not None:
-                cached = self._disk_cache.load(grid, stencil)
-                if cached is not None:
-                    return cached
             arr = communication_edges(grid, stencil)
             arr.setflags(write=False)
-            if self._disk_cache is not None:
-                self._disk_cache.store(grid, stencil, arr)
             return arr
 
         return self._edge_cache.get_or_compute((grid, stencil), compute)
@@ -177,8 +159,7 @@ class EvaluationEngine:
         """Cached ``(edges, offset_index)`` pair for offset-weighted metrics.
 
         Memoized in the edge cache under a distinct key; both arrays are
-        read-only shared buffers.  (The per-offset enumeration is not
-        mirrored to the disk cache, which stores single arrays.)
+        read-only shared buffers.
         """
 
         def compute() -> tuple[np.ndarray, np.ndarray]:
@@ -196,10 +177,7 @@ class EvaluationEngine:
 
         The workload analogue of :meth:`edges` for requests whose
         communication graph is not a grid x stencil product (stencil
-        programs, general graphs).  The on-disk edge cache does not
-        back this entry: program edges are cheap concatenations of
-        cached per-stage enumerations, and graph edges already travel by
-        value inside the workload object.  Returned arrays are read-only
+        programs, general graphs).  Returned arrays are read-only
         shared buffers.
         """
 
@@ -611,11 +589,6 @@ class EvaluationEngine:
         """Registry names accepted as a request's ``mapper`` spec."""
         return list_mappers()
 
-    @property
-    def disk_cache(self) -> DiskEdgeCache | None:
-        """The persistent edge cache, or ``None`` when disabled."""
-        return self._disk_cache
-
     def cache_stats(self) -> dict[str, CacheStats]:
         """Hit/miss/occupancy counters of the engine's LRU caches."""
         return {
@@ -625,24 +598,15 @@ class EvaluationEngine:
             "metrics": self._metric_cache.stats(),
         }
 
-    def disk_cache_stats(self) -> DiskCacheStats | None:
-        """Counters of the on-disk edge cache (``None`` when disabled)."""
-        return None if self._disk_cache is None else self._disk_cache.stats()
-
     def disk_store_stats(self) -> dict[str, DiskCacheStats]:
-        """Counters of both persistent stores, keyed by store kind.
+        """Counters of the result store, keyed by its kind ``result``.
 
-        Empty when the disk layer is disabled.  ``edges`` is the
-        ``.npy`` edge-array cache; ``result`` is the store of whole
-        result cells behind the LRUs.  Each carries its ``corrupt``
-        count of unreadable entries.
+        Empty when the disk layer is disabled.  The counters carry the
+        ``corrupt`` count of unreadable entries.
         """
-        if self._disk_cache is None:
+        if self._result_store is None:
             return {}
-        return {
-            "edges": self._disk_cache.stats(),
-            "result": self._result_store.stats(),
-        }
+        return {self._result_store.kind: self._result_store.stats()}
 
     def clear_caches(self) -> None:
         """Drop every cached intermediate (counters are kept)."""

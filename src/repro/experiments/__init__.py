@@ -10,9 +10,9 @@ Each module corresponds to one artefact of Section VI:
   (Figure 9),
 * :mod:`repro.experiments.tables` — the absolute-time appendix tables
   (Tables II–VII),
-* :mod:`repro.experiments.ablations` — the design-choice ablations called
-  out in DESIGN.md (split ordering, serpentine, distortion factors,
-  stencil-aware Nodecart, topology-aware cost model).
+* :mod:`repro.experiments.ablations` — ablations of design choices the
+  paper motivates without isolating them (split ordering, serpentine,
+  distortion factors, stencil-aware Nodecart, topology-aware cost model).
 
 The shared :class:`~repro.experiments.context.EvaluationContext` caches
 mappings, edge lists and costs so multi-machine sweeps reuse the

@@ -58,10 +58,9 @@ them exhaustively — dominated candidates are cancelled early::
 ``--backend cluster:``/``service:`` sweep) arms the shared-secret
 handshake on every cluster/service connection; ``status``, ``watch``
 and ``cancel`` work against a ``serve`` coordinator too.  ``cache``
-reports both persistent stores sharing the cache directory — the
-``edges`` array cache and the ``result`` cells that engines and
-service daemons share — one record per kind (``--clear`` empties
-them; each store removes exactly its own files).
+reports the ``result`` cells that engines and service daemons share in
+the cache directory (``--clear`` empties the store, removing exactly
+its own files).
 
 Repetition counts default to quick settings; pass ``--reps 200`` for the
 paper's sample sizes.  ``--backend`` selects the execution backend of
@@ -69,9 +68,8 @@ the batched sweeps (``serial``, ``thread[:N]``, ``process[:N]``,
 ``cluster:[host:]port`` to bind a coordinator without waiting for a
 worker quorum, or ``service:[host:]port[:priority]`` to submit to a
 standing daemon), ``--shards`` overrides its worker count and
-``--cache-dir`` points the persistent caches (edge arrays and result
-cells) at a directory (default: ``$REPRO_CACHE_DIR``; refused with a
-``service:`` backend).
+``--cache-dir`` points the result store at a directory (default:
+``$REPRO_CACHE_DIR``; refused with a ``service:`` backend).
 """
 
 from __future__ import annotations
@@ -955,22 +953,16 @@ def _search(args, parser) -> int:
 
 
 def _cache(args, parser) -> int:
-    """Report (and optionally clear or prune) the persistent caches.
+    """Report (and optionally clear or prune) the result store.
 
-    One record per store kind sharing the cache directory: the
-    ``edges`` array cache and the ``result`` cells that engines and
-    service daemons share.  ``--prune --max-bytes N`` LRU-evicts
-    entries across both kinds (oldest access first — loads bump mtime)
-    until the directory fits the budget.  Files of any other name,
-    such as ``perm-``/``cost-``/``metric-`` entries of older releases,
-    are never read, cleared or pruned.
+    One ``result`` record for the cells that engines and service
+    daemons share in the cache directory.  ``--prune --max-bytes N``
+    LRU-evicts cells (oldest access first — loads bump mtime) until
+    they fit the budget.  Files of any other name, such as the
+    ``edges-*.npy`` arrays and ``perm-``/``cost-``/``metric-`` entries
+    of older releases, are never read, cleared or pruned.
     """
-    from ..engine.diskcache import (
-        DiskEdgeCache,
-        DiskStore,
-        prune,
-        resolve_cache_dir,
-    )
+    from ..engine.diskcache import DiskStore, prune, resolve_cache_dir
 
     directory = resolve_cache_dir(args.cache_dir)
     if directory is None:
@@ -982,25 +974,20 @@ def _cache(args, parser) -> int:
         parser.error("--prune requires --max-bytes N")
     if args.max_bytes is not None and not args.prune:
         parser.error("--max-bytes only applies with --prune")
-    pruned: dict[str, int] = {}
-    if args.prune:
-        if args.max_bytes < 0:
-            parser.error("--max-bytes must be >= 0")
-        pruned = prune(directory, args.max_bytes)
+    if args.prune and args.max_bytes < 0:
+        parser.error("--max-bytes must be >= 0")
     columns = ["kind", "dir", "entries", "bytes"]
     if args.clear or args.prune:
         columns.append("removed")
-    records: list[dict] = []
-    for store in (DiskEdgeCache(directory), DiskStore(directory)):
-        record: dict = {"kind": store.kind, "dir": str(directory)}
-        if args.clear:
-            record["removed"] = store.clear()
-        elif args.prune:
-            record["removed"] = pruned[store.kind]
-        stats = store.stats()
-        record.update(entries=stats.entries, bytes=stats.total_bytes)
-        records.append(record)
-    _emit_records(args, records, columns)
+    store = DiskStore(directory)
+    record: dict = {"kind": store.kind, "dir": str(directory)}
+    if args.clear:
+        record["removed"] = store.clear()
+    elif args.prune:
+        record["removed"] = prune(directory, args.max_bytes)[store.kind]
+    stats = store.stats()
+    record.update(entries=stats.entries, bytes=stats.total_bytes)
+    _emit_records(args, [record], columns)
     return 0
 
 
@@ -1321,8 +1308,8 @@ def _parser():
     clear_or_prune.add_argument(
         "--prune",
         action="store_true",
-        help="LRU-evict entries (oldest access first, across all store "
-        "kinds) until the directory fits --max-bytes",
+        help="LRU-evict result cells (oldest access first) until they "
+        "fit --max-bytes",
     )
     return parser, verbs
 

@@ -5,7 +5,8 @@ advantage persists; this extension sweeps node counts to chart the
 trend: ``Jmax`` reduction and model speedup versus the number of nodes
 at a fixed 48 processes per node (weak scaling of the process grid).
 
-Not a paper figure — listed in DESIGN.md as an E-series extension.
+Not a paper figure: an extension beyond the paper's two node counts,
+run by the ``scaling`` verb (README, "The command line").
 """
 
 from __future__ import annotations
@@ -89,14 +90,11 @@ def scaling_sweep(
         )
     owned_engine = None
     if engine is None:
-        # a ThreadBackend brings its own engine (shared caches); for any
-        # other backend, let the parent's edge lookups reuse the
-        # backend's disk cache instead of rebuilding every edge array
+        # a ThreadBackend brings its own engine (shared caches); any
+        # other backend gets a private one for the model-time loop
         engine = getattr(backend, "engine", None)
         if engine is None:
-            engine = owned_engine = EvaluationEngine(
-                disk_cache_dir=getattr(backend, "disk_cache_dir", None)
-            )
+            engine = owned_engine = EvaluationEngine()
     if mappers is None:
         # registry names -> engine memoizes by value across sweeps
         mappers = {name: name for name in DEFAULT_MAPPER_NAMES}
@@ -122,7 +120,7 @@ def scaling_sweep(
     finally:
         # a private engine's worker pool must not outlive the sweep;
         # close() keeps the caches usable — the model-time loop below
-        # still reads this engine's warm edge cache
+        # still reads this engine's edge cache
         if owned_engine is not None:
             owned_engine.close()
 

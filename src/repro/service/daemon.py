@@ -67,13 +67,12 @@ class ServiceDaemon:
         connection is presumed dead; workers' in-flight shards are
         requeued, clients' unfinished jobs are cancelled.
     disk_cache_dir:
-        Persistent cache directory: advertised to workers (edge cache
-        and result store) *and* backing the daemon's own
-        content-addressed result serving, which answers repeat cells
-        without dispatching work (see :mod:`repro.engine.cluster.
-        coordinator`).  Engines pointed at the same directory share
-        those cells.  Defaults to ``REPRO_CACHE_DIR``; unset disables
-        both.
+        Result-store directory backing the daemon's content-addressed
+        result serving, which answers repeat cells without dispatching
+        work (see :mod:`repro.engine.cluster.coordinator`).  Engines
+        pointed at the same directory share those cells; workers are
+        not told about it (``work --cache-dir`` sets theirs).  Defaults
+        to ``REPRO_CACHE_DIR``; unset disables it.
     max_shard_requeues:
         Worker deaths one shard may survive before its job fails.
     secret:

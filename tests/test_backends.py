@@ -1,4 +1,4 @@
-"""Execution backends, streaming evaluation and the on-disk edge cache.
+"""Execution backends, streaming evaluation and the cache directory.
 
 Includes the regression tests of the figure8 reduction bugs: a failed
 blocked baseline must degrade to NaN cells plus a warning (not an
@@ -21,8 +21,8 @@ from repro import (
     nearest_neighbor,
     resolve_backend,
 )
-from repro.engine import Backend, DiskEdgeCache
-from repro.engine.diskcache import CACHE_DIR_ENV, resolve_cache_dir
+from repro.engine import Backend, DiskStore
+from repro.engine.diskcache import CACHE_DIR_ENV, cell_key, resolve_cache_dir
 from repro.experiments import figure8_reductions, instance_set
 from repro.metrics.cost import MappingCost
 
@@ -337,92 +337,94 @@ class TestResolveBackend:
 
 
 class TestDiskEdgeCache:
+    """Cache-directory resolution, and the result store that is the one
+    persistent tier: the cell key is structural, bad cells recompute."""
+
     def _instance(self):
         return CartesianGrid([8, 6]), nearest_neighbor(2)
 
-    def test_engine_stores_then_second_engine_loads(self, tmp_path):
-        grid, stencil = self._instance()
-        first = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
-        edges = first.edges(grid, stencil)
-        assert first.disk_cache_stats().stores == 1
-        assert list(tmp_path.glob("edges-*.npy"))
-        second = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
-        loaded = second.edges(grid, stencil)
-        assert second.disk_cache_stats().hits == 1
-        assert np.array_equal(loaded, edges)
-        assert not loaded.flags.writeable
+    def _request(self, grid=None, stencil=None) -> MappingRequest:
+        default_grid, default_stencil = self._instance()
+        return MappingRequest(
+            grid or default_grid,
+            stencil or default_stencil,
+            NodeAllocation.homogeneous(8, 6),
+            "hyperplane",
+        )
 
     def test_corrupt_file_degrades_to_recompute(self, tmp_path):
-        grid, stencil = self._instance()
-        key = DiskEdgeCache.key_for(grid, stencil)
-        (tmp_path / f"edges-{key}.npy").write_bytes(b"not a numpy file")
+        request = self._request()
+        path = tmp_path / f"result-{cell_key(request)}.pkl"
+        path.write_bytes(b"not a pickle")
         engine = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
-        edges = engine.edges(grid, stencil)
-        assert edges.shape[1] == 2
-        stats = engine.disk_cache_stats()
-        assert stats.misses == 1 and stats.stores == 1
+        (result,) = engine.evaluate_batch([request])
+        assert result.ok
+        stats = engine.disk_store_stats()["result"]
+        assert (stats.misses, stats.corrupt, stats.stores) == (1, 1, 1)
         # the corrupt entry was replaced by a valid one
         fresh = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
-        assert np.array_equal(fresh.edges(grid, stencil), edges)
+        (again,) = fresh.evaluate_batch([request])
+        assert fresh.disk_store_stats()["result"].hits == 1
+        assert again.perm.tobytes() == result.perm.tobytes()
 
     def test_key_is_structural(self):
         grid, stencil = self._instance()
-        same = DiskEdgeCache.key_for(CartesianGrid([8, 6]), nearest_neighbor(2))
-        assert DiskEdgeCache.key_for(grid, stencil) == same
+        same = cell_key(self._request(CartesianGrid([8, 6]), nearest_neighbor(2)))
+        assert cell_key(self._request(grid, stencil)) == same
         periodic = CartesianGrid([8, 6], periods=[True, False])
-        assert DiskEdgeCache.key_for(periodic, stencil) != same
+        assert cell_key(self._request(periodic, stencil)) != same
 
     def test_key_ignores_offset_order(self):
         """Stencil equality is set-based; permuted offset orders must
-        share one on-disk entry, like they share one in-memory entry."""
+        share one on-disk cell, like they share one in-memory entry."""
         from repro import Stencil
 
         grid, stencil = self._instance()
         permuted = Stencil(list(reversed(stencil.offsets)))
         assert permuted == stencil
-        assert DiskEdgeCache.key_for(grid, permuted) == DiskEdgeCache.key_for(
-            grid, stencil
+        assert cell_key(self._request(grid, permuted)) == cell_key(
+            self._request(grid, stencil)
         )
 
     def test_env_var_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         engine = EvaluationEngine(max_workers=1)
-        assert engine.disk_cache is not None
-        assert engine.disk_cache.cache_dir == tmp_path
+        engine.evaluate_batch([self._request()])
+        assert engine.disk_store_stats()["result"].stores == 1
+        assert [p.name.split("-")[0] for p in tmp_path.iterdir()] == ["result"]
 
     def test_disabled_without_configuration(self, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
         engine = EvaluationEngine(max_workers=1)
-        assert engine.disk_cache is None
-        assert engine.disk_cache_stats() is None
+        assert engine.disk_store_stats() == {}
 
     def test_resolve_cache_dir_empty_disables(self, monkeypatch):
         monkeypatch.setenv(CACHE_DIR_ENV, "")
         assert resolve_cache_dir(None) is None
 
     def test_unwritable_directory_degrades_gracefully(self):
-        cache = DiskEdgeCache("/proc/definitely/not/writable")
-        grid, stencil = self._instance()
-        cache.store(grid, stencil, np.zeros((1, 2), dtype=np.int64))
-        assert cache.stats().stores == 0
+        store = DiskStore("/proc/definitely/not/writable")
+        assert store.store("a" * 64, (None, None, "rejected", {})) is False
+        assert store.stats().stores == 0
 
     def test_zero_byte_file_degrades_to_recompute(self, tmp_path):
-        """np.load raises EOFError (not OSError/ValueError) on an empty
-        file; it must count as a miss, not crash the sweep."""
-        grid, stencil = self._instance()
-        key = DiskEdgeCache.key_for(grid, stencil)
-        (tmp_path / f"edges-{key}.npy").write_bytes(b"")
+        """pickle raises EOFError on an empty file; it must count as a
+        corrupt miss and a recompute, not crash the sweep."""
+        request = self._request()
+        (tmp_path / f"result-{cell_key(request)}.pkl").write_bytes(b"")
         engine = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
-        edges = engine.edges(grid, stencil)
-        assert edges.shape[1] == 2
-        assert engine.disk_cache_stats().misses == 1
+        (result,) = engine.evaluate_batch([request])
+        assert result.ok
+        stats = engine.disk_store_stats()["result"]
+        assert (stats.misses, stats.corrupt) == (1, 1)
 
     def test_process_backend_workers_share_cache(self, tmp_path):
         requests = _requests()
         with ProcessBackend(2, disk_cache_dir=tmp_path) as backend:
             backend.evaluate_batch(requests)
-        files = list(tmp_path.glob("edges-*.npy"))
-        assert len(files) == len({r.instance_key for r in requests})
+        # one cell per request, published by whichever worker ran it
+        files = {p.name for p in tmp_path.iterdir()}
+        assert files == {f"result-{cell_key(r)}.pkl" for r in requests}
 
 
 class TestDriverEngineLifecycle:
@@ -505,20 +507,32 @@ class TestFigure8Regressions:
 
 
 class TestSharedEdgeTransport:
-    """Edges reach process workers only by building them or loading them
-    from the on-disk edge cache the workers share; either way, results
-    must be byte-identical to the serial engine's."""
+    """Process workers build their own edges, and a fresh pool answers
+    from the result cells a cold one stored; either way, results must be
+    byte-identical to the serial engine's."""
 
     def test_weighted_metrics_cross_shared_transport(self, tmp_path):
+        import os
+
         serial = EvaluationEngine(max_workers=1).evaluate_batch(
             _weighted_requests()
         )
-        # A cold pool builds and stores the edges; a fresh pool's
-        # workers then load them from disk instead.
-        for phase in ("build", "disk-load"):
+        # A cold pool builds the edges and stores every cell; a fresh
+        # pool's workers then answer every request from the store.
+        published = {}
+        for phase in ("build", "store"):
             with ProcessBackend(2, disk_cache_dir=tmp_path) as backend:
                 results = backend.evaluate_batch(_weighted_requests())
             assert [_signature(r) for r in results] == [
                 _signature(r) for r in serial
             ], phase
-            assert list(tmp_path.glob("edges-*.npy")), phase
+            cells = {path.name: path.stat() for path in tmp_path.iterdir()}
+            assert len(cells) == len(serial), phase
+            if not published:
+                published = {name: stat.st_ino for name, stat in cells.items()}
+                for path in tmp_path.iterdir():
+                    os.utime(path, (0, 0))  # a later load shows as a bump
+        # Every cell was loaded (a hit bumps its mtime) and none was
+        # published again (a publish replaces the file, and its inode).
+        assert {name: stat.st_ino for name, stat in cells.items()} == published
+        assert all(stat.st_mtime > 0 for stat in cells.values())

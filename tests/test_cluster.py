@@ -47,6 +47,7 @@ from repro.engine.cluster.protocol import (
     send_message,
 )
 from repro.engine.cluster.worker import run_worker
+from repro.engine.diskcache import cell_key
 
 from .test_backends import _requests, _signature
 
@@ -313,11 +314,12 @@ class TestWorkerFailure:
         assert "poisoned" in box["error"]
 
     def test_explicitly_empty_cache_dir_is_not_overridden(self, tmp_path):
-        """REPRO_CACHE_DIR= (explicitly empty) disables the worker's
-        disk layer even when the coordinator advertises a directory."""
-        advertised = tmp_path / "advertised"
+        """REPRO_CACHE_DIR= (explicitly empty) keeps the worker's store
+        off while the coordinator has one: the directory holds exactly
+        the cells the coordinator published, and nothing else."""
+        store_dir = tmp_path / "store"
         with ClusterBackend(
-            "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=advertised
+            "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=store_dir
         ) as backend:
             env = _worker_env()
             env["REPRO_CACHE_DIR"] = ""
@@ -340,7 +342,9 @@ class TestWorkerFailure:
             )
             results = backend.evaluate_batch(_requests())
         assert all(r.ok or r.error for r in results)
-        assert not list(advertised.glob("edges-*.npy"))  # disk layer stayed off
+        assert sorted(path.name for path in store_dir.iterdir()) == sorted(
+            f"result-{cell_key(request)}.pkl" for request in _requests()
+        )
         assert worker.wait(timeout=30) == 0
 
     def test_poisoned_shard_fails_the_sweep(self, backend):
@@ -386,14 +390,16 @@ class TestHandshake:
             reply = recv_message(sock)
         assert reply[0] == REJECT
 
-    def test_welcome_advertises_cache_dir(self, tmp_path):
+    def test_welcome_advertises_no_cache_dir(self, tmp_path):
+        """Workers keep their own store setting: WELCOME carries only
+        the heartbeat interval, whatever the coordinator's directory."""
         with ClusterBackend(
             "127.0.0.1", 0, disk_cache_dir=tmp_path
         ) as backend:
             fake = _FakeWorker(backend.port)
             welcome = fake.handshake()
             fake.close()
-        assert welcome[1]["cache_dir"] == str(tmp_path)
+        assert list(welcome[1]) == ["heartbeat_interval"]
         assert welcome[1]["heartbeat_interval"] > 0
 
     def test_rejected_worker_exits_with_code_2(self):

@@ -1,16 +1,15 @@
-"""The persistent stores and the engine's use of the result-cell store.
+"""The persistent result-cell store and the engine's use of it.
 
 Covers the persistence layer's failure modes — truncated, corrupt or
-wrong-shaped entries count as misses (never errors) for every store
-kind, concurrent writers publish only complete entries, ``clear``
-removes exactly the store's own files — plus counter consistency under
-a threaded hammer and the result store warming a fresh engine.
+wrong-shaped entries count as misses (never errors), concurrent writers
+publish only complete entries, ``clear`` removes exactly the store's
+own files — plus counter consistency under a threaded hammer and the
+result store warming a fresh engine.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -23,9 +22,8 @@ from repro import (
     NodeAllocation,
     nearest_neighbor,
 )
-from repro.engine import DiskEdgeCache, DiskStore, weighted_bytes_metric
+from repro.engine import DiskStore, weighted_bytes_metric
 from repro.engine.diskcache import (
-    STORE_KINDS,
     cell_key,
     instance_payload,
     mapper_payload,
@@ -110,38 +108,24 @@ class TestDiskStore:
         assert store.load(KEY) is None
         assert store.corrupt == 1
 
-    def test_corrupt_npy_is_a_miss(self, tmp_path):
-        cache = DiskEdgeCache(tmp_path)
-        grid, stencil, _ = _instance()
-        assert cache.load(grid, stencil) is None  # absent: not corrupt
-        cache.store(grid, stencil, np.zeros((6, 2), dtype=np.int64))
-        (path,) = tmp_path.glob("edges-*.npy")
-        path.write_bytes(b"")
-        assert cache.load(grid, stencil) is None
-        stats = cache.stats()
-        assert (stats.misses, stats.corrupt) == (2, 1)
-
     def test_clear_removes_exactly_its_own_files(self, tmp_path):
         store = DiskStore(tmp_path)
         for i in range(3):
             store.store(stable_digest(str(i)), _cell(i))
-        grid, stencil, _ = _instance()
-        edge_cache = DiskEdgeCache(tmp_path)
-        edge_cache.store(grid, stencil, np.zeros((6, 2), dtype=np.int64))
         unrelated = tmp_path / "notes.txt"
         unrelated.write_text("keep me")
         decoy = tmp_path / "result-decoy.json"  # wrong suffix
         decoy.write_text("{}")
-        legacy = tmp_path / f"perm-{KEY}.pkl"  # an older release's tier
-        legacy.write_bytes(b"legacy")
+        # older releases' tiers: the engine's perm cells, the edge arrays
+        legacy = [tmp_path / f"perm-{KEY}.pkl", tmp_path / f"edges-{KEY}.npy"]
+        for path in legacy:
+            path.write_bytes(b"legacy")
 
         assert store.clear() == 3
         assert store.stats().entries == 0
-        assert edge_cache.stats().entries == 1
-        assert edge_cache.clear() == 1
         assert unrelated.read_text() == "keep me"
         assert decoy.exists()
-        assert legacy.exists()
+        assert all(path.exists() for path in legacy)
 
     def test_unwritable_directory_degrades_to_noop(self, tmp_path):
         target = tmp_path / "blocked"
@@ -186,85 +170,6 @@ class TestCounterConsistency:
         assert stats.misses == total
         assert stats.stores == total + 1
         assert stats.hits + stats.misses == 2 * total
-
-    def test_edge_cache_counters_survive_a_threaded_hammer(self, tmp_path):
-        cache = DiskEdgeCache(tmp_path)
-        grid, stencil, _ = _instance()
-        cache.store(grid, stencil, np.zeros((6, 2), dtype=np.int64))
-        missing = CartesianGrid([3, 3])
-        barrier = threading.Barrier(self.THREADS)
-
-        def hammer() -> None:
-            barrier.wait()
-            for _ in range(self.OPS):
-                assert cache.load(grid, stencil) is not None
-                assert cache.load(missing, stencil) is None
-
-        threads = [
-            threading.Thread(target=hammer) for _ in range(self.THREADS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        stats = cache.stats()
-        total = self.THREADS * self.OPS
-        assert (stats.hits, stats.misses, stats.stores) == (total, total, 1)
-
-
-class TestThreadedEdgeLoads:
-    """``np.load`` parses the ``.npy`` header with ``ast.literal_eval``,
-    which on CPython 3.11 can raise ``SystemError`` when threads parse at
-    once, so the edge cache runs one ``np.load`` at a time.  The race
-    itself is too rare to reproduce on demand; this pins the
-    serialisation."""
-
-    THREADS = 8
-    LOADS = 5
-
-    def test_edge_cache_never_runs_two_loads_at_once(self, tmp_path, monkeypatch):
-        cache = DiskEdgeCache(tmp_path)
-        grid, stencil, _ = _instance()
-        edges = np.arange(12, dtype=np.int64).reshape(6, 2)
-        cache.store(grid, stencil, edges)
-        real_load = np.load
-        gauge = threading.Lock()
-        running = peak = 0
-
-        def slow_load(*args, **kwargs):
-            nonlocal running, peak
-            with gauge:
-                running += 1
-                peak = max(peak, running)
-            try:
-                time.sleep(0.002)
-                return real_load(*args, **kwargs)
-            finally:
-                with gauge:
-                    running -= 1
-
-        monkeypatch.setattr(np, "load", slow_load)
-        barrier = threading.Barrier(self.THREADS)
-        loaded = []
-
-        def hammer() -> None:
-            barrier.wait()
-            for _ in range(self.LOADS):
-                loaded.append(cache.load(grid, stencil))
-
-        threads = [
-            threading.Thread(target=hammer) for _ in range(self.THREADS)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert peak == 1
-        assert len(loaded) == self.THREADS * self.LOADS
-        assert all(
-            arr is not None and arr.tobytes() == edges.tobytes()
-            for arr in loaded
-        )
 
 
 def _process_writer(args) -> bool:
@@ -403,7 +308,7 @@ class TestEngineDiskTiers:
             ]
             assert cold.disk_store_stats()["result"].stores == 3
         kinds = {path.name.split("-")[0] for path in tmp_path.iterdir()}
-        assert kinds == set(STORE_KINDS)
+        assert kinds == {"result"}  # the one persistent tier
 
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as warm:
             results = warm.evaluate_batch(self._requests())
@@ -540,44 +445,39 @@ class TestSweepFingerprint:
 
 
 class TestPrune:
-    """LRU eviction across every store kind sharing one directory."""
+    """LRU eviction of the result cells in one directory."""
 
-    #: One edge entry plus this many result cells.
+    #: Result cells in the directory.
     ENTRIES = 5
 
     @staticmethod
     def _fill(tmp_path, ages):
-        """One edge entry and four result cells (both store kinds),
-        mtimes spread by *ages* seconds ago, edge entry first."""
+        """Five result cells with mtimes spread by *ages* seconds ago,
+        in key order; returns their keys."""
         import os
         import time
 
-        grid, stencil, _ = _instance()
-        edge = DiskEdgeCache(tmp_path)
-        edge.store(grid, stencil, np.arange(40, dtype=np.int64).reshape(-1, 2))
         store = DiskStore(tmp_path)
-        for i in range(1, TestPrune.ENTRIES):
-            store.store(KEY[:-1] + str(i), _cell(i, size=50))
+        keys = [KEY[:-1] + str(i) for i in range(TestPrune.ENTRIES)]
         now = time.time()
-        paths = sorted(tmp_path.iterdir())  # "edges-" sorts before "result-"
-        assert len(paths) == TestPrune.ENTRIES
-        for path, age in zip(paths, ages):
+        for i, (key, age) in enumerate(zip(keys, ages)):
+            store.store(key, _cell(i, size=50))
+            path = tmp_path / f"result-{key}.pkl"
             os.utime(path, (now - age, now - age))
-        return edge, grid, stencil
+        return keys
 
     def test_prune_to_zero_clears_every_kind(self, tmp_path):
         from repro.engine.diskcache import prune
 
         self._fill(tmp_path, [10] * self.ENTRIES)
         removed = prune(tmp_path, 0)
-        assert removed == {"edges": 1, "result": self.ENTRIES - 1}
-        assert set(removed) == set(STORE_KINDS)
+        assert removed == {"result": self.ENTRIES}
         assert not list(tmp_path.iterdir())
 
     def test_prune_respects_budget_and_evicts_oldest_first(self, tmp_path):
         from repro.engine.diskcache import prune
 
-        # ages descending with the edge entry oldest
+        # ages descending with the first cell oldest
         self._fill(tmp_path, [500, 400, 300, 200, 100])
         sizes = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
         total = sum(sizes.values())
@@ -599,15 +499,14 @@ class TestPrune:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_load_refreshes_recency(self, tmp_path):
-        """A hit bumps mtime, protecting the entry from the next prune."""
+        """A hit bumps mtime, so the TTL no longer expires the entry."""
         from repro.engine.diskcache import prune
 
-        edge, grid, stencil = self._fill(tmp_path, [500, 100, 100, 100, 100])
-        # the edge entry is oldest; a load should move it to the front
-        assert edge.load(grid, stencil) is not None
-        total = sum(p.stat().st_size for p in tmp_path.iterdir())
-        prune(tmp_path, total - 1)
-        assert edge.load(grid, stencil) is not None  # survived
+        keys = self._fill(tmp_path, [5000, 100, 100, 100, 100])
+        # the first cell is past the TTL; a load makes it recent again
+        assert DiskStore(tmp_path).load(keys[0]) is not None
+        assert prune(tmp_path, ttl=3600) == {"result": 0}
+        assert len(list(tmp_path.iterdir())) == self.ENTRIES
 
     def test_store_load_refreshes_recency(self, tmp_path):
         from repro.engine.diskcache import prune
@@ -626,9 +525,12 @@ class TestPrune:
         self._fill(tmp_path, [10] * self.ENTRIES)
         foreign = tmp_path / "notes.txt"
         foreign.write_text("keep me")
-        prune(tmp_path, 0)
-        assert foreign.exists()
-        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+        legacy = tmp_path / f"edges-{KEY}.npy"  # an older release's tier
+        legacy.write_bytes(b"legacy")
+        prune(tmp_path, 0, ttl=1)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            legacy.name, "notes.txt"
+        ]
 
     def test_missing_directory_prunes_nothing(self, tmp_path):
         from repro.engine.diskcache import prune

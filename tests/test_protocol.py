@@ -8,11 +8,14 @@ lets mismatched peers exchange a clean REJECT instead of a parse error.
 
 The blocking peers' transport is pinned too: ``TCP_NODELAY`` on every
 socket :func:`connect_with_retry` opens, and one ``sendall`` per frame,
-so no part of a frame waits on the daemon's delayed ACK.
+so no part of a frame waits on the daemon's delayed ACK.  Frames the
+daemon cannot decode, or whose fields have the wrong type, close the
+connection without an unhandled exception.
 """
 
 from __future__ import annotations
 
+import logging
 import pickle
 import socket
 import struct
@@ -30,8 +33,10 @@ from repro.engine.cluster.protocol import (
     REJECT,
     RESULT,
     SHARD,
+    SUBMIT,
     WELCOME,
     WIRE_PICKLE_PROTOCOL,
+    ProtocolError,
     client_tls_context,
     connect_with_retry,
     decode_payload,
@@ -271,6 +276,67 @@ class TestHandshakePinning:
                 send_message(sock, hello({"pid": 1}))
                 reply = recv_message(sock)
         assert reply[0] == WELCOME
+
+
+class TestMalformedFrames:
+    """A frame the daemon cannot use closes its connection quietly: no
+    unhandled exception reaches asyncio, and the daemon keeps serving."""
+
+    @staticmethod
+    def _frame(payload: bytes) -> bytes:
+        return struct.pack(">I", len(payload)) + payload
+
+    @staticmethod
+    def _closed(sock: socket.socket) -> bool:
+        try:
+            return sock.recv(1) == b""
+        except ConnectionResetError:
+            return True
+
+    def _check(self, caplog, send) -> None:
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
+            with socket.create_connection(
+                ("127.0.0.1", daemon.port), timeout=10
+            ) as sock:
+                send(sock)
+                assert self._closed(sock)
+            assert ServiceClient("127.0.0.1", daemon.port).metrics()["jobs"] == []
+        errors = [
+            record
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a pickle",
+            pickle.dumps(hello({"pid": 1}), protocol=WIRE_PICKLE_PROTOCOL)[:-5],
+            b"\x93" + struct.pack(">I", 3) + b"xyz",
+        ],
+        ids=["non-pickle", "truncated-pickle", "bad-segment-header"],
+    )
+    def test_undecodable_first_frame(self, caplog, payload):
+        self._check(caplog, lambda sock: sock.sendall(self._frame(payload)))
+
+    def test_non_integer_priority(self, caplog):
+        def send(sock: socket.socket) -> None:
+            send_message(sock, hello({"role": "client"}))
+            assert recv_message(sock)[0] == WELCOME
+            send_message(sock, (SUBMIT, [[(0, "opaque")]], {"priority": "urgent"}))
+
+        self._check(caplog, send)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"\x80", b"\x93" + struct.pack(">I", 9) + b"xyz"],
+        ids=["empty", "lone-proto-opcode", "segment-past-the-end"],
+    )
+    def test_decode_payload_raises_protocol_error(self, payload):
+        with pytest.raises(ProtocolError):
+            decode_payload(payload)
 
 
 class TestWorkerRoundTrip:

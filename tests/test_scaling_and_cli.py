@@ -79,9 +79,23 @@ class TestScalingSweep:
                 "VSC4", mappers=dict(mappers), backend=backend, **kwargs
             )
         assert default == sharded  # ScalingPoint dataclasses compare by value
-        # workers published one edge array per node count to the shared
-        # disk cache (which the parent's model-time loop reads back)
-        assert len(list(tmp_path.glob("edges-*.npy"))) == 2
+        # Registry names make the cells storable: the workers publish
+        # one result cell per (node count, mapper) and nothing else (the
+        # parent's model-time loop builds its own edges), and a second
+        # pool, which finds them stored, returns the same points.
+        named = {name: name for name in mappers}
+        for _ in range(2):
+            with ProcessBackend(2, disk_cache_dir=tmp_path) as backend:
+                stored = scaling_sweep(
+                    "VSC4", mappers=dict(named), backend=backend, **kwargs
+                )
+            assert stored == default
+            files = [path.name for path in tmp_path.iterdir()]
+            assert len(files) == 4
+            assert all(
+                name.startswith("result-") and name.endswith(".pkl")
+                for name in files
+            )
 
 
 class TestCLI:

@@ -25,7 +25,6 @@ import sys
 import threading
 import time
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -997,37 +996,34 @@ class TestServiceCLI:
 class TestCacheCLI:
     @staticmethod
     def _seed(tmp_path) -> None:
-        from repro.engine.diskcache import DiskEdgeCache
+        from repro.engine.diskcache import DiskStore
 
-        cache = DiskEdgeCache(tmp_path)
-        grid = CartesianGrid([4, 4])
-        cache.store(grid, nearest_neighbor(2), np.zeros((6, 2), dtype=np.int64))
-        assert cache.stats().entries == 1
-        assert cache.stats().total_bytes > 0
+        store = DiskStore(tmp_path)
+        store.store("a" * 64, (None, None, "rejected", {}))
+        assert store.stats().entries == 1
+        assert store.stats().total_bytes > 0
 
     def test_stats_and_clear(self, tmp_path):
-        from repro.engine.diskcache import DiskEdgeCache
+        from repro.engine.diskcache import DiskStore
 
         self._seed(tmp_path)
-        cache = DiskEdgeCache(tmp_path)
-        assert cache.clear() == 1
-        stats = cache.stats()
+        store = DiskStore(tmp_path)
+        assert store.clear() == 1
+        stats = store.stats()
         assert stats.entries == 0 and stats.total_bytes == 0
 
     def test_cache_cli_table_json_clear(self, tmp_path, capsys):
         from repro.experiments.__main__ import main as experiments_main
 
-        from repro.engine.diskcache import STORE_KINDS, DiskStore
-
         self._seed(tmp_path)
-        DiskStore(tmp_path).store("a" * 64, (None, None, "rejected", {}))
-        # an older release's engine tier: read, cleared and pruned by nothing
-        legacy = tmp_path / f"perm-{'a' * 64}.pkl"
-        legacy.write_bytes(b"legacy")
+        # older releases' tiers: read, cleared and pruned by nothing
+        legacy = [tmp_path / f"perm-{'a' * 64}.pkl", tmp_path / f"edges-{'a' * 64}.npy"]
+        for path in legacy:
+            path.write_bytes(b"legacy")
         assert experiments_main(["cache", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "entries" in out and str(tmp_path) in out
-        assert "result" in out and "perm" not in out
+        assert "result" in out and "perm" not in out and "edges" not in out
 
         assert experiments_main(
             [
@@ -1039,13 +1035,10 @@ class TestCacheCLI:
                 "json",
             ]
         ) == 0
-        records = json.loads(capsys.readouterr().out)
-        by_kind = {record["kind"]: record for record in records}
-        assert set(by_kind) == set(STORE_KINDS) == {"edges", "result"}
-        assert by_kind["edges"]["removed"] == 1
-        assert by_kind["result"]["removed"] == 1
-        assert all(record["entries"] == 0 for record in records)
-        assert legacy.exists()
+        (record,) = json.loads(capsys.readouterr().out)
+        assert record["kind"] == "result"
+        assert record["removed"] == 1 and record["entries"] == 0
+        assert all(path.exists() for path in legacy)
 
     def test_cache_cli_without_directory_fails(self, monkeypatch):
         from repro.engine.diskcache import CACHE_DIR_ENV
@@ -1328,7 +1321,7 @@ class TestSharedCellStore:
             with ServiceBackend("127.0.0.1", daemon.port) as backend:
                 assert run(spec, backend).to_rows() == serial
         assert worker.wait(timeout=30) == 0
-        assert not list(tmp_path.glob("edges-*.npy"))  # the worker wrote nothing
+        assert {path.name.split("-")[0] for path in tmp_path.iterdir()} == {"result"}
 
         calls: list[str] = []
 
@@ -1349,6 +1342,55 @@ class TestSharedCellStore:
         assert calls == []
         assert rows == serial
         assert (stats.hits, stats.misses) == (len(serial), 0)
+
+    def test_each_dispatched_cell_is_published_once(self, tmp_path, monkeypatch):
+        """A worker given no cache directory leaves the daemon's store to
+        the daemon: each dispatched cell is stored once, and every store
+        call runs on the daemon's event-loop thread."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        spec = _weighted_spec()
+        serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
+        calls: list[tuple[str, str | None, threading.Thread]] = []
+        real_load, real_store = DiskStore.load, DiskStore.store
+
+        def load(store, key):
+            calls.append(("load", None, threading.current_thread()))
+            return real_load(store, key)
+
+        def store(store, key, cell):
+            calls.append(("store", key, threading.current_thread()))
+            return real_store(store, key, cell)
+
+        monkeypatch.setattr(DiskStore, "load", load)
+        monkeypatch.setattr(DiskStore, "store", store)
+        box: dict = {}
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+
+            def serve() -> None:
+                box["code"] = run_worker(
+                    f"127.0.0.1:{daemon.port}",
+                    backend_spec="serial",
+                    reconnect_timeout=0,
+                    log=lambda *_: None,
+                )
+
+            worker = threading.Thread(target=serve, daemon=True)
+            worker.start()
+            daemon.wait_for_workers(1, timeout=60)
+            with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                rows = run(spec, backend).to_rows()
+            loop_thread = daemon._thread
+        worker.join(timeout=30)
+        assert not worker.is_alive() and box["code"] == 0
+        assert rows == serial
+        keys = {cell_key(request) for request in spec.compile()}
+        stored = sorted(key for kind, key, _ in calls if kind == "store")
+        assert stored == sorted(keys)  # every cell once, none twice
+        assert {kind for kind, _, _ in calls} == {"load", "store"}
+        assert all(thread is loop_thread for _, _, thread in calls)
+        assert {path.name for path in tmp_path.iterdir()} == {
+            f"result-{key}.pkl" for key in keys
+        }
 
     @pytest.mark.parametrize("corruption", ["garbage", "wrong-shape"])
     def test_corrupt_cell_is_recomputed_and_counted(self, tmp_path, corruption):
