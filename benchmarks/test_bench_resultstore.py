@@ -2,7 +2,7 @@
 
 The content-addressed result store turns a repeat SweepSpec submission
 into pure disk lookups: the daemon answers every cell from
-``result-<sha256>.pkl`` entries and dispatches zero worker shards.  The
+``result-<sha256>.cell`` entries and dispatches zero worker shards.  The
 pinned properties are *correctness* (warm rows byte-identical to the
 cold rows that populated the store) and *independence from workers*
 (the warm daemon has none at all, so a single dispatched shard would

@@ -56,7 +56,7 @@ def test_thread_and_process_backends_agree(tmp_path):
     # the workers published every distinct cell to the shared result
     # store, and nothing else
     assert {p.name for p in tmp_path.iterdir()} == {
-        f"result-{cell_key(r)}.pkl" for r in requests
+        f"result-{cell_key(r)}.cell" for r in requests
     }
     print(
         f"\nbackend timings on {len(requests)} requests: "
@@ -71,7 +71,7 @@ def test_process_backend_warm_disk_cache_skips_edge_rebuild(tmp_path):
     with ProcessBackend(1, disk_cache_dir=tmp_path) as cold:
         reference = [_signature(r) for r in cold.evaluate_batch(requests)]
     stored = {p.name: p.stat().st_ino for p in tmp_path.iterdir()}
-    assert stored.keys() == {f"result-{cell_key(r)}.pkl" for r in requests}
+    assert stored.keys() == {f"result-{cell_key(r)}.cell" for r in requests}
     with ProcessBackend(1, disk_cache_dir=tmp_path) as warm:
         assert [_signature(r) for r in warm.evaluate_batch(requests)] == reference
     # the warm run published nothing: a computed cell would have replaced

@@ -617,6 +617,8 @@ class Coordinator:
         self._address: tuple[str, int] | None = None
         self._completed_total = 0
         self._worker_early_deaths = 0
+        #: Connections closed because a frame or message was malformed.
+        self._protocol_errors = 0
         self._clients: set[_ClientConn] = set()
         self._result_store = None if cache_dir is None else DiskStore(cache_dir)
         self._cells: dict[str, _InflightCell] = {}
@@ -843,7 +845,9 @@ class Coordinator:
         age-triggered autoscaler keys on), ``completed_shards`` (total
         ever completed) and ``worker_early_deaths`` (workers that
         disconnected without completing a single shard — the
-        crash-looping-spawn signal).  This is the signal seam the
+        crash-looping-spawn signal) and ``protocol_errors``
+        (connections closed on a frame or message that raised
+        :class:`ProtocolError`).  This is the signal seam the
         autoscaler polls; it is also folded into the ``pool`` section
         of :meth:`service_snapshot`, so an external monitor sees the
         same numbers through STATUS.
@@ -859,6 +863,7 @@ class Coordinator:
             "oldest_queued_age": self._oldest_queued_age(),
             "completed_shards": self._completed_total,
             "worker_early_deaths": self._worker_early_deaths,
+            "protocol_errors": self._protocol_errors,
         }
 
     def _oldest_queued_age(self) -> float:
@@ -1250,7 +1255,11 @@ class Coordinator:
             message = await asyncio.wait_for(
                 read_message(reader), timeout=self._heartbeat_timeout,
             )
-        except (ProtocolError, ConnectionError, OSError, asyncio.TimeoutError):
+        except ProtocolError:
+            self._protocol_errors += 1
+            writer.close()
+            return
+        except (ConnectionError, OSError, asyncio.TimeoutError):
             writer.close()
             return
         reject = self._handshake_error(message)
@@ -1288,12 +1297,10 @@ class Coordinator:
             reply = await asyncio.wait_for(
                 read_message(reader), timeout=self._heartbeat_timeout,
             )
-        except (
-            ProtocolError,
-            ConnectionError,
-            OSError,
-            asyncio.TimeoutError,
-        ):
+        except ProtocolError:
+            self._protocol_errors += 1
+            return _AUTH_MISMATCH
+        except (ConnectionError, OSError, asyncio.TimeoutError):
             return _AUTH_MISMATCH
         if (
             not isinstance(reply, tuple)
@@ -1345,7 +1352,9 @@ class Coordinator:
                     pass
                 else:
                     break
-        except (ProtocolError, ConnectionError, OSError):
+        except ProtocolError:
+            self._protocol_errors += 1
+        except (ConnectionError, OSError):
             pass
         finally:
             await self._drop(conn, requeue=True)
@@ -1506,12 +1515,14 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Result store / cross-job single-flight
     # ------------------------------------------------------------------
-    def _cell_key(self, item) -> str | None:
+    @staticmethod
+    def _cell_key(item, memo: dict) -> str | None:
         """Stable content key of one ``(index, request)`` shard item,
-        or ``None`` for opaque/unkeyable payloads (pure passthrough)."""
+        or ``None`` for opaque/unkeyable payloads (pure passthrough).
+        *memo* is the submission's :func:`cell_key` memo."""
         if not (isinstance(item, tuple) and len(item) == 2):
             return None
-        return cell_key(item[1])
+        return cell_key(item[1], memo)
 
     def _publish_cell(self, key: str, value: tuple) -> None:
         """Persist one computed cell and fan it out to every subscriber."""
@@ -1574,11 +1585,14 @@ class Coordinator:
         # the store lookups, in-flight subscriptions and client-visible
         # shard ids are established atomically with respect to other
         # submissions (and to publishes resolving our subscriptions).
+        # The items of one decoded submission share their instance
+        # objects, so the key memo builds each instance payload once.
+        memo: dict = {}
         for items in payloads:
             ps = _PendingShard(items)
             ps.id = self._alloc_shard_id()
             for pos, item in enumerate(items):
-                key = self._cell_key(item)
+                key = self._cell_key(item, memo)
                 if key is None:
                     ps.dispatch.append(pos)
                     continue
@@ -1703,7 +1717,9 @@ class Coordinator:
                     await self._send(conn, (CANCEL_REPLY, message[1], ok))
                 else:
                     break
-        except (ProtocolError, ConnectionError, OSError):
+        except ProtocolError:
+            self._protocol_errors += 1
+        except (ConnectionError, OSError):
             pass
         finally:
             self._clients.discard(conn)

@@ -354,8 +354,8 @@ class TestDiskEdgeCache:
 
     def test_corrupt_file_degrades_to_recompute(self, tmp_path):
         request = self._request()
-        path = tmp_path / f"result-{cell_key(request)}.pkl"
-        path.write_bytes(b"not a pickle")
+        path = tmp_path / f"result-{cell_key(request)}.cell"
+        path.write_bytes(b"not a cell")
         engine = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
         (result,) = engine.evaluate_batch([request])
         assert result.ok
@@ -408,10 +408,10 @@ class TestDiskEdgeCache:
         assert store.stats().stores == 0
 
     def test_zero_byte_file_degrades_to_recompute(self, tmp_path):
-        """pickle raises EOFError on an empty file; it must count as a
-        corrupt miss and a recompute, not crash the sweep."""
+        """An empty file (a writer killed before any byte) must count
+        as a corrupt miss and a recompute, not crash the sweep."""
         request = self._request()
-        (tmp_path / f"result-{cell_key(request)}.pkl").write_bytes(b"")
+        (tmp_path / f"result-{cell_key(request)}.cell").write_bytes(b"")
         engine = EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path)
         (result,) = engine.evaluate_batch([request])
         assert result.ok
@@ -424,7 +424,7 @@ class TestDiskEdgeCache:
             backend.evaluate_batch(requests)
         # one cell per request, published by whichever worker ran it
         files = {p.name for p in tmp_path.iterdir()}
-        assert files == {f"result-{cell_key(r)}.pkl" for r in requests}
+        assert files == {f"result-{cell_key(r)}.cell" for r in requests}
 
 
 class TestDriverEngineLifecycle:

@@ -343,7 +343,7 @@ class TestWorkerFailure:
             results = backend.evaluate_batch(_requests())
         assert all(r.ok or r.error for r in results)
         assert sorted(path.name for path in store_dir.iterdir()) == sorted(
-            f"result-{cell_key(request)}.pkl" for request in _requests()
+            f"result-{cell_key(request)}.cell" for request in _requests()
         )
         assert worker.wait(timeout=30) == 0
 

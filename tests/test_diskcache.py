@@ -1,19 +1,31 @@
 """The persistent result-cell store and the engine's use of it.
 
-Covers the persistence layer's failure modes — truncated, corrupt or
-wrong-shaped entries count as misses (never errors), concurrent writers
-publish only complete entries, ``clear`` removes exactly the store's
-own files — plus counter consistency under a threaded hammer and the
-result store warming a fresh engine.
+Covers the persistence layer's failure modes — truncated, corrupt,
+misfiled or wrong-shaped entries count as misses (never errors), cells
+the file layout cannot carry are refused, a full disk or an unreadable
+entry degrades to a recompute, concurrent writers publish only complete
+entries, ``clear`` removes exactly the store's own files — plus the
+layout's round trip and a fuzzer as hypothesis properties, counter
+consistency under a threaded hammer, and the result store warming a
+fresh engine.
 """
 
 from __future__ import annotations
 
+import errno
+import math
+import os
+import pickle
+import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import (
     CartesianGrid,
@@ -23,6 +35,7 @@ from repro import (
     nearest_neighbor,
 )
 from repro.engine import DiskStore, weighted_bytes_metric
+from repro.engine import diskcache
 from repro.engine.diskcache import (
     cell_key,
     instance_payload,
@@ -34,11 +47,37 @@ from repro.engine.diskcache import (
 from repro.metrics.cost import MappingCost
 
 KEY = "a" * 64
+OTHER = "b" * 64
 
 
 def _instance():
     grid = CartesianGrid([4, 12])
     return grid, nearest_neighbor(2), NodeAllocation.homogeneous(4, 12)
+
+
+def _cost(**fields) -> MappingCost:
+    """A cost with small valid fields, overridden by *fields*."""
+    values = dict(
+        jsum=1, jmax=1, total_edges=2, per_node=np.zeros(2, np.int64),
+        bottleneck_node=0,
+    )
+    values.update(fields)
+    return MappingCost(**values)
+
+
+_EXPLOITED: list = []
+
+
+def _exploit() -> tuple:
+    _EXPLOITED.append("ran")
+    return (None, None, "exploited", {})
+
+
+class _Exploit:
+    """Unpickles by calling :func:`_exploit`: proof that code ran."""
+
+    def __reduce__(self):
+        return (_exploit, ())
 
 
 def _cell(fill: int = 0, size: int = 8) -> tuple:
@@ -63,7 +102,7 @@ class TestDiskStore:
         assert (stats.hits, stats.misses, stats.stores) == (1, 1, 1)
         assert stats.corrupt == 0  # an absent entry is a plain miss
         assert stats.entries == 1 and stats.total_bytes > 0
-        assert list(tmp_path.glob("result-*.pkl"))
+        assert [p.name for p in tmp_path.iterdir()] == [f"result-{KEY}.cell"]
 
     def test_rejection_cell_round_trips(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -74,7 +113,7 @@ class TestDiskStore:
     def test_corrupt_entry_is_a_miss(self, tmp_path, garbage):
         store = DiskStore(tmp_path)
         store.store(KEY, _cell())
-        (path,) = tmp_path.glob("result-*.pkl")
+        (path,) = tmp_path.glob("result-*.cell")
         path.write_bytes(garbage)
         assert store.load(KEY) is None
         stats = store.stats()
@@ -94,19 +133,106 @@ class TestDiskStore:
         ],
     )
     def test_wrong_shape_is_a_corrupt_miss(self, tmp_path, value):
+        """A value that is not a cell is refused, and its pickle filed
+        under the cell's name is a counted miss, never unpickled."""
         store = DiskStore(tmp_path)
-        store.store(KEY, value)
+        assert store.store(KEY, value) is False
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / f"result-{KEY}.cell").write_bytes(pickle.dumps(value))
         assert store.load(KEY) is None
         stats = store.stats()
         assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+        assert stats.stores == 0
 
-    def test_truncated_pickle_is_a_miss(self, tmp_path):
+    def test_truncated_cell_is_a_miss(self, tmp_path):
         store = DiskStore(tmp_path)
         store.store(KEY, _cell(size=64))
-        (path,) = tmp_path.glob("result-*.pkl")
+        (path,) = tmp_path.glob("result-*.cell")
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         assert store.load(KEY) is None
         assert store.corrupt == 1
+
+    def test_misfiled_cell_is_a_corrupt_miss(self, tmp_path):
+        """A well-formed cell copied under another key's file name is a
+        counted miss: each cell carries its own key."""
+        store = DiskStore(tmp_path)
+        store.store(KEY, _cell(3))
+        (path,) = tmp_path.iterdir()
+        misfiled = path.with_name(path.name.replace(KEY, OTHER))
+        misfiled.write_bytes(path.read_bytes())
+        assert store.load(OTHER) is None
+        assert store.load(KEY)[1].jsum == 3
+        stats = store.stats()
+        assert (stats.hits, stats.misses, stats.corrupt) == (1, 1, 1)
+
+    def test_planted_pickle_runs_no_code(self, tmp_path):
+        """Whoever can write the directory cannot run code in a reader:
+        a pickle under the cell's name, or under the old ``.pkl`` name,
+        is never unpickled."""
+        payload = pickle.dumps(_Exploit())
+        for suffix in (".cell", ".pkl"):
+            (tmp_path / f"result-{KEY}{suffix}").write_bytes(payload)
+        assert DiskStore(tmp_path).load(KEY) is None
+        assert _EXPLOITED == []
+
+    def test_legacy_pickled_cells_are_foreign_files(self, tmp_path):
+        """``result-*.pkl`` cells of older releases are never read,
+        cleared, pruned or counted: there is no migration."""
+        from repro.engine.diskcache import prune
+
+        legacy = tmp_path / f"result-{KEY}.pkl"
+        legacy.write_bytes(pickle.dumps(_cell(1)))
+        store = DiskStore(tmp_path)
+        assert store.load(KEY) is None
+        assert store.clear() == 0
+        assert prune(tmp_path, 0, ttl=1) == {"result": 0}
+        stats = store.stats()
+        assert (stats.entries, stats.total_bytes) == (0, 0)
+        assert (stats.misses, stats.corrupt) == (1, 0)
+        assert legacy.exists()
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (np.array([object()]), None, None, {}),
+            (np.arange(4).reshape(2, 2), None, None, {}),
+            (np.arange(4).view(np.recarray), None, None, {}),
+            (np.array(["a", "b"]), None, None, {}),
+            (None, _cost(jsum=np.int64(1)), None, {}),
+            (None, _cost(jmax=True), None, {}),
+            (None, _cost(total_edges=2.0), None, {}),
+            (None, _cost(bottleneck_node=1 << 63), None, {}),
+            (None, _cost(per_node=[0, 1]), None, {}),
+            (None, None, b"bytes", {}),
+            (None, None, "lone \udc80 surrogate", {}),
+            (None, None, None, {"m": np.float64(1.0)}),
+            (None, None, None, {"m": [1.0]}),
+            (None, None, None, {"m": {"nested": 1}}),
+            (None, None, None, {1: 1.0}),
+        ],
+        ids=[
+            "object-perm", "2d-perm", "perm-subclass", "string-perm",
+            "numpy-jsum", "bool-jmax", "float-total-edges",
+            "bottleneck-past-int64", "list-per-node", "bytes-error",
+            "surrogate-error", "numpy-metric", "list-metric",
+            "nested-metric", "int-metric-name",
+        ],
+    )
+    def test_unstorable_cells_are_refused(self, tmp_path, cell):
+        """A cell the layout cannot carry exactly is never written, so
+        it is recomputed rather than served altered."""
+        store = DiskStore(tmp_path)
+        assert store.store(KEY, cell) is False
+        assert list(tmp_path.iterdir()) == []
+        assert store.load(KEY) is None
+        stats = store.stats()
+        assert (stats.stores, stats.corrupt) == (0, 0)
+
+    @pytest.mark.parametrize("key", ["", "a" * 63, "g" * 64, "a" * 62 + " a"])
+    def test_keys_that_are_not_digests_are_refused(self, tmp_path, key):
+        store = DiskStore(tmp_path)
+        assert store.store(key, _cell()) is False
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear_removes_exactly_its_own_files(self, tmp_path):
         store = DiskStore(tmp_path)
@@ -116,8 +242,13 @@ class TestDiskStore:
         unrelated.write_text("keep me")
         decoy = tmp_path / "result-decoy.json"  # wrong suffix
         decoy.write_text("{}")
-        # older releases' tiers: the engine's perm cells, the edge arrays
-        legacy = [tmp_path / f"perm-{KEY}.pkl", tmp_path / f"edges-{KEY}.npy"]
+        # older releases' tiers: the engine's perm cells, the edge
+        # arrays, and pickled result cells
+        legacy = [
+            tmp_path / f"perm-{KEY}.pkl",
+            tmp_path / f"edges-{KEY}.npy",
+            tmp_path / f"result-{KEY}.pkl",
+        ]
         for path in legacy:
             path.write_bytes(b"legacy")
 
@@ -134,6 +265,191 @@ class TestDiskStore:
         assert store.store(KEY, _cell()) is False
         assert store.load(KEY) is None
         assert store.stats().stores == 0
+
+
+#: Per-node dtypes other than the int64 of perms.
+_NUMERIC_DTYPES = [
+    np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32, np.uint64,
+    np.float16, np.float32, np.float64, np.complex64, np.complex128, np.bool_,
+]
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+_METRIC_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(1 << 200), 1 << 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(),
+    st.sampled_from(["é", "漢字", "\U0001f600", "\x00"]),
+)
+_METRICS = st.dictionaries(st.text(), _METRIC_VALUES, max_size=6)
+_PERMS = hnp.arrays(np.int64, st.integers(0, 40))
+_PER_NODE = st.sampled_from(_NUMERIC_DTYPES).flatmap(
+    lambda dtype: hnp.arrays(dtype, st.integers(0, 12))
+)
+_COSTS = st.builds(
+    MappingCost, jsum=_INT64, jmax=_INT64, total_edges=_INT64,
+    per_node=_PER_NODE, bottleneck_node=_INT64,
+)
+_CELLS = st.one_of(
+    st.tuples(
+        st.none() | _PERMS, st.none() | _COSTS, st.none() | st.text(), _METRICS
+    ),
+    # a mapper's rejection: the error alone
+    st.tuples(st.none(), st.none(), st.text(), st.just({})),
+)
+
+
+def _same_array(got, want) -> bool:
+    return (
+        type(got) is np.ndarray
+        and got.dtype == want.dtype
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+def _same_scalar(got, want) -> bool:
+    """Equal values of one Python type (NaN equals NaN, -0.0 is not 0.0)."""
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+class TestCellLayout:
+    """Properties of the cell file layout: an exact round trip, and a
+    fuzzer under which ``load`` only ever misses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cell=_CELLS)
+    def test_round_trip_keeps_values_dtypes_and_types(self, cell):
+        with tempfile.TemporaryDirectory() as directory:
+            store = DiskStore(directory)
+            assert store.store(KEY, cell) is True
+            got = store.load(KEY)
+        assert type(got) is tuple and len(got) == 4
+        perm, cost, error, metrics = cell
+        if perm is None:
+            assert got[0] is None
+        else:
+            assert _same_array(got[0], perm)
+        if cost is None:
+            assert got[1] is None
+        else:
+            assert type(got[1]) is MappingCost
+            for field in ("jsum", "jmax", "total_edges", "bottleneck_node"):
+                assert _same_scalar(getattr(got[1], field), getattr(cost, field))
+            assert _same_array(got[1].per_node, cost.per_node)
+        assert _same_scalar(got[2], error)
+        assert type(got[3]) is dict
+        assert list(got[3]) == list(metrics)
+        assert all(_same_scalar(got[3][name], metrics[name]) for name in metrics)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cell=_CELLS,
+        mangle=st.sampled_from(
+            ["bytes", "truncate", "flip", "append", "misfile"]
+        ),
+        data=st.data(),
+    )
+    def test_mangled_entry_is_a_counted_miss(self, cell, mangle, data):
+        with tempfile.TemporaryDirectory() as directory:
+            store = DiskStore(directory)
+            assert store.store(KEY, cell) is True
+            path = Path(directory, f"result-{KEY}.cell")
+            valid = path.read_bytes()
+            key = KEY
+            if mangle == "bytes":
+                content = data.draw(st.binary(max_size=400))
+            elif mangle == "truncate":
+                content = valid[: data.draw(st.integers(0, len(valid) - 1))]
+            elif mangle == "flip":
+                at = data.draw(st.integers(0, len(valid) - 1))
+                bit = data.draw(st.integers(1, 255))
+                content = valid[:at] + bytes([valid[at] ^ bit]) + valid[at + 1:]
+            elif mangle == "append":
+                content = valid + data.draw(st.binary(min_size=1, max_size=8))
+            else:  # a valid cell copied under another key's file name
+                content, key = valid, OTHER
+            Path(directory, f"result-{key}.cell").write_bytes(content)
+            assert store.load(key) is None
+            stats = store.stats()
+        assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+
+
+class _FullDisk:
+    """``os`` as :mod:`repro.engine.diskcache` sees it, on a disk that
+    fills up halfway through the first write of a publish."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    @staticmethod
+    def write(fd, data):
+        os.write(fd, bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStoreFaults:
+    """A full disk and an unreadable entry each have one outcome."""
+
+    def test_full_disk_publishes_nothing(self, tmp_path, monkeypatch):
+        store = DiskStore(tmp_path)
+        monkeypatch.setattr(diskcache, "os", _FullDisk())
+        assert store.store(KEY, _cell(size=64)) is False
+        monkeypatch.undo()
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(tmp_path.iterdir()) == []
+        assert store.stats().stores == 0
+        assert store.load(KEY) is None
+
+    def test_permission_denied_entry_is_a_corrupt_miss(
+        self, tmp_path, monkeypatch
+    ):
+        """An entry that exists but cannot be opened is a miss counted as
+        ``corrupt``.  Raised by patching: as root, ``chmod`` denies no
+        read."""
+        store = DiskStore(tmp_path)
+        store.store(KEY, _cell())
+
+        class Denied:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def open(path, flags, *args):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(diskcache, "os", Denied())
+        assert store.load(KEY) is None
+        stats = store.stats()
+        assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+    def test_fifo_under_a_cell_name_does_not_block(self, tmp_path):
+        """A FIFO planted under a cell's name reads as a corrupt miss;
+        opening it must not wait for a writer."""
+        os.mkfifo(tmp_path / f"result-{KEY}.cell")
+        store = DiskStore(tmp_path)
+        assert store.load(KEY) is None
+        assert store.corrupt == 1
+
+    def test_engine_on_a_full_disk_computes_every_cell(self, tmp_path, monkeypatch):
+        grid, stencil, alloc = _instance()
+        requests = [
+            MappingRequest(grid, stencil, alloc, name)
+            for name in ("blocked", "hyperplane")
+        ]
+        reference = EvaluationEngine(max_workers=1).evaluate_batch(requests)
+        monkeypatch.setattr(diskcache, "os", _FullDisk())
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            results = engine.evaluate_batch(requests)
+            stats = engine.disk_store_stats()["result"]
+        assert [r.perm.tobytes() for r in results] == [
+            r.perm.tobytes() for r in reference
+        ]
+        assert [r.jsum for r in results] == [r.jsum for r in reference]
+        assert (stats.misses, stats.stores) == (2, 0)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCounterConsistency:
@@ -268,6 +584,53 @@ class TestStableKeys:
         assert request_payload("not a request") is None
 
 
+    def test_memoized_keys_match_cell_key(self):
+        """One memo over a decoded submission gives every item exactly
+        its :func:`cell_key`: shared instance objects, Cartesian and
+        graph workloads, explicit perms, metrics, a mapper instance and
+        an opaque item."""
+        from repro import CartesianWorkload, GraphWorkload
+        from repro.engine.backends import shard_payloads
+        from repro.engine.cluster.protocol import (
+            SUBMIT,
+            decode_payload,
+            encode_message,
+        )
+        from repro.engine.registry import resolve_mapper
+        from repro.sweep import InstanceSpec, SweepSpec
+
+        grid, stencil, alloc = _instance()
+        metric = weighted_bytes_metric({offset: 8.0 for offset in stencil.offsets})
+        spec = SweepSpec(
+            instances=[InstanceSpec.from_nodes(n, 12) for n in (4, 6, 8)],
+            stencils=["nearest_neighbor", "component"],
+            mappers=["blocked", "hyperplane", ("kd", resolve_mapper("kd_tree"))],
+            metrics=[metric],
+        )
+        ring = GraphWorkload(8, [[i, (i + 1) % 8] for i in range(8)])
+        requests = [
+            *spec.compile(),
+            MappingRequest(
+                workload=CartesianWorkload(grid, stencil), alloc=alloc,
+                mapper="nodecart",
+            ),
+            MappingRequest(workload=ring, alloc=NodeAllocation.homogeneous(2, 4)),
+            MappingRequest(workload=ring, alloc=NodeAllocation.homogeneous(4, 2)),
+            MappingRequest(grid, stencil, alloc, perm=np.arange(grid.size)[::-1]),
+        ]
+        frame = encode_message((SUBMIT, shard_payloads(requests, 4), {}))
+        _, payloads, _ = decode_payload(memoryview(frame)[4:])
+        items = [item for shard in payloads for item in shard] + [("opaque", 0)]
+        memo: dict = {}
+        memoized = [cell_key(item[1], memo) for item in items]
+        assert memoized == [cell_key(item[1]) for item in items]
+        # 3 x 2 instances x 2 named mappers, then the four lone requests
+        assert len(set(memoized) - {None}) == 16
+        assert [key is None for key in memoized].count(True) == 6 + 1
+        # one entry per distinct set of instance objects: each built once
+        assert len(memo) == 6 + 4
+
+
 class TestEngineDiskTiers:
     """The engine's one persistent tier: whole result cells."""
 
@@ -356,7 +719,7 @@ class TestEngineDiskTiers:
             reference = [
                 self._signature(r) for r in cold.evaluate_batch(requests)
             ]
-        for path in tmp_path.glob("result-*.pkl"):
+        for path in tmp_path.glob("result-*.cell"):
             path.write_bytes(b"\x00garbage")
         with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as warm:
             warmed = [
@@ -400,7 +763,7 @@ class TestEngineDiskTiers:
             (result,) = engine.evaluate_batch([request])
             assert result.ok
             assert self._loads(engine) == 0
-        assert not list(tmp_path.glob("result-*.pkl"))
+        assert not list(tmp_path.iterdir())
 
     def test_cells_match_the_coordinator_key(self, tmp_path):
         """The engine files each cell under the key the service daemon
@@ -462,7 +825,7 @@ class TestPrune:
         now = time.time()
         for i, (key, age) in enumerate(zip(keys, ages)):
             store.store(key, _cell(i, size=50))
-            path = tmp_path / f"result-{key}.pkl"
+            path = tmp_path / f"result-{key}.cell"
             os.utime(path, (now - age, now - age))
         return keys
 
@@ -525,12 +888,14 @@ class TestPrune:
         self._fill(tmp_path, [10] * self.ENTRIES)
         foreign = tmp_path / "notes.txt"
         foreign.write_text("keep me")
-        legacy = tmp_path / f"edges-{KEY}.npy"  # an older release's tier
-        legacy.write_bytes(b"legacy")
+        # older releases' tiers
+        legacy = [tmp_path / f"edges-{KEY}.npy", tmp_path / f"result-{KEY}.pkl"]
+        for path in legacy:
+            path.write_bytes(b"legacy")
         prune(tmp_path, 0, ttl=1)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            legacy.name, "notes.txt"
-        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [path.name for path in legacy] + ["notes.txt"]
+        )
 
     def test_missing_directory_prunes_nothing(self, tmp_path):
         from repro.engine.diskcache import prune

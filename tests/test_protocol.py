@@ -280,7 +280,9 @@ class TestHandshakePinning:
 
 class TestMalformedFrames:
     """A frame the daemon cannot use closes its connection quietly: no
-    unhandled exception reaches asyncio, and the daemon keeps serving."""
+    unhandled exception reaches asyncio, the daemon keeps serving, and
+    the close counts once under ``protocol_errors`` in the STATUS and
+    METRICS ``pool`` sections."""
 
     @staticmethod
     def _frame(payload: bytes) -> bytes:
@@ -296,12 +298,17 @@ class TestMalformedFrames:
     def _check(self, caplog, send) -> None:
         caplog.set_level(logging.WARNING, logger="asyncio")
         with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
+            client = ServiceClient("127.0.0.1", daemon.port)
+            before = client.metrics()["pool"]["protocol_errors"]
             with socket.create_connection(
                 ("127.0.0.1", daemon.port), timeout=10
             ) as sock:
                 send(sock)
                 assert self._closed(sock)
-            assert ServiceClient("127.0.0.1", daemon.port).metrics()["jobs"] == []
+            metrics = client.metrics()
+            assert metrics["jobs"] == []
+            assert metrics["pool"]["protocol_errors"] == before + 1
+            assert client.status_full()["pool"]["protocol_errors"] == before + 1
         errors = [
             record
             for record in caplog.records
@@ -320,6 +327,15 @@ class TestMalformedFrames:
     )
     def test_undecodable_first_frame(self, caplog, payload):
         self._check(caplog, lambda sock: sock.sendall(self._frame(payload)))
+
+    @pytest.mark.parametrize("role", ["worker", "client"])
+    def test_undecodable_frame_after_the_handshake(self, caplog, role):
+        def send(sock: socket.socket) -> None:
+            send_message(sock, hello({"role": role}))
+            assert recv_message(sock)[0] == WELCOME
+            sock.sendall(self._frame(b"not a pickle"))
+
+        self._check(caplog, send)
 
     def test_non_integer_priority(self, caplog):
         def send(sock: socket.socket) -> None:

@@ -93,7 +93,7 @@ class TestScalingSweep:
             files = [path.name for path in tmp_path.iterdir()]
             assert len(files) == 4
             assert all(
-                name.startswith("result-") and name.endswith(".pkl")
+                name.startswith("result-") and name.endswith(".cell")
                 for name in files
             )
 
@@ -108,6 +108,50 @@ class TestCLI:
         assert experiments_main(["figure8", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "Figure 8" in out and "median" in out
+
+    def test_figure8_names_match_mapper_instances(self, capsys, monkeypatch):
+        """The verb's registry-name sweep renders byte for byte what the
+        same sweep over configured ``Mapper`` instances renders."""
+        from repro.experiments import __main__ as cli
+        from repro.experiments.context import DEFAULT_MAPPERS
+
+        outputs = []
+        for instances in (False, True):
+            if instances:
+                real = cli.figure8_reductions
+
+                def with_instances(family, *, mappers, **kwargs):
+                    configured = DEFAULT_MAPPERS()
+                    return real(
+                        family,
+                        mappers={name: configured[name] for name in mappers},
+                        **kwargs,
+                    )
+
+                monkeypatch.setattr(cli, "figure8_reductions", with_instances)
+            for fmt in ("table", "json"):
+                assert experiments_main(["figure8", "--fast", "--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+
+    def test_figure8_repeat_is_answered_from_the_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every cell of the verb's sweep is storable, so a second run on
+        the same directory runs no mapper and builds no edges."""
+        argv = ["figure8", "--fast", "--cache-dir", str(tmp_path), "--format", "json"]
+        assert experiments_main(argv) == 0
+        cold = capsys.readouterr().out
+        # 36 instances x blocked + five mappers (graphmap is not --fast)
+        assert len(list(tmp_path.glob("result-*.cell"))) == 36 * 6
+
+        def refuse(*args):
+            raise AssertionError("a stored cell was recomputed")
+
+        monkeypatch.setattr("repro.engine.engine.resolve_mapper", refuse)
+        monkeypatch.setattr("repro.engine.engine.communication_edges", refuse)
+        assert experiments_main(argv) == 0
+        assert capsys.readouterr().out == cold
 
     def test_figure8_backend_spec(self, capsys):
         assert experiments_main(

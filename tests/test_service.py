@@ -63,12 +63,14 @@ from repro.engine.cluster.protocol import (
     resolve_secret,
     send_message,
 )
+from repro.engine import diskcache
 from repro.engine.cluster.worker import run_worker
 from repro.engine.diskcache import cell_key
 from repro.service import parse_service_spec
 
 from .test_backends import _requests, _signature, _weighted_requests
 from .test_cluster import _spawn_worker, _worker_env
+from .test_diskcache import _FullDisk
 
 
 @pytest.fixture(scope="module")
@@ -1017,7 +1019,11 @@ class TestCacheCLI:
 
         self._seed(tmp_path)
         # older releases' tiers: read, cleared and pruned by nothing
-        legacy = [tmp_path / f"perm-{'a' * 64}.pkl", tmp_path / f"edges-{'a' * 64}.npy"]
+        legacy = [
+            tmp_path / f"perm-{'a' * 64}.pkl",
+            tmp_path / f"edges-{'a' * 64}.npy",
+            tmp_path / f"result-{'b' * 64}.pkl",  # a pickled cell
+        ]
         for path in legacy:
             path.write_bytes(b"legacy")
         assert experiments_main(["cache", "--cache-dir", str(tmp_path)]) == 0
@@ -1389,8 +1395,40 @@ class TestSharedCellStore:
         assert {kind for kind, _, _ in calls} == {"load", "store"}
         assert all(thread is loop_thread for _, _, thread in calls)
         assert {path.name for path in tmp_path.iterdir()} == {
-            f"result-{key}.pkl" for key in keys
+            f"result-{key}.cell" for key in keys
         }
+
+    def test_full_disk_daemon_serves_rows_and_stores_none(
+        self, tmp_path, monkeypatch
+    ):
+        """A daemon whose store hits ENOSPC mid-publish still returns
+        every row as serial, and leaves neither a cell nor a tmp file."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        spec = _weighted_spec()
+        serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
+        monkeypatch.setattr(diskcache, "os", _FullDisk())
+        box: dict = {}
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+
+            def serve() -> None:
+                box["code"] = run_worker(
+                    f"127.0.0.1:{daemon.port}",
+                    backend_spec="serial",
+                    reconnect_timeout=0,
+                    log=lambda *_: None,
+                )
+
+            worker = threading.Thread(target=serve, daemon=True)
+            worker.start()
+            daemon.wait_for_workers(1, timeout=60)
+            with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                rows = run(spec, backend).to_rows()
+            store = daemon.metrics()["store"]
+        worker.join(timeout=30)
+        assert not worker.is_alive() and box["code"] == 0
+        assert rows == serial
+        assert (store["hits"], store["misses"]) == (0, len(serial))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("corruption", ["garbage", "wrong-shape"])
     def test_corrupt_cell_is_recomputed_and_counted(self, tmp_path, corruption):
@@ -1398,12 +1436,12 @@ class TestSharedCellStore:
         (rows as serial), a daemon dispatches it."""
         request = _weighted_requests()[0]
         (reference,) = EvaluationEngine(max_workers=1).evaluate_batch([request])
-        path = tmp_path / f"result-{cell_key(request)}.pkl"
+        path = tmp_path / f"result-{cell_key(request)}.cell"
 
         def corrupt() -> None:
             if corruption == "garbage":
                 path.write_bytes(b"\x80\x05garbage")
-            else:  # well-formed pickle, wrong-typed cell
+            else:  # a well-formed pickle of a wrong-typed cell, never unpickled
                 path.write_bytes(pickle.dumps(("perm", None, None, {})))
 
         corrupt()
