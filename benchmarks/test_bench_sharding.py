@@ -1,19 +1,19 @@
-"""Benchmark smoke: thread backend vs. process-sharded backend.
+"""Benchmark smoke: the serial engine vs. the process-sharded backend.
 
 The acceptance workload of the backends subsystem: a figure8-style
 multi-instance sweep executed through both backends.  The point being
 pinned is *correctness under sharding* — byte-identical costs no matter
 where the requests run — plus a timing report for the curious.  No
-relative-speed assertion is made: whether processes beat threads depends
-on core count (CI containers often expose a single CPU, where the
-process pool's pickling overhead dominates).
+relative-speed assertion is made: whether processes beat the serial
+engine depends on core count (CI containers often expose a single CPU,
+where the process pool's pickling overhead dominates).
 """
 
 from __future__ import annotations
 
 import time
 
-from repro import EvaluationEngine, ProcessBackend, ThreadBackend
+from repro import EvaluationEngine, ProcessBackend
 from repro.engine.diskcache import cell_key
 
 from .conftest import WORKLOAD_MAPPERS, WORKLOAD_NODE_COUNTS, backend_workload
@@ -27,19 +27,12 @@ def _workload():
     return backend_workload(sweeps=SWEEPS)
 
 
-def test_thread_and_process_backends_agree(tmp_path):
+def test_serial_and_process_backends_agree(tmp_path):
     requests = _workload()
-    reference = [
-        _signature(r)
-        for r in EvaluationEngine(max_workers=1).evaluate_batch(requests)
-    ]
-
     timings = {}
-    with ThreadBackend(max_workers=4) as thread_backend:
-        start = time.perf_counter()
-        thread_results = thread_backend.evaluate_batch(requests)
-        timings["thread"] = time.perf_counter() - start
-    assert [_signature(r) for r in thread_results] == reference
+    start = time.perf_counter()
+    reference = [_signature(r) for r in EvaluationEngine().evaluate_batch(requests)]
+    timings["serial"] = time.perf_counter() - start
 
     with ProcessBackend(2, disk_cache_dir=tmp_path) as process_backend:
         start = time.perf_counter()

@@ -44,7 +44,7 @@ def _spec() -> SweepSpec:
 
 @pytest.fixture(scope="module")
 def warm_engine():
-    engine = EvaluationEngine(max_workers=4)
+    engine = EvaluationEngine()
     run(_spec(), backend=engine)  # warm every perm/cost/edge cache
     yield engine
     engine.close()

@@ -18,7 +18,7 @@ graph instances are served by ``graphmap`` (the VieM stand-in) while the
 structured-only algorithms surface "not applicable" cells rather than
 crashes.
 
-Run:  python examples/general_graph_mapping.py [--backend thread|process:4|service:PORT]
+Run:  python examples/general_graph_mapping.py [--backend serial|process:4|service:PORT]
 """
 
 import argparse
@@ -84,10 +84,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--backend",
-        default="thread",
+        default="serial",
         metavar="SPEC",
-        help="execution backend: serial, thread[:N], process[:N], "
-        "cluster:HOST:PORT or service:HOST:PORT (default: thread)",
+        help="execution backend: serial, process[:N], "
+        "cluster:HOST:PORT or service:HOST:PORT (default: serial)",
     )
     args = parser.parse_args()
 

@@ -20,8 +20,9 @@ The library provides:
 * the NP-hardness reduction of Theorem IV.3 (:mod:`repro.nphard`),
 * the batched NumPy cost kernels behind every evaluation loop
   (:mod:`repro.kernels`),
-* a batched, cached, parallel evaluation engine shared by every
-  experiment driver (:mod:`repro.engine`),
+* a batched, cached evaluation engine shared by every experiment
+  driver, sharded across processes or hosts by its backends
+  (:mod:`repro.engine`),
 * a standing sweep service — one daemon, persistent workers, many
   concurrent prioritised driver jobs (:mod:`repro.service`),
 * a portfolio search racing mapper candidates under a budget, with
@@ -118,7 +119,6 @@ from .engine import (
     MappingResult,
     MetricSpec,
     ProcessBackend,
-    ThreadBackend,
     list_metrics,
     register_metric,
     resolve_backend,
@@ -217,7 +217,6 @@ __all__ = [
     "EvaluationEngine",
     "MappingRequest",
     "MappingResult",
-    "ThreadBackend",
     "ProcessBackend",
     "ClusterBackend",
     "resolve_backend",

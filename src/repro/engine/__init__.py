@@ -1,4 +1,4 @@
-"""Batched, cached, parallel evaluation of mapping instances.
+"""Batched, cached evaluation of mapping instances.
 
 The engine subsystem turns the repeated inner loop of every experiment
 (communication graph -> mapper -> ``Jsum``/``Jmax``) into a batch API:
@@ -18,13 +18,13 @@ Where those requests execute is pluggable (:mod:`repro.engine.backends`):
 ...     for result in backend.evaluate_stream(requests):
 ...         consume(result)                             # doctest: +SKIP
 
-See :mod:`repro.engine.engine` for the caching/batching/fan-out design,
-:mod:`repro.engine.backends` for the thread/process execution backends,
+See :mod:`repro.engine.engine` for the caching/batching design,
+:mod:`repro.engine.backends` for the execution backends,
 :mod:`repro.engine.diskcache` for the persistent result store, and
 :mod:`repro.engine.registry` for name-based mapper discovery.
 """
 
-from .backends import Backend, ProcessBackend, ThreadBackend, resolve_backend
+from .backends import Backend, ProcessBackend, resolve_backend
 from .cache import CacheStats, LRUCache
 from .cluster import ClusterBackend
 from .diskcache import CACHE_DIR_ENV, DiskCacheStats, DiskStore
@@ -49,7 +49,6 @@ __all__ = [
     "weighted_bytes_metric",
     "topology_cut_metric",
     "Backend",
-    "ThreadBackend",
     "ProcessBackend",
     "ClusterBackend",
     "resolve_backend",

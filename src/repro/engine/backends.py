@@ -4,10 +4,10 @@ The :class:`~repro.engine.EvaluationEngine` defines the unit of work —
 ``MappingRequest -> MappingResult`` — and this module defines *where*
 those units run:
 
-* :class:`ThreadBackend` — one engine, one persistent thread pool; the
-  default and equivalent to calling the engine directly.  Cheapest for
-  warm-cache sweeps because every shard shares one set of in-memory
-  caches.
+* :class:`~repro.engine.EvaluationEngine` itself — the in-process
+  backend and the default (``"serial"``): one engine evaluating the
+  batch in the calling thread.  Cheapest for warm-cache sweeps because
+  every request shares one set of in-memory caches.
 * :class:`ProcessBackend` — shards the request list across worker
   processes.  Requests and results cross the process boundary by value;
   each worker owns a private engine whose caches warm independently, so
@@ -27,8 +27,8 @@ in input order), ``evaluate_stream`` (results yielded as shards
 complete), ``close`` and use as a context manager.  Experiment drivers
 accept a backend wherever they accept an engine, and the CLI exposes a
 compact spec syntax via :func:`resolve_backend` — ``"serial"``,
-``"thread"``, ``"thread:8"``, ``"process"``, ``"process:4"``,
-``"cluster:host:port"``.
+``"process"``, ``"process:4"``, ``"cluster:host:port"``,
+``"service:host:port"``.
 
 Caller payloads (``MappingRequest.tag``) never cross the process
 boundary: the parent rebuilds every result against its original request
@@ -38,7 +38,6 @@ joins (``result.request is request``) keep working under every backend.
 
 from __future__ import annotations
 
-import inspect
 import os
 import threading
 from collections.abc import Iterable, Iterator, Sequence
@@ -53,7 +52,6 @@ from .request import MappingRequest, MappingResult, rebuild_result
 
 __all__ = [
     "Backend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "instance_aligned_shards",
@@ -189,61 +187,6 @@ class Backend(Protocol):
         ...
 
 
-class ThreadBackend:
-    """The in-process backend: one engine, one persistent thread pool.
-
-    Parameters
-    ----------
-    engine:
-        The engine to execute on; a private one is created from
-        ``engine_options`` when omitted.  Passing a shared engine shares
-        its caches with every other consumer.
-    engine_options:
-        Keyword arguments for the private engine (``max_workers``,
-        cache capacities, ``disk_cache_dir``); rejected when *engine*
-        is also given.
-    """
-
-    def __init__(
-        self,
-        engine: EvaluationEngine | None = None,
-        **engine_options,
-    ):
-        if engine is not None and engine_options:
-            raise TypeError(
-                "pass either an engine or engine options, not both: "
-                f"{sorted(engine_options)}"
-            )
-        self._engine = engine if engine is not None else EvaluationEngine(**engine_options)
-
-    @property
-    def engine(self) -> EvaluationEngine:
-        """The engine executing this backend's requests."""
-        return self._engine
-
-    def evaluate_batch(
-        self, requests: Iterable[MappingRequest]
-    ) -> list[MappingResult]:
-        return self._engine.evaluate_batch(requests)
-
-    def evaluate_stream(
-        self, requests: Iterable[MappingRequest]
-    ) -> Iterator[MappingResult]:
-        return self._engine.evaluate_stream(requests)
-
-    def close(self) -> None:
-        self._engine.close()
-
-    def __enter__(self) -> "ThreadBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"ThreadBackend(max_workers={self._engine.max_workers})"
-
-
 # ----------------------------------------------------------------------
 # Process backend: worker side
 # ----------------------------------------------------------------------
@@ -292,10 +235,9 @@ class ProcessBackend:
         price of more pickling round-trips.
     engine_options:
         Extra keyword arguments for each worker's private engine,
-        checked against :class:`EvaluationEngine`'s signature here (an
-        unknown name raises ``TypeError`` at construction, not inside
-        the workers).  Workers default to ``max_workers=1``: parallelism
-        comes from the process pool, not nested thread pools.
+        checked here by building one engine from them (an unknown name
+        raises ``TypeError``, a bad value ``ValueError``, at
+        construction rather than inside the workers).
 
     Notes
     -----
@@ -324,10 +266,9 @@ class ProcessBackend:
             )
         self.num_workers = int(num_workers)
         self.shards_per_worker = int(shards_per_worker)
-        engine_options.setdefault("max_workers", 1)
         if disk_cache_dir is not None:
             engine_options["disk_cache_dir"] = os.fspath(disk_cache_dir)
-        inspect.signature(EvaluationEngine).bind(**engine_options)
+        EvaluationEngine(**engine_options)  # a bad option raises here
         self._engine_options = engine_options
         self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
@@ -442,31 +383,28 @@ def resolve_backend(
     """Turn a backend spec into a :class:`Backend` instance.
 
     Accepted specs: an existing backend (returned unchanged, *shards*
-    and *options* must be absent), ``None``/``"thread"`` (thread
-    backend, default width), ``"serial"`` (thread backend, one worker),
-    ``"process"`` (process backend) — each optionally suffixed with a
-    worker count as ``"thread:8"`` / ``"process:4"``, which the
-    *shards* argument overrides — and ``"cluster:[host:]port"``, which
-    binds a :class:`~repro.engine.cluster.ClusterBackend` coordinator at
-    that address, every interface when the host is omitted (remote
-    workers connect with ``python -m repro.experiments work --connect
-    host:port``), or
-    ``"service:[host:]port[:priority]"``, which submits jobs to an
-    already-running standing service daemon
+    and *options* must be absent), ``None``/``"serial"`` (a fresh
+    :class:`~repro.engine.EvaluationEngine`, which runs in the calling
+    thread), ``"process"`` (process backend, optionally suffixed with a
+    worker count as ``"process:4"``, which the *shards* argument
+    overrides), ``"cluster:[host:]port"``, which binds a
+    :class:`~repro.engine.cluster.ClusterBackend` coordinator at that
+    address, every interface when the host is omitted (remote workers
+    connect with ``python -m repro.experiments work --connect
+    host:port``), or ``"service:[host:]port[:priority]"``, which submits
+    jobs to an already-running standing service daemon
     (:class:`~repro.service.ServiceBackend`; start one with ``python -m
     repro.experiments serve-jobs``).  Remaining *options* are forwarded
     to the backend constructor (e.g. ``disk_cache_dir``).
     """
-    if isinstance(spec, (ThreadBackend, ProcessBackend)) or (
-        not isinstance(spec, (str, type(None))) and isinstance(spec, Backend)
-    ):
+    if isinstance(spec, Backend):
         if shards is not None or options:
             raise TypeError(
                 "cannot combine an already constructed backend with "
                 "shards/options"
             )
         return spec
-    name, _, count_text = (spec or "thread").partition(":")
+    name, _, count_text = (spec or "serial").partition(":")
     if name == "cluster":
         # Imported lazily: the cluster package builds on this module.
         from .cluster import ClusterBackend
@@ -509,14 +447,14 @@ def resolve_backend(
         count = parsed if count is None else count
     if name == "serial":
         if count not in (None, 1):
-            raise ValueError("the serial backend has exactly one worker")
-        return ThreadBackend(max_workers=1, **options)
-    if name == "thread":
-        return ThreadBackend(max_workers=count, **options)
+            raise ValueError(
+                "the serial backend has exactly one worker; shard across "
+                "worker processes with 'process:N'"
+            )
+        return EvaluationEngine(**options)
     if name == "process":
         return ProcessBackend(num_workers=count, **options)
     raise ValueError(
-        f"unknown backend spec {spec!r}; expected 'serial', 'thread[:N]', "
-        f"'process[:N]', 'cluster:[host:]port' or "
-        f"'service:[host:]port[:priority]'"
+        f"unknown backend spec {spec!r}; expected 'serial', 'process[:N]', "
+        "'cluster:[host:]port' or 'service:[host:]port[:priority]'"
     )

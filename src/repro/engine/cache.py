@@ -7,10 +7,11 @@ instances of this cache.  ``functools.lru_cache`` is unsuitable because the engi
 needs per-cache statistics, explicit invalidation, and a compute
 callback supplied at call time rather than bound at decoration time.
 
-``get_or_compute`` is single-flight: when many engine worker threads
-miss on the same key at once (typical at the start of a sweep, when
-every shard of one instance wants the same edge array), exactly one
-computes and the rest wait for its value.
+``get_or_compute`` is single-flight: when threads sharing one engine
+(the portfolio search's candidate threads) miss on the same key at
+once — typical at the start of a race, when every candidate wants the
+same instance's edge array — exactly one computes and the rest wait for
+its value.
 """
 
 from __future__ import annotations

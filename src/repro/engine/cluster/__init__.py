@@ -1,7 +1,8 @@
 """Distributed multi-host evaluation over TCP sockets.
 
-The one distributed tier, above :class:`~repro.engine.ThreadBackend`
-(one process) and :class:`~repro.engine.ProcessBackend` (one machine):
+The one distributed tier, above the serial
+:class:`~repro.engine.EvaluationEngine` (one thread) and
+:class:`~repro.engine.ProcessBackend` (one machine):
 a :class:`~repro.service.ServiceDaemon` hosts a work-stealing
 :class:`~repro.engine.cluster.coordinator.Coordinator`, and a
 :class:`ClusterBackend` is such a daemon of its own, fed by an

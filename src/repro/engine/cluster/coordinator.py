@@ -94,7 +94,7 @@ one ``(index, request)`` item of a shard — is published under its
 request's :func:`~repro.engine.diskcache.cell_key`, and every
 submitted cell is first looked up there.  Engines with the same cache
 directory read and write the same cells, so cells computed by a
-serial, thread or process run are answered here too, and the other
+serial or process run are answered here too, and the other
 way round.  A job whose cells are all known is answered without
 dispatching a single shard to a worker, with byte-identical rows;
 partially known jobs dispatch only the unknown cells.  Identical cells
@@ -992,7 +992,7 @@ class Coordinator:
 
         ``{"jobs": jobs_snapshot(job_id), "clients":
         clients_snapshot(), "pool": load_snapshot() + autoscaler
-        stats}`` — what a v5 daemon sends in ``STATUS_REPLY``.
+        stats}`` — what the daemon sends in ``STATUS_REPLY``.
         """
         pool = self.load_snapshot()
         if self.autoscaler is not None:

@@ -86,9 +86,7 @@ Message catalogue (worker ``->`` coordinator unless noted):
 ``AUTH``    ``(AUTH, digest: str)`` — the HMAC-SHA256 response to a
             CHALLENGE (see :func:`auth_digest`)
 ``WELCOME`` coordinator: ``(WELCOME, settings: dict)`` — settings carry
-            ``heartbeat_interval`` (seconds between peer pings); peers
-            read keys with ``.get`` and ignore the rest, such as the
-            ``cache_dir`` that older coordinators send
+            ``heartbeat_interval`` (seconds between peer pings)
 ``REJECT``  coordinator: ``(REJECT, reason: str)``; the connection is
             closed afterwards
 ``GET``     ``(GET,)`` — the work-stealing pull: hand me the next shard
@@ -121,8 +119,7 @@ Client message set (client ``->`` service daemon unless noted; see
 ``STATUS``      ``(STATUS, job_id | None)`` — one job, or all jobs
 ``STATUS_REPLY`` daemon: ``(STATUS_REPLY, {"jobs": [...], "clients":
                 [...], "pool": {...}})`` — job records plus per-client
-                share/quota counters and worker-pool gauges (v5;
-                earlier daemons answered a bare job-record list)
+                share/quota counters and worker-pool gauges
 ``CANCEL``      ``(CANCEL, job_id)``
 ``CANCEL_REPLY`` daemon: ``(CANCEL_REPLY, job_id, ok: bool)``
 ``METRICS``     ``(METRICS,)`` — ask for a machine-readable snapshot
@@ -185,6 +182,7 @@ __all__ = [
     "encode_frames",
     "decode_payload",
     "hello",
+    "is_frame",
     "auth_digest",
     "resolve_secret",
     "resolve_tls",
@@ -381,6 +379,23 @@ def hello(info: dict | None = None) -> tuple:
     merged = dict(info or {})
     merged.setdefault("pickle", WIRE_PICKLE_PROTOCOL)
     return (HELLO, MAGIC, PROTOCOL_VERSION, merged)
+
+
+def is_frame(message: object, kind: str, *fields: type) -> bool:
+    """Whether *message* is the frame ``(kind, *fields)``: a tuple of
+    *kind* and one value of each type in *fields*.
+
+    The blocking peers check every frame they act on with it, so a
+    malformed one becomes a protocol error rather than an
+    ``IndexError`` or ``TypeError`` halfway through handling it.
+    """
+    return (
+        isinstance(message, tuple)
+        and len(message) == 1 + len(fields)
+        and isinstance(message[0], str)
+        and message[0] == kind
+        and all(map(isinstance, message[1:], fields))
+    )
 
 
 def auth_digest(secret: str, nonce: str) -> str:

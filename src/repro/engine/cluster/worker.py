@@ -11,10 +11,10 @@ The worker connects to a coordinator (retrying for ``--connect-timeout``
 seconds, so it may be launched before the sweep), handshakes (a peer
 that does not answer within that timeout, at least 1 s, counts as a
 lost coordinator), then loops: ``GET`` a shard, evaluate it on a local
-backend (thread by default; ``--backend process[:N]`` for multi-core
-hosts), send the ``RESULT`` back.  A heartbeat thread pings throughout,
-including while a shard is being evaluated, so long shards are not
-mistaken for death.
+backend (the serial engine by default; ``--backend process[:N]`` for
+multi-core hosts), send the ``RESULT`` back.  A heartbeat thread pings
+throughout, including while a shard is being evaluated, so long shards
+are not mistaken for death.
 
 Losing an *established* coordinator (a standing service daemon that
 restarted, a network blip) does not kill the worker: it reconnects with
@@ -42,7 +42,9 @@ second time.
 
 Exit codes: ``0`` after a coordinator ``SHUTDOWN`` (sweep over), ``1``
 on a lost/unreachable coordinator (after the reconnect budget), ``2``
-on a handshake rejection (e.g. stale protocol version, bad secret).
+on a handshake rejection (e.g. stale protocol version, bad secret) or
+a frame that is neither ``(SHARD, shard_id, items)`` nor
+``(SHUTDOWN,)``.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .protocol import (
     client_tls_context,
     connect_with_retry,
     handshake,
+    is_frame,
     parse_address,
     recv_message,
     resolve_secret,
@@ -93,7 +96,8 @@ def _serve_connection(
 
     Returns one of the outcome constants: ``_SHUTDOWN`` (clean cluster
     shutdown), ``_LOST`` (connection died; the caller may reconnect) or
-    ``_REJECTED`` (handshake refused; retrying would loop).
+    ``_REJECTED`` (handshake refused or a malformed frame; retrying
+    would loop).
     """
     try:
         kind, detail = handshake(
@@ -136,23 +140,23 @@ def _serve_connection(
             except OSError as exc:
                 log(f"worker: connection lost: {exc}")
                 return _LOST
-            while True:
-                try:
-                    message = recv_message(sock)
-                except (ProtocolError, OSError) as exc:
-                    log(f"worker: connection lost: {exc}")
-                    return _LOST
-                if message is None:
-                    log("worker: coordinator went away")
-                    return _LOST
-                kind = message[0]
-                if kind in (SHARD, SHUTDOWN):
-                    break
-                # tolerate benign messages from newer coordinators
-            if kind == SHUTDOWN:
+            try:
+                message = recv_message(sock)
+            except (ProtocolError, OSError) as exc:
+                log(f"worker: connection lost: {exc}")
+                return _LOST
+            if message is None:
+                log("worker: coordinator went away")
+                return _LOST
+            if is_frame(message, SHUTDOWN):
                 log("worker: coordinator shut the cluster down")
                 return _SHUTDOWN
-            shard_id, items = message[1], message[2]
+            if not is_frame(message, SHARD, int, list):
+                # A coordinator that sent this once would send it again
+                # after a reconnect: give up as on a rejected handshake.
+                log(f"worker: malformed frame from the coordinator: {message!r:.200}")
+                return _REJECTED
+            _, shard_id, items = message
             try:
                 results = backend.evaluate_batch([request for _, request in items])
                 reply_message = (

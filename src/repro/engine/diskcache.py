@@ -8,7 +8,7 @@ results once per process.  :class:`DiskStore` persists them as one
 error, metrics)`` outcome of one request keyed by :func:`cell_key` —
 so any process pointed at the same directory reads what another
 already computed.  It is the one persistent memo layer: every engine
-(serial, thread, process and service workers) and every service daemon
+(serial, process-pool and service workers) and every service daemon
 reads and publishes the same cells, so a cell computed by any of them
 is answered to all the others.  Communication edges are not persisted:
 a stored cell answers its request without them, and an engine that
@@ -542,9 +542,9 @@ class DiskStore:
     the tuple that worker and process-pool result rows carry after
     their index — stored as ``result-<key>.cell`` under the request's
     :func:`cell_key`, in the layout the module docstring describes.
-    Publishes are atomic, and the counters are lock-guarded: handles
-    are shared between concurrent engine worker threads, so unguarded
-    ``+= 1`` bumps would lose updates.
+    Publishes are atomic, and the counters are lock-guarded: threads
+    sharing one engine (the portfolio search's candidates) share its
+    handle, so unguarded ``+= 1`` bumps would lose updates.
 
     Parameters
     ----------

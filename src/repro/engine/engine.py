@@ -14,26 +14,23 @@ that loop:
   (:mod:`repro.engine.diskcache`);
 * **batching** — all permutations of one instance are scored as a single
   stacked NumPy operation (:func:`repro.metrics.cost.evaluate_mappings_batch`)
-  instead of one pass per mapping;
-* **fan-out** — independent instances of a batch are distributed over
-  one persistent ``concurrent.futures`` thread pool (the scoring kernels
-  release the GIL inside NumPy).
+  instead of one pass per mapping.
 
-The engine is the architectural seam for scaling work: sharding a sweep
-means sharding its request list, and any alternative backend only has to
-honour the ``MappingRequest -> MappingResult`` contract.
-:mod:`repro.engine.backends` builds on that seam — ``ThreadBackend``
-wraps one engine, ``ProcessBackend`` shards request lists across worker
-processes, each running its own engine warmed through the shared
-result store.
+The engine evaluates a batch's instances one after another, in the
+calling thread, and is itself the in-process backend (``"serial"``).
+Parallelism comes from sharding the request list, and any alternative
+backend only has to honour the ``MappingRequest -> MappingResult``
+contract: :mod:`repro.engine.backends` builds on that seam —
+``ProcessBackend`` shards request lists across worker processes, each
+running its own engine warmed through the shared result store.  Threads
+may still share one engine (the portfolio search's candidates do); its
+caches are thread-safe and compute each entry once.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -55,14 +52,14 @@ __all__ = ["EvaluationEngine"]
 
 
 class EvaluationEngine:
-    """Caching, batching, parallel executor of mapping evaluations.
+    """Caching, batching, in-process executor of mapping evaluations.
 
     Parameters
     ----------
     max_workers:
-        Thread-pool width for fanning out independent instances of a
-        batch.  ``None`` picks ``min(8, cpu_count)``; ``1`` forces
-        serial execution (useful for profiling and tests).
+        Accepted as ``None`` or ``1`` only: the engine runs in the
+        calling thread.  Any other value raises ``ValueError``; a
+        parallel run shards across processes (``"process:N"``).
     edge_cache_entries / perm_cache_entries / cost_cache_entries:
         Capacities of the three LRU caches.  Edge arrays are the large
         ones (``O(k * p)`` int64 per entry); permutations and costs are
@@ -77,12 +74,9 @@ class EvaluationEngine:
         Defaults to the ``REPRO_CACHE_DIR`` environment variable; with
         neither set the disk layer is disabled.
 
-    The engine owns one persistent thread pool, created lazily on the
-    first parallel batch and reused by every later call; :meth:`close`
-    (or use as a context manager) releases it.  An unclosed engine's
-    idle threads are reaped when the engine is garbage-collected or at
-    interpreter exit; the experiment drivers close any engine they
-    create themselves.
+    The engine holds no worker pool, so :meth:`close` (and use as a
+    context manager, as every :class:`~repro.engine.backends.Backend`
+    allows) releases nothing and leaves the caches usable.
     """
 
     def __init__(
@@ -94,39 +88,21 @@ class EvaluationEngine:
         cost_cache_entries: int = 4096,
         disk_cache_dir: str | os.PathLike | None = None,
     ):
-        if max_workers is None:
-            max_workers = min(8, os.cpu_count() or 1)
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = int(max_workers)
+        if max_workers not in (None, 1):
+            raise ValueError(
+                "EvaluationEngine runs in the calling thread (max_workers=1), "
+                f"got max_workers={max_workers!r}; shard across worker "
+                "processes with the 'process:N' backend instead"
+            )
         self._edge_cache = LRUCache(edge_cache_entries)
         self._perm_cache = LRUCache(perm_cache_entries)
         self._cost_cache = LRUCache(cost_cache_entries)
         self._metric_cache = LRUCache(cost_cache_entries)
         cache_dir = resolve_cache_dir(disk_cache_dir)
         self._result_store = None if cache_dir is None else DiskStore(cache_dir)
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # Worker pool lifecycle
-    # ------------------------------------------------------------------
-    def _pool_get(self) -> ThreadPoolExecutor:
-        """The engine's persistent thread pool, created on first use."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers,
-                    thread_name_prefix="repro-engine",
-                )
-            return self._pool
 
     def close(self) -> None:
-        """Shut down the worker pool (caches stay usable)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Nothing to release: the engine holds no pool (caches stay usable)."""
 
     def __enter__(self) -> "EvaluationEngine":
         return self
@@ -258,28 +234,12 @@ class EvaluationEngine:
         one cached edge array and one cached rank-to-node array, scores
         all its distinct permutations as one stacked kernel call, and
         duplicate ``(instance, mapper)`` requests are computed once.
-        Independent groups run on the engine's thread pool.
         """
         requests = list(requests)
         results: list[MappingResult | None] = [None] * len(requests)
-
-        groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(request.instance_key, []).append(i)
-
-        def run_group(indices: Sequence[int]) -> None:
-            for i, result in zip(indices, self._evaluate_group(
-                [requests[i] for i in indices]
-            )):
+        for indices, group in self._groups(requests):
+            for i, result in zip(indices, group):
                 results[i] = result
-
-        group_indices = list(groups.values())
-        if self.max_workers > 1 and len(group_indices) > 1:
-            # list() propagates the first worker exception, if any.
-            list(self._pool_get().map(run_group, group_indices))
-        else:
-            for indices in group_indices:
-                run_group(indices)
         return results  # type: ignore[return-value]  # every slot is filled
 
     def evaluate_stream(
@@ -288,40 +248,26 @@ class EvaluationEngine:
         """Evaluate a batch, yielding results as instance groups finish.
 
         The streaming counterpart of :meth:`evaluate_batch`: the same
-        grouping, caching and fan-out, but each instance group's results
-        are yielded as soon as that group is scored instead of
-        barriering on the whole batch.  Results of one group keep their
-        relative request order; across groups the order is completion
-        order.  Closing the generator early cancels groups that have not
-        started.
+        grouping and caching, but each instance group's results are
+        yielded as soon as that group is scored instead of barriering on
+        the whole batch.  Groups run in order of their first request,
+        and results of one group keep their relative request order.
+        Closing the generator early leaves the remaining groups
+        unevaluated.
         """
-        requests = list(requests)
+        for _, group in self._groups(list(requests)):
+            yield from group
+
+    def _groups(
+        self, requests: Sequence[MappingRequest]
+    ) -> Iterator[tuple[list[int], list[MappingResult]]]:
+        """Evaluate *requests* one instance group at a time, yielding
+        each group's request indices with its results."""
         groups: dict[tuple, list[int]] = {}
         for i, request in enumerate(requests):
             groups.setdefault(request.instance_key, []).append(i)
-
-        def run_group(indices: Sequence[int]) -> list[MappingResult]:
-            return self._evaluate_group([requests[i] for i in indices])
-
-        group_indices = list(groups.values())
-        if self.max_workers > 1 and len(group_indices) > 1:
-            pool = self._pool_get()
-            futures = {
-                pool.submit(run_group, indices): indices
-                for indices in group_indices
-            }
-            try:
-                pending = set(futures)
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        yield from future.result()
-            finally:
-                for future in futures:
-                    future.cancel()
-        else:
-            for indices in group_indices:
-                yield from run_group(indices)
+        for indices in groups.values():
+            yield indices, self._evaluate_group([requests[i] for i in indices])
 
     def _evaluate_group(
         self, requests: Sequence[MappingRequest]
@@ -618,7 +564,6 @@ class EvaluationEngine:
     def __repr__(self) -> str:
         stats = self.cache_stats()
         return (
-            f"EvaluationEngine(max_workers={self.max_workers}, "
-            f"edges={stats['edges'].size}, "
+            f"EvaluationEngine(edges={stats['edges'].size}, "
             f"perms={stats['permutations'].size})"
         )

@@ -11,7 +11,7 @@ that does not apply is a usage error (``VERB --help`` lists the rest)::
     python -m repro.experiments figure8 --backend process --shards 4
     python -m repro.experiments figure9
     python -m repro.experiments table II [--reps 50]
-    python -m repro.experiments ablations [--backend thread:8]
+    python -m repro.experiments ablations [--backend process:8]
     python -m repro.experiments scaling [--machine VSC4]
     python -m repro.experiments weighted [--machine VSC4]
 
@@ -64,10 +64,11 @@ its own files).
 
 Repetition counts default to quick settings; pass ``--reps 200`` for the
 paper's sample sizes.  ``--backend`` selects the execution backend of
-the batched sweeps (``serial``, ``thread[:N]``, ``process[:N]``,
-``cluster:[host:]port`` to bind a coordinator without waiting for a
-worker quorum, or ``service:[host:]port[:priority]`` to submit to a
-standing daemon), ``--shards`` overrides its worker count and
+the batched sweeps (``serial``, the default, runs in-process;
+``process[:N]`` shards across worker processes; ``cluster:[host:]port``
+binds a coordinator without waiting for a worker quorum, and
+``service:[host:]port[:priority]`` submits to a standing daemon),
+``--shards`` overrides a ``process`` backend's worker count and
 ``--cache-dir`` points the result store at a directory (default:
 ``$REPRO_CACHE_DIR``; refused with a ``service:`` backend).
 """
@@ -1006,12 +1007,13 @@ _FLAGS: dict[str, dict] = {
         metavar="PATH", help="write the rendered output to a file, not stdout"
     ),
     "--backend": dict(
-        help="execution backend: serial, thread[:N] (default), process[:N], "
+        help="execution backend: serial (default, in-process), process[:N], "
         "cluster:[host:]port or service:[host:]port[:priority]; for work "
         "and serve-jobs --autoscale, the workers' local backend"
     ),
     "--shards": dict(
-        type=int, help="worker count of the backend (overrides a :N suffix)"
+        type=int,
+        help="worker processes of a process backend (overrides its :N suffix)",
     ),
     "--cache-dir": dict(
         help="persistent cache directory (default: $REPRO_CACHE_DIR)"

@@ -56,8 +56,8 @@ def _compare(
     num_nodes: int, baseline, variant, backend: Backend | None = None
 ) -> dict[str, AblationResult]:
     # One sweep over all families and both variants; *backend* shards it
-    # across its workers, the default runs on a private (auto-closed)
-    # engine inside repro.sweep.run.
+    # across its workers, the default runs on a private serial engine
+    # inside repro.sweep.run.
     spec = SweepSpec(
         instances=[InstanceSpec.from_nodes(num_nodes, 48, 2)],
         stencils=list(STENCIL_FAMILIES),

@@ -96,12 +96,11 @@ def figure8_reductions(
 
     The whole sweep — every instance, the blocked baseline and every
     mapper — is one :func:`repro.sweep.run` batch: instances sharing a
-    grid and stencil share cached communication edges, each instance's
-    permutations are scored as one stacked kernel call, and independent
-    instances fan out over the worker pool.  Passing *backend* (e.g. a
-    :class:`~repro.engine.ProcessBackend`, or a spec string like
-    ``"process:4"``) shards the batch across its workers instead of the
-    (per-call) engine's threads.
+    grid and stencil share cached communication edges, and each
+    instance's permutations are scored as one stacked kernel call.
+    Passing *backend* (e.g. a :class:`~repro.engine.ProcessBackend`, or
+    a spec string like ``"process:4"``) shards the batch across its
+    workers instead of running it on the (per-call) serial engine.
     """
     spec = figure8_sweep(family, mappers=mappers, instances=instances)
     instances = [inst.label for inst in spec.instances]

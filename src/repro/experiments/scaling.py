@@ -88,13 +88,12 @@ def scaling_sweep(
             f"node counts {oversized} (the model would cover fewer nodes "
             f"than the evaluated grid)"
         )
-    owned_engine = None
     if engine is None:
-        # a ThreadBackend brings its own engine (shared caches); any
-        # other backend gets a private one for the model-time loop
-        engine = getattr(backend, "engine", None)
-        if engine is None:
-            engine = owned_engine = EvaluationEngine()
+        # an engine passed as the backend shares its caches with the
+        # model-time loop; any other backend gets a private one for it
+        engine = (
+            backend if isinstance(backend, EvaluationEngine) else EvaluationEngine()
+        )
     if mappers is None:
         # registry names -> engine memoizes by value across sweeps
         mappers = {name: name for name in DEFAULT_MAPPER_NAMES}
@@ -115,14 +114,7 @@ def scaling_sweep(
         mappers=[("blocked", baseline_spec)]
         + [(name, mappers[name]) for name in out],
     )
-    try:
-        results = run(spec, backend=backend if backend is not None else engine)
-    finally:
-        # a private engine's worker pool must not outlive the sweep;
-        # close() keeps the caches usable — the model-time loop below
-        # still reads this engine's edge cache
-        if owned_engine is not None:
-            owned_engine.close()
+    results = run(spec, backend=backend if backend is not None else engine)
 
     # Instance labels are unique by SweepSpec contract, so rows join
     # back to the node counts by label rather than index arithmetic.

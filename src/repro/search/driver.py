@@ -78,7 +78,7 @@ class _CandidateState:
 
 
 def _consume(state: _CandidateState, backend, cond, counters) -> None:
-    """Candidate thread: stream rows into shared state until stopped."""
+    """Candidate thread body: stream rows into shared state until stopped."""
     stream = None
     try:
         stream = run_stream(state.spec, backend, indexed=True)
@@ -123,7 +123,9 @@ def run_search(spec: SearchSpec, backend=None) -> SearchResult:
     prioritised job), or a live :class:`~repro.engine.backends.Backend`
     — which is then shared by all candidate threads and must tolerate
     concurrent ``evaluate_stream`` calls (the service backend does:
-    connections are per-job).
+    connections are per-job; so does an
+    :class:`~repro.engine.EvaluationEngine`, whose caches compute each
+    entry once whichever thread asks first).
 
     Raises :class:`~repro.exceptions.SearchError` only when *no*
     candidate could be ranked at all (every stream failed, or the

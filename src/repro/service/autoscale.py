@@ -115,7 +115,7 @@ class LocalSpawner(_ProcSpawner):
     backend_spec:
         The spawned workers' local execution backend
         (``resolve_backend`` syntax), e.g. ``"process:4"`` for
-        multi-core hosts; default thread.
+        multi-core hosts; default serial.
     secret:
         Shared cluster secret, passed via the ``REPRO_CLUSTER_SECRET``
         environment variable (never argv — process listings are
@@ -167,7 +167,7 @@ class LocalSpawner(_ProcSpawner):
         return args, env
 
     def __repr__(self) -> str:
-        return f"LocalSpawner(backend={self.backend_spec or 'thread'!r})"
+        return f"LocalSpawner(backend={self.backend_spec or 'serial'!r})"
 
 
 class ExecSpawner(_ProcSpawner):

@@ -42,6 +42,7 @@ from ..engine.cluster.protocol import (
     client_tls_context,
     connect_with_retry,
     handshake,
+    is_frame,
     recv_message,
     resolve_secret,
     resolve_tls,
@@ -82,8 +83,9 @@ class JobHandle:
         """Yield ``(shard_id, payload)`` per completed shard, then stop.
 
         Raises :class:`~repro.exceptions.ServiceError` when the job
-        fails, is cancelled (possibly by another connection), or the
-        daemon shuts down mid-job.
+        fails, is cancelled (possibly by another connection), the
+        daemon shuts down mid-job, or it sends a frame that is none of
+        these.
         """
         remaining = set(self.shard_ids)
         while remaining:
@@ -97,24 +99,28 @@ class JobHandle:
                 raise ServiceError(
                     "the service daemon closed the connection mid-job"
                 )
-            kind = message[0]
-            if kind == JOB_RESULT:
+            if is_frame(message, JOB_RESULT, str, int, list):
                 remaining.discard(message[2])
                 yield message[2], message[3]
-            elif kind == JOB_FAIL:
+            elif is_frame(message, JOB_FAIL, str, int, object):
                 raise ServiceError(
                     f"job {self.job_id} failed on shard {message[2]}: "
                     f"{message[3]}"
                 )
-            elif kind == JOB_CANCELLED:
+            elif is_frame(message, JOB_CANCELLED, str):
                 raise ServiceError(f"job {self.job_id} was cancelled")
-            elif kind == SHUTDOWN:
+            elif is_frame(message, SHUTDOWN):
                 raise ServiceError(
                     f"the service daemon shut down with job {self.job_id} "
                     f"unfinished"
                 )
-            elif kind == JOB_DONE:
+            elif is_frame(message, JOB_DONE, str):
                 return
+            else:
+                raise ServiceError(
+                    "malformed frame from the service daemon mid-job: "
+                    f"{message!r:.200}"
+                )
 
     def close(self) -> None:
         """Release the connection; an undrained job is cancelled."""
@@ -252,12 +258,7 @@ class ServiceClient:
             raise ServiceError(f"service request failed: {exc}") from None
         finally:
             sock.close()
-        if not (
-            isinstance(reply, tuple)
-            and len(reply) == 1 + len(fields)
-            and reply[0] == reply_kind
-            and all(map(isinstance, reply[1:], fields))
-        ):
+        if not is_frame(reply, reply_kind, *fields):
             raise ServiceError(
                 f"unexpected service reply {reply!r} (wanted {reply_kind})"
             )
@@ -298,15 +299,10 @@ class ServiceClient:
         except (ProtocolError, OSError) as exc:
             sock.close()
             raise ServiceError(f"job submission failed: {exc}") from None
-        if isinstance(reply, tuple) and len(reply) == 2 and reply[0] == REJECTED:
+        if is_frame(reply, REJECTED, object):
             sock.close()
             raise ServiceError(f"submission rejected: {reply[1]}")
-        if (
-            reply is None
-            or not isinstance(reply, tuple)
-            or len(reply) != 3
-            or reply[0] != SUBMITTED
-        ):
+        if not is_frame(reply, SUBMITTED, str, list):
             sock.close()
             raise ServiceError(f"unexpected submission reply {reply!r}")
         interval = float(settings.get("heartbeat_interval") or 5.0)

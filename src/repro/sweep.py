@@ -5,9 +5,9 @@ mappers* evaluated on a machine model, with some metric columns per cell
 — yet each driver used to hand-roll its own loop.  This module is the
 shared seam: declare the cross-product once, compile it to
 :class:`~repro.engine.MappingRequest` batches, execute on any
-:class:`~repro.engine.Backend` (thread, process, or cluster), and get a
-columnar :class:`ResultSet` back with deterministic ordering and
-partial-failure cells carried as errors instead of crashes.
+:class:`~repro.engine.Backend` (serial, process, cluster or service),
+and get a columnar :class:`ResultSet` back with deterministic ordering
+and partial-failure cells carried as errors instead of crashes.
 
 >>> import repro
 >>> spec = repro.SweepSpec(
@@ -38,13 +38,7 @@ from typing import Any
 import numpy as np
 
 from .core import Mapper
-from .engine import (
-    Backend,
-    EvaluationEngine,
-    MappingRequest,
-    MappingResult,
-    resolve_backend,
-)
+from .engine import Backend, MappingRequest, MappingResult, resolve_backend
 from .engine.metrics import MetricSpec, as_metric_spec
 from .exceptions import ReproError
 from .grid.dims import dims_create
@@ -1088,10 +1082,7 @@ class ResultSet:
 # ----------------------------------------------------------------------
 def _acquire_backend(backend) -> tuple[Backend, Backend | None]:
     """Resolve *backend*; the second element is what :func:`run` owns."""
-    if backend is None:
-        engine = EvaluationEngine()
-        return engine, engine
-    if isinstance(backend, str):
+    if backend is None or isinstance(backend, str):
         resolved = resolve_backend(backend)
         return resolved, resolved
     return backend, None
@@ -1102,9 +1093,8 @@ def run(spec: SweepSpec, backend=None) -> ResultSet:
 
     *backend* accepts a :class:`~repro.engine.Backend` (or a bare
     :class:`~repro.engine.EvaluationEngine`), a CLI-style spec string
-    (``"serial"``, ``"thread:8"``, ``"process:4"``,
-    ``"cluster:port"``), or ``None`` for a private engine that is closed
-    when the sweep finishes.  Passed-in backends stay open (and keep
+    (``"serial"``, ``"process:4"``, ``"cluster:port"``), or ``None``
+    for a private serial engine.  Passed-in backends stay open (and keep
     their warm caches) for the caller.
 
     Rows come back in the spec's deterministic cell order; cells that

@@ -17,7 +17,6 @@ from repro import (
     MappingRequest,
     NodeAllocation,
     ProcessBackend,
-    ThreadBackend,
     nearest_neighbor,
     resolve_backend,
 )
@@ -93,35 +92,6 @@ def serial_results():
     return EvaluationEngine(max_workers=1).evaluate_batch(_requests())
 
 
-class TestThreadBackend:
-    def test_wraps_given_engine(self):
-        engine = EvaluationEngine(max_workers=1)
-        backend = ThreadBackend(engine)
-        assert backend.engine is engine
-
-    def test_engine_and_options_are_exclusive(self):
-        with pytest.raises(TypeError, match="not both"):
-            ThreadBackend(EvaluationEngine(), max_workers=2)
-
-    def test_batch_matches_serial(self, serial_results):
-        with ThreadBackend(max_workers=4) as backend:
-            results = backend.evaluate_batch(_requests())
-        assert list(map(_signature, results)) == list(
-            map(_signature, serial_results)
-        )
-
-    def test_stream_matches_serial(self, serial_results):
-        with ThreadBackend(max_workers=4) as backend:
-            streamed = list(backend.evaluate_stream(_requests()))
-        assert sorted(map(_signature, streamed)) == sorted(
-            map(_signature, serial_results)
-        )
-
-    def test_satisfies_protocol(self):
-        assert isinstance(ThreadBackend(max_workers=1), Backend)
-        assert isinstance(ProcessBackend(1), Backend)
-
-
 class TestWeightedMetricAcrossBackends:
     """`weighted_cut_bytes` as a batch metric is backend-independent."""
 
@@ -132,10 +102,10 @@ class TestWeightedMetricAcrossBackends:
         assert all(r.metrics for r in results if r.cost is not None)
         return results
 
-    def test_thread_backend_byte_identical(self, serial_weighted):
-        with ThreadBackend(max_workers=4) as backend:
-            results = backend.evaluate_batch(_weighted_requests())
-        assert list(map(_signature, results)) == list(
+    def test_process_stream_byte_identical(self, serial_weighted):
+        with ProcessBackend(2) as backend:
+            streamed = list(backend.evaluate_stream(_weighted_requests()))
+        assert sorted(map(_signature, streamed)) == sorted(
             map(_signature, serial_weighted)
         )
 
@@ -172,11 +142,10 @@ class TestEvaluateStream:
         assert sorted(map(_signature, stream)) == sorted(map(_signature, batch))
 
     def test_parallel_stream_matches_batch(self):
-        engine = EvaluationEngine(max_workers=4)
-        batch = engine.evaluate_batch(_requests())
-        stream = list(engine.evaluate_stream(_requests()))
+        batch = EvaluationEngine().evaluate_batch(_requests())
+        with ProcessBackend(2) as backend:
+            stream = list(backend.evaluate_stream(_requests()))
         assert sorted(map(_signature, stream)) == sorted(map(_signature, batch))
-        engine.close()
 
     def test_stream_is_lazy_group_order(self):
         """Within one instance group, streaming keeps request order."""
@@ -191,13 +160,19 @@ class TestEvaluateStream:
         tags = [r.request.tag for r in engine.evaluate_stream(requests)]
         assert tags == ["blocked", "hyperplane", "kd_tree"]
 
-    def test_closing_generator_early_is_clean(self):
-        engine = EvaluationEngine(max_workers=2)
+    def test_closing_generator_early_is_clean(self, monkeypatch):
+        """Closing the stream after the first group evaluates no other
+        group: no mapper runs again."""
+        engine = EvaluationEngine()
         stream = engine.evaluate_stream(_requests())
         first = next(stream)
         assert first.ok or first.error
-        stream.close()  # must not raise or leak
-        engine.close()
+
+        def refuse(*args):
+            raise AssertionError("a group ran after the stream closed")
+
+        monkeypatch.setattr("repro.engine.engine.resolve_mapper", refuse)
+        stream.close()  # must not raise or evaluate the rest
 
 
 class TestProcessBackend:
@@ -303,26 +278,39 @@ class TestProcessBackend:
 
 
 class TestResolveBackend:
-    def test_default_is_thread(self):
+    def test_default_is_the_engine(self):
+        """The engine itself is the in-process backend."""
         backend = resolve_backend(None)
-        assert isinstance(backend, ThreadBackend)
+        assert isinstance(backend, EvaluationEngine)
+        assert isinstance(backend, Backend)
 
     def test_serial(self):
-        assert resolve_backend("serial").engine.max_workers == 1
+        assert isinstance(resolve_backend("serial"), EvaluationEngine)
+        assert isinstance(resolve_backend("serial:1"), EvaluationEngine)
 
     def test_thread_with_count(self):
-        assert resolve_backend("thread:3").engine.max_workers == 3
+        """There is no thread tier: a ``thread`` spec, with or without a
+        count, is an unknown spec, and so is an engine wider than one."""
+        for spec in ("thread", "thread:2", "thread:3"):
+            with pytest.raises(ValueError, match="unknown backend spec"):
+                resolve_backend(spec)
+        with pytest.raises(ValueError, match="process:N"):
+            EvaluationEngine(max_workers=2)
+        with pytest.raises(ValueError, match="process:N"):
+            resolve_backend("serial", max_workers=2)
 
     def test_process_with_count(self):
         backend = resolve_backend("process:2")
         assert isinstance(backend, ProcessBackend)
+        assert isinstance(backend, Backend)
         assert backend.num_workers == 2
 
     def test_shards_override(self):
-        assert resolve_backend("thread:3", shards=5).engine.max_workers == 5
+        assert resolve_backend("process:3", shards=5).num_workers == 5
+        assert resolve_backend("process", shards=2).num_workers == 2
 
     def test_instance_passthrough(self):
-        backend = ThreadBackend(max_workers=1)
+        backend = EvaluationEngine()
         assert resolve_backend(backend) is backend
         with pytest.raises(TypeError):
             resolve_backend(backend, shards=2)
@@ -331,9 +319,11 @@ class TestResolveBackend:
         with pytest.raises(ValueError):
             resolve_backend("gpu")
         with pytest.raises(ValueError):
-            resolve_backend("thread:lots")
-        with pytest.raises(ValueError):
+            resolve_backend("process:lots")
+        with pytest.raises(ValueError, match="process:N"):
             resolve_backend("serial", shards=4)
+        with pytest.raises(ValueError, match="process:N"):
+            resolve_backend(None, shards=2)
 
 
 class TestDiskEdgeCache:

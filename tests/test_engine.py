@@ -394,21 +394,88 @@ class TestEvaluationEngine:
         ref = evaluate_mapping(grid, stencil, perm, alloc)
         assert (result.jsum, result.jmax) == (ref.jsum, ref.jmax)
 
-    def test_parallel_matches_serial(self, instance):
-        grid, stencil, alloc = instance
-        instances = [
-            (CartesianGrid([n, 48 // n]), alloc) for n in (2, 4, 6, 8, 12)
-        ]
+    def test_parallel_matches_serial(self, instance, monkeypatch):
+        """Threads sharing one engine, as the portfolio search's
+        candidates do, get the serial run's results byte for byte, and
+        each (instance, mapper) pair is mapped once among them all."""
+        import sys
+        import threading
+        import time
+        from collections import Counter
+
+        _, stencil, alloc = instance
         requests = [
-            MappingRequest(g, stencil, a, name)
-            for g, a in instances
-            for name in ("blocked", "hyperplane", "stencil_strips")
+            MappingRequest(CartesianGrid([n, 48 // n]), stencil, alloc, name)
+            for n in (2, 4, 6, 8, 12)
+            for name in ("blocked", "hyperplane", "stencil_strips", "kd_tree")
         ]
-        serial = EvaluationEngine(max_workers=1).evaluate_batch(requests)
-        parallel = EvaluationEngine(max_workers=4).evaluate_batch(requests)
-        assert [(r.jsum, r.jmax) for r in serial] == [
-            (r.jsum, r.jmax) for r in parallel
+
+        def signature(result):
+            cost = result.cost
+            return (
+                cost.jsum,
+                cost.jmax,
+                cost.total_edges,
+                cost.bottleneck_node,
+                cost.per_node.tobytes(),
+                result.perm.tobytes(),
+                result.error,
+            )
+
+        serial = [signature(r) for r in EvaluationEngine().evaluate_batch(requests)]
+
+        calls: Counter = Counter()
+        lock = threading.Lock()
+
+        class Counting:
+            """The registry's mapper, counting (and slowing) each run so
+            the threads' misses on one key overlap."""
+
+            def __init__(self, name):
+                self.mapper = resolve_mapper(name)
+                self.name = name
+
+            def map_ranks(self, grid, stencil, alloc):
+                with lock:
+                    calls[(grid.dims, self.name)] += 1
+                time.sleep(0.005)
+                return self.mapper.map_ranks(grid, stencil, alloc)
+
+        monkeypatch.setattr("repro.engine.engine.resolve_mapper", Counting)
+        engine = EvaluationEngine()
+        threads = 4
+        barrier = threading.Barrier(threads)
+        rows: dict[int, list] = {}
+
+        def consume(t: int) -> None:
+            # every thread its own order: batch or stream, rotated
+            order = requests[t * 5 :] + requests[: t * 5]
+            barrier.wait()
+            if t % 2:
+                results = list(engine.evaluate_stream(order))
+            else:
+                results = engine.evaluate_batch(order)
+            by_request = {id(r.request): signature(r) for r in results}
+            rows[t] = [by_request[id(request)] for request in requests]
+
+        workers = [
+            threading.Thread(target=consume, args=(t,)) for t in range(threads)
         ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(worker.is_alive() for worker in workers)
+        assert sorted(rows) == list(range(threads))
+        assert all(rows[t] == serial for t in range(threads))
+        assert calls == Counter(
+            {(r.grid.dims, r.mapper): 1 for r in requests}
+        )
 
     def test_edge_cache_shared_across_batches(self, instance):
         grid, stencil, alloc = instance
@@ -494,8 +561,13 @@ class TestEvaluationEngine:
         assert engine.cache_stats()["permutations"].misses == misses
 
     def test_max_workers_validation(self):
-        with pytest.raises(ValueError):
-            EvaluationEngine(max_workers=0)
+        """The engine runs in the calling thread: only ``max_workers=1``
+        (or the default) constructs, and any other width names the
+        process backend."""
+        EvaluationEngine(max_workers=1)
+        for width in (0, 2, 8):
+            with pytest.raises(ValueError, match="process:N"):
+                EvaluationEngine(max_workers=width)
 
     def test_mappers_listing(self):
         assert EvaluationEngine.mappers() == list_mappers()

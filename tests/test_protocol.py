@@ -10,7 +10,8 @@ The blocking peers' transport is pinned too: ``TCP_NODELAY`` on every
 socket :func:`connect_with_retry` opens, and one ``sendall`` per frame,
 so no part of a frame waits on the daemon's delayed ACK.  Frames the
 daemon cannot decode, or whose fields have the wrong type, close the
-connection without an unhandled exception.
+connection without an unhandled exception; a frame the worker or a
+job's result stream cannot act on is a protocol error there too.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import logging
 import pickle
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -26,14 +28,20 @@ import pytest
 from repro import CartesianGrid, NodeAllocation, nearest_neighbor
 from repro.engine import ClusterBackend, EvaluationEngine, MappingRequest
 from repro.engine.cluster.protocol import (
+    GET,
     HELLO,
+    JOB_DONE,
+    JOB_FAIL,
+    JOB_RESULT,
     MAGIC,
     PING,
     PROTOCOL_VERSION,
     REJECT,
     RESULT,
     SHARD,
+    SHUTDOWN,
     SUBMIT,
+    SUBMITTED,
     WELCOME,
     WIRE_PICKLE_PROTOCOL,
     ProtocolError,
@@ -46,6 +54,8 @@ from repro.engine.cluster.protocol import (
     recv_message,
     send_message,
 )
+from repro.engine.cluster.worker import run_worker
+from repro.exceptions import ServiceError
 from repro.service import ServiceClient, ServiceDaemon
 
 from .test_backends import _requests, _signature
@@ -353,6 +363,132 @@ class TestMalformedFrames:
     def test_decode_payload_raises_protocol_error(self, payload):
         with pytest.raises(ProtocolError):
             decode_payload(payload)
+
+
+class TestMalformedFramesToPeers:
+    """A frame a blocking peer cannot act on is a protocol error, never
+    a traceback or a skipped frame: the worker logs it and exits 2, as
+    on a rejected handshake (its coordinator would send it again), and
+    a job's result stream raises ``ServiceError``.  Each case plays the
+    far side by hand, and bounds its wait, so a peer that skips the
+    frame and waits on fails the case instead of hanging the suite."""
+
+    @staticmethod
+    def _serve_one(listener: socket.socket, peer: threading.Thread, script):
+        """Accept *peer*'s connection, run *script* on it, then wait up
+        to 10 s for *peer* to finish; closing the connection afterwards
+        releases a peer that is still waiting."""
+        listener.settimeout(30)
+        peer.start()
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(30)
+                assert recv_message(conn)[0] == HELLO
+                send_message(conn, (WELCOME, {"heartbeat_interval": 60}))
+                script(conn)
+                peer.join(timeout=10)
+                assert not peer.is_alive(), "the peer waited past the frame"
+        finally:
+            peer.join(timeout=30)
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            42,
+            (),
+            (SHARD,),
+            (SHARD, "7", []),
+            (SHARD, 7, "items"),
+            (SHUTDOWN, 0),
+            ("bogus",),
+            (np.arange(3),),
+        ],
+        ids=[
+            "int",
+            "empty",
+            "bare-shard",
+            "str-shard-id",
+            "str-items",
+            "shutdown-arg",
+            "unknown-kind",
+            "array-kind",
+        ],
+    )
+    def test_worker_exits_2(self, listener, frame):
+        port = listener.getsockname()[1]
+        logged: list[str] = []
+        codes: list[object] = []
+
+        def work() -> None:
+            try:
+                codes.append(
+                    run_worker(
+                        f"127.0.0.1:{port}",
+                        backend_spec="serial",
+                        connect_timeout=10,
+                        reconnect_timeout=0,
+                        log=logged.append,
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 - the case's outcome
+                codes.append(exc)
+
+        def script(conn: socket.socket) -> None:
+            assert recv_message(conn) == (GET,)
+            send_message(conn, frame)
+
+        worker = threading.Thread(target=work, daemon=True)
+        self._serve_one(listener, worker, script)
+        assert codes == [2]
+        assert any("malformed frame" in line for line in logged), logged
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            42,
+            (),
+            (JOB_RESULT, "job-1"),
+            (JOB_RESULT, "job-1", "0", []),
+            (JOB_FAIL, "job-1"),
+            (JOB_DONE,),
+            ("bogus",),
+            (np.arange(3),),
+        ],
+        ids=[
+            "int",
+            "empty",
+            "short-result",
+            "str-shard-id",
+            "short-fail",
+            "bare-done",
+            "unknown-kind",
+            "array-kind",
+        ],
+    )
+    def test_job_stream_raises_service_error(self, listener, frame):
+        port = listener.getsockname()[1]
+        outcome: list[object] = []
+
+        def consume() -> None:
+            client = ServiceClient("127.0.0.1", port, connect_timeout=10)
+            try:
+                with client.submit([[(0, "opaque")]]) as handle:
+                    outcome.extend(handle.results())
+                outcome.append("drained")
+            except Exception as exc:  # noqa: BLE001 - the case's outcome
+                outcome.append(exc)
+
+        def script(conn: socket.socket) -> None:
+            assert recv_message(conn)[0] == SUBMIT
+            send_message(conn, (SUBMITTED, "job-1", [0]))
+            send_message(conn, frame)
+
+        consumer = threading.Thread(target=consume, daemon=True)
+        self._serve_one(listener, consumer, script)
+        (error,) = outcome
+        assert isinstance(error, ServiceError), error
+        assert "malformed frame" in str(error)
 
 
 class TestWorkerRoundTrip:

@@ -1,5 +1,7 @@
 """Tests for the scaling extension experiment and the CLI entry point."""
 
+import json
+
 import pytest
 
 from repro import BlockedMapper, HyperplaneMapper, StencilStripsMapper
@@ -154,11 +156,16 @@ class TestCLI:
         assert capsys.readouterr().out == cold
 
     def test_figure8_backend_spec(self, capsys):
-        assert experiments_main(
-            ["figure8", "--fast", "--backend", "thread", "--shards", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "Figure 8" in out
+        """``--backend process --shards 2`` emits the serial run's rows
+        byte for byte."""
+        outputs = []
+        for backend in (["serial"], ["process", "--shards", "2"]):
+            argv = ["figure8", "--fast", "--format", "json", "--backend", *backend]
+            assert experiments_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        serial, process = outputs
+        assert process == serial
+        assert json.loads(serial)["rows"]
 
     def test_invalid_backend_spec(self):
         with pytest.raises(SystemExit):

@@ -726,7 +726,7 @@ def _row_key(row):
 
 
 class TestRunStream:
-    @pytest.fixture(params=["thread:2", "process:2", "service"])
+    @pytest.fixture(params=["serial", "process:2", "service"])
     def stream_backend(self, request):
         if request.param == "service":
             port = request.getfixturevalue("service")

@@ -18,7 +18,7 @@ from repro import (
     run,
     run_stream,
 )
-from repro.engine import EvaluationEngine, ThreadBackend, weighted_bytes_metric
+from repro.engine import EvaluationEngine, ProcessBackend, weighted_bytes_metric
 from repro.engine.metrics import as_metric_spec, register_metric
 from repro.experiments.instances import Instance
 from repro.metrics.cost import weighted_cut_bytes
@@ -244,7 +244,7 @@ class TestRun:
     def test_backend_instances_match_serial(self):
         spec = small_spec()
         expected = run(spec).to_rows()
-        with ThreadBackend(max_workers=2) as backend:
+        with ProcessBackend(2) as backend:
             assert run(spec, backend=backend).to_rows() == expected
 
     def test_partial_failure_rows(self):
@@ -449,11 +449,11 @@ class TestWorkloadAxis:
     def test_byte_identical_across_backends(self):
         spec = workload_spec()
         serial = run(spec, backend="serial")
-        with ThreadBackend(max_workers=2) as threads:
-            threaded = run(spec, backend=threads)
-        assert serial.to_json(indent=None) == threaded.to_json(indent=None)
-        process = run(spec, backend="process:2")
+        with ProcessBackend(2) as backend:
+            process = run(spec, backend=backend)
         assert serial.to_json(indent=None) == process.to_json(indent=None)
+        default = run(spec)
+        assert serial.to_json(indent=None) == default.to_json(indent=None)
 
     def test_workload_instance_on_stencil_axis_is_actionable_error(self):
         """Satellite: crossing a workload instance with a named stencil
