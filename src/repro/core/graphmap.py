@@ -30,31 +30,47 @@ Data layout
 One :meth:`GraphMapper.map_graph` call aggregates the directed edges into
 ``E`` weighted undirected pairs sorted by ``(lo, hi)`` (:class:`_UndirectedCSR`)
 and builds, once, Python neighbour and weight lists from their CSR
-(:class:`_Adjacency`).  Every stage of the call shares those lists: the
-pseudo-peripheral BFS, the growth loop, refinement's candidate-pair
-weights and the local search.  Which vertices belong to the bisection in
-progress is one byte per vertex in a ``bytearray`` that the Python loops
-read and NumPy writes a whole level of at once.
+(:class:`_Adjacency`).  The bisection stages share those lists: the
+pseudo-peripheral BFS, the growth loop and refinement's candidate-pair
+weights.  Which vertices belong to the bisection in progress is one byte
+per vertex in a ``bytearray`` that the Python loops read and NumPy
+writes a whole level of at once.
 
 Each recursion level owns the ascending array of its ``n`` vertices and
 its ``m`` internal pairs renumbered to positions in that array: its
 parent's pairs, filtered in order to the side it inherits.  One bisection
 of a level therefore costs O(n + m) for the BFS, O((n + m) log m) for the
-growth heap, and O(m + n log n) per refinement round (the gain sums and
-two ``argsort`` calls); nothing it does scales with the whole graph.
-Every vertex and pair belongs to one level per recursion depth, so
-mapping onto ``k`` nodes makes O(log k) passes over the graph.  The local
-search then makes one pass over its ``local_search_factor * E`` picks,
-reading the neighbour lists of both endpoints of each pick whose pair is
-cut.
+growth heap, and O(m) per refinement round for the gain sums, plus
+O(n log n) for two ``argsort`` calls in a round that can still improve
+the cut.  A pair's swap gain is at most the larger move gain on its A
+side plus the larger on its B side (a direct edge between the two only
+lowers it), so a round whose two largest move gains sum to <= 0 ends
+refinement before sorting; most bisections end that way in their first
+round.  Nothing a bisection does scales with the whole graph.  Every
+vertex and pair belongs to one level per recursion depth, so mapping
+onto ``k`` nodes makes O(log k) passes over the graph.
+
+The local search works on the CSR arrays themselves.  It draws its
+``local_search_factor * E`` picks at once and scores them in blocks
+(:func:`_swap_deltas`): for each pick whose pair is cut, segment sums
+over the CSR slots of both endpoints give the exact ``Jsum`` change of
+the swap under the assignment as it stands.  The first improving pick in
+pick order is applied and scoring resumes right after it, which makes
+the same swaps as trying every pick in turn.  The first block covers a
+typical call's picks, so a call that accepts nothing costs one or two
+blocks; after an accepted swap the block starts small and doubles, so a
+call that accepts many rescores few picks per accept.  A block also ends
+early rather than score more than ``_MAX_SLOTS`` neighbour slots, which
+keeps its arrays small when a hub vertex sits in many picks.
 
 On one host the output is a pure function of the inputs and the seed:
 the same ``rng`` draws in the same order, neighbours in
 :meth:`_UndirectedCSR.neighbors` order, heap ties broken by insertion
-order, and a default-kind ``np.argsort`` of each side's int64 gains in
-ascending vertex order.  That last sort breaks ties through NumPy's SIMD
-sort where the CPU has one, so a permutation can differ between hosts
-with different vector units.
+order, local-search swaps in pick order, and a default-kind
+``np.argsort`` of each side's int64 gains in ascending vertex order.
+That last sort breaks ties through NumPy's SIMD sort where the CPU has
+one, so a permutation can differ between hosts with different vector
+units.
 """
 
 from __future__ import annotations
@@ -65,7 +81,7 @@ import math
 import numpy as np
 
 from .base import Mapper, register_mapper
-from .._validation import check_edges
+from .._validation import as_int, check_edges
 from ..exceptions import MappingError
 from ..grid.graph import communication_edges
 from ..grid.grid import CartesianGrid
@@ -79,6 +95,15 @@ __all__ = ["GraphMapper"]
 _TOP = 16
 #: Vertex states during one bisection; 0 is "outside the level".
 _MEMBER, _GROWN, _SEEN = 1, 2, 3
+#: Local-search picks scored per NumPy block.  A call starts with the
+#: large block (it covers a typical call's picks); after an accepted swap
+#: it restarts from the small one and doubles it up to the large one, so
+#: a run of nearby accepts rescores few picks.
+_FIRST_BLOCK, _RESTART_BLOCK = 4096, 32
+#: Neighbour slots one block scores at most (a block ends early rather
+#: than exceed it): a hub vertex in many picks would otherwise make the
+#: block's arrays as large as the picks times the hub's degree.
+_MAX_SLOTS = 1 << 16
 
 
 class _UndirectedCSR:
@@ -146,6 +171,40 @@ class _Adjacency:
         self.view = np.frombuffer(self.state, dtype=np.uint8)
 
 
+def _swap_deltas(
+    csr: _UndirectedCSR,
+    node: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    uv_weight: np.ndarray,
+) -> np.ndarray:
+    """Exact ``Jsum`` change of swapping the nodes of each cut pair ``(u, v)``.
+
+    Every neighbour of ``u`` adds its weight when it shares ``u``'s node
+    and subtracts it when it sits on ``v``'s (a self-loop, listed twice,
+    adds twice); likewise for ``v``.  That counts the partner, which sits
+    on the other node, against each endpoint, so its pair weight is added
+    back twice: the ``u``-``v`` edge itself stays cut.
+    """
+    if not len(u):
+        return np.empty(0, dtype=np.int64)
+    # One run of CSR slots per endpoint, u's then v's; none is empty, as
+    # each endpoint has its partner as a neighbour.
+    endpoint = np.concatenate([u, v])
+    own = node[endpoint]
+    other = np.concatenate([own[len(u) :], own[: len(u)]])
+    begin = csr.indptr[endpoint]
+    length = csr.indptr[endpoint + 1] - begin
+    offset = np.cumsum(length) - length
+    slot = np.arange(offset[-1] + length[-1]) + np.repeat(begin - offset, length)
+    weight = csr.weights[slot]
+    node_z = node[csr.indices[slot]]
+    gain = np.where(node_z == np.repeat(own, length), weight, 0)
+    gain -= np.where(node_z == np.repeat(other, length), weight, 0)
+    sums = np.add.reduceat(gain, offset)
+    return sums[: len(u)] + sums[len(u) :] + 2 * uv_weight
+
+
 class GraphMapper(Mapper):
     """General graph mapping via recursive bisection + local search.
 
@@ -164,6 +223,11 @@ class GraphMapper(Mapper):
     restarts:
         Independent runs with seeds ``seed, seed + 1, ...`` (>= 1); the
         smallest cut wins.
+
+    A ``seed``, ``refinement_swaps`` or ``restarts`` that is not an integer
+    (a bool, a string, a float with a fraction) raises :class:`TypeError`;
+    integral floats and NumPy integers pass.  Out-of-range values raise
+    :class:`ValueError`.
     """
 
     name = "graphmap"
@@ -176,9 +240,12 @@ class GraphMapper(Mapper):
         local_search_factor: float = 4.0,
         restarts: int = 1,
     ):
+        seed = as_int(seed, name="seed")
+        refinement_swaps = as_int(refinement_swaps, name="refinement_swaps")
+        restarts = as_int(restarts, name="restarts")
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
-        if int(seed) < 0:
+        if seed < 0:
             raise ValueError(f"seed must be >= 0, got {seed}")
         if refinement_swaps < 0:
             raise ValueError(f"refinement_swaps must be >= 0, got {refinement_swaps}")
@@ -187,10 +254,10 @@ class GraphMapper(Mapper):
                 "local_search_factor must be finite and >= 0, "
                 f"got {local_search_factor}"
             )
-        self._seed = int(seed)
-        self._refinement_swaps = int(refinement_swaps)
+        self._seed = seed
+        self._refinement_swaps = refinement_swaps
         self._local_search_factor = float(local_search_factor)
-        self._restarts = int(restarts)
+        self._restarts = restarts
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -275,7 +342,7 @@ class GraphMapper(Mapper):
                 vertex_node,
                 rng,
             )
-            self._local_search(adj, csr, vertex_node, rng)
+            self._local_search(csr, vertex_node, rng)
             cut = self._total_cut(csr, vertex_node)
             if best_cut is None or cut < best_cut:
                 best_cut = cut
@@ -431,6 +498,11 @@ class GraphMapper(Mapper):
 
             side_a = np.flatnonzero(in_a)
             side_b = np.flatnonzero(~in_a)
+            # No pair's swap gain exceeds the best move gain of each side
+            # added up (a direct a-b edge only lowers it), so when that
+            # sum is not positive no candidate pair can improve the cut.
+            if move_gain[side_a].max() + move_gain[side_b].max() <= 0:
+                return
             best_a = side_a[np.argsort(move_gain[side_a])[::-1][:_TOP]]
             best_b = side_b[np.argsort(move_gain[side_b])[::-1][:_TOP]]
             # Swap gain of every candidate pair.  A direct a-b edge stays
@@ -456,11 +528,17 @@ class GraphMapper(Mapper):
     # ------------------------------------------------------------------
     def _local_search(
         self,
-        adj: _Adjacency,
         csr: _UndirectedCSR,
         vertex_node: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
+        """Try ``local_search_factor * E`` random pair swaps, in place.
+
+        The picks are drawn at once and scored a block at a time against
+        the assignment as it stands; the first one whose swap lowers
+        ``Jsum`` is applied and scoring resumes right after it, so the
+        swaps are those of trying every pick in turn.
+        """
         pairs = csr.pairs
         if pairs.size == 0:
             return
@@ -468,35 +546,30 @@ class GraphMapper(Mapper):
         if trials <= 0:
             return
         picks = rng.integers(len(pairs), size=trials)
-        first, second = pairs[picks, 0], pairs[picks, 1]
-        nbrs, wts = adj.nbrs, adj.wts
-        node = vertex_node.tolist()
-        # Memoryviews yield the picks as Python ints one at a time; as two
-        # lists they raised perfbench paper_serial_cold's peak RSS by 2%.
-        for u, v in zip(memoryview(first), memoryview(second)):
-            nu, nv = node[u], node[v]
-            if nu == nv:
-                continue
-            # Exact Jsum change of swapping the nodes of u and v; the u-v
-            # edge itself stays cut.
-            delta = 0
-            for z, w in zip(nbrs[u], wts[u]):
-                if z != v:
-                    nz = node[z]
-                    if nz == nu:
-                        delta += w
-                    elif nz == nv:
-                        delta -= w
-            for z, w in zip(nbrs[v], wts[v]):
-                if z != u:
-                    nz = node[z]
-                    if nz == nv:
-                        delta += w
-                    elif nz == nu:
-                        delta -= w
-            if delta < 0:
-                node[u] = vertex_node[u] = nv
-                node[v] = vertex_node[v] = nu
+        degree = np.diff(csr.indptr)
+        start, block = 0, _FIRST_BLOCK
+        while start < trials:
+            pick = picks[start : start + block]
+            u, v = pairs[pick, 0], pairs[pick, 1]
+            cut = np.flatnonzero(vertex_node[u] != vertex_node[v])
+            slots = np.cumsum(degree[u[cut]] + degree[v[cut]])
+            fits = max(int(np.searchsorted(slots, _MAX_SLOTS, side="right")), 1)
+            if fits < len(cut):
+                # End the block right before the first cut pick left out.
+                block, cut = int(cut[fits]), cut[:fits]
+            delta = _swap_deltas(
+                csr, vertex_node, u[cut], v[cut], csr.pair_weights[pick[cut]]
+            )
+            better = np.flatnonzero(delta < 0)
+            if better.size:
+                k = int(cut[better[0]])
+                a, b = u[k], v[k]
+                vertex_node[a], vertex_node[b] = vertex_node[b], vertex_node[a]
+                start += k + 1
+                block = _RESTART_BLOCK
+            else:
+                start += block
+                block = min(2 * block, _FIRST_BLOCK)
 
     def __repr__(self) -> str:
         return (

@@ -69,7 +69,11 @@ class Topology(ABC):
         return node
 
     def to_networkx(self):
-        """Export switches and nodes as a :class:`networkx.Graph`."""
+        """Export switches and nodes as a :class:`networkx.Graph`.
+
+        This is the core-and-leaf star of the tree-shaped fabrics; the
+        torus and the dragonfly export their own links.
+        """
         import networkx as nx
 
         g = nx.Graph()
@@ -279,6 +283,31 @@ class Torus3DTopology(Topology):
         # Every node owns its router: no shared leaf group.
         return self._check_node(node)
 
+    def to_networkx(self):
+        """Export the router grid, each node on its own router.
+
+        ``router{i}`` links to the next router along each axis, and the
+        last one to the first when ``periodic`` (an axis of extent 1 has
+        no link); ``node{i}`` hangs off ``router{i}``.  The path length
+        between two routers is the :meth:`hop_distance` of their nodes.
+        """
+        import networkx as nx
+
+        g = nx.Graph()
+        for i in range(self._num_nodes):
+            g.add_node(f"router{i}", kind="switch")
+            g.add_node(f"node{i}", kind="node")
+            g.add_edge(f"node{i}", f"router{i}", capacity=1.0)
+        _, ny, nz = self._dims
+        strides = (ny * nz, nz, 1)
+        for i in range(self._num_nodes):
+            for pos, extent, stride in zip(self.coordinates(i), self._dims, strides):
+                if pos + 1 < extent:
+                    g.add_edge(f"router{i}", f"router{i + stride}", capacity=1.0)
+                elif self._periodic and extent > 1:
+                    g.add_edge(f"router{i}", f"router{i - pos * stride}", capacity=1.0)
+        return g
+
     def uplink_capacity_fraction(self) -> float:
         return 1.0
 
@@ -373,6 +402,39 @@ class DragonflyTopology(Topology):
 
     def leaf_of(self, node: int) -> int:
         return self.router_of(node)
+
+    def to_networkx(self):
+        """Export routers, global links and nodes.
+
+        Each group's routers form a clique, and one ``global{g}-{h}``
+        vertex per pair of groups is adjacent to every router of both;
+        ``node{i}`` hangs off its router.  A shortest path between two
+        nodes passes through :meth:`hop_distance` routers and links.
+        """
+        import networkx as nx
+
+        g = nx.Graph()
+        per_group = self._routers_per_group
+        groups = [
+            [f"router{r}" for r in range(k * per_group, (k + 1) * per_group)]
+            for k in range(self._num_groups)
+        ]
+        for routers in groups:
+            g.add_nodes_from(routers, kind="switch")
+            for a, router in enumerate(routers):
+                for other in routers[a + 1 :]:
+                    g.add_edge(router, other, capacity=1.0)
+        fraction = self.uplink_capacity_fraction()
+        for k in range(self._num_groups):
+            for h in range(k + 1, self._num_groups):
+                link = f"global{k}-{h}"
+                g.add_node(link, kind="link")
+                for router in groups[k] + groups[h]:
+                    g.add_edge(link, router, capacity=fraction)
+        for i in range(self._num_nodes):
+            g.add_node(f"node{i}", kind="node")
+            g.add_edge(f"node{i}", f"router{self.router_of(i)}", capacity=1.0)
+        return g
 
     def uplink_capacity_fraction(self) -> float:
         return 1.0 / self._global_ratio

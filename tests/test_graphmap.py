@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro import (
@@ -22,7 +22,8 @@ from repro import (
     nearest_neighbor_with_hops,
 )
 import repro.core.graphmap as graphmap_module
-from repro.core.graphmap import _UndirectedCSR
+from repro.core.graphmap import _TOP, _Adjacency, _UndirectedCSR
+from repro.grid.graph import communication_edges
 from repro.workloads import clustered_workload, random_sparse_workload
 
 
@@ -158,6 +159,37 @@ class TestConstructorValidation:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             GraphMapper(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"seed": 1.7}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"refinement_swaps": True}, "refinement_swaps"),
+            ({"refinement_swaps": 0.5}, "refinement_swaps"),
+            ({"restarts": 2.5}, "restarts"),
+            ({"restarts": "2"}, "restarts"),
+            ({"restarts": None}, "restarts"),
+        ],
+    )
+    def test_non_integers_rejected(self, kwargs, name):
+        with pytest.raises(TypeError, match=f"^{name} must be"):
+            GraphMapper(**kwargs)
+
+    def test_integral_floats_and_numpy_ints_accepted(self):
+        mapper = GraphMapper(
+            seed=np.int64(3), refinement_swaps=2.0, restarts=np.int32(2)
+        )
+        assert repr(mapper) == (
+            "GraphMapper(seed=3, refinement_swaps=2, "
+            "local_search_factor=4.0, restarts=2)"
+        )
+        grid, alloc = CartesianGrid([6, 4]), NodeAllocation.homogeneous(4, 6)
+        plain = GraphMapper(seed=3, refinement_swaps=2, restarts=2)
+        assert _digest(mapper.map_ranks(grid, nearest_neighbor(2), alloc)) == (
+            _digest(plain.map_ranks(grid, nearest_neighbor(2), alloc))
+        )
+
     def test_zero_budgets_accepted(self):
         mapper = GraphMapper(seed=0, refinement_swaps=0, local_search_factor=0)
         perm = mapper.map_graph(np.array([[0, 1], [2, 3]]), 4, NodeAllocation([2, 2]))
@@ -217,6 +249,209 @@ class TestOracleOnGeneralGraphs:
         # (b) Bisection draws the same rng values with or without a local
         # search budget, and local search only accepts strict gains.
         assert jsum[4.0] <= jsum[0.0]
+
+
+# ----------------------------------------------------------------------
+# Differential oracles: the NumPy-blocked local search and the bounded
+# refinement against the sequential loops they replaced
+# ----------------------------------------------------------------------
+def _reference_local_search(adj, csr, vertex_node, rng, factor) -> list[int]:
+    """graphmap's local search as one Python loop over its picks.
+
+    Tries every pick in turn and swaps a cut pair's endpoints whenever
+    that lowers ``Jsum``; returns the indices of the accepted picks.
+    """
+    pairs = csr.pairs
+    if pairs.size == 0:
+        return []
+    trials = int(factor * len(pairs))
+    if trials <= 0:
+        return []
+    picks = rng.integers(len(pairs), size=trials)
+    first, second = pairs[picks, 0], pairs[picks, 1]
+    nbrs, wts = adj.nbrs, adj.wts
+    node = vertex_node.tolist()
+    accepted = []
+    for index, (u, v) in enumerate(zip(first.tolist(), second.tolist())):
+        nu, nv = node[u], node[v]
+        if nu == nv:
+            continue
+        # Exact Jsum change of swapping the nodes of u and v; the u-v
+        # edge itself stays cut.
+        delta = 0
+        for z, w in zip(nbrs[u], wts[u]):
+            if z != v:
+                nz = node[z]
+                if nz == nu:
+                    delta += w
+                elif nz == nv:
+                    delta -= w
+        for z, w in zip(nbrs[v], wts[v]):
+            if z != u:
+                nz = node[z]
+                if nz == nv:
+                    delta += w
+                elif nz == nu:
+                    delta -= w
+        if delta < 0:
+            node[u] = vertex_node[u] = nv
+            node[v] = vertex_node[v] = nu
+            accepted.append(index)
+    return accepted
+
+
+def _reference_refine(adj, vertices, lo, hi, weights, in_a, swaps) -> None:
+    """graphmap's bisection refinement without the move-gain bound: every
+    round ranks both sides and scores the top candidate pairs."""
+    if lo.size == 0:
+        return
+    neg_weights = -weights
+    for _ in range(swaps):
+        sign = np.where(in_a[lo] != in_a[hi], weights, neg_weights)
+        move_gain = np.zeros(len(vertices), dtype=np.int64)
+        np.add.at(move_gain, lo, sign)
+        np.add.at(move_gain, hi, sign)
+        side_a = np.flatnonzero(in_a)
+        side_b = np.flatnonzero(~in_a)
+        best_a = side_a[np.argsort(move_gain[side_a])[::-1][:_TOP]]
+        best_b = side_b[np.argsort(move_gain[side_b])[::-1][:_TOP]]
+        swap_gain = move_gain[best_a][:, None] + move_gain[best_b]
+        column = {b: j for j, b in enumerate(vertices[best_b].tolist())}
+        for i, a in enumerate(vertices[best_a].tolist()):
+            for z, w in zip(adj.nbrs[a], adj.wts[a]):
+                j = column.get(z)
+                if j is not None:
+                    swap_gain[i, j] -= 2 * w
+        best = int(swap_gain.argmax())
+        if swap_gain.flat[best] <= 0:
+            return
+        i, j = divmod(best, swap_gain.shape[1])
+        in_a[best_a[i]] = False
+        in_a[best_b[j]] = True
+
+
+@st.composite
+def dealt_graphs(draw):
+    """Random multigraphs up to four edges per vertex on up to eight
+    nodes: self-loops, weight-2 pairs and isolated vertices all occur,
+    and a random assignment gives the local search many swaps to take."""
+    node_sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    n = sum(node_sizes)
+    edges = draw(st.integers(0, 4 * n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(n, size=(edges, 2)), node_sizes
+
+
+def _dealt(node_sizes, seed) -> np.ndarray:
+    """A random assignment of vertices to nodes, node i getting node_sizes[i]."""
+    nodes = np.repeat(np.arange(len(node_sizes)), node_sizes)
+    return np.random.default_rng(seed).permutation(nodes)
+
+
+class TestAgainstSequentialReference:
+    @given(
+        dealt_graphs(),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, 4.0, 12.0]),
+        st.sampled_from(
+            [(4096, 32, 1 << 16), (16, 4, 1 << 16), (3, 1, 1 << 16), (1, 1, 1)]
+            + [(4096, 32, 12), (16, 4, 3)]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_local_search_matches(self, graph, seed, factor, blocks):
+        """Same swaps in the same order, whatever the block sizes and
+        slot cap."""
+        edges, node_sizes = graph
+        csr = _UndirectedCSR(edges, sum(node_sizes))
+        start = _dealt(node_sizes, seed)
+        expected, ref_rng = start.copy(), np.random.default_rng(seed)
+        _reference_local_search(_Adjacency(csr), csr, expected, ref_rng, factor)
+        got, rng = start.copy(), np.random.default_rng(seed)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in zip(
+                ("_FIRST_BLOCK", "_RESTART_BLOCK", "_MAX_SLOTS"), blocks
+            ):
+                patch.setattr(graphmap_module, name, value)
+            GraphMapper(local_search_factor=factor)._local_search(csr, got, rng)
+        assert got.tolist() == expected.tolist()
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    def test_local_search_accepts_across_blocks(self):
+        """50x48 NN dealt at random onto 50 nodes: 171 accepted swaps,
+        spread over several blocks of picks."""
+        edges = communication_edges(CartesianGrid([50, 48]), nearest_neighbor(2))
+        csr = _UndirectedCSR(edges, 2400)
+        start = _dealt([48] * 50, 0)
+        expected, ref_rng = start.copy(), np.random.default_rng(1)
+        accepted = _reference_local_search(
+            _Adjacency(csr), csr, expected, ref_rng, 4.0
+        )
+        assert len(accepted) > 100
+        assert accepted[0] < graphmap_module._FIRST_BLOCK < accepted[-1]
+        got, rng = start.copy(), np.random.default_rng(1)
+        GraphMapper()._local_search(csr, got, rng)
+        assert got.tolist() == expected.tolist()
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+    def test_local_search_bounds_block_slots(self, monkeypatch):
+        """A hub in half the pairs: every block scores at most
+        ``_MAX_SLOTS`` neighbour slots, or a single pick."""
+        n = 400
+        spokes = [(0, i) for i in range(1, n)]
+        ring = [(i, i % (n - 1) + 1) for i in range(1, n)]
+        csr = _UndirectedCSR(np.array(spokes + ring), n)
+        degree = np.diff(csr.indptr)
+        scored = []
+
+        def counting(csr, node, u, v, uv_weight):
+            if len(u) > 1:
+                scored.append(int(degree[u].sum() + degree[v].sum()))
+            return swap_deltas(csr, node, u, v, uv_weight)
+
+        swap_deltas = graphmap_module._swap_deltas
+        monkeypatch.setattr(graphmap_module, "_swap_deltas", counting)
+        monkeypatch.setattr(graphmap_module, "_MAX_SLOTS", 2000)
+        start = _dealt([40] * 10, 0)
+        expected, ref_rng = start.copy(), np.random.default_rng(1)
+        _reference_local_search(_Adjacency(csr), csr, expected, ref_rng, 4.0)
+        got, rng = start.copy(), np.random.default_rng(1)
+        GraphMapper()._local_search(csr, got, rng)
+        assert got.tolist() == expected.tolist()
+        assert len(scored) > 100 and max(scored) <= 2000
+
+    @given(
+        dealt_graphs(),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 12),
+        st.floats(0.3, 1.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_refine_matches(self, graph, seed, swaps, keep):
+        """One bisection level: a random subset of the vertices, its
+        internal pairs renumbered, split at random into two sides."""
+        edges, node_sizes = graph
+        n = sum(node_sizes)
+        csr = _UndirectedCSR(edges, n)
+        draw = np.random.default_rng(seed)
+        member = draw.random(n) < keep
+        vertices = np.flatnonzero(member)
+        assume(len(vertices) >= 2)
+        inside = member[csr.pairs[:, 0]] & member[csr.pairs[:, 1]]
+        local = np.cumsum(member) - 1
+        lo, hi = local[csr.pairs[inside, 0]], local[csr.pairs[inside, 1]]
+        weights = csr.pair_weights[inside]
+        in_a = np.zeros(len(vertices), dtype=bool)
+        cap_a = int(draw.integers(1, len(vertices)))
+        in_a[draw.choice(len(vertices), cap_a, replace=False)] = True
+        adj = _Adjacency(csr)
+        expected = in_a.copy()
+        _reference_refine(adj, vertices, lo, hi, weights, expected, swaps)
+        got = in_a.copy()
+        GraphMapper(refinement_swaps=swaps)._refine(
+            adj, vertices, lo, hi, weights, got
+        )
+        assert got.tolist() == expected.tolist()
 
 
 class TestDeterminismAndConfig:

@@ -1,13 +1,25 @@
 """Tests for the interconnect topology models."""
 
+import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
+    CartesianGrid,
     DragonflyTopology,
+    EvaluationEngine,
     FatTreeTopology,
     IslandTopology,
+    MappingRequest,
+    NodeAllocation,
     SingleSwitchTopology,
     Torus3DTopology,
+    communication_edges,
+    dims_create,
+    nearest_neighbor_with_hops,
+    topology_cut_metric,
     topology_from_spec,
 )
 from repro.exceptions import ReproError
@@ -152,6 +164,117 @@ class TestDragonfly:
             DragonflyTopology(2, nodes_per_router=0)
         with pytest.raises(ReproError):
             DragonflyTopology(2, global_link_ratio=0.5)
+
+
+class TestNetworkxExportMatchesHops:
+    """Each export is an oracle of its ``hop_distance``: shortest paths
+    in the exported graph, over every pair of nodes."""
+
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_torus_router_paths(self, dims, periodic):
+        t = Torus3DTopology(dims, periodic=periodic)
+        g = t.to_networkx()
+        assert nx.number_of_selfloops(g) == 0
+        for i in range(t.num_nodes):
+            assert list(g.neighbors(f"node{i}")) == [f"router{i}"]
+        for a in range(t.num_nodes):
+            paths = nx.single_source_shortest_path_length(g, f"router{a}")
+            for b in range(t.num_nodes):
+                assert paths[f"router{b}"] == t.hop_distance(a, b), (a, b)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_dragonfly_vertices_between_nodes(self, groups, routers, per_router):
+        t = DragonflyTopology(
+            groups, routers_per_group=routers, nodes_per_router=per_router
+        )
+        g = t.to_networkx()
+        for a in range(t.num_nodes):
+            paths = nx.single_source_shortest_path_length(g, f"node{a}")
+            for b in range(t.num_nodes):
+                between = max(paths[f"node{b}"] - 1, 0)
+                assert between == t.hop_distance(a, b), (a, b)
+
+    @given(
+        st.one_of(
+            st.builds(
+                Torus3DTopology,
+                st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+                st.booleans(),
+            ),
+            st.builds(
+                DragonflyTopology,
+                st.integers(1, 3),
+                st.integers(1, 3),
+                st.integers(1, 2),
+            ),
+        ),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_hop_cut_metric(self, topology, per_node, seed):
+        """``hop_cut`` and ``hop_max`` of a random mapping, charged edge
+        by edge with the nodes' distance in the exported graph."""
+        g = topology.to_networkx()
+        hops = dict(nx.all_pairs_shortest_path_length(g))
+        if isinstance(topology, Torus3DTopology):
+            vertex, offset = "router", 0
+        else:
+            vertex, offset = "node", 1
+
+        def distance(a, b):
+            return max(hops[f"{vertex}{a}"][f"{vertex}{b}"] - offset, 0)
+
+        nodes = topology.num_nodes
+        alloc = NodeAllocation.homogeneous(nodes, per_node)
+        grid = CartesianGrid(dims_create(alloc.total_processes, 2))
+        stencil = nearest_neighbor_with_hops(2)
+        perm = np.random.default_rng(seed).permutation(alloc.total_processes)
+        (result,) = EvaluationEngine().evaluate_batch(
+            [
+                MappingRequest(
+                    grid,
+                    stencil,
+                    alloc,
+                    perm=perm,
+                    metrics=(topology_cut_metric(topology),),
+                )
+            ]
+        )
+        node_of = np.empty(alloc.total_processes, dtype=np.int64)
+        node_of[perm] = np.arange(alloc.total_processes) // per_node
+        per_source = [0] * nodes
+        for u, v in communication_edges(grid, stencil).tolist():
+            per_source[node_of[u]] += distance(node_of[u], node_of[v])
+        assert result.metrics["hop_cut"] == sum(per_source)
+        assert result.metrics["hop_max"] == max(per_source)
+
+    def test_exports_that_contradicted_hops(self):
+        """The core-and-leaf star both classes inherited put nodes 0 and 1
+        of a (4, 4, 2) torus as far apart as nodes 0 and 31, and put
+        three switches between dragonfly nodes one hop apart."""
+        torus = Torus3DTopology((4, 4, 2)).to_networkx()
+        assert nx.shortest_path_length(torus, "router0", "router1") == 1
+        assert nx.shortest_path_length(torus, "router0", "router31") == 3
+        dragonfly = DragonflyTopology(3, 4, 4).to_networkx()
+        assert nx.shortest_path_length(dragonfly, "node0", "node4") == 3
+
+    def test_dragonfly_vertex_kinds(self):
+        g = DragonflyTopology(3, 2, 2, global_link_ratio=2.0).to_networkx()
+        kinds = nx.get_node_attributes(g, "kind")
+        assert sorted(n for n, k in kinds.items() if k == "link") == [
+            "global0-1",
+            "global0-2",
+            "global1-2",
+        ]
+        assert sum(k == "switch" for k in kinds.values()) == 6
+        assert sum(k == "node" for k in kinds.values()) == 12
+        assert g["global0-1"]["router0"]["capacity"] == 0.5
 
 
 class TestTopologyFromSpec:
