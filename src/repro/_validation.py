@@ -9,6 +9,7 @@ cycles.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from typing import Any
 
@@ -19,6 +20,7 @@ from .exceptions import InvalidGridError, ReproError
 __all__ = [
     "as_int",
     "as_int_tuple",
+    "as_real",
     "check_edges",
     "check_positive_dims",
     "check_rank",
@@ -41,6 +43,18 @@ def as_int(value: Any, *, name: str = "value") -> int:
     if as_i != value:
         raise TypeError(f"{name} must be integral, got {value!r}")
     return as_i
+
+
+def as_real(value: Any, *, name: str = "value") -> float:
+    """Coerce *value* to a Python ``float``, rejecting non-real input.
+
+    Accepts Python ints and floats and numpy integer and floating
+    scalars.  Booleans are rejected, as :func:`as_int` rejects them, and
+    so are strings and anything else that is not a real number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def as_int_tuple(values: Sequence[Any], *, name: str = "values") -> tuple[int, ...]:

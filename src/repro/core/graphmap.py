@@ -81,7 +81,7 @@ import math
 import numpy as np
 
 from .base import Mapper, register_mapper
-from .._validation import as_int, check_edges
+from .._validation import as_int, as_real, check_edges
 from ..exceptions import MappingError
 from ..grid.graph import communication_edges
 from ..grid.grid import CartesianGrid
@@ -226,8 +226,10 @@ class GraphMapper(Mapper):
 
     A ``seed``, ``refinement_swaps`` or ``restarts`` that is not an integer
     (a bool, a string, a float with a fraction) raises :class:`TypeError`;
-    integral floats and NumPy integers pass.  Out-of-range values raise
-    :class:`ValueError`.
+    integral floats and NumPy integers pass.  A ``local_search_factor``
+    that is not a real number (a bool, a string) raises
+    :class:`TypeError`; ints, floats and NumPy real scalars pass.
+    Out-of-range values raise :class:`ValueError`.
     """
 
     name = "graphmap"
@@ -242,6 +244,7 @@ class GraphMapper(Mapper):
     ):
         seed = as_int(seed, name="seed")
         refinement_swaps = as_int(refinement_swaps, name="refinement_swaps")
+        local_search_factor = as_real(local_search_factor, name="local_search_factor")
         restarts = as_int(restarts, name="restarts")
         if restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -256,7 +259,7 @@ class GraphMapper(Mapper):
             )
         self._seed = seed
         self._refinement_swaps = refinement_swaps
-        self._local_search_factor = float(local_search_factor)
+        self._local_search_factor = local_search_factor
         self._restarts = restarts
 
     # ------------------------------------------------------------------

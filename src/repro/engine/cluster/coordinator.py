@@ -105,6 +105,21 @@ params, or opaque non-request payloads — pass through to workers
 untouched, so the coordinator stays payload-agnostic where it cannot
 key.  Job STATUS records count *dispatched* shards only: a fully
 store-served job reports ``shards: 0``.
+
+The store has a memory front, as an engine's LRUs sit in front of its
+store: every cell :meth:`DiskStore.load
+<repro.engine.diskcache.DiskStore.load>` returns is remembered under
+its key, and a repeat lookup is answered from memory without reading
+or decoding the file again.  Memory is bounded by one constant,
+``_MEMORY_BYTES`` (64 MiB of ``perm`` and ``per_node`` array bytes);
+the least recently used cells make room.  A memory hit bumps the cell
+file's mtime, so ``prune`` still orders cells by recency of use, and a
+remembered cell whose file is gone (``cache clear``, ``--store-ttl``,
+``--store-max-bytes``) is forgotten and looked up on disk like any
+other cell.  Memory hits count as store ``hits`` and also as
+``memory_hits`` in METRICS.  Only loaded cells are remembered: a
+freshly computed cell's arrays are views into its whole RESULT frame,
+so it enters memory on its first load instead.
 """
 
 from __future__ import annotations
@@ -176,6 +191,10 @@ DEFAULT_TENANT = "default"
 #: tracked history; the cap only bounds bookkeeping for daemons serving
 #: an unbounded population of one-shot clients.
 _TENANT_LIMIT = 1024
+
+#: Array bytes (``perm.nbytes + per_node.nbytes``) of the loaded cells
+#: the coordinator keeps in memory in front of its result store.
+_MEMORY_BYTES = 64 << 20
 
 
 @dataclass(eq=False)
@@ -629,6 +648,11 @@ class Coordinator:
         self._store_hits = 0
         self._store_joins = 0
         self._store_misses = 0
+        # The store's memory front: key -> (cell, array bytes) of cells
+        # DiskStore.load returned, least recently used first.
+        self._memory: OrderedDict[str, tuple[tuple, int]] = OrderedDict()
+        self._memory_bytes = 0
+        self._memory_hits = 0
         #: Set by the hosting service daemon when an autoscaler is
         #: attached; folded into :meth:`service_snapshot` pool gauges.
         self.autoscaler = None
@@ -898,7 +922,9 @@ class Coordinator:
         until the first completion).  Finished jobs from the status history are
         included with ``eta`` 0 so a watcher sees them land.  ``store``
         carries the result store's hit counters, its count of corrupt
-        (unreadable) entries, and prune stats.
+        (unreadable) entries, its memory front's hits, cells and array
+        bytes (``memory_hits``, ``memory_cells``, ``memory_bytes``),
+        and prune stats.
         """
         try:
             now = asyncio.get_running_loop().time()
@@ -960,6 +986,9 @@ class Coordinator:
                     else (self._store_hits + self._store_joins) / looked_up
                 ),
                 "inflight_cells": len(self._cells),
+                "memory_hits": self._memory_hits,
+                "memory_cells": len(self._memory),
+                "memory_bytes": self._memory_bytes,
                 "prune": self.prune_stats,
             },
         }
@@ -1524,6 +1553,39 @@ class Coordinator:
             return None
         return cell_key(item[1], memo)
 
+    def _load_cell(self, key: str) -> tuple | None:
+        """The stored cell under *key*, or ``None``.
+
+        A remembered cell is served from memory while its file is still
+        there, with one mtime bump so :func:`~repro.engine.diskcache.prune`
+        sees the use; a cell whose file is gone is forgotten and looked
+        up on disk like any other.  A cell the disk returns is
+        remembered, the least recently used ones making room, unless it
+        alone is larger than the whole budget.
+        """
+        entry = self._memory.get(key)
+        if entry is not None:
+            if self._result_store.touch(key):
+                self._memory.move_to_end(key)
+                self._memory_hits += 1
+                return entry[0]
+            del self._memory[key]
+            self._memory_bytes -= entry[1]
+        value = self._result_store.load(key)
+        if value is None:
+            return None
+        perm, cost = value[0], value[1]
+        size = 0 if perm is None else perm.nbytes
+        if cost is not None:
+            size += cost.per_node.nbytes
+        if size <= _MEMORY_BYTES:
+            self._memory[key] = (value, size)
+            self._memory_bytes += size
+            while self._memory_bytes > _MEMORY_BYTES:
+                _, (_, evicted) = self._memory.popitem(last=False)
+                self._memory_bytes -= evicted
+        return value
+
     def _publish_cell(self, key: str, value: tuple) -> None:
         """Persist one computed cell and fan it out to every subscriber."""
         if self._result_store is not None:
@@ -1597,7 +1659,7 @@ class Coordinator:
                     ps.dispatch.append(pos)
                     continue
                 ps.keys[pos] = key
-                value = self._result_store.load(key)
+                value = self._load_cell(key)
                 if value is not None:
                     self._store_hits += 1
                     ps.rows[pos] = (item[0], *value)

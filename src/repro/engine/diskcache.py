@@ -134,11 +134,12 @@ def prune(
 
     Cells not used (mtime) for more than *ttl* seconds are unlinked
     unconditionally; the survivors are then unlinked oldest-mtime-first
-    (:meth:`DiskStore.load` bumps mtime on hit, so mtime order is
-    recency-of-use order) until their combined size is at or under
-    *max_bytes*.  Either policy may be ``None`` to skip it, but not
-    both.  Returns ``{"result": removed_count}``; a missing directory
-    prunes nothing.
+    (:meth:`DiskStore.load` bumps mtime on hit, and
+    :meth:`DiskStore.touch` on a hit served from a daemon's memory, so
+    mtime order is recency-of-use order) until their combined size is
+    at or under *max_bytes*.  Either policy may be ``None`` to skip it,
+    but not both.  Returns ``{"result": removed_count}``; a missing
+    directory prunes nothing.
 
     Only ``result-*.cell`` entries are candidates: foreign files in a
     shared directory are never touched (and never counted against the
@@ -619,6 +620,23 @@ class DiskStore:
             return None
         self._count(hit=True)
         return cell
+
+    def touch(self, key: str) -> bool:
+        """Bump the mtime of the entry under *key*, as a load hit does;
+        ``False`` when there is no such entry.
+
+        For callers that keep loaded cells in memory (the service
+        daemon): a cell served from memory stays recent for
+        :func:`prune`, and a ``False`` tells the caller the entry was
+        cleared or evicted.  Not a lookup, so nothing is counted.
+        """
+        try:
+            os.utime(self._path(key))
+        except FileNotFoundError:
+            return False
+        except OSError:
+            pass  # present but read-only: keeps its old timestamp
+        return True
 
     def store(self, key: str, cell: tuple) -> bool:
         """Atomically publish *cell* under *key*; ``False`` if refused.

@@ -72,7 +72,7 @@ class Topology(ABC):
         """Export switches and nodes as a :class:`networkx.Graph`.
 
         This is the core-and-leaf star of the tree-shaped fabrics; the
-        torus and the dragonfly export their own links.
+        islands, the torus and the dragonfly export their own links.
         """
         import networkx as nx
 
@@ -210,6 +210,30 @@ class IslandTopology(Topology):
 
     def leaf_of(self, node: int) -> int:
         return self._check_node(node) // self._nodes_per_island
+
+    def to_networkx(self):
+        """Export the islands' fat trees below one core switch.
+
+        ``node{i}`` hangs off its own ``edge{i}`` switch, every edge
+        switch of island *k* links to ``island{k}``, and every island
+        switch to ``core`` through its pruned link.  A shortest path
+        between two nodes passes through :meth:`hop_distance` switches:
+        3 within an island, 5 across islands.
+        """
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_node("core", kind="switch")
+        fraction = self.uplink_capacity_fraction()
+        for k in range(self.leaf_of(self._num_nodes - 1) + 1):
+            g.add_node(f"island{k}", kind="switch")
+            g.add_edge("core", f"island{k}", capacity=fraction)
+        for i in range(self._num_nodes):
+            g.add_node(f"edge{i}", kind="switch")
+            g.add_node(f"node{i}", kind="node")
+            g.add_edge(f"node{i}", f"edge{i}", capacity=1.0)
+            g.add_edge(f"edge{i}", f"island{self.leaf_of(i)}", capacity=1.0)
+        return g
 
     def uplink_capacity_fraction(self) -> float:
         return 1.0 / self._pruning

@@ -176,6 +176,22 @@ class TestConstructorValidation:
         with pytest.raises(TypeError, match=f"^{name} must be"):
             GraphMapper(**kwargs)
 
+    @pytest.mark.parametrize(
+        "factor", [True, False, np.bool_(True), "3", None, 1 + 2j, [4.0]]
+    )
+    def test_non_real_local_search_factor_rejected(self, factor):
+        with pytest.raises(TypeError, match="^local_search_factor must be"):
+            GraphMapper(local_search_factor=factor)
+
+    @pytest.mark.parametrize(
+        "factor", [2, 2.5, np.float32(2.5), np.float64(2.5), np.int64(2)]
+    )
+    def test_real_local_search_factor_accepted(self, factor):
+        assert repr(GraphMapper(local_search_factor=factor)) == (
+            "GraphMapper(seed=1, refinement_swaps=64, "
+            f"local_search_factor={float(factor)}, restarts=1)"
+        )
+
     def test_integral_floats_and_numpy_ints_accepted(self):
         mapper = GraphMapper(
             seed=np.int64(3), refinement_swaps=2.0, restarts=np.int32(2)

@@ -17,6 +17,7 @@ METRICS on its port, TLS, the result store).
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import signal
 import socket
@@ -64,6 +65,7 @@ from repro.engine.cluster.protocol import (
     send_message,
 )
 from repro.engine import diskcache
+from repro.engine.cluster import coordinator
 from repro.engine.cluster.worker import run_worker
 from repro.engine.diskcache import cell_key
 from repro.service import parse_service_spec
@@ -1268,6 +1270,27 @@ def _weighted_spec() -> SweepSpec:
     )
 
 
+def _within(seconds: float, fn):
+    """``fn()``, which must return within *seconds*: a worker-less
+    daemon that dispatched a shard would never answer."""
+    box: dict = {}
+    thread = threading.Thread(target=lambda: box.update(value=fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "the daemon dispatched shards"
+    return box["value"]
+
+
+def _replay(port: int, spec: SweepSpec) -> list:
+    """*spec*'s rows from a worker-less daemon's store."""
+
+    def rows() -> list:
+        with ServiceBackend("127.0.0.1", port) as backend:
+            return run(spec, backend).to_rows()
+
+    return _within(30, rows)
+
+
 class TestSharedCellStore:
     def test_process_cells_answer_a_workerless_daemon(self, tmp_path):
         """Cells a process pool computed are served by a daemon that has
@@ -1280,22 +1303,12 @@ class TestSharedCellStore:
         assert all(store.load(cell_key(r)) for r in spec.compile())
         with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
             assert daemon.num_workers == 0
-            box: dict = {}
-
-            def submit() -> None:
-                with ServiceBackend("127.0.0.1", daemon.port) as backend:
-                    box["rows"] = run(spec, backend).to_rows()
-
-            # A dispatched shard would wait forever for a worker: bound it.
-            submitter = threading.Thread(target=submit, daemon=True)
-            submitter.start()
-            submitter.join(timeout=30)
-            assert not submitter.is_alive(), "the daemon dispatched shards"
+            rows = _replay(daemon.port, spec)
             (record,) = daemon.jobs()
             counters = daemon.metrics()["store"]
         assert record["shards"] == 0 and record["state"] == "done"
         assert counters["hits"] == len(serial) and counters["misses"] == 0
-        assert box["rows"] == serial
+        assert rows == serial
 
     def test_daemon_cells_answer_a_fresh_serial_engine(self, tmp_path, monkeypatch):
         """Cells a daemon's worker computed are served to a fresh serial
@@ -1467,6 +1480,175 @@ class TestSharedCellStore:
                 handle.close()
         assert store["corrupt"] == 1 and store["misses"] == 1
         assert list(map(_row_signature, got)) == list(map(_row_signature, rows))
+
+
+# ----------------------------------------------------------------------
+# The daemon remembers the cells it loaded
+# ----------------------------------------------------------------------
+def _warm_store(directory, requests: list) -> None:
+    """Store the cells of *requests* in *directory*, as a serial run does."""
+    with EvaluationEngine(max_workers=1, disk_cache_dir=directory) as engine:
+        engine.evaluate_batch(requests)
+
+
+def _count_loads(monkeypatch) -> list[str]:
+    """The key of every later :meth:`DiskStore.load` call, in order."""
+    keys: list[str] = []
+    real_load = DiskStore.load
+
+    def load(store, key):
+        keys.append(key)
+        return real_load(store, key)
+
+    monkeypatch.setattr(DiskStore, "load", load)
+    return keys
+
+
+class TestStoreMemory:
+    """A worker-less daemon over a warm store keeps the cells it loaded
+    in memory, so a repeat submission reads no cell file."""
+
+    def test_a_repeat_submission_loads_no_cell(self, tmp_path, monkeypatch):
+        spec = _weighted_spec()
+        serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
+        _warm_store(tmp_path, spec.compile())
+        cells = len(spec.compile())
+        loads = _count_loads(monkeypatch)
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            first = _replay(daemon.port, spec)
+            assert len(loads) == cells
+            second = _replay(daemon.port, spec)
+            jobs = daemon.jobs()
+            store = daemon.metrics()["store"]
+        assert len(loads) == cells  # the repeat read no file
+        assert first == second == serial
+        assert [job["shards"] for job in jobs] == [0, 0]
+        assert store["memory_hits"] == cells
+        assert (store["hits"], store["misses"]) == (2 * cells, 0)
+        assert store["memory_cells"] == cells
+
+    def test_a_deleted_cell_is_dispatched(self, tmp_path):
+        """A remembered cell whose file is gone misses, as it would
+        without memory: ``cache clear`` and pruning keep their meaning."""
+        spec = _weighted_spec()
+        _warm_store(tmp_path, spec.compile())
+        requests = spec.compile()
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            _replay(daemon.port, spec)
+            (tmp_path / f"result-{cell_key(requests[0])}.cell").unlink()
+            client = ServiceClient("127.0.0.1", daemon.port)
+            with client.submit([list(enumerate(requests))]) as handle:
+                (record,) = client.status(handle.job_id)
+                store = client.metrics()["store"]
+                assert client.cancel(handle.job_id) is True
+        assert record["shards"] == 1  # queued for a worker, not answered
+        assert store["misses"] == 1
+        assert store["memory_hits"] == len(requests) - 1
+        assert store["memory_cells"] == len(requests) - 1
+
+    def test_a_memory_hit_bumps_the_cell_mtime(self, tmp_path):
+        spec = _weighted_spec()
+        _warm_store(tmp_path, spec.compile())
+        paths = sorted(tmp_path.glob("result-*.cell"))
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            _replay(daemon.port, spec)
+            for path in paths:
+                os.utime(path, (1e9, 1e9))  # September 2001
+            _replay(daemon.port, spec)
+            store = daemon.metrics()["store"]
+        assert store["memory_hits"] == len(paths)
+        assert all(time.time() - path.stat().st_mtime < 600 for path in paths)
+
+    def test_the_budget_evicts_the_least_recently_used_cell(
+        self, tmp_path, monkeypatch
+    ):
+        requests = _requests()[:3]  # three mappers on one instance
+        _warm_store(tmp_path, requests)
+        keys = [cell_key(request) for request in requests]
+        stored = DiskStore(tmp_path)
+        sizes = {
+            stored.load(key)[0].nbytes + stored.load(key)[1].per_node.nbytes
+            for key in keys
+        }
+        (size,) = sizes
+        budget = 2 * size + size // 2  # room for two cells, not three
+        monkeypatch.setattr(coordinator, "_MEMORY_BYTES", budget)
+        loads = _count_loads(monkeypatch)
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            client = ServiceClient("127.0.0.1", daemon.port)
+
+            def ask(*picks: int) -> dict:
+                def job() -> list:
+                    payload = [[(i, requests[i]) for i in picks]]
+                    with client.submit(payload) as handle:
+                        return list(handle.results())
+
+                _within(30, job)
+                store = client.metrics()["store"]
+                assert store["memory_bytes"] <= budget
+                return store
+
+            ask(0)
+            ask(1)
+            ask(0)  # cell 1 is now the least recently used
+            assert ask(2)["memory_cells"] == 2  # ...so it made room
+            assert loads == [keys[0], keys[1], keys[2]]
+            ask(0, 2)
+            assert loads == [keys[0], keys[1], keys[2]]
+            store = ask(1)
+        assert loads == [keys[0], keys[1], keys[2], keys[1]]
+        assert store["memory_hits"] == 3
+        assert (store["memory_cells"], store["memory_bytes"]) == (2, 2 * size)
+
+    def test_a_published_cell_enters_memory_on_its_first_load(
+        self, tmp_path, monkeypatch
+    ):
+        """A computed cell's arrays are views into its RESULT frame, so the
+        daemon stores it without remembering it; the next submission
+        loads it once, and the one after that is a memory hit."""
+        payload = [[(0, _requests()[0])]]
+        loads = _count_loads(monkeypatch)
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+            client = ServiceClient("127.0.0.1", daemon.port)
+            try:
+                with client.submit(payload) as handle:
+                    message = worker.pull()
+                    rows = _worker_rows(message[2])
+                    send_message(worker.sock, (RESULT, message[1], rows))
+                    list(handle.results())
+                assert client.metrics()["store"]["memory_cells"] == 0
+                for _ in range(2):
+
+                    def job() -> list:
+                        with client.submit(payload) as handle:
+                            return list(handle.results())
+
+                    _within(30, job)
+                store = client.metrics()["store"]
+            finally:
+                worker.close()
+        assert len(loads) == 2  # the first submission's miss, then one load
+        assert (store["memory_cells"], store["memory_hits"]) == (1, 1)
+
+    def test_a_corrupt_cell_is_never_remembered(self, tmp_path):
+        spec = _weighted_spec()
+        _warm_store(tmp_path, spec.compile())
+        requests = spec.compile()
+        path = tmp_path / f"result-{cell_key(requests[0])}.cell"
+        path.write_bytes(b"\x80\x05garbage")
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            client = ServiceClient("127.0.0.1", daemon.port)
+            for attempt in (1, 2):
+                with client.submit([list(enumerate(requests))]) as handle:
+                    (record,) = client.status(handle.job_id)
+                    store = client.metrics()["store"]
+                    assert client.cancel(handle.job_id) is True
+                assert record["shards"] == 1
+                # read, counted and refused again on every submission
+                assert (store["corrupt"], store["misses"]) == (attempt, attempt)
+                assert store["memory_cells"] == len(requests) - 1
+        assert store["memory_hits"] == len(requests) - 1
 
 
 class TestServeJobsSignals:

@@ -186,18 +186,30 @@ class TestNetworkxExportMatchesHops:
             for b in range(t.num_nodes):
                 assert paths[f"router{b}"] == t.hop_distance(a, b), (a, b)
 
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
-    @settings(max_examples=40, deadline=None)
-    def test_dragonfly_vertices_between_nodes(self, groups, routers, per_router):
-        t = DragonflyTopology(
-            groups, routers_per_group=routers, nodes_per_router=per_router
-        )
+    @staticmethod
+    def _assert_vertices_between_nodes(t):
         g = t.to_networkx()
         for a in range(t.num_nodes):
             paths = nx.single_source_shortest_path_length(g, f"node{a}")
             for b in range(t.num_nodes):
                 between = max(paths[f"node{b}"] - 1, 0)
                 assert between == t.hop_distance(a, b), (a, b)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_dragonfly_vertices_between_nodes(self, groups, routers, per_router):
+        self._assert_vertices_between_nodes(
+            DragonflyTopology(
+                groups, routers_per_group=routers, nodes_per_router=per_router
+            )
+        )
+
+    @given(st.integers(1, 12), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_island_vertices_between_nodes(self, nodes, per_island):
+        self._assert_vertices_between_nodes(
+            IslandTopology(nodes, nodes_per_island=per_island)
+        )
 
     @given(
         st.one_of(
@@ -212,6 +224,7 @@ class TestNetworkxExportMatchesHops:
                 st.integers(1, 3),
                 st.integers(1, 2),
             ),
+            st.builds(IslandTopology, st.integers(1, 8), st.integers(1, 4)),
         ),
         st.integers(1, 4),
         st.integers(0, 2**32 - 1),
@@ -255,14 +268,27 @@ class TestNetworkxExportMatchesHops:
         assert result.metrics["hop_max"] == max(per_source)
 
     def test_exports_that_contradicted_hops(self):
-        """The core-and-leaf star both classes inherited put nodes 0 and 1
-        of a (4, 4, 2) torus as far apart as nodes 0 and 31, and put
-        three switches between dragonfly nodes one hop apart."""
+        """The core-and-leaf star these classes inherited put nodes 0 and
+        1 of a (4, 4, 2) torus as far apart as nodes 0 and 31, put three
+        switches between dragonfly nodes one hop apart, and put one
+        switch between island nodes three hops apart and three between
+        nodes five apart."""
         torus = Torus3DTopology((4, 4, 2)).to_networkx()
         assert nx.shortest_path_length(torus, "router0", "router1") == 1
         assert nx.shortest_path_length(torus, "router0", "router31") == 3
         dragonfly = DragonflyTopology(3, 4, 4).to_networkx()
         assert nx.shortest_path_length(dragonfly, "node0", "node4") == 3
+        islands = IslandTopology(10, nodes_per_island=4).to_networkx()
+        assert nx.shortest_path_length(islands, "node0", "node1") == 4
+        assert nx.shortest_path_length(islands, "node0", "node9") == 6
+
+    def test_island_vertex_kinds(self):
+        g = IslandTopology(10, nodes_per_island=4, pruning_factor=4.0).to_networkx()
+        kinds = nx.get_node_attributes(g, "kind")
+        assert sum(k == "switch" for k in kinds.values()) == 1 + 3 + 10
+        assert sum(k == "node" for k in kinds.values()) == 10
+        assert g["core"]["island2"]["capacity"] == 0.25
+        assert g["edge9"]["island2"]["capacity"] == 1.0
 
     def test_dragonfly_vertex_kinds(self):
         g = DragonflyTopology(3, 2, 2, global_link_ratio=2.0).to_networkx()
