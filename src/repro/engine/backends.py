@@ -98,28 +98,12 @@ def strip_request_tag(request: MappingRequest) -> MappingRequest:
 
     Tags may be arbitrary unpicklable values and are never needed on the
     worker side of a process or socket boundary; the parent rejoins
-    results to the original (tagged) requests by index.
+    results to the original (tagged) requests by index.  The copy is not
+    re-validated: validation never reads the tag.
     """
     if request.tag is None:
         return request
-    if request.workload is not None:
-        # A workload supplies its own grid/stencil; passing both would
-        # trip the request's consistency validation.
-        return MappingRequest(
-            workload=request.workload,
-            alloc=request.alloc,
-            mapper=request.mapper,
-            perm=request.perm,
-            metrics=request.metrics,
-        )
-    return MappingRequest(
-        grid=request.grid,
-        stencil=request.stencil,
-        alloc=request.alloc,
-        mapper=request.mapper,
-        perm=request.perm,
-        metrics=request.metrics,
-    )
+    return request._with_mapper_and_tag(request.mapper, None)
 
 
 def shard_payloads(

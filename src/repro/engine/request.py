@@ -68,6 +68,14 @@ class MappingRequest:
         Opaque caller payload carried through to the result, handy for
         joining batch output back to driver state (instance labels,
         figure row indices, ...).
+
+    The constructor validates every argument.  The private
+    :meth:`_with_mapper_and_tag` copy changes only ``mapper`` and
+    ``tag`` and skips that validation: ``__post_init__`` never reads
+    either field (a mapper name is resolved, and may fail, only when the
+    engine runs the request), so a copy of a valid request is valid.
+    A sweep validates one request per instance group and derives each
+    cell's request from it; tag stripping copies with ``tag=None``.
     """
 
     grid: CartesianGrid | None = None
@@ -136,6 +144,20 @@ class MappingRequest:
                 f"unknown metric(s) {unknown}; registered: {sorted(known)}"
             )
         object.__setattr__(self, "metrics", specs)
+
+    def _with_mapper_and_tag(self, mapper: str | Mapper, tag: Any) -> "MappingRequest":
+        """This request with another ``mapper`` and ``tag``, not re-validated.
+
+        Sound only because ``__post_init__`` reads neither field.  The
+        copy's attributes keep their declaration order, so it pickles
+        exactly like a constructed request with the same values.
+        """
+        state = dict(self.__dict__)
+        state["mapper"] = mapper
+        state["tag"] = tag
+        clone = object.__new__(MappingRequest)
+        object.__setattr__(clone, "__dict__", state)
+        return clone
 
     @property
     def num_processes(self) -> int:

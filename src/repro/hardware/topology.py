@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from .._validation import as_int
+from .._validation import as_int, as_real
 from ..exceptions import ReproError
 
 __all__ = [
@@ -127,12 +127,13 @@ class FatTreeTopology(Topology):
             raise ReproError(
                 f"nodes_per_switch must be positive, got {nodes_per_switch}"
             )
-        if blocking_factor < 1.0:
+        blocking_factor = as_real(blocking_factor, name="blocking_factor")
+        if not blocking_factor >= 1.0:  # NaN fails too
             raise ReproError(
                 f"blocking_factor must be >= 1, got {blocking_factor}"
             )
         self._nodes_per_switch = nodes_per_switch
-        self._blocking = float(blocking_factor)
+        self._blocking = blocking_factor
 
     @property
     def nodes_per_switch(self) -> int:
@@ -187,10 +188,11 @@ class IslandTopology(Topology):
             raise ReproError(
                 f"nodes_per_island must be positive, got {nodes_per_island}"
             )
-        if pruning_factor < 1.0:
+        pruning_factor = as_real(pruning_factor, name="pruning_factor")
+        if not pruning_factor >= 1.0:  # NaN fails too
             raise ReproError(f"pruning_factor must be >= 1, got {pruning_factor}")
         self._nodes_per_island = nodes_per_island
-        self._pruning = float(pruning_factor)
+        self._pruning = pruning_factor
 
     @property
     def nodes_per_island(self) -> int:
@@ -378,7 +380,8 @@ class DragonflyTopology(Topology):
                 f"be positive, got ({num_groups}, {routers_per_group}, "
                 f"{nodes_per_router})"
             )
-        if global_link_ratio < 1.0:
+        global_link_ratio = as_real(global_link_ratio, name="global_link_ratio")
+        if not global_link_ratio >= 1.0:  # NaN fails too
             raise ReproError(
                 f"global_link_ratio must be >= 1, got {global_link_ratio}"
             )
@@ -386,7 +389,7 @@ class DragonflyTopology(Topology):
         self._num_groups = num_groups
         self._routers_per_group = routers_per_group
         self._nodes_per_router = nodes_per_router
-        self._global_ratio = float(global_link_ratio)
+        self._global_ratio = global_link_ratio
 
     @property
     def num_groups(self) -> int:

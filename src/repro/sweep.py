@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -313,6 +314,28 @@ class SweepCell:
     request: MappingRequest | None = field(repr=False, default=None)
     error: str | None = None
 
+    @classmethod
+    def _of(
+        cls, index, instance, stencil, mapper, mapper_spec, metrics, tags,
+        request, error,
+    ) -> "SweepCell":
+        """A cell set up in one step instead of the frozen dataclass
+        ``__init__``'s ``object.__setattr__`` per field (compilation
+        builds one cell per mapper of every instance group)."""
+        cell = object.__new__(cls)
+        object.__setattr__(cell, "__dict__", {
+            "index": index,
+            "instance": instance,
+            "stencil": stencil,
+            "mapper": mapper,
+            "mapper_spec": mapper_spec,
+            "metrics": metrics,
+            "tags": tags,
+            "request": request,
+            "error": error,
+        })
+        return cell
+
 
 class SweepSpec:
     """A declarative sweep: instances x allocations x stencils x mappers.
@@ -409,7 +432,7 @@ class SweepSpec:
             ("mapper", [name for name, _ in self.mappers]),
             ("allocation", [name for name, _ in self.allocations or ()]),
         ):
-            duplicates = {x for x in labels if labels.count(x) > 1}
+            duplicates = {x for x, n in Counter(labels).items() if n > 1}
             if duplicates:
                 raise ValueError(
                     f"duplicate {axis} label(s) {sorted(duplicates)}; give "
@@ -430,7 +453,7 @@ class SweepSpec:
         call; resolving once per (axis entry, dimensionality) instead of
         per cell keeps spec compilation O(instances) rather than
         O(cells) on the stencil axis.  Resolution failures are memoized
-        too and re-raised for each affected cell.
+        too and re-raised for each affected instance group.
         """
         key = (axis_index, ndim)
         if key not in cache:
@@ -448,47 +471,18 @@ class SweepSpec:
             raise resolved
         return resolved
 
-    def _compile_cell(
-        self,
-        index: int,
-        instance: InstanceSpec,
-        alloc_label: str | None,
-        alloc: NodeAllocation,
-        stencil_name: str,
-        resolve_stencil,
-        mapper_name: str,
-        mapper_spec,
-        is_workload_axis: bool = False,
-    ) -> SweepCell:
-        metrics = self.metrics
-        tags = dict(self.tags)
-        if alloc_label is not None:
-            tags.setdefault("allocation", alloc_label)
-        skip = False
-        for override in self.overrides:
-            if override.matches(instance.label, stencil_name, mapper_name):
-                if override.metrics is not None:
-                    metrics = tuple(as_metric_spec(m) for m in override.metrics)
-                if override.tags:
-                    tags.update(override.tags)
-                skip = skip or override.skip
-        if skip:
-            return SweepCell(
-                index=index,
-                instance=instance,
-                stencil=stencil_name,
-                mapper=mapper_name,
-                mapper_spec=mapper_spec,
-                metrics=metrics,
-                tags=tags,
-                error="skipped by override",
-            )
-        # The workload and stencil axes must agree per cell; a mismatch
-        # is an actionable error cell naming the offending labels, not a
-        # crash (and not a silently wrong evaluation).
-        mismatch: str | None = None
+    @staticmethod
+    def _axis_mismatch(
+        instance: InstanceSpec, stencil_name: str, is_workload_axis: bool
+    ) -> str | None:
+        """Why *instance* cannot be crossed with this stencil-axis entry.
+
+        The workload and stencil axes must agree per cell; a mismatch is
+        an actionable error cell naming the offending labels, not a crash
+        (and not a silently wrong evaluation).
+        """
         if instance.workload is not None and not is_workload_axis:
-            mismatch = (
+            return (
                 f"workload instance {instance.label!r} cannot be crossed "
                 f"with stencil axis entry {stencil_name!r}: the workload "
                 f"({instance.workload.name!r}) supplies its own "
@@ -496,72 +490,117 @@ class SweepSpec:
                 "stencil axis for this instance (or split workload and "
                 "Cartesian instances into separate sweeps)"
             )
-        elif is_workload_axis and instance.workload is None:
-            mismatch = (
+        if is_workload_axis and instance.workload is None:
+            return (
                 f"stencil axis entry {WORKLOAD_AXIS!r} needs workload "
                 f"instances, but instance {instance.label!r} is a plain "
                 "grid instance; build workload instances with "
                 "InstanceSpec.from_workload(...) (or drop the "
                 f"{WORKLOAD_AXIS!r} axis entry)"
             )
-        if mismatch is not None:
-            return SweepCell(
-                index=index,
-                instance=instance,
-                stencil=stencil_name,
-                mapper=mapper_name,
-                mapper_spec=mapper_spec,
-                metrics=metrics,
-                tags=tags,
-                error=mismatch,
-            )
+        return None
+
+    def _compile_group(
+        self,
+        cells: list[SweepCell],
+        instance: InstanceSpec,
+        alloc_label: str | None,
+        alloc: NodeAllocation,
+        stencil_name: str,
+        resolve_stencil: Callable[[], Stencil],
+        override_metrics: dict[int, tuple[MetricSpec, ...]],
+        is_workload_axis: bool,
+    ) -> None:
+        """Append one cell per mapper of an (instance, allocation, stencil
+        entry) group.
+
+        The group validates one :class:`~repro.engine.MappingRequest` per
+        metric tuple its cells use; every cell's request is a copy of it
+        carrying the cell's mapper and index tag, which validation never
+        reads.  A request that fails validation makes each cell sharing
+        its metrics an error cell with the same message.
+        """
+        mismatch = self._axis_mismatch(instance, stencil_name, is_workload_axis)
+        group_tags = dict(self.tags)
+        if alloc_label is not None:
+            group_tags.setdefault("allocation", alloc_label)
+        # metric source (None: the spec's, else an override's position)
+        # -> the validated request, or the error text of its failure
+        validated: dict[int | None, MappingRequest | str] = {}
+        for mapper_name, mapper_spec in self.mappers:
+            index = len(cells)
+            metrics, source = self.metrics, None
+            tags = dict(group_tags)
+            skip = False
+            for position, override in enumerate(self.overrides):
+                if override.matches(instance.label, stencil_name, mapper_name):
+                    if override.metrics is not None:
+                        if position not in override_metrics:
+                            override_metrics[position] = tuple(
+                                as_metric_spec(m) for m in override.metrics
+                            )
+                        metrics, source = override_metrics[position], position
+                    if override.tags:
+                        tags.update(override.tags)
+                    skip = skip or override.skip
+            request = None
+            error = "skipped by override" if skip else mismatch
+            if error is None:
+                if source in validated:
+                    request = validated[source]
+                    if isinstance(request, MappingRequest):
+                        request = request._with_mapper_and_tag(mapper_spec, index)
+                else:
+                    # the first cell keeps the request validated for it
+                    request = validated[source] = self._validated_request(
+                        instance, alloc, resolve_stencil, is_workload_axis,
+                        mapper_spec, metrics, index,
+                    )
+                if isinstance(request, str):
+                    request, error = None, request
+            cells.append(SweepCell._of(
+                index, instance, stencil_name, mapper_name, mapper_spec,
+                metrics, tags, request, error,
+            ))
+
+    @staticmethod
+    def _validated_request(
+        instance: InstanceSpec,
+        alloc: NodeAllocation,
+        resolve_stencil: Callable[[], Stencil],
+        is_workload_axis: bool,
+        mapper_spec,
+        metrics: tuple[MetricSpec, ...],
+        index: int,
+    ) -> MappingRequest | str:
+        """The constructed request of one cell, or why it failed."""
         try:
             if is_workload_axis:
-                request = MappingRequest(
+                return MappingRequest(
                     workload=instance.workload,
                     alloc=alloc,
                     mapper=mapper_spec,
                     metrics=metrics,
                     tag=index,
                 )
-            else:
-                stencil = resolve_stencil()
-                request = MappingRequest(
-                    grid=instance.grid,
-                    stencil=stencil,
-                    alloc=alloc,
-                    mapper=mapper_spec,
-                    metrics=metrics,
-                    tag=index,
-                )
+            return MappingRequest(
+                grid=instance.grid,
+                stencil=resolve_stencil(),
+                alloc=alloc,
+                mapper=mapper_spec,
+                metrics=metrics,
+                tag=index,
+            )
         except (ReproError, KeyError, TypeError, ValueError) as exc:
             # a malformed cell must not abort the other cells of the sweep
-            return SweepCell(
-                index=index,
-                instance=instance,
-                stencil=stencil_name,
-                mapper=mapper_name,
-                mapper_spec=mapper_spec,
-                metrics=metrics,
-                tags=tags,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return SweepCell(
-            index=index,
-            instance=instance,
-            stencil=stencil_name,
-            mapper=mapper_name,
-            mapper_spec=mapper_spec,
-            metrics=metrics,
-            tags=tags,
-            request=request,
-        )
+            return f"{type(exc).__name__}: {exc}"
 
     def cells(self) -> tuple[SweepCell, ...]:
         """The compiled cross-product, in deterministic cell order."""
         if self._cells is None:
             cells: list[SweepCell] = []
             stencil_cache: dict = {}
+            override_metrics: dict[int, tuple[MetricSpec, ...]] = {}
             for instance in self.instances:
                 alloc_axis = (
                     [(None, instance.alloc)]
@@ -576,20 +615,16 @@ class SweepSpec:
                         def resolve_stencil(i=axis_index, d=ndim):
                             return self._resolve_stencil(i, d, stencil_cache)
 
-                        for mapper_name, mapper_spec in self.mappers:
-                            cells.append(
-                                self._compile_cell(
-                                    len(cells),
-                                    instance,
-                                    alloc_label,
-                                    alloc,
-                                    stencil_name,
-                                    resolve_stencil,
-                                    mapper_name,
-                                    mapper_spec,
-                                    is_workload_axis=axis_value is None,
-                                )
-                            )
+                        self._compile_group(
+                            cells,
+                            instance,
+                            alloc_label,
+                            alloc,
+                            stencil_name,
+                            resolve_stencil,
+                            override_metrics,
+                            is_workload_axis=axis_value is None,
+                        )
             self._cells = tuple(cells)
         return self._cells
 
@@ -713,6 +748,12 @@ class SweepRow:
         return default
 
 
+#: Exact value types a flat payload dict may hold for :func:`_json_safe`
+#: to copy it as is (finite ``float`` is checked separately; subclasses
+#: such as ``np.float64`` or ``IntEnum`` take the converting path).
+_PLAIN_VALUE_TYPES = frozenset({str, int, bool, type(None)})
+
+
 def _json_safe(value):
     """Strict-JSON conversion of row payload values.
 
@@ -721,7 +762,21 @@ def _json_safe(value):
     and infinities become the tagged object ``{"$float": "Infinity"}`` /
     ``{"$float": "-Infinity"}`` that :func:`_json_restore` maps back to
     floats (a tag that cannot collide with ordinary string payloads).
+
+    A dict with ``str`` keys and ``str``/``int``/``bool``/``None``/finite
+    ``float`` values is already strict JSON: it is copied without
+    recursing into its values.
     """
+    if type(value) is dict:
+        for key, item in value.items():
+            kind = type(item)
+            if type(key) is not str or not (
+                kind in _PLAIN_VALUE_TYPES
+                or (kind is float and math.isfinite(item))
+            ):
+                break
+        else:
+            return dict(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -753,32 +808,47 @@ def _json_restore(value):
     return value
 
 
-def _row_from_cell(cell: SweepCell, result: MappingResult | None) -> SweepRow:
+def _cell_outcome(cell: SweepCell, result: MappingResult | None) -> tuple:
+    """``(ok, error, jsum, jmax, metrics)`` of a cell's result, or of its
+    compile failure when it has none."""
     if result is None:
-        return SweepRow(
-            instance=cell.instance.label,
-            stencil=cell.stencil,
-            mapper=cell.mapper,
-            ok=False,
-            error=cell.error or "cell did not compile",
-            jsum=None,
-            jmax=None,
-            params=dict(cell.instance.params),
-            tags=dict(cell.tags),
-        )
+        return False, cell.error or "cell did not compile", None, None, {}
+    return result.ok, result.error, result.jsum, result.jmax, result.metrics
+
+
+def _row_from_cell(cell: SweepCell, result: MappingResult | None) -> SweepRow:
+    ok, error, jsum, jmax, metrics = _cell_outcome(cell, result)
     return SweepRow(
         instance=cell.instance.label,
         stencil=cell.stencil,
         mapper=cell.mapper,
-        ok=result.ok,
-        error=result.error,
-        jsum=result.jsum,
-        jmax=result.jmax,
-        metrics=dict(result.metrics),
+        ok=ok,
+        error=error,
+        jsum=jsum,
+        jmax=jmax,
+        metrics=dict(metrics),
         params=dict(cell.instance.params),
         tags=dict(cell.tags),
         result=result,
     )
+
+
+def _plain_row(
+    instance, stencil, mapper, ok, error, jsum, jmax, metrics, params, tags
+) -> dict:
+    """One :meth:`ResultSet.to_rows` entry (JSON-safe, ``result`` dropped)."""
+    return {
+        "instance": instance,
+        "stencil": stencil,
+        "mapper": mapper,
+        "ok": bool(ok),
+        "error": error,
+        "jsum": None if jsum is None else int(jsum),
+        "jmax": None if jmax is None else int(jmax),
+        "metrics": _json_safe(metrics),
+        "params": _json_safe(params),
+        "tags": _json_safe(tags),
+    }
 
 
 class ResultSet:
@@ -958,22 +1028,33 @@ class ResultSet:
 
     # -- serialization ------------------------------------------------
     def to_rows(self) -> list[dict]:
-        """Plain-data rows (JSON-safe, ``result`` dropped)."""
-        return [
-            {
-                "instance": row.instance,
-                "stencil": row.stencil,
-                "mapper": row.mapper,
-                "ok": bool(row.ok),
-                "error": row.error,
-                "jsum": None if row.jsum is None else int(row.jsum),
-                "jmax": None if row.jmax is None else int(row.jmax),
-                "metrics": _json_safe(row.metrics),
-                "params": _json_safe(row.params),
-                "tags": _json_safe(row.tags),
-            }
-            for row in self.rows
-        ]
+        """Plain-data rows (JSON-safe, ``result`` dropped).
+
+        A set from :func:`run` whose :attr:`rows` were never read builds
+        them straight from its cells and results, converting each
+        instance's ``params`` once, without materialising
+        :class:`SweepRow` objects.
+        """
+        if self._rows is not None:
+            return [
+                _plain_row(
+                    row.instance, row.stencil, row.mapper, row.ok, row.error,
+                    row.jsum, row.jmax, row.metrics, row.params, row.tags,
+                )
+                for row in self._rows
+            ]
+        params_of: dict[int, dict] = {}
+        rows = []
+        for cell, result in self._pending:
+            instance = cell.instance
+            params = params_of.get(id(instance))
+            if params is None:
+                params = params_of[id(instance)] = _json_safe(dict(instance.params))
+            rows.append(_plain_row(
+                instance.label, cell.stencil, cell.mapper,
+                *_cell_outcome(cell, result), params, cell.tags,
+            ))
+        return rows
 
     @classmethod
     def from_rows(cls, rows: Iterable[Mapping]) -> "ResultSet":

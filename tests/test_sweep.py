@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import repro
 from repro import (
     CellOverride,
     InstanceSpec,
+    MappingRequest,
     MetricSpec,
     NodeAllocation,
     ResultSet,
@@ -19,10 +22,13 @@ from repro import (
     run_stream,
 )
 from repro.engine import EvaluationEngine, ProcessBackend, weighted_bytes_metric
+from repro.engine.backends import shard_payloads, strip_request_tag
 from repro.engine.metrics import as_metric_spec, register_metric
-from repro.experiments.instances import Instance
+from repro.exceptions import ReproError
+from repro.experiments.figure8 import figure8_sweep
+from repro.experiments.instances import Instance, instance_set
 from repro.metrics.cost import weighted_cut_bytes
-from repro.sweep import WORKLOAD_AXIS
+from repro.sweep import WORKLOAD_AXIS, SweepCell, SweepRow, _json_safe
 from repro.workloads import (
     CartesianWorkload,
     StencilProgramWorkload,
@@ -686,3 +692,401 @@ def test_numpy_payloads_serialize_json_safe():
     assert rows[0]["metrics"]["np_val"] == 7
     assert isinstance(rows[0]["metrics"]["np_val"], int)
     assert isinstance(rows[0]["metrics"]["np_f"], float)
+
+
+# ----------------------------------------------------------------------
+# Per-group compilation, tag stripping by copy and direct plain rows,
+# pinned against the per-cell code they replaced (kept below as
+# references, as it stood before).
+# ----------------------------------------------------------------------
+def _reference_compile_cell(
+    spec, index, instance, alloc_label, alloc, stencil_name,
+    resolve_stencil, mapper_name, mapper_spec, is_workload_axis,
+) -> SweepCell:
+    """One cell, its request constructed and validated on its own."""
+    metrics = spec.metrics
+    tags = dict(spec.tags)
+    if alloc_label is not None:
+        tags.setdefault("allocation", alloc_label)
+    skip = False
+    for override in spec.overrides:
+        if override.matches(instance.label, stencil_name, mapper_name):
+            if override.metrics is not None:
+                metrics = tuple(as_metric_spec(m) for m in override.metrics)
+            if override.tags:
+                tags.update(override.tags)
+            skip = skip or override.skip
+    cell = dict(
+        index=index, instance=instance, stencil=stencil_name,
+        mapper=mapper_name, mapper_spec=mapper_spec, metrics=metrics,
+        tags=tags,
+    )
+    if skip:
+        return SweepCell(**cell, error="skipped by override")
+    mismatch = None
+    if instance.workload is not None and not is_workload_axis:
+        mismatch = (
+            f"workload instance {instance.label!r} cannot be crossed "
+            f"with stencil axis entry {stencil_name!r}: the workload "
+            f"({instance.workload.name!r}) supplies its own "
+            f"communication structure; list {WORKLOAD_AXIS!r} on the "
+            "stencil axis for this instance (or split workload and "
+            "Cartesian instances into separate sweeps)"
+        )
+    elif is_workload_axis and instance.workload is None:
+        mismatch = (
+            f"stencil axis entry {WORKLOAD_AXIS!r} needs workload "
+            f"instances, but instance {instance.label!r} is a plain "
+            "grid instance; build workload instances with "
+            "InstanceSpec.from_workload(...) (or drop the "
+            f"{WORKLOAD_AXIS!r} axis entry)"
+        )
+    if mismatch is not None:
+        return SweepCell(**cell, error=mismatch)
+    try:
+        if is_workload_axis:
+            request = MappingRequest(
+                workload=instance.workload, alloc=alloc, mapper=mapper_spec,
+                metrics=metrics, tag=index,
+            )
+        else:
+            request = MappingRequest(
+                grid=instance.grid, stencil=resolve_stencil(), alloc=alloc,
+                mapper=mapper_spec, metrics=metrics, tag=index,
+            )
+    except (ReproError, KeyError, TypeError, ValueError) as exc:
+        return SweepCell(**cell, error=f"{type(exc).__name__}: {exc}")
+    return SweepCell(**cell, request=request)
+
+
+def _reference_cells(spec) -> list[SweepCell]:
+    cells: list[SweepCell] = []
+    stencil_cache: dict = {}
+    for instance in spec.instances:
+        alloc_axis = (
+            [(None, instance.alloc)]
+            if spec.allocations is None
+            else list(spec.allocations)
+        )
+        ndim = 0 if instance.grid is None else instance.grid.ndim
+        for alloc_label, alloc in alloc_axis:
+            for axis_index, (stencil_name, axis_value) in enumerate(spec.stencils):
+                def resolve_stencil(i=axis_index, d=ndim):
+                    return spec._resolve_stencil(i, d, stencil_cache)
+
+                for mapper_name, mapper_spec in spec.mappers:
+                    cells.append(_reference_compile_cell(
+                        spec, len(cells), instance, alloc_label, alloc,
+                        stencil_name, resolve_stencil, mapper_name,
+                        mapper_spec, axis_value is None,
+                    ))
+    return cells
+
+
+def _reference_strip(request: MappingRequest) -> MappingRequest:
+    """Tag stripping by re-construction."""
+    if request.tag is None:
+        return request
+    if request.workload is not None:
+        return MappingRequest(
+            workload=request.workload, alloc=request.alloc,
+            mapper=request.mapper, perm=request.perm, metrics=request.metrics,
+        )
+    return MappingRequest(
+        grid=request.grid, stencil=request.stencil, alloc=request.alloc,
+        mapper=request.mapper, perm=request.perm, metrics=request.metrics,
+    )
+
+
+def _reference_json_safe(value):
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    if isinstance(value, (np.floating,)):
+        value = float(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return None
+        return {"$float": "Infinity" if value > 0 else "-Infinity"}
+    if isinstance(value, np.ndarray):
+        return _reference_json_safe(value.tolist())
+    if isinstance(value, (tuple, list)):
+        return [_reference_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _reference_json_safe(v) for k, v in value.items()}
+    return value
+
+
+def _reference_row(cell, result) -> SweepRow:
+    if result is None:
+        return SweepRow(
+            instance=cell.instance.label, stencil=cell.stencil,
+            mapper=cell.mapper, ok=False,
+            error=cell.error or "cell did not compile", jsum=None, jmax=None,
+            params=dict(cell.instance.params), tags=dict(cell.tags),
+        )
+    return SweepRow(
+        instance=cell.instance.label, stencil=cell.stencil,
+        mapper=cell.mapper, ok=result.ok, error=result.error,
+        jsum=result.jsum, jmax=result.jmax, metrics=dict(result.metrics),
+        params=dict(cell.instance.params), tags=dict(cell.tags),
+        result=result,
+    )
+
+
+def _reference_to_rows(rows) -> list[dict]:
+    return [
+        {
+            "instance": row.instance,
+            "stencil": row.stencil,
+            "mapper": row.mapper,
+            "ok": bool(row.ok),
+            "error": row.error,
+            "jsum": None if row.jsum is None else int(row.jsum),
+            "jmax": None if row.jmax is None else int(row.jmax),
+            "metrics": _reference_json_safe(row.metrics),
+            "params": _reference_json_safe(row.params),
+            "tags": _reference_json_safe(row.tags),
+        }
+        for row in rows
+    ]
+
+
+def _payload_values(ctx, perms, spec):
+    """A metric whose columns are NumPy scalars and non-finite floats."""
+    return [
+        {
+            "np_f": np.float64(0.25) * (i + 1),
+            "np_i": np.int64(5),
+            "nan": float("nan"),
+            "inf": float("inf"),
+            "ninf": np.float32(-np.inf),
+            "plain": 1.5,
+        }
+        for i in range(perms.shape[0])
+    ]
+
+
+def _raising_factory(ndim):
+    raise ValueError(f"no stencil in {ndim}-d")
+
+
+def _odd_tags():
+    return {
+        "np": np.float32(0.5),
+        "nan": float("nan"),
+        "inf": float("-inf"),
+        "nested": {"a": [1, np.int64(2)], "t": (3.0, float("inf"))},
+        "flag": True,
+        "plain": "x",
+    }
+
+
+def _cartesian_reference_spec() -> SweepSpec:
+    """Cartesian cells: configured mappers, every compile error, overrides."""
+    grid = repro.CartesianGrid([8, 4])
+    np_params = InstanceSpec(
+        grid=grid,
+        alloc=NodeAllocation.homogeneous(4, 8),
+        label="np-params",
+        params=(
+            ("np_int", np.int64(3)),
+            ("np_float", np.float64(1.5)),
+            ("nan", float("nan")),
+            ("inf", float("inf")),
+            ("shape", (2, np.int32(3))),
+            ("array", np.arange(3)),
+        ),
+    )
+    return SweepSpec(
+        instances=[
+            InstanceSpec.from_nodes(4, 8),
+            InstanceSpec.from_nodes(4, 8, 1),  # component needs >= 2-d
+            np_params,
+        ],
+        stencils=[
+            "nearest_neighbor",
+            "component",
+            ("nn3", repro.nearest_neighbor(3)),  # grid/stencil clash
+            ("broken", _raising_factory),
+        ],
+        mappers=[
+            "blocked",
+            ("hyper_plain", repro.HyperplaneMapper(use_stencil_order=False)),
+            ("gm", repro.GraphMapper(seed=3)),
+            "stencil_strips",
+        ],
+        allocations=[
+            ("regular", NodeAllocation.homogeneous(8, 4)),
+            ("mismatch", NodeAllocation.homogeneous(3, 5)),
+        ],
+        metrics=["test_payload_values"],
+        tags=_odd_tags(),
+        overrides=[
+            CellOverride(mapper="blocked", metrics=()),
+            CellOverride(mapper="gm", metrics=["test_payload_values"]),
+            CellOverride(instance="np-params", tags={"marked": np.int16(7)}),
+            CellOverride(stencil="component", mapper="hyper_plain", skip=True),
+            CellOverride(mapper="stencil_strips", tags={"late": float("nan")}),
+        ],
+    )
+
+
+def _workload_reference_spec() -> SweepSpec:
+    """Workload cells of both families, crossed both ways with stencils."""
+    alloc = NodeAllocation.homogeneous(4, 4)
+    grid = repro.CartesianGrid([4, 4])
+    nn = repro.nearest_neighbor(2)
+    return SweepSpec(
+        instances=[
+            InstanceSpec.from_workload(
+                CartesianWorkload(grid, nn), alloc, label="cartesian",
+                params=(("np", np.float64(2.5)),),
+            ),
+            InstanceSpec.from_workload(
+                StencilProgramWorkload(grid, [("a", nn), ("b", nn)]),
+                alloc, label="program",
+            ),
+            InstanceSpec.from_workload(
+                as_workload(random_sparse_workload(16, 3, seed=4)),
+                alloc, label="graph", params=(("inf", float("-inf")),),
+            ),
+            InstanceSpec.from_nodes(4, 4),  # plain, on the workload axis
+        ],
+        stencils=[WORKLOAD_AXIS, "nearest_neighbor"],
+        mappers=["blocked", ("gm", repro.GraphMapper(seed=1)), "graphmap"],
+        metrics=["test_payload_values"],
+        tags=_odd_tags(),
+        overrides=[
+            CellOverride(instance="graph", mapper="blocked", skip=True),
+            CellOverride(mapper="graphmap", metrics=[]),
+            CellOverride(instance="program", tags={"stage": np.int64(2)}),
+        ],
+    )
+
+
+_REFERENCE_SPECS = {
+    "cartesian": _cartesian_reference_spec,
+    "workload": _workload_reference_spec,
+    "figure8-slice": lambda: figure8_sweep(
+        "nearest_neighbor", instances=instance_set()[:6]
+    ),
+}
+
+
+@pytest.fixture(params=sorted(_REFERENCE_SPECS))
+def reference_spec(request):
+    register_metric("test_payload_values", _payload_values, replace=True)
+    return _REFERENCE_SPECS[request.param]()
+
+
+class TestGroupCompileMatchesReference:
+    def test_cells_and_requests_match_per_cell_construction(self, reference_spec):
+        cells = reference_spec.cells()
+        expected = _reference_cells(reference_spec)
+        assert len(cells) == len(expected)
+        for cell, ref in zip(cells, expected):
+            assert type(cell) is SweepCell
+            assert cell.__dict__.keys() == ref.__dict__.keys()
+            assert (cell.index, cell.stencil, cell.mapper, cell.error) == (
+                ref.index, ref.stencil, ref.mapper, ref.error,
+            )
+            assert cell.instance is ref.instance
+            assert cell.mapper_spec is ref.mapper_spec
+            assert cell.metrics == ref.metrics
+            assert repr(cell.tags) == repr(ref.tags)
+            assert (cell.request is None) == (ref.request is None)
+            if ref.request is None:
+                continue
+            assert type(cell.request) is MappingRequest
+            # the same fields, in the same order, with equal values
+            assert list(cell.request.__dict__) == list(ref.request.__dict__)
+            for name, value in ref.request.__dict__.items():
+                assert cell.request.__dict__[name] == value, name
+            assert cell.request.mapper is ref.request.mapper
+            assert cell.request.workload is ref.request.workload
+
+    def test_reference_specs_reach_every_kind_of_error_cell(self):
+        register_metric("test_payload_values", _payload_values, replace=True)
+        errors = [
+            cell.error
+            for build in (_cartesian_reference_spec, _workload_reference_spec)
+            for cell in build().cells()
+        ]
+        for prefix in (
+            "skipped by override",
+            "InvalidStencilError: stencil dimensionality 3",  # grid clash
+            "InvalidStencilError: the component stencil",  # factory, 1-d
+            "ValueError: no stencil in",  # raising factory
+            "AllocationError:",
+            "workload instance 'graph' cannot be crossed",
+            f"stencil axis entry {WORKLOAD_AXIS!r} needs workload",
+        ):
+            assert any(e and e.startswith(prefix) for e in errors), prefix
+        assert errors.count(None) > 0
+
+    def test_stripped_requests_pickle_like_reconstructed_ones(self, reference_spec):
+        cells = reference_spec.cells()
+        expected = _reference_cells(reference_spec)
+        compared = 0
+        for cell, ref in zip(cells, expected):
+            if ref.request is None:
+                continue
+            stripped = strip_request_tag(cell.request)
+            assert stripped.tag is None and cell.request.tag == cell.index
+            assert pickle.dumps(stripped) == pickle.dumps(
+                _reference_strip(ref.request)
+            )
+            compared += 1
+        assert compared > 0
+
+    def test_to_rows_matches_reference(self, reference_spec):
+        results = run(reference_spec)
+        pairs = list(results._pending)
+        expected = _reference_to_rows(_reference_row(c, r) for c, r in pairs)
+        direct = results.to_rows()  # built from (cell, result) pairs
+        assert direct == expected
+        assert repr(direct) == repr(expected)  # 1 vs True vs 1.0 too
+        assert results._rows is None  # no SweepRow was materialised
+        materialised = [vars(row) for row in results.rows]
+        reference_rows = [vars(_reference_row(c, r)) for c, r in pairs]
+        assert repr(materialised) == repr(reference_rows)
+        assert repr(results.to_rows()) == repr(expected)
+        # fresh dicts per row: mutating one leaves the others alone
+        direct[0]["params"]["mutated"] = 1
+        direct[0]["tags"]["mutated"] = 1
+        assert "mutated" not in direct[1]["params"]
+        assert "mutated" not in direct[1]["tags"]
+
+    def test_json_safe_copies_flat_dicts_and_converts_the_rest(self):
+        flat = {"s": "x", "i": 3, "b": False, "n": None, "f": 0.5}
+        copied = _json_safe(flat)
+        assert copied == flat and copied is not flat
+        for value in (
+            {"np": np.float64(0.5)},
+            {"nan": float("nan")},
+            {"inf": float("inf")},
+            {1: "int key"},
+            {"list": [1, np.int64(2)]},
+            {"sub": {"x": float("-inf")}},
+            {"enum": np.int8(1)},
+        ):
+            assert repr(_json_safe(value)) == repr(_reference_json_safe(value))
+
+
+def test_figure8_sweep_validates_once_per_instance_group(monkeypatch):
+    """1008 cells of 144 (instance, stencil) groups: 144 validations, and
+    tag stripping adds none."""
+    calls = []
+    validate = MappingRequest.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(MappingRequest, "__post_init__", counting)
+    spec = figure8_sweep("nearest_neighbor")
+    requests = spec.compile()
+    assert len(spec.cells()) == len(requests) == 1008
+    assert len(calls) == 144
+    shard_payloads(requests, 32)
+    assert len(calls) == 144

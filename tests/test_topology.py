@@ -67,6 +67,15 @@ class TestFatTree:
             FatTreeTopology(8, nodes_per_switch=0)
         with pytest.raises(ReproError):
             FatTreeTopology(8, blocking_factor=0.5)
+        with pytest.raises(ReproError):
+            FatTreeTopology(8, blocking_factor=float("nan"))
+        with pytest.raises(TypeError, match="blocking_factor must be a real number"):
+            FatTreeTopology(8, blocking_factor=True)
+        with pytest.raises(TypeError, match="blocking_factor must be a real number"):
+            FatTreeTopology(8, blocking_factor="2")
+        for value in (2, 2.0, np.int64(2), np.float32(2.0)):
+            t = FatTreeTopology(8, blocking_factor=value)
+            assert t.blocking_factor == 2.0 and type(t.blocking_factor) is float
 
     def test_networkx_export(self):
         g = FatTreeTopology(8, nodes_per_switch=4).to_networkx()
@@ -92,6 +101,15 @@ class TestIsland:
             IslandTopology(4, nodes_per_island=-1)
         with pytest.raises(ReproError):
             IslandTopology(4, pruning_factor=0.0)
+        with pytest.raises(ReproError):
+            IslandTopology(4, pruning_factor=float("nan"))
+        with pytest.raises(TypeError, match="pruning_factor must be a real number"):
+            IslandTopology(8, pruning_factor=True)
+        with pytest.raises(TypeError, match="pruning_factor must be a real number"):
+            IslandTopology(8, pruning_factor="4")
+        for value in (4, 4.0, np.int32(4), np.float64(4.0)):
+            t = IslandTopology(8, nodes_per_island=4, pruning_factor=value)
+            assert t.uplink_capacity_fraction() == 0.25
 
 
 class TestTorus3D:
@@ -164,6 +182,15 @@ class TestDragonfly:
             DragonflyTopology(2, nodes_per_router=0)
         with pytest.raises(ReproError):
             DragonflyTopology(2, global_link_ratio=0.5)
+        with pytest.raises(ReproError):
+            DragonflyTopology(2, global_link_ratio=float("nan"))
+        with pytest.raises(TypeError, match="global_link_ratio must be a real number"):
+            DragonflyTopology(2, global_link_ratio=True)
+        with pytest.raises(TypeError, match="global_link_ratio must be a real number"):
+            DragonflyTopology(2, global_link_ratio="2")
+        for value in (2, 2.0, np.int64(2), np.float64(2.0)):
+            t = DragonflyTopology(2, global_link_ratio=value)
+            assert t.uplink_capacity_fraction() == 0.5
 
 
 class TestNetworkxExportMatchesHops:
