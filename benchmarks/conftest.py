@@ -12,12 +12,19 @@ size-independent, so they are computed once and shared.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import CartesianGrid, MappingRequest, NodeAllocation, nearest_neighbor
 from repro.experiments import EvaluationContext
 from repro.experiments.context import DEFAULT_MAPPERS
 from repro.grid.dims import dims_create
+
+_SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 #: Shared figure8-style backend workload: distinct grids x deterministic
 #: mappers, used by the sharding and cluster benchmark smokes.
@@ -44,6 +51,29 @@ def backend_workload(sweeps: int = 1) -> list[MappingRequest]:
                     )
                 )
     return requests
+
+
+def _spawn_worker(port: int) -> subprocess.Popen:
+    """A serial ``work`` subprocess serving the daemon on *port*."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "repro.experiments",
+            "work",
+            "--connect",
+            f"127.0.0.1:{port}",
+            "--backend",
+            "serial",
+            "--connect-timeout",
+            "60",
+        ],
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
 
 
 def result_signature(result):

@@ -17,7 +17,7 @@ import time
 
 from repro import InstanceSpec, ServiceBackend, ServiceDaemon, SweepSpec, run
 
-from .test_bench_cluster import _spawn_worker
+from .conftest import _spawn_worker
 
 #: 2 instances x 2 families x 3 mappers = 12 cells: enough that the
 #: warm path's per-cell lookup cost dominates connection overhead.

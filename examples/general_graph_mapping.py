@@ -86,8 +86,8 @@ def main() -> None:
         "--backend",
         default="serial",
         metavar="SPEC",
-        help="execution backend: serial, process[:N], "
-        "cluster:HOST:PORT or service:HOST:PORT (default: serial)",
+        help="execution backend: serial, process[:N] or "
+        "service:[HOST:]PORT (default: serial)",
     )
     args = parser.parse_args()
 

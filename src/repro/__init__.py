@@ -113,7 +113,6 @@ from .metrics import (
     remove_outliers_iqr,
 )
 from .engine import (
-    ClusterBackend,
     EvaluationEngine,
     MappingRequest,
     MappingResult,
@@ -126,10 +125,7 @@ from .engine import (
     weighted_bytes_metric,
 )
 from .service import (
-    Autoscaler,
-    ExecSpawner,
     JobHandle,
-    LocalSpawner,
     ServiceBackend,
     ServiceClient,
     ServiceDaemon,
@@ -218,7 +214,6 @@ __all__ = [
     "MappingRequest",
     "MappingResult",
     "ProcessBackend",
-    "ClusterBackend",
     "resolve_backend",
     "MetricSpec",
     "register_metric",
@@ -236,9 +231,6 @@ __all__ = [
     "ServiceClient",
     "ServiceBackend",
     "JobHandle",
-    "Autoscaler",
-    "LocalSpawner",
-    "ExecSpawner",
     # sweep
     "sweep",
     "SweepSpec",

@@ -26,7 +26,6 @@ See :mod:`repro.engine.engine` for the caching/batching design,
 
 from .backends import Backend, ProcessBackend, resolve_backend
 from .cache import CacheStats, LRUCache
-from .cluster import ClusterBackend
 from .diskcache import CACHE_DIR_ENV, DiskCacheStats, DiskStore
 from .engine import EvaluationEngine
 from .metrics import (
@@ -50,7 +49,6 @@ __all__ = [
     "topology_cut_metric",
     "Backend",
     "ProcessBackend",
-    "ClusterBackend",
     "resolve_backend",
     "LRUCache",
     "CacheStats",

@@ -17,18 +17,17 @@ those units run:
   the backend at a ``disk_cache_dir`` lets all workers share one
   persistent result store, so a cell any of them computed is answered
   to the others.
-* :class:`~repro.engine.cluster.ClusterBackend`
-  (:mod:`repro.engine.cluster`) — the multi-host tier: the same
-  instance-aligned shards travel over TCP sockets to remote workers
-  pulling from a work-stealing queue.
+* :class:`~repro.service.ServiceBackend` (:mod:`repro.service`) — the
+  multi-host tier: the same instance-aligned shards travel over TCP
+  sockets to a standing service daemon, whose workers pull them from a
+  work-stealing queue.
 
 All backends implement the same protocol: ``evaluate_batch`` (results
 in input order), ``evaluate_stream`` (results yielded as shards
 complete), ``close`` and use as a context manager.  Experiment drivers
 accept a backend wherever they accept an engine, and the CLI exposes a
 compact spec syntax via :func:`resolve_backend` — ``"serial"``,
-``"process"``, ``"process:4"``, ``"cluster:host:port"``,
-``"service:host:port"``.
+``"process"``, ``"process:4"``, ``"service:host:port"``.
 
 Caller payloads (``MappingRequest.tag``) never cross the process
 boundary: the parent rebuilds every result against its original request
@@ -371,15 +370,12 @@ def resolve_backend(
     :class:`~repro.engine.EvaluationEngine`, which runs in the calling
     thread), ``"process"`` (process backend, optionally suffixed with a
     worker count as ``"process:4"``, which the *shards* argument
-    overrides), ``"cluster:[host:]port"``, which binds a
-    :class:`~repro.engine.cluster.ClusterBackend` coordinator at that
-    address, every interface when the host is omitted (remote workers
-    connect with ``python -m repro.experiments work --connect
-    host:port``), or ``"service:[host:]port[:priority]"``, which submits
+    overrides), or ``"service:[host:]port[:priority]"``, which submits
     jobs to an already-running standing service daemon
     (:class:`~repro.service.ServiceBackend`; start one with ``python -m
-    repro.experiments serve-jobs``).  Remaining *options* are forwarded
-    to the backend constructor (e.g. ``disk_cache_dir``).
+    repro.experiments serve-jobs``, and its workers with ``python -m
+    repro.experiments work --connect host:port``).  Remaining *options*
+    are forwarded to the backend constructor (e.g. ``disk_cache_dir``).
     """
     if isinstance(spec, Backend):
         if shards is not None or options:
@@ -389,23 +385,6 @@ def resolve_backend(
             )
         return spec
     name, _, count_text = (spec or "serial").partition(":")
-    if name == "cluster":
-        # Imported lazily: the cluster package builds on this module.
-        from .cluster import ClusterBackend
-        from .cluster.protocol import parse_address
-
-        if shards is not None:
-            raise ValueError(
-                "the cluster backend takes no --shards; worker width is "
-                "chosen per worker (python -m repro.experiments work)"
-            )
-        try:
-            host, port = parse_address(count_text, default_host="")
-        except ValueError as exc:
-            raise ValueError(
-                f"invalid cluster backend spec {spec!r}: {exc}"
-            ) from None
-        return ClusterBackend(host, port, **options)
     if name == "service":
         # Imported lazily: the service package builds on this module.
         from ..service import ServiceBackend, parse_service_spec
@@ -422,6 +401,11 @@ def resolve_backend(
                 f"invalid service backend spec {spec!r}: {exc}"
             ) from None
         return ServiceBackend(host, port, priority=priority, **options)
+    if name not in ("serial", "process"):
+        raise ValueError(
+            f"unknown backend spec {spec!r}; expected 'serial', 'process[:N]' "
+            "or 'service:[host:]port[:priority]'"
+        )
     count: int | None = shards
     if count_text:
         try:
@@ -436,9 +420,4 @@ def resolve_backend(
                 "worker processes with 'process:N'"
             )
         return EvaluationEngine(**options)
-    if name == "process":
-        return ProcessBackend(num_workers=count, **options)
-    raise ValueError(
-        f"unknown backend spec {spec!r}; expected 'serial', 'process[:N]', "
-        "'cluster:[host:]port' or 'service:[host:]port[:priority]'"
-    )
+    return ProcessBackend(num_workers=count, **options)

@@ -1,8 +1,7 @@
 """The asyncio coordinator: a priority work-stealing shard queue over TCP.
 
 One :class:`Coordinator` runs on the event loop of every
-:class:`~repro.service.ServiceDaemon`, standing (``serve-jobs``) or
-ephemeral (:class:`~repro.engine.cluster.ClusterBackend`).  Peers
+:class:`~repro.service.ServiceDaemon` (``serve-jobs``).  Peers
 declare their role in the handshake.  *Workers* connect, handshake,
 and *pull*: each ``GET`` hands the worker the next queued shard, so
 fast workers naturally steal load from slow ones and a heterogeneous
@@ -32,11 +31,8 @@ whether a submission would exceed the configured bounds on unfinished
 jobs or queued shards per tenant, and a client session turns a
 non-``None`` answer into a ``REJECTED`` reply.
 
-The pool is elastic: :meth:`drain_workers` marks workers as draining —
-each finishes its in-flight shards, is handed ``SHUTDOWN`` instead of
-a next shard, and exits cleanly (never killed mid-shard) — and
-:meth:`load_snapshot` exposes the queue-depth/busyness gauges an
-autoscaler (:mod:`repro.service.autoscale`) sizes the pool from.
+The pool is whatever attaches: workers join and leave on their own,
+and :meth:`load_snapshot` exposes its queue-depth and busyness gauges.
 
 When a shared secret is configured the handshake adds an HMAC
 challenge–response leg (see :mod:`repro.engine.cluster.protocol`);
@@ -128,7 +124,6 @@ import asyncio
 import heapq
 import hmac
 import secrets
-import socket
 import ssl
 import time
 from collections import OrderedDict
@@ -271,13 +266,8 @@ class _WorkerConn:
         self.assigner: asyncio.Task | None = None
         self.dropped = False
         #: Shards this connection completed — a worker that dies with
-        #: zero is an *early death* (crash-looping spawn command), the
-        #: signal the autoscaler's spawn backoff keys on.
+        #: zero is an *early death* (``worker_early_deaths``).
         self.completed = 0
-        #: Set by drain_workers: the next GET is answered with SHUTDOWN
-        #: instead of a shard, so the worker exits after finishing what
-        #: it already holds.
-        self.draining = False
 
 
 class _ClientConn:
@@ -653,9 +643,6 @@ class Coordinator:
         self._memory: OrderedDict[str, tuple[tuple, int]] = OrderedDict()
         self._memory_bytes = 0
         self._memory_hits = 0
-        #: Set by the hosting service daemon when an autoscaler is
-        #: attached; folded into :meth:`service_snapshot` pool gauges.
-        self.autoscaler = None
         #: Updated in place by the hosting daemon's auto-prune loop
         #: (``None`` when no prune policy is configured).
         self.prune_stats: dict | None = None
@@ -674,22 +661,6 @@ class Coordinator:
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
         self._reaper = asyncio.create_task(self._reap_loop())
-
-    async def serve_socket(self, sock: socket.socket) -> None:
-        """Serve an already-connected socket as if it had been accepted
-        on the port, minus the port's TLS: the peer is in this process
-        (see :meth:`~repro.service.ServiceDaemon.connect_in_process`).
-        The handshake, secret included, is the same."""
-        if self._closing:
-            sock.close()
-            return
-        loop = asyncio.get_running_loop()
-        # What start_server does per accepted connection; the protocol
-        # holds the connection's task.
-        protocol = asyncio.StreamReaderProtocol(
-            asyncio.StreamReader(loop=loop), self._handle_connection, loop=loop
-        )
-        await loop.connect_accepted_socket(lambda: protocol, sock)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -863,24 +834,22 @@ class Coordinator:
         """Worker-pool and queue gauges, as one flat dict.
 
         Keys: ``workers`` (connected), ``busy`` (with shards in
-        flight), ``draining``, ``queued_shards``, ``inflight_shards``,
+        flight), ``queued_shards``, ``inflight_shards``,
         ``live_jobs``, ``oldest_queued_age`` (seconds the longest-waiting
-        queued shard has sat undispatched — the latency signal an
-        age-triggered autoscaler keys on), ``completed_shards`` (total
-        ever completed) and ``worker_early_deaths`` (workers that
-        disconnected without completing a single shard — the
-        crash-looping-spawn signal) and ``protocol_errors``
+        queued shard has sat undispatched), ``completed_shards`` (total
+        ever completed), ``worker_early_deaths`` (workers that
+        disconnected without completing a single shard, while the
+        coordinator was not closing) and ``protocol_errors``
         (connections closed on a frame or message that raised
-        :class:`ProtocolError`).  This is the signal seam the
-        autoscaler polls; it is also folded into the ``pool`` section
-        of :meth:`service_snapshot`, so an external monitor sees the
-        same numbers through STATUS.
+        :class:`ProtocolError`).  It is the ``pool`` section of
+        :meth:`service_snapshot` and :meth:`metrics_snapshot`, so an
+        external monitor sees the same numbers through STATUS and
+        METRICS.
         """
         workers = list(self._workers)
         return {
             "workers": len(workers),
             "busy": sum(1 for conn in workers if conn.inflight),
-            "draining": sum(1 for conn in workers if conn.draining),
             "queued_shards": self._queued,
             "inflight_shards": sum(len(conn.inflight) for conn in workers),
             "live_jobs": len(self._jobs),
@@ -894,7 +863,7 @@ class Coordinator:
         """Seconds the longest-queued shard has waited (0.0 when empty).
 
         A linear scan of the queue — bounded by queue depth and run
-        once per snapshot/autoscaler tick, not per dispatch.
+        once per snapshot, not per dispatch.
         """
         oldest: float | None = None
         for level in self._levels.values():
@@ -959,8 +928,6 @@ class Coordinator:
             jobs.append(record)
         jobs.sort(key=lambda r: r["job"])
         pool = self.load_snapshot()
-        if self.autoscaler is not None:
-            pool.update(self.autoscaler.stats())
         looked_up = self._store_hits + self._store_joins + self._store_misses
         return {
             "schema": "repro.metrics/v1",
@@ -1020,16 +987,13 @@ class Coordinator:
         """The full STATUS document: jobs, clients and pool gauges.
 
         ``{"jobs": jobs_snapshot(job_id), "clients":
-        clients_snapshot(), "pool": load_snapshot() + autoscaler
-        stats}`` — what the daemon sends in ``STATUS_REPLY``.
+        clients_snapshot(), "pool": load_snapshot()}`` — what the daemon
+        sends in ``STATUS_REPLY``.
         """
-        pool = self.load_snapshot()
-        if self.autoscaler is not None:
-            pool.update(self.autoscaler.stats())
         return {
             "jobs": self.jobs_snapshot(job_id),
             "clients": self.clients_snapshot(),
-            "pool": pool,
+            "pool": self.load_snapshot(),
         }
 
     async def wait_for_workers(self, count: int, timeout: float | None = None) -> None:
@@ -1043,29 +1007,6 @@ class Coordinator:
                 await self._cond.wait_for(lambda: len(self._workers) >= count)
 
         await asyncio.wait_for(enough(), timeout)
-
-    async def drain_workers(self, count: int) -> int:
-        """Mark up to *count* workers for draining; the number marked.
-
-        Draining is the graceful half of scale-down: a marked worker
-        finishes the shards it already holds, then its next ``GET`` is
-        answered with ``SHUTDOWN`` instead of a shard and it exits
-        cleanly (exit code 0, no reconnect) — work in flight is never
-        killed.  Idle workers are marked first so a busy pool sheds
-        its spare capacity ahead of its throughput.
-        """
-        marked = 0
-        async with self._cond:
-            candidates = sorted(
-                (conn for conn in self._workers if not conn.draining),
-                key=lambda conn: len(conn.inflight),
-            )
-            for conn in candidates[: max(0, count)]:
-                conn.draining = True
-                marked += 1
-            if marked:
-                self._cond.notify_all()
-        return marked
 
     # ------------------------------------------------------------------
     # Job bookkeeping
@@ -1423,13 +1364,7 @@ class Coordinator:
         try:
             while True:
                 await conn.gets.get()
-                shard = await self._next_shard(conn)
-                if shard is None:
-                    # Draining: the worker just finished everything it
-                    # held, so SHUTDOWN lets it exit cleanly (code 0,
-                    # no reconnect) instead of killing work mid-shard.
-                    await write_message(conn.writer, (SHUTDOWN,))
-                    return
+                shard = await self._next_shard()
                 # No await between dequeue and registration: a
                 # cancellation cannot orphan the shard.
                 conn.inflight[shard.id] = shard
@@ -1447,12 +1382,10 @@ class Coordinator:
             # we just failed to send).
             conn.writer.close()
 
-    async def _next_shard(self, conn: _WorkerConn) -> _Shard | None:
-        """The next shard for *conn*, or ``None`` once it is draining."""
+    async def _next_shard(self) -> _Shard:
+        """The next queued shard, once there is one."""
         async with self._cond:
-            await self._cond.wait_for(lambda: self._queued or conn.draining)
-            if conn.draining:
-                return None
+            await self._cond.wait_for(lambda: self._queued)
             return self._pop_shard()
 
     def _complete(self, conn: _WorkerConn, shard_id: int, payload: list) -> None:
@@ -1490,15 +1423,9 @@ class Coordinator:
         if conn.dropped:
             return
         conn.dropped = True
-        if (
-            requeue
-            and not conn.completed
-            and not conn.draining
-            and not self._closing
-        ):
-            # Connected, never finished a shard, gone again: the
-            # crash-looping-spawn signature the autoscaler backs off on.
-            # Drained/closing exits are deliberate, not deaths.
+        if requeue and not conn.completed and not self._closing:
+            # Connected, never finished a shard, gone again.  An exit
+            # the coordinator's own close asked for is not a death.
             self._worker_early_deaths += 1
         if conn.assigner is not None:
             conn.assigner.cancel()
@@ -1513,7 +1440,7 @@ class Coordinator:
                 if shard.requeues > self._max_shard_requeues:
                     # A shard that keeps killing its workers (OOM, native
                     # segfault — death without a FAIL message) must not
-                    # cycle through the whole cluster: fail the job.
+                    # cycle through the whole cluster, so it fails the job.
                     job.pending.discard(shard.id)
                     job.failed = (
                         f"shard requeued {shard.requeues} times after "

@@ -126,7 +126,7 @@ Client message set (client ``->`` service daemon unless noted; see
                 of the daemon (v6)
 ``METRICS_REPLY`` daemon: ``(METRICS_REPLY, doc: dict)`` — per-job
                 progress/ETA, queue depth and age, per-tenant
-                counters, autoscaler gauges and result-store hit
+                counters, worker-pool gauges and result-store hit
                 rates; see ``Coordinator.metrics_snapshot``
 =============== =====================================================
 """
@@ -213,7 +213,7 @@ __all__ = [
 #: ``tenant`` identity for fair-share accounting.
 #: v6: observability — the ``METRICS``/``METRICS_REPLY`` round-trip
 #: exposing per-job progress/ETA, queue depth *and* age, per-tenant
-#: counters, autoscaler gauges and result-store hit rates.
+#: counters, worker-pool gauges and result-store hit rates.
 PROTOCOL_VERSION = 6
 
 #: The pickle protocol of every frame.  Pinned (rather than

@@ -203,7 +203,7 @@ def run_worker(
     """Serve one coordinator until it shuts the cluster down.
 
     *backend_spec*/*shards* choose the local execution backend
-    (``resolve_backend`` syntax; ``cluster`` itself is refused), built
+    (``resolve_backend`` syntax; ``service`` itself is refused), built
     once and kept, caches and all, across reconnects; *cache_dir* is its
     result-store directory (default ``REPRO_CACHE_DIR``).  After
     losing an *established* coordinator, the worker reconnects with
@@ -218,13 +218,8 @@ def run_worker(
     # this package.
     from ..backends import resolve_backend
 
-    if backend_spec is not None and backend_spec.partition(":")[0] in (
-        "cluster",
-        "service",
-    ):
-        raise ValueError(
-            "a cluster worker cannot itself execute on a cluster or service"
-        )
+    if backend_spec is not None and backend_spec.partition(":")[0] == "service":
+        raise ValueError("a worker cannot itself execute on a service backend")
     secret = resolve_secret(secret)
     tls_cert, tls_key, tls_ca = resolve_tls(tls_cert, tls_key, tls_ca)
     ssl_context = (
@@ -234,8 +229,8 @@ def run_worker(
     )
     host, port = parse_address(connect, default_host="127.0.0.1")
     # Built *before* connecting: a worker that would die on a bad spec
-    # must not first satisfy a serve quorum and then leave the sweep
-    # hung with zero workers.
+    # must not first count towards a daemon's wait_for_workers and then
+    # leave the sweep hung with zero workers.
     options = {} if cache_dir is None else {"disk_cache_dir": cache_dir}
     backend = resolve_backend(backend_spec, shards=shards, **options)
     try:

@@ -11,7 +11,7 @@ Results come back as a ``{column: value}`` mapping per permutation and
 are carried on :attr:`~repro.engine.MappingResult.metrics`.
 
 Metric implementations are looked up by name in a process-global
-registry, so specs pickle cheaply across the process/cluster backends
+registry, so specs pickle cheaply across the process/service backends
 (only the name and the parameter tuple travel; workers resolve the
 implementation locally).  Custom metrics therefore must be registered
 at import time of a module available to the workers.
@@ -69,7 +69,7 @@ class MetricSpec:
 
     ``params`` is a sorted tuple of ``(key, value)`` pairs so specs are
     hashable (they key the engine's metric cache) and picklable (they
-    cross the process/cluster backend boundary by value).
+    cross the process/service backend boundary by value).
     """
 
     name: str
@@ -147,7 +147,7 @@ def register_metric(name: str, fn: MetricFn, *, replace: bool = False) -> None:
     p)`` permutation array and the requesting :class:`MetricSpec`, and
     must return one ``{column: value}`` dict per permutation row.
     Registration is process-local: metrics used through the process or
-    cluster backends must be registered on the worker side too (built-in
+    service backends must be registered on the worker side too (built-in
     metrics always are).
     """
     if name in _REGISTRY and not replace:

@@ -69,10 +69,10 @@ class SimulationError(ReproError, RuntimeError):
 class ClusterError(ReproError, RuntimeError):
     """The distributed evaluation cluster cannot complete a sweep.
 
-    Raised when the coordinator is closed with shards outstanding, a
-    worker reports that a shard crashed its engine (requeueing a
-    deterministically crashing shard would loop forever), or a wait for
-    workers times out.  Transient worker failures — disconnects, missed
+    Raised (as :class:`ServiceError`) when the coordinator is closed
+    with shards outstanding, or a worker reports that a shard crashed
+    its engine (requeueing a deterministically crashing shard would
+    loop forever).  Transient worker failures — disconnects, missed
     heartbeats — do *not* raise: their shards are requeued and the sweep
     degrades in throughput only.
     """
@@ -85,8 +85,7 @@ class ServiceError(ClusterError):
     (stale protocol, missing/mismatched shared secret), when a job
     fails or is cancelled while its results are being streamed, or when
     the daemon shuts down mid-job.  Subclasses :class:`ClusterError`,
-    so callers treating the cluster and service tiers alike need one
-    ``except``.
+    the base of every distributed-tier failure.
     """
 
 

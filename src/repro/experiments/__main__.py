@@ -20,26 +20,18 @@ Every artefact verb renders a human-readable table by default;
 :class:`~repro.sweep.ResultSet` serialization instead, and ``--output
 PATH`` writes to a file rather than stdout.
 
-Multi-host sweeps pair ``serve`` with ``work``, the one worker entry
-point (with ``REPRO_CLUSTER_SECRET`` set on every host).  ``serve`` and
-``serve-jobs`` bind ``127.0.0.1:7077`` by default; they, and every verb
-given ``--backend cluster:ADDRESS``, refuse to bind any other interface
-without a shared secret or a TLS certificate::
-
-    # head node: host the coordinator, wait for 2 workers, run the sweep
-    python -m repro.experiments serve figure8 --bind 0.0.0.0:7077 \
-        --min-workers 2 --fast
-
-    # every other host
-    python -m repro.experiments work --connect head-node:7077 --backend process:8
-
-``serve`` runs an ephemeral service daemon for one sweep.  A *standing*
-one — workers stay attached across many jobs from many concurrent
-drivers — pairs ``serve-jobs`` with ``submit``/``status``/``cancel``
-(or any driver run with ``--backend service:host:port``)::
+Multi-host sweeps run on a standing service daemon: ``serve-jobs``
+hosts it, ``work`` (the one worker entry point) attaches each worker
+host, and workers stay attached across many jobs from many concurrent
+drivers — ``submit``/``status``/``cancel``, or any driver run with
+``--backend service:host:port`` (with ``REPRO_CLUSTER_SECRET`` set on
+every host).  ``serve-jobs`` binds ``127.0.0.1:7077`` by default and
+refuses to bind any other interface without a shared secret or a TLS
+certificate::
 
     python -m repro.experiments serve-jobs --bind 0.0.0.0:7077    # head node
-    python -m repro.experiments work --connect head-node:7077     # worker hosts
+    python -m repro.experiments work --connect head-node:7077 \
+        --backend process:8                                       # worker hosts
     python -m repro.experiments submit sweep --connect head-node:7077
     python -m repro.experiments status --connect head-node:7077
     python -m repro.experiments cancel --connect head-node:7077 --job job-000003
@@ -55,18 +47,15 @@ them exhaustively — dominated candidates are cancelled early::
         --backend service:head-node:7077
 
 ``--secret`` (or ``REPRO_CLUSTER_SECRET``, the only source for a
-``--backend cluster:``/``service:`` sweep) arms the shared-secret
-handshake on every cluster/service connection; ``status``, ``watch``
-and ``cancel`` work against a ``serve`` coordinator too.  ``cache``
-reports the ``result`` cells that engines and service daemons share in
-the cache directory (``--clear`` empties the store, removing exactly
-its own files).
+``--backend service:`` sweep) arms the shared-secret handshake on
+every service connection.  ``cache`` reports the ``result`` cells that
+engines and service daemons share in the cache directory (``--clear``
+empties the store, removing exactly its own files).
 
 Repetition counts default to quick settings; pass ``--reps 200`` for the
 paper's sample sizes.  ``--backend`` selects the execution backend of
 the batched sweeps (``serial``, the default, runs in-process;
-``process[:N]`` shards across worker processes; ``cluster:[host:]port``
-binds a coordinator without waiting for a worker quorum, and
+``process[:N]`` shards across worker processes, and
 ``service:[host:]port[:priority]`` submits to a standing daemon),
 ``--shards`` overrides a ``process`` backend's worker count and
 ``--cache-dir`` points the result store at a directory (default:
@@ -392,8 +381,8 @@ _REPORTS = {
     "table": lambda args: _table(args.table_id, args.reps),
 }
 
-#: The sweeps that run on a backend, by verb (``serve`` and ``submit``
-#: run them by name too): ``(args, backend) -> (text, results)``.
+#: The sweeps that run on a backend, by verb (``submit`` runs them by
+#: name too): ``(args, backend) -> (text, results)``.
 _SWEEPS = {
     "sweep": lambda args, backend: _sweep(backend),
     "figure8": lambda args, backend: _figure8(args.family, args.fast, backend),
@@ -401,9 +390,6 @@ _SWEEPS = {
     "scaling": lambda args, backend: _scaling(args.machine, args.family, backend),
     "weighted": lambda args, backend: _weighted(args.machine, backend),
 }
-
-#: Sweeps the ``serve`` verb can distribute.
-SERVE_TARGETS = ("figure8", "ablations")
 
 #: Sweeps the ``submit`` verb can run against a standing service daemon.
 SUBMIT_TARGETS = tuple(_SWEEPS)
@@ -418,34 +404,29 @@ def _emit(args, text: str, results: ResultSet) -> None:
     _write_payload(args, text)
 
 
-def _bind_address(args, parser, address: str) -> tuple[str, int]:
-    """A bind *address* (``--bind``, or a ``cluster:`` backend's) as
-    ``(host, port)``.  Any bind but loopback (the empty host means every
-    interface) needs a shared secret or a TLS certificate: the verb's
-    ``--secret``/``--tls-cert``, else ``REPRO_CLUSTER_SECRET``/
-    ``REPRO_TLS_CERT``.  Neither stops the daemon from unpickling a
-    peer's handshake frames before it checks the secret; only loopback
-    or mutual TLS (``--tls-ca``) keep unknown peers out."""
+def _bind_address(args, parser) -> tuple[str, int]:
+    """``--bind`` as ``(host, port)``.  Any bind but loopback (the empty
+    host means every interface) needs a shared secret or a TLS
+    certificate: ``--secret``/``--tls-cert``, else
+    ``REPRO_CLUSTER_SECRET``/``REPRO_TLS_CERT``.  Neither stops the
+    daemon from unpickling a peer's handshake frames before it checks
+    the secret; only loopback or mutual TLS (``--tls-ca``) keep unknown
+    peers out."""
     from ..engine.cluster.protocol import parse_address, resolve_secret, resolve_tls
 
     try:
-        host, port = parse_address(address, default_host="")
+        host, port = parse_address(args.bind, default_host="")
     except ValueError as exc:
         parser.error(str(exc))
     try:
         loopback = host == "localhost" or ipaddress.ip_address(host).is_loopback
     except ValueError:
         loopback = False
-    secret = resolve_secret(getattr(args, "secret", None))
-    if not (loopback or secret or resolve_tls(getattr(args, "tls_cert", None))[0]):
-        how = (
-            "pass --secret (or set REPRO_CLUSTER_SECRET) or --tls-cert"
-            if hasattr(args, "secret")
-            else "set REPRO_CLUSTER_SECRET or REPRO_TLS_CERT"
-        )
+    if not (loopback or resolve_secret(args.secret) or resolve_tls(args.tls_cert)[0]):
         parser.error(
             f"refusing to bind {host or 'every interface'}:{port} with "
-            f"neither a shared secret nor TLS: {how}, or bind a loopback "
+            "neither a shared secret nor TLS: pass --secret (or set "
+            "REPRO_CLUSTER_SECRET) or --tls-cert, or bind a loopback "
             "address such as 127.0.0.1"
         )
     return host, port
@@ -480,36 +461,8 @@ def _run_sweep(args, parser) -> int:
     return 0
 
 
-def _serve(args, parser) -> int:
-    """Host a cluster coordinator, wait for workers, run one sweep."""
-    from ..engine.cluster import ClusterBackend
-
-    host, port = _bind_address(args, parser, args.bind)
-    backend = ClusterBackend(
-        host,
-        port,
-        disk_cache_dir=args.cache_dir,
-        secret=args.secret,
-        tls_cert=args.tls_cert,
-        tls_key=args.tls_key,
-        tls_ca=args.tls_ca,
-    )
-    try:
-        print(
-            f"cluster coordinator listening on {backend.host}:{backend.port}; "
-            f"waiting for {args.min_workers} worker(s) "
-            f"(python -m repro.experiments work --connect HOST:{backend.port})"
-        )
-        backend.wait_for_workers(args.min_workers)
-        print(f"{backend.num_workers} worker(s) connected; starting {args.sweep}")
-        _emit(args, *_SWEEPS[args.sweep](args, backend))
-    finally:
-        backend.close()
-    return 0
-
-
 def _work(args, parser) -> int:
-    """Serve a coordinator as a worker until it shuts the cluster down."""
+    """Serve a service daemon as a worker until it shuts down."""
     from ..engine.cluster.worker import run_worker
 
     try:
@@ -593,18 +546,7 @@ def _serve_jobs(args, parser) -> int:
     """
     from ..service import ServiceDaemon
 
-    host, port = _bind_address(args, parser, args.bind)
-    autoscale = {}
-    if args.autoscale:
-        autoscale = dict(
-            min_workers=max(0, args.min_workers),
-            max_workers=args.max_workers or 4,
-            spawn_command=args.spawn_command,
-            worker_backend=args.backend,
-            idle_grace=args.idle_grace,
-        )
-    elif args.max_workers or args.spawn_command:
-        parser.error("--max-workers/--spawn-command require --autoscale")
+    host, port = _bind_address(args, parser)
     try:
         daemon = ServiceDaemon(
             host,
@@ -618,7 +560,6 @@ def _serve_jobs(args, parser) -> int:
             max_client_queued=args.max_client_queued,
             store_max_bytes=args.store_max_bytes,
             store_ttl=args.store_ttl,
-            **autoscale,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -628,13 +569,6 @@ def _serve_jobs(args, parser) -> int:
             f"service daemon listening on {daemon.host}:{daemon.port}",
             flush=True,
         )
-        if args.autoscale:
-            print(
-                f"  autoscaling {autoscale['min_workers']}.."
-                f"{autoscale['max_workers']} worker(s) "
-                f"({'exec' if args.spawn_command else 'local'} spawner)",
-                flush=True,
-            )
         print(
             f"  workers: python -m repro.experiments work "
             f"--connect HOST:{daemon.port}",
@@ -773,7 +707,7 @@ def _watch(args, parser) -> int:
     interrupted; ``--once`` (implied by ``--format json``/``csv``)
     renders a single snapshot.  ``--format json`` emits the raw
     ``repro.metrics/v1`` document — per-job progress/ETA, queue depth
-    *and* age, per-tenant counters, autoscaler gauges and result-store
+    *and* age, per-tenant counters, worker-pool gauges and result-store
     hit rates.
     """
     client = _client(args, parser)
@@ -1007,9 +941,9 @@ _FLAGS: dict[str, dict] = {
         metavar="PATH", help="write the rendered output to a file, not stdout"
     ),
     "--backend": dict(
-        help="execution backend: serial (default, in-process), process[:N], "
-        "cluster:[host:]port or service:[host:]port[:priority]; for work "
-        "and serve-jobs --autoscale, the workers' local backend"
+        help="execution backend: serial (default, in-process), process[:N] "
+        "or service:[host:]port[:priority]; for work, the worker's local "
+        "backend"
     ),
     "--shards": dict(
         type=int,
@@ -1019,12 +953,12 @@ _FLAGS: dict[str, dict] = {
         help="persistent cache directory (default: $REPRO_CACHE_DIR)"
     ),
     "--secret": dict(
-        help="shared cluster/service secret armoring every connection "
+        help="shared service secret armoring every connection "
         "(default: $REPRO_CLUSTER_SECRET; empty disables)"
     ),
     "--tls-cert": dict(
         metavar="PATH",
-        help="serve/serve-jobs: serve over TLS with this certificate "
+        help="serve-jobs: serve over TLS with this certificate "
         "(default: $REPRO_TLS_CERT); other verbs: client certificate for "
         "mutual TLS",
     ),
@@ -1037,7 +971,7 @@ _FLAGS: dict[str, dict] = {
         metavar="PATH",
         help="trust root the daemon's TLS certificate must verify against "
         "(a self-signed daemon's own certificate works; default: "
-        "$REPRO_TLS_CA); serve/serve-jobs: demand client certificates "
+        "$REPRO_TLS_CA); serve-jobs: demand client certificates "
         "signed by it",
     ),
     "--connect": dict(
@@ -1066,12 +1000,6 @@ _FLAGS: dict[str, dict] = {
         "address needs --secret or --tls-cert, and should still be "
         "reachable from trusted hosts only",
     ),
-    "--min-workers": dict(
-        type=int,
-        default=1,
-        help="serve: wait for this many workers before starting the sweep; "
-        "serve-jobs --autoscale: worker-pool floor kept alive when idle",
-    ),
     "--priority": dict(
         type=int, default=0, help="job priority (larger is scheduled first)"
     ),
@@ -1085,27 +1013,6 @@ _FLAGS: dict[str, dict] = {
         default=60.0,
         help="seconds to keep retrying after losing an established "
         "coordinator (0 exits immediately instead)",
-    ),
-    "--autoscale": dict(
-        action="store_true",
-        help="size the worker pool to the load, spawning workers on demand "
-        "and draining idle ones (see --min-workers/--max-workers)",
-    ),
-    "--max-workers": dict(
-        type=int, metavar="N", help="--autoscale: worker-pool ceiling (default: 4)"
-    ),
-    "--spawn-command": dict(
-        metavar="TEMPLATE",
-        help="--autoscale: command run once per spawned worker "
-        "({host}/{port}/{address} placeholders) instead of local "
-        "subprocesses — the remote-host seam (ssh, batch schedulers)",
-    ),
-    "--idle-grace": dict(
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="--autoscale: idle seconds before excess workers drain back to "
-        "--min-workers (default: 5)",
     ),
     "--max-client-jobs": dict(
         type=int,
@@ -1238,22 +1145,14 @@ _VERBS = {
         ("--machine", *_BACKEND, *_OUTPUT),
         "the weighted hops exchange",
     ),
-    "serve": (
-        _serve,
-        ("--family", "--fast", "--bind", "--min-workers", "--cache-dir")
-        + _AUTH
-        + _OUTPUT,
-        "host an ephemeral coordinator, wait for workers, run one sweep",
-    ),
     "work": (
         _work,
         ("--connect", *_BACKEND, *_AUTH, "--connect-timeout", "--reconnect-timeout"),
-        "evaluate shards for a coordinator or daemon (the worker entry point)",
+        "evaluate shards for a service daemon (the worker entry point)",
     ),
     "serve-jobs": (
         _serve_jobs,
-        ("--bind", "--min-workers", "--backend", "--cache-dir", *_AUTH)
-        + ("--autoscale", "--max-workers", "--spawn-command", "--idle-grace")
+        ("--bind", "--cache-dir", *_AUTH)
         + ("--max-client-jobs", "--max-client-queued")
         + ("--store-max-bytes", "--store-ttl"),
         "host a standing sweep service until interrupted",
@@ -1298,11 +1197,9 @@ def _parser():
             verb.add_argument(flag, **_FLAGS[flag])
     sub = verbs.choices
     sub["table"].add_argument("table_id", choices=list(TABLE_INDEX))
-    for name, default, targets in (
-        ("serve", "figure8", SERVE_TARGETS),
-        ("submit", "sweep", SUBMIT_TARGETS),
-    ):
-        sub[name].add_argument("sweep", nargs="?", default=default, choices=targets)
+    sub["submit"].add_argument(
+        "sweep", nargs="?", default="sweep", choices=SUBMIT_TARGETS
+    )
     sub["status"].add_argument("--job", metavar="JOB_ID", help="only this job")
     sub["cancel"].add_argument("--job", required=True, metavar="JOB_ID")
     clear_or_prune = sub["cache"].add_mutually_exclusive_group()
@@ -1321,11 +1218,7 @@ def _parser():
 def main(argv: list[str] | None = None) -> int:
     parser, verbs = _parser()
     args = parser.parse_args((sys.argv[1:] if argv is None else argv) or ["sweep"])
-    verb = verbs.choices[args.verb]
-    kind, _, address = (getattr(args, "backend", None) or "").partition(":")
-    if kind == "cluster":
-        _bind_address(args, verb, address)
-    return args.handler(args, verb)
+    return args.handler(args, verbs.choices[args.verb])
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """The batch cost kernels every evaluation path bottoms out in.
 
-Every execution tier — serial, process, cluster, service — scores
+Every execution tier — serial, process, service — scores
 mappings through the five entry points below
 (:func:`node_of_vertex_batch`, :func:`per_node_cut_batch`,
 :func:`evaluate_mappings_batch`, :func:`weighted_cut_bytes_batch`,

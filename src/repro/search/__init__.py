@@ -13,9 +13,10 @@ successive-halving racing loop over mapper/parameter candidates:
   the service tier: one prioritised job per candidate), consumes the
   result streams incrementally, ranks candidates on deterministic
   instance prefixes (*rungs*), and **early-cancels** the dominated ones
-  — a killed candidate's remaining shards are withdrawn through the
-  per-job ``CANCEL`` path, so the search dispatches strictly less work
-  than the exhaustive sweep;
+  — a killed candidate's still-queued shards are withdrawn through the
+  per-job ``CANCEL`` path; how many are still queued depends on
+  dispatch order, and ``SearchResult.cells_evaluated`` reports what
+  actually ran;
 * the :class:`SearchResult` carries the winner's full rows (reassembled
   into exhaustive sweep order, byte-identical to what the exhaustive
   sweep would report for that mapper) and a complete audit trail of why

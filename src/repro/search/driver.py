@@ -5,11 +5,16 @@ One consumer thread per candidate streams that candidate's sweep
 driver thread waits until every surviving candidate has completed the
 current rung's deterministic instance prefix, ranks the survivors on
 the objective total over that prefix, and stops the dominated ones.  A
-stopped candidate's thread closes its stream, which on the service
-backend withdraws the job's remaining shards through the per-job
-``CANCEL`` path — the race therefore dispatches strictly less work than
-the exhaustive sweep whenever any candidate is eliminated before
-finishing.
+stopped candidate's thread closes its stream; on the service backend
+that cancels the candidate's job through the per-job ``CANCEL`` path,
+which withdraws the job's still-queued shards.  Whether any are still
+queued depends on dispatch order, not on the race: the coordinator
+serves one tenant's jobs first in, first out, so with every candidate
+submitted under one tenant an eliminated candidate's shards may all
+have been dispatched before the first rung ranks, and the race then
+evaluates as many cells as the exhaustive sweep.
+:attr:`SearchResult.cells_evaluated <repro.search.SearchResult>`
+reports what actually ran.
 
 Determinism: rung rankings read only rows from seeded instance
 prefixes, and rung scores are recomputed from the stored rows in cell

@@ -8,9 +8,7 @@ over the same socket protocol.  That is the seam the repeated mapping
 decisions of the source paper's setting need: the per-query cost of a
 sweep drops to the shards themselves, because the service amortises
 worker start-up, cache warm-up and connection churn across every job it
-serves.  :class:`~repro.engine.cluster.ClusterBackend` (``cluster:``
-specs and the ``serve`` verb) runs the same daemon ephemerally, for the
-length of one driver run.
+serves.
 
 Daemon host::
 
@@ -33,7 +31,7 @@ plus ``python -m repro.experiments submit/status/cancel`` for the CLI
 side, and ``python -m repro.experiments watch`` for live observability
 — the daemon's ``METRICS`` round-trip serves a machine-readable
 snapshot (per-job progress and ETA from shard completion rates, queue
-depth *and* age, per-tenant counters, autoscaler gauges, result-store
+depth *and* age, per-tenant counters, worker-pool gauges, result-store
 hit rates) that ``watch`` renders as a refreshing progress table or
 raw JSON.  Set ``REPRO_CLUSTER_SECRET`` (or pass ``--secret``) on daemon,
 workers and clients to require the HMAC handshake on every connection
@@ -41,13 +39,11 @@ workers and clients to require the HMAC handshake on every connection
 interface without a secret or TLS); pass ``--tls-cert/--tls-key`` (daemon) and ``--tls-ca`` (workers,
 clients) to run every connection over TLS.
 
-The tier is *elastic* and *multi-tenant*: with ``--autoscale`` the
-daemon hosts an :class:`Autoscaler` that spawns workers on demand
-between ``--min-workers`` and ``--max-workers`` and drains idle ones
-(scale-down finishes in-flight shards, never kills them); clients are
-fair-share *tenants* whose shards interleave by weighted deficit, so a
-flooding client cannot starve the rest; and per-client admission
-quotas answer over-quota submissions with a clean rejection.
+The tier is *multi-tenant*: clients are fair-share *tenants* whose
+shards interleave by weighted deficit, so a flooding client cannot
+starve the rest, and per-client admission quotas answer over-quota
+submissions with a clean rejection.  The worker pool is whatever
+attaches: each worker host starts its own ``work`` process.
 
 :class:`ServiceBackend` implements the standard
 :class:`~repro.engine.backends.Backend` protocol, so everything that
@@ -56,7 +52,6 @@ gains the service tier unchanged; :class:`ServiceClient` is the lower
 level job API (submit/status/cancel, streamed shard payloads).
 """
 
-from .autoscale import Autoscaler, ExecSpawner, LocalSpawner
 from .backend import ServiceBackend, parse_service_spec
 from .client import JobHandle, ServiceClient
 from .daemon import ServiceDaemon
@@ -66,8 +61,5 @@ __all__ = [
     "ServiceClient",
     "JobHandle",
     "ServiceDaemon",
-    "Autoscaler",
-    "LocalSpawner",
-    "ExecSpawner",
     "parse_service_spec",
 ]

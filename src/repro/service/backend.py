@@ -7,9 +7,7 @@ the same instance-aligned LPT shards as the process backend,
 submitted as one job, and rebuilt from the streamed shard payloads —
 results are byte-identical to the serial engine's and ``result.request
 is request`` holds for every caller.  Many drivers (or many processes)
-may point at one daemon concurrently, each with its own priority;
-:class:`~repro.engine.cluster.ClusterBackend` is this backend bound to
-a daemon of its own.
+may point at one daemon concurrently, each with its own priority.
 
 CLI spec syntax (:func:`~repro.engine.backends.resolve_backend`)::
 

@@ -196,9 +196,7 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def _open_socket(self) -> socket.socket | None:
         """One connected socket to the daemon; ``None`` when it stays
-        unreachable for the connect timeout.  A :class:`~repro.engine.
-        cluster.ClusterBackend` replaces this on its own client with
-        :meth:`~repro.service.ServiceDaemon.connect_in_process`."""
+        unreachable for the connect timeout."""
         # Retry with capped backoff for the whole budget: the daemon may
         # still be binding (scripted start-ups) or mid-restart.
         return connect_with_retry(
@@ -325,7 +323,7 @@ class ServiceClient:
 
         ``{"jobs": [...], "clients": [...], "pool": {...}}`` — job
         records, per-tenant fair-share/quota counters, and worker-pool
-        gauges (plus autoscaler counters when the daemon runs one).
+        gauges.
         """
         (doc,) = self._roundtrip((STATUS, job_id), STATUS_REPLY, dict)
         return doc
@@ -336,8 +334,8 @@ class ServiceClient:
         ``{"schema": "repro.metrics/v1", "time", "queue": {"depth",
         "oldest_age"}, "jobs": [...], "clients": [...], "pool": {...},
         "store": {...}}`` — per-job progress/ETA from shard completion
-        rates, queue depth and age, per-tenant counters, pool and
-        autoscaler gauges, and result-store hit rates.
+        rates, queue depth and age, per-tenant counters, worker-pool
+        gauges, and result-store hit rates.
         """
         (doc,) = self._roundtrip((METRICS,), METRICS_REPLY, dict)
         return doc

@@ -13,31 +13,27 @@ cancellation, and status queries.  The coordinator's module docstring
 gives the client session semantics and the result store a cache
 directory turns on.
 
-The daemon runs standing (``serve-jobs``) or ephemeral: every
-:class:`~repro.engine.cluster.ClusterBackend` (``cluster:`` specs and
-the ``serve`` verb) starts one and closes it with the backend.  It
-binds loopback unless given another host (``""`` is every interface);
-before exposing the port, read the README's Trust section.
+The CLI runs one as ``serve-jobs``; a library caller constructs one
+and closes it.  It binds loopback unless given another host (``""`` is
+every interface); before exposing the port, read the README's Trust
+section.
 
-The elastic multi-tenant tier
------------------------------
+The multi-tenant tier
+---------------------
 Clients are *tenants* (the ``tenant`` field of their handshake, or the
 shared default): the queue dispatches by weighted fair share so one
 flooding tenant cannot starve the rest, per-client quotas
 (``max_client_jobs`` / ``max_client_queued``) answer over-quota
 submissions with ``REJECTED``, and ``STATUS`` returns the full service
 document — job records plus per-tenant counters plus worker-pool
-gauges.  With ``max_workers`` set, an embedded
-:class:`~repro.service.autoscale.Autoscaler` grows the pool on demand
-and drains it back when idle; with a TLS certificate configured, all
-of it — workers and clients alike — runs over TLS.
+gauges.  The pool is whatever attaches; with a TLS certificate
+configured, all of it — workers and clients alike — runs over TLS.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import socket
 import threading
 
 from ..engine.cluster.coordinator import Coordinator
@@ -47,7 +43,6 @@ from ..engine.cluster.protocol import (
     server_tls_context,
 )
 from ..engine.diskcache import prune, resolve_cache_dir
-from .autoscale import Autoscaler, ExecSpawner, LocalSpawner
 
 __all__ = ["ServiceDaemon"]
 
@@ -96,32 +91,6 @@ class ServiceDaemon:
         tenants weigh ``1.0``.  Dispatch order interleaves tenants by
         weighted deficit, so a flooding client cannot starve others
         regardless of submission volume.
-    min_workers, max_workers:
-        Worker-pool bounds for the embedded :class:`~repro.service.
-        autoscale.Autoscaler`.  ``max_workers=None`` (default)
-        disables autoscaling entirely — the pool is whatever attaches.
-        With a bound, the daemon spawns workers on demand (up to
-        ``max_workers``) and drains idle ones back to ``min_workers``.
-    spawner:
-        Where autoscaled workers come from; defaults to a
-        :class:`~repro.service.autoscale.LocalSpawner` launching
-        ``work`` subprocesses on this host (inheriting the
-        daemon's secret and trusting its certificate), or an
-        :class:`~repro.service.autoscale.ExecSpawner` when
-        *spawn_command* is given.  Local workers present no client
-        certificate, so under mutual TLS (*tls_cert* plus *tls_ca*)
-        autoscaling without a *spawner* or *spawn_command* raises
-        ``ValueError`` before anything binds.
-    spawn_command:
-        Command template (``{host}``/``{port}``/``{address}``
-        placeholders) run once per spawned worker — the remote-host
-        seam (``ssh``, batch submission, containers).
-    worker_backend:
-        Local backend spec (``resolve_backend`` syntax) for workers
-        the default spawner launches, e.g. ``"process:4"``.
-    idle_grace:
-        Seconds the pool must be fully idle before excess autoscaled
-        workers drain (finish their shards, then exit — never killed).
     store_max_bytes, store_ttl, store_prune_interval:
         Auto-prune policy the daemon applies to its own cache
         directory every *store_prune_interval* seconds (default 60):
@@ -148,12 +117,6 @@ class ServiceDaemon:
         max_client_jobs: int = 0,
         max_client_queued: int = 0,
         share_weights: dict | None = None,
-        min_workers: int = 0,
-        max_workers: int | None = None,
-        spawner=None,
-        spawn_command: str | None = None,
-        worker_backend: str | None = None,
-        idle_grace: float = 5.0,
         store_max_bytes: int | None = None,
         store_ttl: float | None = None,
         store_prune_interval: float = 60.0,
@@ -182,14 +145,6 @@ class ServiceDaemon:
         self._store_prune_interval = float(store_prune_interval)
         secret = resolve_secret(secret)
         tls_cert, tls_key, tls_ca = resolve_tls(tls_cert, tls_key, tls_ca)
-        local_spawn = max_workers is not None and spawner is None and not spawn_command
-        if tls_cert and tls_ca and local_spawn:
-            raise ValueError(
-                "autoscaled local workers cannot join a mutual-TLS daemon "
-                "(tls_ca): they present no client certificate; pass a "
-                "spawn_command (serve-jobs --spawn-command) that runs "
-                "'work --tls-cert ... --tls-key ...'"
-            )
         ssl_context = (
             server_tls_context(tls_cert, tls_key, tls_ca) if tls_cert else None
         )
@@ -206,29 +161,6 @@ class ServiceDaemon:
             max_client_jobs=max_client_jobs,
             max_client_queued=max_client_queued,
         )
-        self._autoscaler = None
-        self._spawner = None
-        if max_workers is not None:
-            if spawner is None:
-                if spawn_command:
-                    spawner = ExecSpawner(spawn_command)
-                else:
-                    # Spawned workers trust the daemon's own (self-signed)
-                    # certificate; mutual TLS was refused above.
-                    spawner = LocalSpawner(
-                        backend_spec=worker_backend,
-                        secret=secret,
-                        tls_ca=tls_cert,
-                    )
-            self._spawner = spawner
-            self._autoscaler = Autoscaler(
-                self._coordinator,
-                spawner,
-                min_workers=min_workers,
-                max_workers=max_workers,
-                idle_grace=idle_grace,
-            )
-            self._coordinator.autoscaler = self._autoscaler
         self._prune_task = None
         if prune_policy:
             self._coordinator.prune_stats = {
@@ -252,8 +184,6 @@ class ServiceDaemon:
         self._thread.start()
         try:
             self._run(self._coordinator.start())
-            if self._autoscaler is not None:
-                self._run(self._autoscaler.start())
             if prune_policy:
                 self._prune_task = asyncio.run_coroutine_threadsafe(
                     self._prune_loop(), self._loop
@@ -347,7 +277,7 @@ class ServiceDaemon:
 
         ``{"jobs": [...], "clients": [...], "pool": {...}}`` — job
         records, per-tenant share/quota counters, and worker-pool
-        gauges (including autoscaler counters when one is running).
+        gauges.
         """
         return self._snapshot(self._coordinator.service_snapshot, job_id)
 
@@ -355,33 +285,13 @@ class ServiceDaemon:
         """The live observability document (what METRICS answers).
 
         Per-job progress/ETA, queue depth and age, per-tenant
-        counters, pool/autoscaler gauges and result-store hit rates.
+        counters, worker-pool gauges and result-store hit rates.
         """
         return self._snapshot(self._coordinator.metrics_snapshot)
 
     def cancel_job(self, job_id: str) -> bool:
         """Cancel a live job; ``False`` when unknown or already finished."""
         return self._run(self._coordinator.cancel_job(job_id))
-
-    def connect_in_process(self) -> socket.socket:
-        """A blocking socket the daemon serves like a connection on its
-        port, over an in-process socket pair instead.
-
-        It needs no route to the bound address and no certificate,
-        whatever TLS the port demands; the handshake, shared secret
-        included, is the one every peer runs.  Handshake replies are
-        awaited for at most ten seconds, as by a default
-        :class:`~repro.service.client.ServiceClient`.
-        """
-        ours, theirs = socket.socketpair()
-        try:
-            self._run(self._coordinator.serve_socket(theirs))
-        except BaseException:
-            ours.close()
-            theirs.close()
-            raise
-        ours.settimeout(10.0)
-        return ours
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -394,19 +304,10 @@ class ServiceDaemon:
             try:
                 if self._prune_task is not None:
                     self._prune_task.cancel()
-                # Autoscaler first: a tick racing the shutdown must not
-                # spawn into a closing coordinator.
-                if self._autoscaler is not None:
-                    self._run(self._autoscaler.aclose(), timeout=10.0)
                 self._run(self._coordinator.aclose(), timeout=30.0)
             finally:
                 self._closed = True
                 self._stop_loop()
-                if self._spawner is not None:
-                    # Workers were already told SHUTDOWN; this only
-                    # waits for their processes (and terminates any
-                    # launcher that ignored it).
-                    self._spawner.close()
 
     def __enter__(self) -> "ServiceDaemon":
         return self

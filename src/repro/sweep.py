@@ -5,7 +5,7 @@ mappers* evaluated on a machine model, with some metric columns per cell
 — yet each driver used to hand-roll its own loop.  This module is the
 shared seam: declare the cross-product once, compile it to
 :class:`~repro.engine.MappingRequest` batches, execute on any
-:class:`~repro.engine.Backend` (serial, process, cluster or service),
+:class:`~repro.engine.Backend` (serial, process or service),
 and get a columnar :class:`ResultSet` back with deterministic ordering
 and partial-failure cells carried as errors instead of crashes.
 
@@ -1174,7 +1174,7 @@ def run(spec: SweepSpec, backend=None) -> ResultSet:
 
     *backend* accepts a :class:`~repro.engine.Backend` (or a bare
     :class:`~repro.engine.EvaluationEngine`), a CLI-style spec string
-    (``"serial"``, ``"process:4"``, ``"cluster:port"``), or ``None``
+    (``"serial"``, ``"process:4"``, ``"service:port"``), or ``None``
     for a private serial engine.  Passed-in backends stay open (and keep
     their warm caches) for the caller.
 

@@ -19,8 +19,8 @@ message.  Three families implement the :class:`WorkloadBase` protocol:
   first-class citizen; the ``graphmap`` mapper is its natural partner).
 
 Every workload is picklable (it travels inside a
-:class:`~repro.engine.MappingRequest` through the process, cluster and
-service backends), hashable-by-key via :meth:`WorkloadBase.cache_key`
+:class:`~repro.engine.MappingRequest` through the process and service
+backends), hashable-by-key via :meth:`WorkloadBase.cache_key`
 (the engine's in-memory grouping/memoization key) and content-stable
 via :meth:`WorkloadBase.content_key` (the cross-process string the disk
 stores and the service daemon's result store key on).

@@ -1,10 +1,12 @@
-"""The distributed (socket-cluster) backend, over localhost sockets.
+"""Worker failure paths of the service tier, over localhost sockets.
 
-Covers the acceptance criteria of the cluster tier: byte-identical
-costs to the serial engine with real worker subprocesses, shard requeue
-when a worker dies mid-shard (abrupt disconnect, ``SIGKILL``, and the
-silent-worker heartbeat timeout), stale-protocol rejection at
-handshake, and the ``serve``/``work`` CLI pair.
+An in-process :class:`~repro.service.ServiceDaemon` with a
+:class:`~repro.service.ServiceBackend` submitting to it, and real
+``work`` subprocesses or hand-driven fake workers: shard requeue when a
+worker dies mid-shard (abrupt disconnect, ``SIGKILL``, and the
+silent-worker heartbeat timeout) with costs byte-identical to the
+serial engine, stale-protocol rejection at handshake, the worker's exit
+codes, and the refusal of the retired ``cluster:`` spec.
 """
 
 from __future__ import annotations
@@ -21,15 +23,15 @@ import pytest
 
 from repro import (
     CartesianGrid,
-    ClusterBackend,
     ClusterError,
     EvaluationEngine,
     MappingRequest,
     NodeAllocation,
+    ServiceBackend,
+    ServiceDaemon,
     nearest_neighbor,
     resolve_backend,
 )
-from repro.engine import Backend
 from repro.engine.cluster import parse_address
 from repro.engine.cluster.protocol import (
     FAIL,
@@ -111,93 +113,31 @@ def serial_results():
 
 
 @pytest.fixture
-def backend():
-    cluster = ClusterBackend("127.0.0.1", 0, heartbeat_timeout=6.0)
+def daemon():
+    service = ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0)
     try:
-        yield cluster
+        yield service
     finally:
-        cluster.close()
+        service.close()
 
 
-class TestClusterBackend:
-    def test_satisfies_protocol(self, backend):
-        assert isinstance(backend, Backend)
+def _backend(daemon: ServiceDaemon) -> ServiceBackend:
+    """A backend submitting to *daemon*, as a ``service:`` spec builds."""
+    return ServiceBackend("127.0.0.1", daemon.port)
 
-    def test_batch_byte_identical_to_serial(self, backend, serial_results):
-        workers = [_spawn_worker(backend.port) for _ in range(2)]
-        try:
-            backend.wait_for_workers(2, timeout=60)
-            results = backend.evaluate_batch(_requests())
-        finally:
-            backend.close()
-        assert list(map(_signature, results)) == list(
-            map(_signature, serial_results)
-        )
-        assert [w.wait(timeout=30) for w in workers] == [0, 0]
 
-    def test_stream_byte_identical_to_serial(self, backend, serial_results):
-        worker = _spawn_worker(backend.port)
-        try:
-            streamed = list(backend.evaluate_stream(_requests()))
-        finally:
-            backend.close()
-        assert sorted(map(_signature, streamed)) == sorted(
-            map(_signature, serial_results)
-        )
-        assert worker.wait(timeout=30) == 0
-
-    def test_results_keep_original_requests_and_tags(self, backend):
-        marker = object()  # unpicklable payloads must never cross the wire
-        requests = _requests(tagger=lambda i, name: (i, name, marker))
-        worker = _spawn_worker(backend.port)
-        try:
-            results = backend.evaluate_batch(requests)
-        finally:
-            backend.close()
-        assert all(r.request is req for r, req in zip(results, requests))
-        assert all(r.request.tag[2] is marker for r in results)
-        assert worker.wait(timeout=30) == 0
-
-    def test_result_buffers_are_read_only(self, backend):
-        worker = _spawn_worker(backend.port)
-        try:
-            (result,) = backend.evaluate_batch(_requests()[:1])
-        finally:
-            backend.close()
-        for arr in (result.perm, result.cost.per_node):
-            with pytest.raises(ValueError):
-                arr[0] = -1
-        worker.wait(timeout=30)
-
-    def test_empty_batch(self, backend):
-        assert backend.evaluate_batch([]) == []
-
-    def test_weighted_metric_byte_identical_to_serial(self, backend):
-        """Batch-level metrics travel the wire and match the serial path."""
-        from .test_backends import _weighted_requests
-
-        with EvaluationEngine(max_workers=1) as engine:
-            serial = engine.evaluate_batch(_weighted_requests())
-        worker = _spawn_worker(backend.port)
-        try:
-            results = backend.evaluate_batch(_weighted_requests())
-        finally:
-            backend.close()
-        assert list(map(_signature, results)) == list(map(_signature, serial))
-        assert any(r.metrics for r in results)
-        assert worker.wait(timeout=30) == 0
-
-    def test_wait_for_workers_timeout(self, backend):
-        with pytest.raises(ClusterError, match="timed out"):
-            backend.wait_for_workers(1, timeout=0.2)
+def _early_deaths(daemon: ServiceDaemon) -> int:
+    return daemon.metrics()["pool"]["worker_early_deaths"]
 
 
 class TestWorkerFailure:
     def test_disconnect_mid_shard_requeues(self, serial_results):
         """A worker that takes a shard and dies loses only throughput:
         the shard is requeued and another worker completes the sweep."""
-        with ClusterBackend("127.0.0.1", 0, heartbeat_timeout=6.0) as backend:
-            saboteur = _FakeWorker(backend.port)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0
+        ) as daemon, _backend(daemon) as backend:
+            saboteur = _FakeWorker(daemon.port)
             saboteur.handshake()
             send_message(saboteur.sock, (GET,))  # parked: first in line
 
@@ -213,9 +153,12 @@ class TestWorkerFailure:
             assert message[0] == SHARD
             saboteur.close()  # dies holding the shard
 
-            survivor = _spawn_worker(backend.port)
+            survivor = _spawn_worker(daemon.port)
             runner.join(timeout=120)
             assert not runner.is_alive()
+            # The saboteur died holding its first shard; the survivor
+            # completed shards.
+            assert _early_deaths(daemon) == 1
         assert list(map(_signature, box["results"])) == list(
             map(_signature, serial_results)
         )
@@ -235,10 +178,12 @@ class TestWorkerFailure:
                 )
         serial = EvaluationEngine(max_workers=1).evaluate_batch(requests)
 
-        with ClusterBackend("127.0.0.1", 0, heartbeat_timeout=6.0) as backend:
-            victim = _spawn_worker(backend.port)
-            survivor = _spawn_worker(backend.port)
-            backend.wait_for_workers(2, timeout=60)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0
+        ) as daemon, _backend(daemon) as backend:
+            victim = _spawn_worker(daemon.port)
+            survivor = _spawn_worker(daemon.port)
+            daemon.wait_for_workers(2, timeout=60)
             streamed = []
             stream = backend.evaluate_stream(requests)
             streamed.append(next(stream))
@@ -253,8 +198,10 @@ class TestWorkerFailure:
     def test_heartbeat_timeout_reaps_silent_worker(self, serial_results):
         """A connected-but-silent worker is reaped after the heartbeat
         timeout and its shard is requeued, instead of hanging the sweep."""
-        with ClusterBackend("127.0.0.1", 0, heartbeat_timeout=1.5) as backend:
-            mute = _FakeWorker(backend.port)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=1.5
+        ) as daemon, _backend(daemon) as backend:
+            mute = _FakeWorker(daemon.port)
             mute.handshake()
             send_message(mute.sock, (GET,))
 
@@ -268,12 +215,13 @@ class TestWorkerFailure:
             message = recv_message(mute.sock)
             assert message[0] == SHARD
             # ... and now say nothing: no result, no pings.
-            survivor = _spawn_worker(backend.port)
+            survivor = _spawn_worker(daemon.port)
             runner.join(timeout=120)
             assert not runner.is_alive()
             # the coordinator closed the mute connection
             assert recv_message(mute.sock) is None
             mute.close()
+            assert _early_deaths(daemon) == 1  # the reaped mute worker
         assert list(map(_signature, box["results"])) == list(
             map(_signature, serial_results)
         )
@@ -283,10 +231,10 @@ class TestWorkerFailure:
         """A shard that keeps killing its workers (OOM-style death, no
         FAIL message) must not cycle through the cluster forever: after
         max_shard_requeues worker deaths the sweep fails."""
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, max_shard_requeues=1
-        ) as backend:
-            first = _FakeWorker(backend.port)
+        ) as daemon, _backend(daemon) as backend:
+            first = _FakeWorker(daemon.port)
             first.handshake()
             send_message(first.sock, (GET,))
 
@@ -303,7 +251,7 @@ class TestWorkerFailure:
             assert recv_message(first.sock)[0] == SHARD
             first.close()  # death #1: requeued (1 <= max_shard_requeues)
 
-            second = _FakeWorker(backend.port)
+            second = _FakeWorker(daemon.port)
             second.handshake()
             send_message(second.sock, (GET,))
             assert recv_message(second.sock)[0] == SHARD  # the requeued shard
@@ -318,9 +266,9 @@ class TestWorkerFailure:
         off while the coordinator has one: the directory holds exactly
         the cells the coordinator published, and nothing else."""
         store_dir = tmp_path / "store"
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=store_dir
-        ) as backend:
+        ) as daemon, _backend(daemon) as backend:
             env = _worker_env()
             env["REPRO_CACHE_DIR"] = ""
             worker = subprocess.Popen(
@@ -330,7 +278,7 @@ class TestWorkerFailure:
                     "repro.experiments",
                     "work",
                     "--connect",
-                    f"127.0.0.1:{backend.port}",
+                    f"127.0.0.1:{daemon.port}",
                     "--backend",
                     "serial",
                     "--connect-timeout",
@@ -341,18 +289,21 @@ class TestWorkerFailure:
                 stderr=subprocess.DEVNULL,
             )
             results = backend.evaluate_batch(_requests())
+            # One worker, which completed every shard and is stopped
+            # only by the daemon's close: no early death.
+            assert _early_deaths(daemon) == 0
         assert all(r.ok or r.error for r in results)
         assert sorted(path.name for path in store_dir.iterdir()) == sorted(
             f"result-{cell_key(request)}.cell" for request in _requests()
         )
         assert worker.wait(timeout=30) == 0
 
-    def test_poisoned_shard_fails_the_sweep(self, backend):
+    def test_poisoned_shard_fails_the_sweep(self, daemon):
         """A worker-reported crash (FAIL) must fail the sweep rather
         than requeue a deterministically crashing shard forever."""
 
         def sabotage():
-            fake = _FakeWorker(backend.port)
+            fake = _FakeWorker(daemon.port)
             fake.handshake()
             message = fake.pull_shard()
             send_message(fake.sock, (FAIL, message[1], "synthetic engine crash"))
@@ -361,31 +312,31 @@ class TestWorkerFailure:
         saboteur = threading.Thread(target=sabotage)
         saboteur.start()
         with pytest.raises(ClusterError, match="synthetic engine crash"):
-            backend.evaluate_batch(_requests())
+            _backend(daemon).evaluate_batch(_requests())
         saboteur.join(timeout=30)
 
 
 class TestHandshake:
-    def test_stale_protocol_version_refused(self, backend):
-        with socket.create_connection(("127.0.0.1", backend.port), timeout=30) as sock:
+    def test_stale_protocol_version_refused(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=30) as sock:
             send_message(sock, (HELLO, MAGIC, PROTOCOL_VERSION + 1, {}))
             reply = recv_message(sock)
         assert reply[0] == REJECT
         assert "protocol version" in reply[1]
         # the coordinator survives and still welcomes a current worker
-        fresh = _FakeWorker(backend.port)
+        fresh = _FakeWorker(daemon.port)
         assert fresh.handshake()[0] == WELCOME
         fresh.close()
 
-    def test_wrong_magic_refused(self, backend):
-        with socket.create_connection(("127.0.0.1", backend.port), timeout=30) as sock:
+    def test_wrong_magic_refused(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=30) as sock:
             send_message(sock, (HELLO, "other-protocol", PROTOCOL_VERSION, {}))
             reply = recv_message(sock)
         assert reply[0] == REJECT
         assert "magic" in reply[1]
 
-    def test_non_hello_refused(self, backend):
-        with socket.create_connection(("127.0.0.1", backend.port), timeout=30) as sock:
+    def test_non_hello_refused(self, daemon):
+        with socket.create_connection(("127.0.0.1", daemon.port), timeout=30) as sock:
             send_message(sock, (GET,))
             reply = recv_message(sock)
         assert reply[0] == REJECT
@@ -393,10 +344,8 @@ class TestHandshake:
     def test_welcome_advertises_no_cache_dir(self, tmp_path):
         """Workers keep their own store setting: WELCOME carries only
         the heartbeat interval, whatever the coordinator's directory."""
-        with ClusterBackend(
-            "127.0.0.1", 0, disk_cache_dir=tmp_path
-        ) as backend:
-            fake = _FakeWorker(backend.port)
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
+            fake = _FakeWorker(daemon.port)
             welcome = fake.handshake()
             fake.close()
         assert list(welcome[1]) == ["heartbeat_interval"]
@@ -511,95 +460,41 @@ class TestProtocol:
 
 
 class TestResolveClusterSpec:
-    def test_spec_binds_a_coordinator(self):
-        backend = resolve_backend("cluster:127.0.0.1:0")
-        try:
-            assert isinstance(backend, ClusterBackend)
-            assert backend.port != 0  # ephemeral port was resolved
-        finally:
-            backend.close()
-
     def test_invalid_specs(self):
-        with pytest.raises(ValueError, match="cluster"):
-            resolve_backend("cluster:nota:port")
-        with pytest.raises(ValueError, match="shards"):
+        """There is no ``cluster:`` tier: every such spec is unknown, and
+        the refusal names the three spec kinds there are."""
+        for spec in ("cluster:7077", "cluster:nota:port"):
+            with pytest.raises(ValueError, match="cluster") as excinfo:
+                resolve_backend(spec)
+            message = str(excinfo.value)
+            assert message.startswith("unknown backend spec")
+            for kind in ("'serial'", "'process[:N]'", "'service:[host:]port[:priority]'"):
+                assert kind in message
+        with pytest.raises(ValueError, match="unknown backend spec"):
             resolve_backend("cluster:127.0.0.1:0", shards=4)
 
     def test_worker_refuses_cluster_backend(self):
-        with pytest.raises(ValueError, match="cannot itself"):
+        with pytest.raises(ValueError, match="unknown backend spec"):
             run_worker("127.0.0.1:1", backend_spec="cluster:0")
 
-    def test_worker_validates_spec_before_connecting(self, backend):
+    def test_worker_validates_spec_before_connecting(self, daemon):
         """A typo'd local spec must fail before the worker handshakes
-        (and would otherwise satisfy a serve --min-workers quorum)."""
+        (and would otherwise count towards wait_for_workers)."""
         with pytest.raises(ValueError, match="unknown backend spec"):
             run_worker(
-                f"127.0.0.1:{backend.port}",
+                f"127.0.0.1:{daemon.port}",
                 backend_spec="proces:8",
                 log=lambda *_: None,
             )
-        assert backend.num_workers == 0  # it never even connected
+        assert daemon.num_workers == 0  # it never even connected
 
 
 class TestClusterCLI:
-    def test_serve_and_work_roundtrip(self, capsys):
-        """The documented two-command quickstart, on one machine."""
-        from repro.experiments.__main__ import main as experiments_main
-
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        worker = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.experiments",
-                "work",
-                "--connect",
-                f"127.0.0.1:{port}",
-                "--connect-timeout",
-                "60",
-                "--backend",
-                "serial",
-            ],
-            env=_worker_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        code = 1
-        try:
-            code = experiments_main(
-                [
-                    "serve",
-                    "figure8",
-                    "--bind",
-                    f"127.0.0.1:{port}",
-                    "--fast",
-                    "--min-workers",
-                    "1",
-                ]
-            )
-        finally:
-            if worker.poll() is None and code != 0:  # pragma: no cover
-                worker.kill()
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "coordinator listening" in out
-        assert "Figure 8" in out
-        assert worker.wait(timeout=30) == 0
-
     def test_work_requires_connect(self):
         from repro.experiments.__main__ import main as experiments_main
 
         with pytest.raises(SystemExit):
             experiments_main(["work"])
-
-    def test_serve_rejects_unknown_sweep(self):
-        from repro.experiments.__main__ import main as experiments_main
-
-        with pytest.raises(SystemExit):
-            experiments_main(["serve", "figure6"])
 
     def test_cli_rejects_bad_cluster_spec(self):
         from repro.experiments.__main__ import main as experiments_main

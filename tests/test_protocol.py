@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro import CartesianGrid, NodeAllocation, nearest_neighbor
-from repro.engine import ClusterBackend, EvaluationEngine, MappingRequest
+from repro.engine import EvaluationEngine, MappingRequest
 from repro.engine.cluster.protocol import (
     GET,
     HELLO,
@@ -56,7 +56,7 @@ from repro.engine.cluster.protocol import (
 )
 from repro.engine.cluster.worker import run_worker
 from repro.exceptions import ServiceError
-from repro.service import ServiceClient, ServiceDaemon
+from repro.service import ServiceBackend, ServiceClient, ServiceDaemon
 
 from .test_backends import _requests, _signature
 from .test_cluster import _spawn_worker
@@ -257,9 +257,9 @@ class TestOneWritePerFrame:
 class TestHandshakePinning:
     def test_pickle_mismatch_rejected(self):
         """A peer speaking another pickle protocol gets a clean REJECT."""
-        with ClusterBackend("127.0.0.1", 0) as backend:
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
             with socket.create_connection(
-                ("127.0.0.1", backend.port), timeout=30
+                ("127.0.0.1", daemon.port), timeout=30
             ) as sock:
                 send_message(
                     sock, (HELLO, MAGIC, PROTOCOL_VERSION, {"pickle": 4})
@@ -270,18 +270,18 @@ class TestHandshakePinning:
 
     def test_missing_pickle_key_rejected(self):
         """Hand-rolled HELLOs without the pin are refused too."""
-        with ClusterBackend("127.0.0.1", 0) as backend:
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
             with socket.create_connection(
-                ("127.0.0.1", backend.port), timeout=30
+                ("127.0.0.1", daemon.port), timeout=30
             ) as sock:
                 send_message(sock, (HELLO, MAGIC, PROTOCOL_VERSION, {}))
                 reply = recv_message(sock)
         assert reply[0] == REJECT
 
     def test_pinned_hello_welcomed(self):
-        with ClusterBackend("127.0.0.1", 0) as backend:
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
             with socket.create_connection(
-                ("127.0.0.1", backend.port), timeout=30
+                ("127.0.0.1", daemon.port), timeout=30
             ) as sock:
                 send_message(sock, hello({"pid": 1}))
                 reply = recv_message(sock)
@@ -511,10 +511,11 @@ class TestWorkerRoundTrip:
             for _ in range(6)
         ]
         serial = EvaluationEngine(max_workers=1).evaluate_batch(requests)
-        with ClusterBackend("127.0.0.1", 0) as backend:
-            worker = _spawn_worker(backend.port)
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            worker = _spawn_worker(daemon.port)
             try:
-                backend.wait_for_workers(1, timeout=60)
+                daemon.wait_for_workers(1, timeout=60)
+                backend = ServiceBackend("127.0.0.1", daemon.port)
                 results = backend.evaluate_batch(requests)
             finally:
                 worker.terminate()
@@ -526,10 +527,11 @@ class TestWorkerRoundTrip:
     def test_generic_sweep_byte_identical_across_real_worker(self):
         requests = _requests()
         serial = EvaluationEngine(max_workers=1).evaluate_batch(requests)
-        with ClusterBackend("127.0.0.1", 0) as backend:
-            worker = _spawn_worker(backend.port)
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            worker = _spawn_worker(daemon.port)
             try:
-                backend.wait_for_workers(1, timeout=60)
+                daemon.wait_for_workers(1, timeout=60)
+                backend = ServiceBackend("127.0.0.1", daemon.port)
                 results = backend.evaluate_batch(requests)
             finally:
                 worker.terminate()

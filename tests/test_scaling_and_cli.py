@@ -186,8 +186,10 @@ class TestCLI:
         assert "serpentine" in out and "topology-aware" in out
 
     def test_invalid_target(self):
-        with pytest.raises(SystemExit):
-            experiments_main(["figure10"])
+        for verb in ("figure10", "serve"):
+            with pytest.raises(SystemExit) as excinfo:
+                experiments_main([verb])
+            assert excinfo.value.code == 2
 
     def test_no_arguments_run_the_readme_example_sweep(self, capsys):
         assert experiments_main([]) == 0
@@ -206,6 +208,8 @@ class TestCLI:
             "cache --connect h:1",
             "work --connect h:1 --format json",
             "serve-jobs --connect h:1",
+            "serve-jobs --autoscale",
+            "serve-jobs --backend serial",
             "submit sweep --connect h:1 --shards 2",
         ],
     )

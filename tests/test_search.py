@@ -9,7 +9,6 @@ the `watch`/`search` CLI verbs.
 from __future__ import annotations
 
 import json
-import threading
 import time
 
 import pytest
@@ -25,6 +24,7 @@ from repro import (
 )
 from repro.engine import EvaluationEngine
 
+from .test_cluster import _spawn_worker
 from .test_service import _FakeServiceWorker
 
 CANDIDATES = ("blocked", "hyperplane", "kd_tree", "random")
@@ -477,21 +477,19 @@ class TestSearchCLI:
 # ----------------------------------------------------------------------
 class TestSearchOverService:
     def test_service_backend_race_matches_local(self):
-        """One autoscaled in-process daemon; the race over per-candidate
-        service jobs crowns the same winner with the same rows as the
-        local race (and as the exhaustive sweep, by transitivity)."""
+        """One in-process daemon with two worker processes; the race over
+        per-candidate service jobs crowns the same winner with the same
+        rows as the local race (and as the exhaustive sweep, by
+        transitivity)."""
         spec = _spec()
         local = run_search(spec)
-        with ServiceDaemon(
-            "127.0.0.1",
-            0,
-            heartbeat_timeout=30.0,
-            min_workers=1,
-            max_workers=2,
-        ) as daemon:
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
+            workers = [_spawn_worker(daemon.port) for _ in range(2)]
             remote = run_search(
                 _spec(), backend=f"service:127.0.0.1:{daemon.port}"
             )
+        for worker in workers:
+            worker.wait(timeout=30)
         assert remote.winner == local.winner
         assert remote.winner_rows.to_json() == local.winner_rows.to_json()
         assert remote.complete

@@ -5,13 +5,13 @@ submitting sweeps concurrently to one daemon (a real subprocess, with a
 real worker subprocess) both receive results byte-identical to serial
 ``evaluate_batch``; a higher-priority job's shards are scheduled ahead
 of a lower-priority job's remaining shards; cancelling one job does not
-disturb the other.  Also: the shared-secret handshake on cluster and
-service connections, worker reconnect after a coordinator restart,
-``run_stream`` ordering/early-exit across thread, process and service
+disturb the other.  Also: the shared-secret handshake on worker and
+client connections, worker reconnect after a coordinator restart,
+``run_stream`` ordering/early-exit across serial, process and service
 backends, the ``submit``/``status``/``cancel``/``cache`` CLI verbs and
-the loopback bind guard of ``serve``/``serve-jobs``; and
-:class:`ClusterBackend` as the ephemeral daemon it is (STATUS and
-METRICS on its port, TLS, the result store).
+the loopback bind guard of ``serve-jobs``; and an in-process
+:class:`ServiceDaemon` with a :class:`ServiceBackend` submitting to it
+(STATUS and METRICS on its port, TLS, the result store).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import pytest
 
 from repro import (
     CartesianGrid,
-    ClusterBackend,
     EvaluationEngine,
     InstanceSpec,
     ProcessBackend,
@@ -184,6 +183,13 @@ class TestServiceBackend:
             results = backend.evaluate_batch(requests)
         assert all(r.request is req for r, req in zip(results, requests))
         assert all(r.request.tag[2] is marker for r in results)
+
+    def test_result_buffers_are_read_only(self, service):
+        with ServiceBackend("127.0.0.1", service) as backend:
+            (result,) = backend.evaluate_batch(_requests()[:1])
+        for arr in (result.perm, result.cost.per_node):
+            with pytest.raises(ValueError):
+                arr[0] = -1
 
     def test_empty_batch(self, service):
         with ServiceBackend("127.0.0.1", service) as backend:
@@ -367,17 +373,22 @@ class TestDaemonLifecycle:
             list(handle.results())
         handle.close()
 
+    def test_wait_for_workers_timeout(self):
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0) as daemon:
+            with pytest.raises(TimeoutError):
+                daemon.wait_for_workers(1, timeout=0.2)
+
 
 # ----------------------------------------------------------------------
-# ClusterBackend: an ephemeral daemon answering every service client
+# An in-process daemon, a backend on its port, and every service client
 # ----------------------------------------------------------------------
-class TestClusterBackendDaemon:
+class TestInProcessDaemon:
     def test_status_and_metrics_list_the_backends_own_job(self):
-        with ClusterBackend("127.0.0.1", 0, heartbeat_timeout=6.0) as backend:
-            worker = _spawn_worker(backend.port)
-            backend.wait_for_workers(1, timeout=60)
-            backend.evaluate_batch(_requests())
-            client = ServiceClient("127.0.0.1", backend.port)
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0) as daemon:
+            worker = _spawn_worker(daemon.port)
+            daemon.wait_for_workers(1, timeout=60)
+            ServiceBackend("127.0.0.1", daemon.port).evaluate_batch(_requests())
+            client = ServiceClient("127.0.0.1", daemon.port)
             status = client.status_full()
             metrics = client.metrics()
         (job,) = status["jobs"]
@@ -389,12 +400,13 @@ class TestClusterBackendDaemon:
         assert worker.wait(timeout=30) == 0
 
     def test_tls_cluster_byte_identical_to_serial(self, tls_files, serial_results):
-        """The in-process client must trust its own self-signed daemon."""
+        """A self-signed daemon: its certificate is the trust root."""
         cert, key = tls_files
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, tls_cert=cert, tls_key=key
-        ) as backend:
-            worker = _spawn_worker(backend.port, "--tls-ca", cert)
+        ) as daemon:
+            worker = _spawn_worker(daemon.port, "--tls-ca", cert)
+            backend = ServiceBackend("127.0.0.1", daemon.port, tls_ca=cert)
             results = backend.evaluate_batch(_requests())
         assert list(map(_signature, results)) == list(
             map(_signature, serial_results)
@@ -407,11 +419,14 @@ class TestClusterBackendDaemon:
         """A daemon certificate signed by a private CA, with no *tls_ca*:
         the certificate is no trust root of its own."""
         cert, key = tls_pki["daemon"]
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, tls_cert=cert, tls_key=key
-        ) as backend:
+        ) as daemon:
             worker = _spawn_worker(
-                backend.port, "--tls-ca", tls_pki["server_ca"]
+                daemon.port, "--tls-ca", tls_pki["server_ca"]
+            )
+            backend = ServiceBackend(
+                "127.0.0.1", daemon.port, tls_ca=tls_pki["server_ca"]
             )
             results = backend.evaluate_batch(_requests())
         assert list(map(_signature, results)) == list(
@@ -422,36 +437,43 @@ class TestClusterBackendDaemon:
     def test_mutual_tls_cluster_with_a_separate_client_ca(
         self, tls_pki, serial_results
     ):
-        """*tls_ca* signs client certificates, not the daemon's: the
-        backend still runs its batches, and the port still turns away
-        every peer without a client certificate."""
+        """*tls_ca* signs client certificates, not the daemon's: a
+        backend presenting one runs its batches, and the port still
+        turns away every peer without a client certificate."""
         cert, key = tls_pki["daemon"]
         client_cert, client_key = tls_pki["client"]
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1",
             0,
             heartbeat_timeout=6.0,
             tls_cert=cert,
             tls_key=key,
             tls_ca=tls_pki["client_ca"],
-        ) as backend:
+        ) as daemon:
             worker = _spawn_worker(
-                backend.port,
+                daemon.port,
                 "--tls-ca", tls_pki["server_ca"],
                 "--tls-cert", client_cert,
                 "--tls-key", client_key,
             )
+            backend = ServiceBackend(
+                "127.0.0.1",
+                daemon.port,
+                tls_ca=tls_pki["server_ca"],
+                tls_cert=client_cert,
+                tls_key=client_key,
+            )
             results = backend.evaluate_batch(_requests())
             jobs = ServiceClient(
                 "127.0.0.1",
-                backend.port,
+                daemon.port,
                 tls_ca=tls_pki["server_ca"],
                 tls_cert=client_cert,
                 tls_key=client_key,
             ).status()
             anonymous = ServiceClient(
                 "127.0.0.1",
-                backend.port,
+                daemon.port,
                 connect_timeout=1.0,
                 tls_ca=tls_pki["server_ca"],
             )
@@ -464,13 +486,14 @@ class TestClusterBackendDaemon:
         assert worker.wait(timeout=30) == 0
 
     def test_cache_dir_serves_a_repeat_batch_from_the_store(self, tmp_path):
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=tmp_path
-        ) as backend:
-            worker = _spawn_worker(backend.port)
+        ) as daemon:
+            worker = _spawn_worker(daemon.port)
+            backend = ServiceBackend("127.0.0.1", daemon.port)
             first = backend.evaluate_batch(_requests())
             second = backend.evaluate_batch(_requests())
-            jobs = ServiceClient("127.0.0.1", backend.port).status()
+            jobs = ServiceClient("127.0.0.1", daemon.port).status()
         assert [job["state"] for job in jobs] == ["done", "done"]
         assert jobs[0]["shards"] > 0
         assert jobs[1]["shards"] == 0  # every cell came from the store
@@ -479,18 +502,18 @@ class TestClusterBackendDaemon:
 
 
 # ----------------------------------------------------------------------
-# Shared-secret handshake (cluster and service connections)
+# Shared-secret handshake (worker and client connections)
 # ----------------------------------------------------------------------
 class TestSharedSecret:
     def test_worker_with_matching_secret_serves_sweep(self, serial_results):
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, secret="tops3cret"
-        ) as backend:
+        ) as daemon:
             box: dict = {}
 
             def serve() -> None:
                 box["code"] = run_worker(
-                    f"127.0.0.1:{backend.port}",
+                    f"127.0.0.1:{daemon.port}",
                     backend_spec="serial",
                     secret="tops3cret",
                     log=lambda *_: None,
@@ -498,8 +521,11 @@ class TestSharedSecret:
 
             worker = threading.Thread(target=serve)
             worker.start()
+            backend = ServiceBackend(
+                "127.0.0.1", daemon.port, secret="tops3cret"
+            )
             results = backend.evaluate_batch(_requests())
-            backend.close()
+            daemon.close()
             worker.join(timeout=30)
         assert box["code"] == 0
         assert list(map(_signature, results)) == list(
@@ -507,12 +533,12 @@ class TestSharedSecret:
         )
 
     def test_worker_with_wrong_secret_rejected(self):
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, secret="tops3cret"
-        ) as backend:
+        ) as daemon:
             logged: list[str] = []
             code = run_worker(
-                f"127.0.0.1:{backend.port}",
+                f"127.0.0.1:{daemon.port}",
                 backend_spec="serial",
                 secret="wrong",
                 log=logged.append,
@@ -521,12 +547,12 @@ class TestSharedSecret:
         assert any("authentication failed" in line for line in logged)
 
     def test_worker_without_secret_rejected(self):
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, secret="tops3cret"
-        ) as backend:
+        ) as daemon:
             logged: list[str] = []
             code = run_worker(
-                f"127.0.0.1:{backend.port}",
+                f"127.0.0.1:{daemon.port}",
                 backend_spec="serial",
                 log=logged.append,
             )
@@ -559,9 +585,9 @@ class TestSharedSecret:
 
     def test_subprocess_worker_env_secret(self, serial_results):
         """A real worker subprocess authenticates via the env variable."""
-        with ClusterBackend(
+        with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=6.0, secret="envsecret"
-        ) as backend:
+        ) as daemon:
             env = _worker_env()
             env[SECRET_ENV] = "envsecret"
             worker = subprocess.Popen(
@@ -571,7 +597,7 @@ class TestSharedSecret:
                     "repro.experiments",
                     "work",
                     "--connect",
-                    f"127.0.0.1:{backend.port}",
+                    f"127.0.0.1:{daemon.port}",
                     "--backend",
                     "serial",
                     "--connect-timeout",
@@ -581,8 +607,11 @@ class TestSharedSecret:
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
             )
+            backend = ServiceBackend(
+                "127.0.0.1", daemon.port, secret="envsecret"
+            )
             results = backend.evaluate_batch(_requests())
-            backend.close()
+            daemon.close()
         assert list(map(_signature, results)) == list(
             map(_signature, serial_results)
         )
@@ -825,13 +854,13 @@ class _Bound(Exception):
 
 
 class TestBindGuard:
-    """serve/serve-jobs and the library classes bind loopback by
-    default, and no verb exposes an unauthenticated port on any other
-    interface — ``--backend cluster:`` included."""
+    """serve-jobs and the library daemon bind loopback by default, and
+    no verb exposes an unauthenticated port on any other interface; a
+    ``--backend cluster:`` spec binds nothing at all."""
 
     @pytest.fixture
     def binds(self, monkeypatch):
-        """Stand-ins for the classes that would bind; records (host, port)."""
+        """A stand-in for the daemon that would bind; records (host, port)."""
         monkeypatch.delenv(SECRET_ENV, raising=False)
         monkeypatch.delenv(TLS_CERT_ENV, raising=False)
         seen: list[tuple[str, int]] = []
@@ -841,10 +870,9 @@ class TestBindGuard:
             raise _Bound
 
         monkeypatch.setattr("repro.service.ServiceDaemon", stand_in)
-        monkeypatch.setattr("repro.engine.cluster.ClusterBackend", stand_in)
         return seen
 
-    @pytest.mark.parametrize("verb", ["serve", "serve-jobs"])
+    @pytest.mark.parametrize("verb", ["serve-jobs"])
     def test_default_bind_is_loopback(self, binds, verb):
         from repro.experiments.__main__ import main as experiments_main
 
@@ -852,7 +880,7 @@ class TestBindGuard:
             experiments_main([verb])
         assert binds == [("127.0.0.1", 7077)]
 
-    @pytest.mark.parametrize("verb", ["serve", "serve-jobs"])
+    @pytest.mark.parametrize("verb", ["serve-jobs"])
     @pytest.mark.parametrize("bind", [":7077", "0.0.0.0:7077", "10.1.2.3:7077"])
     def test_open_bind_without_auth_exits_before_binding(
         self, binds, verb, bind, capsys
@@ -879,7 +907,7 @@ class TestBindGuard:
 
         monkeypatch.setenv(SECRET_ENV, "from-env")
         with pytest.raises(_Bound):
-            experiments_main(["serve", "--bind", ":7077"])
+            experiments_main(["serve-jobs", "--bind", ":7077"])
         assert binds == [("", 7077)]
 
     @pytest.mark.parametrize("spec", ["cluster:7077", "cluster:0.0.0.0:7077"])
@@ -892,22 +920,11 @@ class TestBindGuard:
             experiments_main(["figure8", "--fast", "--backend", spec])
         assert excinfo.value.code == 2
         assert binds == []
-        assert "refusing to bind" in capsys.readouterr().err
-
-    def test_loopback_cluster_backend_proceeds(self, binds):
-        from repro.experiments.__main__ import main as experiments_main
-
-        with pytest.raises(_Bound):
-            experiments_main(
-                ["figure8", "--fast", "--backend", "cluster:127.0.0.1:0"]
-            )
-        assert binds == [("127.0.0.1", 0)]
+        assert "unknown backend spec" in capsys.readouterr().err
 
     def test_library_default_bind_is_loopback(self):
         with ServiceDaemon() as daemon:
             assert daemon.host == "127.0.0.1"
-        with ClusterBackend() as backend:
-            assert backend.host == "127.0.0.1"
 
 
 class TestServiceCLI:
