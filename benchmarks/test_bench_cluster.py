@@ -31,10 +31,10 @@ def test_service_backend_agrees_with_serial_over_sockets():
     with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=10.0) as daemon:
         workers = [_spawn_worker(daemon.port) for _ in range(2)]
         daemon.wait_for_workers(2, timeout=120)
-        backend = ServiceBackend("127.0.0.1", daemon.port)
-        start = time.perf_counter()
-        results = backend.evaluate_batch(requests)
-        elapsed = time.perf_counter() - start
+        with ServiceBackend("127.0.0.1", daemon.port) as backend:
+            start = time.perf_counter()
+            results = backend.evaluate_batch(requests)
+            elapsed = time.perf_counter() - start
     assert [_signature(r) for r in results] == reference
     assert [w.wait(timeout=30) for w in workers] == [0, 0]
     print(

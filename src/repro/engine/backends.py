@@ -47,7 +47,7 @@ import numpy as np
 
 from ..metrics.cost import MappingCost
 from .engine import EvaluationEngine
-from .request import MappingRequest, MappingResult, rebuild_result
+from .request import MappingRequest, MappingResult, group_by_instance, rebuild_result
 
 __all__ = [
     "Backend",
@@ -77,9 +77,7 @@ def instance_aligned_shards(
     """
     if max_shards < 1:
         raise ValueError(f"max_shards must be >= 1, got {max_shards}")
-    groups: dict[tuple, list[int]] = {}
-    for i, request in enumerate(requests):
-        groups.setdefault(request.instance_key, []).append(i)
+    groups = group_by_instance(requests)
     num_shards = max(1, min(len(groups), max_shards))
     shards: list[list[tuple[int, MappingRequest]]] = [
         [] for _ in range(num_shards)

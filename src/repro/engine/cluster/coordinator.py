@@ -5,8 +5,12 @@ One :class:`Coordinator` runs on the event loop of every
 declare their role in the handshake.  *Workers* connect, handshake,
 and *pull*: each ``GET`` hands the worker the next queued shard, so
 fast workers naturally steal load from slow ones and a heterogeneous
-cluster stays busy without any static partitioning.  *Clients* submit
-jobs and stream their results back (see "Client sessions" below).
+cluster stays busy without any static partitioning.  A worker asks
+for its next shard before evaluating the one it got, so it may hold
+one shard beyond the one it evaluates; such a ``GET`` is served only
+while more shards are queued than idle workers wait, so new work goes
+to an idle worker first.  *Clients* submit jobs and stream their
+results back (see "Client sessions" below).
 
 Work is organised in *jobs*: one :meth:`submit` call queues one job's
 shards and assigns it an id, a priority, a *tenant* (the submitting
@@ -43,7 +47,9 @@ Failure semantics:
 
 * **worker disconnect** (crash, ``kill -9``, network drop) — every
   shard in flight on that connection is requeued ahead of its job's
-  remaining shards and the sweep completes on the remaining workers;
+  remaining shards and the sweep completes on the remaining workers.
+  Only the oldest of them, the one the worker was evaluating, counts
+  towards ``max_shard_requeues``; one it held ahead never ran;
 * **silent worker** — a connection that sends nothing (not even a
   heartbeat ``PING``) for ``heartbeat_timeout`` seconds is closed by
   the reaper, which triggers the same requeue path;
@@ -79,7 +85,12 @@ Semantics of one client connection:
 * A client that disconnects (or falls silent past the heartbeat
   timeout — stream consumers must ping, see
   :class:`~repro.service.client.JobHandle`) has its unfinished jobs
-  cancelled: abandoned work must not occupy the worker pool.
+  cancelled: abandoned work must not occupy the worker pool.  A
+  cancelled job's shard that a worker already holds is evaluated, and
+  its result dropped.
+* One connection may carry any number of jobs one after another: a
+  :class:`~repro.service.client.ServiceClient` keeps its connection
+  between jobs and calls.
 
 The result store
 ----------------
@@ -143,6 +154,7 @@ from .protocol import (
     JOB_FAIL,
     JOB_RESULT,
     MAGIC,
+    MAX_HANDSHAKE_BYTES,
     METRICS,
     METRICS_REPLY,
     PING,
@@ -522,6 +534,7 @@ class Coordinator:
         treated as poisoned (a shard that OOM-kills or segfaults its
         worker dies without a ``FAIL`` message; without this cap it
         would cycle through the whole cluster and then hang the sweep).
+        A death is charged to the shard the worker was evaluating only.
     secret:
         Shared authentication secret; when set, every connecting peer
         must answer the HMAC challenge (see the module docstring of
@@ -616,6 +629,11 @@ class Coordinator:
         self._next_tenant_seq = 0
         self._cond: asyncio.Condition = asyncio.Condition()
         self._workers: set[_WorkerConn] = set()
+        #: Workers whose assigner waits in _next_shard for a shard.
+        self._waiting: set[_WorkerConn] = set()
+        #: Every accepted connection's transport, by the task serving it,
+        #: until that transport has closed.
+        self._connections: dict[asyncio.Task, asyncio.BaseTransport] = {}
         self._jobs: dict[str, _Job] = {}
         self._history: OrderedDict[str, dict] = OrderedDict()
         self._server: asyncio.Server | None = None
@@ -690,8 +708,9 @@ class Coordinator:
         if self._reaper is not None:
             self._reaper.cancel()
         if self._server is not None:
+            # Stop accepting.  Its wait_closed() comes last: from Python
+            # 3.12.1 on, it also waits for every accepted connection.
             self._server.close()
-            await self._server.wait_closed()
         for conn in list(self._workers):
             try:
                 await write_message(conn.writer, (SHUTDOWN,))
@@ -728,11 +747,12 @@ class Coordinator:
             self._finish_job(job)
             job.results.put_nowait((SHUTDOWN, None, None))
         # Job queues got SHUTDOWN above; closing the transports EOFs the
-        # session read loops, which then unwind on their own.  They are
-        # awaited (not cancelled: cancelling a start_server connection
-        # task trips asyncio's stream callback on 3.11) so none outlive
-        # the event loop.
-        sessions = [c.task for c in self._clients if c.task is not None]
+        # session read loops, which then unwind on their own.  Only the
+        # sessions streaming a live job are waited for, so their clients
+        # read the SHUTDOWN.  An idle one (a client keeping its
+        # connection between jobs) has nobody reading it to answer a TLS
+        # close; it is aborted below with the rest.
+        sessions = [c.task for c in self._clients if c.jobs and c.task is not None]
         for conn in list(self._clients):
             try:
                 await self._send(conn, (SHUTDOWN,))
@@ -742,6 +762,18 @@ class Coordinator:
         self._clients.clear()
         if sessions:
             await asyncio.wait(sessions, timeout=5.0)
+        # Then every accepted connection still open (handshakes in
+        # progress or rejected, sessions closed for idleness, stragglers)
+        # is aborted, and its task awaited, so no transport is left
+        # closing when the loop stops.  The tasks are awaited, not
+        # cancelled: cancelling a start_server connection task trips
+        # asyncio's stream callback on 3.11.
+        for transport in self._connections.values():
+            transport.abort()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=5.0)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # ------------------------------------------------------------------
     # Submission
@@ -1219,43 +1251,60 @@ class Coordinator:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one accepted connection, then see its transport closed.
+
+        The connection stays in ``_connections`` until its transport
+        has closed, so :meth:`aclose` can abort and await whatever is
+        still open: a transport still closing when the event loop stops
+        would never close its socket.
+        """
+        task = asyncio.current_task()
+        self._connections[task] = writer.transport
+        try:
+            if not self._closing:  # else accepted just before the close
+                await self._serve_connection(reader, writer)
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+            del self._connections[task]
+
+    async def _serve_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         peer = writer.get_extra_info("peername")
         name = f"{peer[0]}:{peer[1]}" if peer else "peer"
+        # Frames before authentication are capped, so an unknown peer
+        # cannot make the daemon buffer a large one.
         try:
             message = await asyncio.wait_for(
-                read_message(reader), timeout=self._heartbeat_timeout,
+                read_message(reader, MAX_HANDSHAKE_BYTES),
+                timeout=self._heartbeat_timeout,
             )
         except ProtocolError:
             self._protocol_errors += 1
-            writer.close()
             return
         except (ConnectionError, OSError, asyncio.TimeoutError):
-            writer.close()
             return
         reject = self._handshake_error(message)
         if reject is None and self._secret is not None:
             reject = await self._challenge(reader, writer)
-        if reject is not None:
-            try:
-                await write_message(writer, (REJECT, reject))
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
-            return
-        info = message[3] if isinstance(message[3], dict) else {}
-        role = info.get("role", "worker")
-        if role == "worker":
-            await self._serve_worker(reader, writer, name)
-        elif role == "client":
-            await self._serve_client(reader, writer, name, info)
-        else:
-            try:
-                await write_message(
-                    writer, (REJECT, f"unknown peer role {role!r}")
-                )
-            except (ConnectionError, OSError):
-                pass
-            writer.close()
+        if reject is None:
+            info = message[3] if isinstance(message[3], dict) else {}
+            role = info.get("role", "worker")
+            if role == "worker":
+                await self._serve_worker(reader, writer, name)
+                return
+            if role == "client":
+                await self._serve_client(reader, writer, name, info)
+                return
+            reject = f"unknown peer role {role!r}"
+        try:
+            await write_message(writer, (REJECT, reject))
+        except (ConnectionError, OSError):
+            pass
 
     async def _challenge(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -1265,7 +1314,8 @@ class Coordinator:
         try:
             await write_message(writer, (CHALLENGE, nonce))
             reply = await asyncio.wait_for(
-                read_message(reader), timeout=self._heartbeat_timeout,
+                read_message(reader, MAX_HANDSHAKE_BYTES),
+                timeout=self._heartbeat_timeout,
             )
         except ProtocolError:
             self._protocol_errors += 1
@@ -1296,7 +1346,6 @@ class Coordinator:
                 (WELCOME, {"heartbeat_interval": self._heartbeat_timeout / 3.0}),
             )
         except (ConnectionError, OSError):
-            writer.close()
             return
 
         conn = _WorkerConn(writer, name)
@@ -1364,7 +1413,7 @@ class Coordinator:
         try:
             while True:
                 await conn.gets.get()
-                shard = await self._next_shard()
+                shard = await self._next_shard(conn)
                 # No await between dequeue and registration: a
                 # cancellation cannot orphan the shard.
                 conn.inflight[shard.id] = shard
@@ -1382,10 +1431,30 @@ class Coordinator:
             # we just failed to send).
             conn.writer.close()
 
-    async def _next_shard(self) -> _Shard:
-        """The next queued shard, once there is one."""
+    async def _next_shard(self, conn: _WorkerConn) -> _Shard:
+        """The next queued shard for *conn*, once there is one for it.
+
+        A worker still holding a shard (its ``GET`` asks ahead) gets
+        another only while more shards are queued than there are idle
+        workers waiting: the oldest ``GET`` must not take a new one-shard
+        job from a busy worker while another worker idles.  Nothing is
+        handed out once the coordinator is closing.
+        """
+
+        def ready() -> bool:
+            if self._closing:
+                return False
+            if not conn.inflight:
+                return self._queued > 0
+            idle = sum(1 for other in self._waiting if not other.inflight)
+            return self._queued > idle
+
         async with self._cond:
-            await self._cond.wait_for(lambda: self._queued)
+            self._waiting.add(conn)
+            try:
+                await self._cond.wait_for(ready)
+            finally:
+                self._waiting.discard(conn)
             return self._pop_shard()
 
     def _complete(self, conn: _WorkerConn, shard_id: int, payload: list) -> None:
@@ -1419,10 +1488,17 @@ class Coordinator:
         job.results.put_nowait((FAIL, shard_id, message))
 
     async def _drop(self, conn: _WorkerConn, *, requeue: bool) -> None:
-        """Unregister a connection, requeueing its in-flight shards."""
+        """Unregister a connection, requeueing its in-flight shards.
+
+        Only the oldest of them, the one the worker was evaluating, is
+        charged a requeue: a shard it had asked for ahead never ran, so
+        it cannot have killed the worker.
+        """
         if conn.dropped:
             return
         conn.dropped = True
+        # No longer an idle worker the others leave shards for.
+        self._waiting.discard(conn)
         if requeue and not conn.completed and not self._closing:
             # Connected, never finished a shard, gone again.  An exit
             # the coordinator's own close asked for is not a death.
@@ -1432,11 +1508,13 @@ class Coordinator:
         conn.writer.close()
         async with self._cond:
             self._workers.discard(conn)
+            evaluating = next(iter(conn.inflight.values()), None)
             for shard in conn.inflight.values():
                 job = shard.job
                 if not requeue or job.cancelled or shard.id not in job.pending:
                     continue
-                shard.requeues += 1
+                if shard is evaluating:
+                    shard.requeues += 1
                 if shard.requeues > self._max_shard_requeues:
                     # A shard that keeps killing its workers (OOM, native
                     # segfault — death without a FAIL message) must not
@@ -1717,7 +1795,6 @@ class Coordinator:
                     forwarder.cancel()
                 await self.cancel_job(job.id)
             conn.jobs.clear()
-            writer.close()
 
     async def _client_submit(
         self, conn: _ClientConn, payloads: object, options: object

@@ -90,6 +90,7 @@ Message catalogue (worker ``->`` coordinator unless noted):
 ``REJECT``  coordinator: ``(REJECT, reason: str)``; the connection is
             closed afterwards
 ``GET``     ``(GET,)`` — the work-stealing pull: hand me the next shard
+            (a worker sends its next one before evaluating a shard)
 ``SHARD``   coordinator: ``(SHARD, shard_id, [(index, request), ...])``
 ``RESULT``  ``(RESULT, shard_id,
             [(index, perm, cost, error, metrics), ...])``
@@ -149,6 +150,7 @@ __all__ = [
     "WIRE_PICKLE_PROTOCOL",
     "MAGIC",
     "MAX_FRAME_BYTES",
+    "MAX_HANDSHAKE_BYTES",
     "SECRET_ENV",
     "TLS_CERT_ENV",
     "TLS_KEY_ENV",
@@ -237,6 +239,11 @@ MAGIC = "repro-cluster"
 #: Upper bound on one frame; a mis-framed stream fails fast instead of
 #: attempting a gigantic allocation.
 MAX_FRAME_BYTES = 1 << 30
+
+#: Upper bound on the frames a coordinator reads before a peer has
+#: authenticated (HELLO and AUTH): an unknown peer cannot make it buffer
+#: more than this.
+MAX_HANDSHAKE_BYTES = 64 << 10
 
 HELLO = "hello"
 CHALLENGE = "challenge"
@@ -489,12 +496,12 @@ def client_tls_context(
     return context
 
 
-def _decode_length(header: bytes) -> int:
+def _decode_length(header: bytes, max_bytes: int = MAX_FRAME_BYTES) -> int:
     (length,) = _HEADER.unpack(header)
-    if length > MAX_FRAME_BYTES:
+    if length > max_bytes:
         raise ProtocolError(
             f"frame of {length} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit (mis-framed stream?)",
+            f"{max_bytes}-byte limit (mis-framed stream?)",
         )
     return length
 
@@ -663,8 +670,14 @@ def recv_message(sock: socket.socket) -> tuple | None:
 # ----------------------------------------------------------------------
 # Asyncio side (coordinator)
 # ----------------------------------------------------------------------
-async def read_message(reader: asyncio.StreamReader) -> tuple | None:
-    """Read one frame from a stream; ``None`` on clean EOF."""
+async def read_message(
+    reader: asyncio.StreamReader, max_bytes: int = MAX_FRAME_BYTES
+) -> tuple | None:
+    """Read one frame from a stream; ``None`` on clean EOF.
+
+    A frame announcing more than *max_bytes* raises
+    :class:`ProtocolError` before any of its payload is read.
+    """
     try:
         header = await reader.readexactly(_HEADER.size)
     except asyncio.IncompleteReadError as exc:
@@ -672,7 +685,7 @@ async def read_message(reader: asyncio.StreamReader) -> tuple | None:
             return None
         raise ProtocolError("connection closed mid-frame") from None
     try:
-        payload = await reader.readexactly(_decode_length(header))
+        payload = await reader.readexactly(_decode_length(header, max_bytes))
     except asyncio.IncompleteReadError:
         raise ProtocolError(
             "connection closed between header and payload"

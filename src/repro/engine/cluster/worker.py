@@ -10,11 +10,14 @@ several, one per NUMA domain)::
 The worker connects to a coordinator (retrying for ``--connect-timeout``
 seconds, so it may be launched before the sweep), handshakes (a peer
 that does not answer within that timeout, at least 1 s, counts as a
-lost coordinator), then loops: ``GET`` a shard, evaluate it on a local
-backend (the serial engine by default; ``--backend process[:N]`` for
-multi-core hosts), send the ``RESULT`` back.  A heartbeat thread pings
-throughout, including while a shard is being evaluated, so long shards
-are not mistaken for death.
+lost coordinator) and sends one ``GET``.  Then it loops: receive a
+shard, ``GET`` the next one, evaluate this one on a local backend (the
+serial engine by default; ``--backend process[:N]`` for multi-core
+hosts), send the ``RESULT`` back.  Asking before evaluating lets the
+coordinator send the next shard while this one runs, so no round trip
+sits between two shards; a worker holds at most one shard beyond the
+one it evaluates.  A heartbeat thread pings throughout, including while
+a shard is being evaluated, so long shards are not mistaken for death.
 
 Losing an *established* coordinator (a standing service daemon that
 restarted, a network blip) does not kill the worker: it reconnects with
@@ -132,14 +135,19 @@ def _serve_connection(
     stop = start_heartbeat(sock, write_lock, interval, "repro-cluster-heartbeat")
     log(f"worker: serving coordinator {host}:{port} on {backend!r}")
 
+    def send(message: tuple, context: str = "") -> bool:
+        try:
+            with write_lock:
+                send_message(sock, message)
+        except OSError as exc:
+            log(f"worker: connection lost{context}: {exc}")
+            return False
+        return True
+
     try:
+        if not send((GET,)):
+            return _LOST
         while True:
-            try:
-                with write_lock:
-                    send_message(sock, (GET,))
-            except OSError as exc:
-                log(f"worker: connection lost: {exc}")
-                return _LOST
             try:
                 message = recv_message(sock)
             except (ProtocolError, OSError) as exc:
@@ -157,6 +165,9 @@ def _serve_connection(
                 log(f"worker: malformed frame from the coordinator: {message!r:.200}")
                 return _REJECTED
             _, shard_id, items = message
+            # Asked before evaluating, so the next shard travels meanwhile.
+            if not send((GET,)):
+                return _LOST
             try:
                 results = backend.evaluate_batch([request for _, request in items])
                 reply_message = (
@@ -175,11 +186,7 @@ def _serve_connection(
                 )
             except Exception as exc:  # engine bug: report, do not requeue
                 reply_message = (FAIL, shard_id, f"{type(exc).__name__}: {exc}")
-            try:
-                with write_lock:
-                    send_message(sock, reply_message)
-            except OSError as exc:
-                log(f"worker: connection lost sending results: {exc}")
+            if not send(reply_message, " sending results"):
                 return _LOST
     finally:
         stop.set()

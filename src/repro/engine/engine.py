@@ -46,7 +46,7 @@ from .cache import CacheStats, LRUCache
 from .diskcache import DiskCacheStats, DiskStore, cell_key, resolve_cache_dir
 from .metrics import MetricContext, MetricSpec, resolve_metric
 from .registry import list_mappers, resolve_mapper, spec_key
-from .request import MappingRequest, MappingResult, rebuild_result
+from .request import MappingRequest, MappingResult, group_by_instance, rebuild_result
 
 __all__ = ["EvaluationEngine"]
 
@@ -263,10 +263,7 @@ class EvaluationEngine:
     ) -> Iterator[tuple[list[int], list[MappingResult]]]:
         """Evaluate *requests* one instance group at a time, yielding
         each group's request indices with its results."""
-        groups: dict[tuple, list[int]] = {}
-        for i, request in enumerate(requests):
-            groups.setdefault(request.instance_key, []).append(i)
-        for indices in groups.values():
+        for indices in group_by_instance(requests).values():
             yield indices, self._evaluate_group([requests[i] for i in indices])
 
     def _evaluate_group(

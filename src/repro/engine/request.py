@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -16,7 +17,7 @@ from ..metrics.cost import MappingCost
 from ..workloads.base import WorkloadBase
 from .metrics import MetricSpec, as_metric_spec, list_metrics
 
-__all__ = ["MappingRequest", "MappingResult", "rebuild_result"]
+__all__ = ["MappingRequest", "MappingResult", "group_by_instance", "rebuild_result"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,6 +197,33 @@ class MappingRequest:
     def mapper_label(self) -> str:
         """Display name of the requested mapper."""
         return self.mapper if isinstance(self.mapper, str) else self.mapper.name
+
+
+def group_by_instance(requests: Sequence[MappingRequest]) -> dict[tuple, list[int]]:
+    """Indices of *requests* by :attr:`~MappingRequest.instance_key`,
+    groups in the order of their first request.
+
+    Each distinct set of instance objects (grid, stencil, allocation,
+    workload) has its key built and hashed once: the requests of one
+    compiled sweep share those objects, and hashing a key rehashes its
+    parts (a stencil builds a frozenset of its offsets each time).
+    """
+    groups: dict[tuple, list[int]] = {}
+    # id()s are stable for the call: *requests* keeps every object alive.
+    by_objects: dict[tuple[int, ...], list[int]] = {}
+    for i, request in enumerate(requests):
+        objects = (
+            id(request.grid),
+            id(request.stencil),
+            id(request.alloc),
+            id(request.workload),
+        )
+        indices = by_objects.get(objects)
+        if indices is None:
+            indices = groups.setdefault(request.instance_key, [])
+            by_objects[objects] = indices
+        indices.append(i)
+    return groups
 
 
 @dataclass(frozen=True, eq=False)

@@ -636,7 +636,8 @@ def _status(args, parser) -> int:
     records plus per-client fair-share/quota counters plus worker-pool
     gauges; the table/CSV renderings keep to the job records.
     """
-    doc = _client(args, parser).status_full(args.job)
+    with _client(args, parser) as client:
+        doc = client.status_full(args.job)
     records = [dict(r) for r in doc.get("jobs", [])]
     for record in records:
         stamp = record.pop("submitted_at", None)
@@ -659,7 +660,9 @@ def _status(args, parser) -> int:
 
 def _cancel(args, parser) -> int:
     """Cancel one job on a standing service daemon."""
-    if _client(args, parser).cancel(args.job):
+    with _client(args, parser) as client:
+        cancelled = client.cancel(args.job)
+    if cancelled:
         print(f"cancelled {args.job}")
         return 0
     print(f"{args.job} is unknown or already finished", file=sys.stderr)
@@ -745,6 +748,8 @@ def _watch(args, parser) -> int:
                 print()
     except KeyboardInterrupt:
         return 0
+    finally:
+        client.close()
 
 
 #: Columns of the `search` candidate audit table.

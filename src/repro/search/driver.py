@@ -128,7 +128,7 @@ def run_search(spec: SearchSpec, backend=None) -> SearchResult:
     prioritised job), or a live :class:`~repro.engine.backends.Backend`
     — which is then shared by all candidate threads and must tolerate
     concurrent ``evaluate_stream`` calls (the service backend does:
-    connections are per-job; so does an
+    each running job holds a connection of its own; so does an
     :class:`~repro.engine.EvaluationEngine`, whose caches compute each
     entry once whichever thread asks first).
 

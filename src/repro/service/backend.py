@@ -82,7 +82,7 @@ class ServiceBackend:
         Shared authentication secret (default:
         ``REPRO_CLUSTER_SECRET``).
     connect_timeout:
-        Seconds to wait for the daemon when opening a job connection.
+        Seconds to wait for the daemon when opening a connection.
     tenant:
         Fair-share/quota identity this backend's jobs are accounted
         under (see :class:`~repro.service.client.ServiceClient`);
@@ -186,8 +186,10 @@ class ServiceBackend:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Mark the backend closed (connections are per-job, not pooled)."""
+        """Mark the backend closed and close the connections its client
+        keeps between jobs."""
         self._closed = True
+        self._client.close()
 
     def __enter__(self) -> "ServiceBackend":
         return self

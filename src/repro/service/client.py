@@ -2,11 +2,17 @@
 
 A :class:`ServiceClient` talks to a :class:`~repro.service.daemon.
 ServiceDaemon` over the cluster wire protocol's client message set.
-Connections are per-operation: :meth:`ServiceClient.submit` opens one
-and keeps it for the life of the job (results stream back on it, a
-heartbeat thread keeps it audible, closing it early cancels the job);
-:meth:`status` and :meth:`cancel` open a short-lived one each, so a
-monitoring client never interleaves with a result stream.
+Each job holds one connection for its life: results stream back on it,
+a heartbeat thread keeps it audible, and closing it early cancels the
+job.  A connection whose job stream ended with ``JOB_DONE``, or that
+carried a ``status``/``metrics``/``cancel`` request, goes back to the
+client, and the next operation reuses it instead of connecting and
+handshaking again.  A connection is reused only while nothing is
+readable on it (a daemon that restarted or hung up has left an EOF or
+a ``SHUTDOWN`` there) and for less than the ``heartbeat_interval`` the
+daemon announced since it went idle (the daemon drops a client that is
+silent for three).  Concurrent operations each take a connection of
+their own, so a monitoring call never interleaves with a result stream.
 
 >>> client = ServiceClient("head-node", 7077)
 >>> with client.submit(shards, priority=5) as handle:   # doctest: +SKIP
@@ -17,8 +23,11 @@ monitoring client never interleaves with a result stream.
 from __future__ import annotations
 
 import os
+import select
 import socket
+import ssl
 import threading
+import time
 
 from ..engine.cluster.protocol import (
     CANCEL,
@@ -54,43 +63,79 @@ from ..exceptions import ServiceError
 __all__ = ["ServiceClient", "JobHandle"]
 
 
+class _Connection:
+    """One handshaken socket to the daemon and the lock its writers share.
+
+    Every frame the client sends goes out under :attr:`write_lock`, and
+    so do a job's heartbeat pings: a ping from the last job's heartbeat
+    thread, not yet stopped, never splits the next job's ``SUBMIT``.
+    """
+
+    __slots__ = ("sock", "write_lock", "interval", "idle_since")
+
+    def __init__(self, sock: socket.socket, interval: float):
+        self.sock = sock
+        self.write_lock = threading.Lock()
+        #: The daemon's ``heartbeat_interval`` (from WELCOME).
+        self.interval = interval
+        #: Monotonic time this connection was last handed back.
+        self.idle_since = 0.0
+
+    def send(self, message: tuple) -> None:
+        with self.write_lock:
+            send_message(self.sock, message)
+
+    def reusable(self) -> bool:
+        """Whether this idle connection may carry another request."""
+        if time.monotonic() - self.idle_since >= self.interval:
+            return False
+        if isinstance(self.sock, ssl.SSLSocket) and self.sock.pending():
+            return False
+        readable, _, _ = select.select([self.sock], [], [], 0)
+        return not readable
+
+    def close(self) -> None:
+        try:
+            self.sock.close()
+        except OSError:  # pragma: no cover - close is best-effort
+            pass
+
+
 class JobHandle:
     """One submitted job: its id and the connection streaming results.
 
-    Iterate :meth:`results` to drain the stream; :meth:`close` (or the
-    context manager) releases the connection — early, before the stream
-    is drained, the daemon cancels the job's remaining shards.  A
-    heartbeat thread pings the daemon while the consumer is busy
-    between frames, so slow consumption is not mistaken for death.
+    Iterate :meth:`results` to drain the stream: once it ends with
+    ``JOB_DONE`` the connection goes back to its :class:`ServiceClient`
+    for the next operation.  :meth:`close` (or the context manager)
+    releases it otherwise: the connection is closed, and closing before
+    the stream is drained makes the daemon cancel the job's remaining
+    shards.  A heartbeat thread pings the daemon while the consumer is
+    busy between frames, so slow consumption is not mistaken for death.
     """
 
-    def __init__(
-        self,
-        sock: socket.socket,
-        job_id: str,
-        shard_ids: list[int],
-        heartbeat_interval: float,
-    ):
+    def __init__(self, conn: _Connection, job_id: str, shard_ids: list[int], release):
         self.job_id = job_id
         self.shard_ids = list(shard_ids)
-        self._sock = sock
+        self._conn = conn
+        self._release = release
+        self._drained = False
         self._closed = False
         self._stop = start_heartbeat(
-            sock, threading.Lock(), heartbeat_interval, "repro-service-heartbeat"
+            conn.sock, conn.write_lock, conn.interval, "repro-service-heartbeat"
         )
 
     def results(self):
-        """Yield ``(shard_id, payload)`` per completed shard, then stop.
+        """Yield ``(shard_id, payload)`` per completed shard, then stop
+        at the stream's ``JOB_DONE`` and hand the connection back.
 
         Raises :class:`~repro.exceptions.ServiceError` when the job
         fails, is cancelled (possibly by another connection), the
         daemon shuts down mid-job, or it sends a frame that is none of
         these.
         """
-        remaining = set(self.shard_ids)
-        while remaining:
+        while True:
             try:
-                message = recv_message(self._sock)
+                message = recv_message(self._conn.sock)
             except (ProtocolError, OSError) as exc:
                 raise ServiceError(
                     f"lost the service connection mid-job: {exc}"
@@ -100,7 +145,6 @@ class JobHandle:
                     "the service daemon closed the connection mid-job"
                 )
             if is_frame(message, JOB_RESULT, str, int, list):
-                remaining.discard(message[2])
                 yield message[2], message[3]
             elif is_frame(message, JOB_FAIL, str, int, object):
                 raise ServiceError(
@@ -115,6 +159,8 @@ class JobHandle:
                     f"unfinished"
                 )
             elif is_frame(message, JOB_DONE, str):
+                self._drained = True
+                self.close()
                 return
             else:
                 raise ServiceError(
@@ -128,10 +174,10 @@ class JobHandle:
             return
         self._closed = True
         self._stop.set()
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        if self._drained:
+            self._release(self._conn)
+        else:
+            self._conn.close()
 
     def __enter__(self) -> "JobHandle":
         return self
@@ -165,6 +211,10 @@ class ServiceClient:
         that certificate itself; default ``REPRO_TLS_CA``), and
         *tls_cert*/*tls_key* present a client certificate when the
         daemon demands mutual TLS.  All unset connects cleartext.
+
+    The client keeps the connections its finished operations hand back
+    (see the module docstring); :meth:`close`, or leaving a ``with``
+    block, closes them.
     """
 
     def __init__(
@@ -190,6 +240,12 @@ class ServiceClient:
             if (tls_ca or tls_cert)
             else None
         )
+        # Connections handed back by finished operations, oldest first.
+        # Locked: one backend may run concurrent streams (the search
+        # driver does).
+        self._idle: list[_Connection] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Connection handshake
@@ -206,7 +262,7 @@ class ServiceClient:
             ssl_context=self._ssl_context,
         )
 
-    def _connect(self) -> tuple[socket.socket, dict]:
+    def _connect(self) -> _Connection:
         sock = self._open_socket()
         if sock is None:
             raise ServiceError(
@@ -241,25 +297,49 @@ class ServiceClient:
         # Result frames may be minutes apart; the heartbeat thread keeps
         # the connection audible instead of a per-frame socket timeout.
         sock.settimeout(None)
-        return sock, detail
+        return _Connection(sock, float(detail.get("heartbeat_interval") or 5.0))
+
+    def _take(self) -> _Connection:
+        """The newest idle connection still fit for reuse, else a fresh
+        one; unfit idle connections met on the way are closed."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if conn.reusable():
+                return conn
+            conn.close()
+        return self._connect()
+
+    def _release(self, conn: _Connection) -> None:
+        """Keep *conn* for the next operation (close it once the client
+        is closed)."""
+        conn.idle_since = time.monotonic()
+        with self._idle_lock:
+            if not self._closed:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def _roundtrip(self, request: tuple, reply_kind: str, *fields: type) -> tuple:
-        """Send *request* on its own connection; return the fields of the
-        ``(reply_kind, *fields)`` reply, one value of each type in
-        *fields*.  Any other reply raises :class:`~repro.exceptions.
-        ServiceError`."""
-        sock, _ = self._connect()
+        """Send *request* and return the fields of the ``(reply_kind,
+        *fields)`` reply, one value of each type in *fields*.  Any other
+        reply raises :class:`~repro.exceptions.ServiceError` and closes
+        the connection; a good one hands it back for reuse."""
+        conn = self._take()
         try:
-            send_message(sock, request)
-            reply = recv_message(sock)
+            conn.send(request)
+            reply = recv_message(conn.sock)
         except (ProtocolError, OSError) as exc:
+            conn.close()
             raise ServiceError(f"service request failed: {exc}") from None
-        finally:
-            sock.close()
         if not is_frame(reply, reply_kind, *fields):
+            conn.close()
             raise ServiceError(
                 f"unexpected service reply {reply!r} (wanted {reply_kind})"
             )
+        self._release(conn)
         return reply[1:]
 
     # ------------------------------------------------------------------
@@ -283,28 +363,22 @@ class ServiceClient:
         refuses the submission under this tenant's admission quota
         (the message carries the daemon's reason).
         """
-        sock, settings = self._connect()
+        conn = self._take()
         try:
-            send_message(
-                sock,
-                (
-                    SUBMIT,
-                    shard_payloads,
-                    {"priority": int(priority), "label": label},
-                ),
+            conn.send(
+                (SUBMIT, shard_payloads, {"priority": int(priority), "label": label})
             )
-            reply = recv_message(sock)
+            reply = recv_message(conn.sock)
         except (ProtocolError, OSError) as exc:
-            sock.close()
+            conn.close()
             raise ServiceError(f"job submission failed: {exc}") from None
         if is_frame(reply, REJECTED, object):
-            sock.close()
+            conn.close()
             raise ServiceError(f"submission rejected: {reply[1]}")
         if not is_frame(reply, SUBMITTED, str, list):
-            sock.close()
+            conn.close()
             raise ServiceError(f"unexpected submission reply {reply!r}")
-        interval = float(settings.get("heartbeat_interval") or 5.0)
-        return JobHandle(sock, reply[1], reply[2], interval)
+        return JobHandle(conn, reply[1], reply[2], self._release)
 
     def status(self, job_id: str | None = None) -> list[dict]:
         """Status records of the daemon's jobs (one, or all).
@@ -346,7 +420,19 @@ class ServiceClient:
         return ok
 
     def close(self) -> None:
-        """No-op for symmetry: connections are per-operation."""
+        """Close the idle connections; from now on each operation closes
+        its connection when it ends."""
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return f"ServiceClient({self.host}:{self.port})"

@@ -73,6 +73,8 @@ class TestFairShare:
             finally:
                 worker.close()
                 flood.close()
+                a.close()
+                b.close()
 
     def test_single_tenant_keeps_priority_fifo_order(self):
         """With one tenant the fair-share queue degenerates to the old
@@ -95,6 +97,7 @@ class TestFairShare:
                 worker.close()
                 low.close()
                 high.close()
+                client.close()
 
     def test_status_reports_per_client_counters(self):
         """The STATUS document's ``clients`` section carries the
@@ -118,6 +121,7 @@ class TestFairShare:
             finally:
                 a.cancel(handle.job_id)
                 handle.close()
+                a.close()
 
     def test_status_from_never_submitting_client_under_load(self):
         """A monitoring client that never submits sees the full
@@ -135,9 +139,11 @@ class TestFairShare:
                 assert doc["jobs"][0]["state"] == "queued"
                 # plain status() stays the job-record list
                 assert watcher.status()[0]["job"] == handle.job_id
+                watcher.close()
             finally:
                 flooder.cancel(handle.job_id)
                 handle.close()
+                flooder.close()
 
 
 class TestAdmission:
@@ -156,6 +162,7 @@ class TestAdmission:
             second = client.submit([[("c", 0)]])  # capacity freed
             client.cancel(second.job_id)
             second.close()
+            client.close()
 
     def test_queued_shard_quota_counts_the_submission_itself(self):
         with ServiceDaemon(
@@ -169,6 +176,7 @@ class TestAdmission:
                 client.submit([[("y", 0)]])  # 2 queued + 1 > 2
             client.cancel(ok.job_id)
             ok.close()
+            client.close()
 
     def test_quota_is_per_tenant_not_global(self):
         """One tenant at its quota never blocks another tenant."""
@@ -184,6 +192,7 @@ class TestAdmission:
             for client, handle in ((greedy, held), (other, admitted)):
                 client.cancel(handle.job_id)
                 handle.close()
+                client.close()
 
     def test_shared_tenant_name_shares_one_bucket(self):
         """Two connections declaring the same tenant share its quota."""
@@ -197,6 +206,8 @@ class TestAdmission:
                 two.submit([[("b", 0)]])
             one.cancel(held.job_id)
             held.close()
+            one.close()
+            two.close()
 
     def test_rejected_wire_constant_is_current(self):
         assert REJECTED == "rejected_submit"
@@ -223,6 +234,8 @@ class TestShutdownWithQueue:
             with pytest.raises(ServiceError, match="shut down|closed|lost"):
                 list(handle.results())
             handle.close()
+        a.close()
+        b.close()
 
 
 # ----------------------------------------------------------------------
@@ -252,8 +265,8 @@ class TestTLS:
         with ServiceDaemon(
             "127.0.0.1", 0, heartbeat_timeout=30.0, tls_cert=cert, tls_key=key
         ) as daemon:
-            client = ServiceClient("127.0.0.1", daemon.port, tls_ca=cert)
-            assert client.status() == []
+            with ServiceClient("127.0.0.1", daemon.port, tls_ca=cert) as client:
+                assert client.status() == []
 
     def test_cleartext_client_rejected_by_tls_daemon(self, tls_files):
         cert, key = tls_files

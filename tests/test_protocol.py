@@ -21,6 +21,7 @@ import pickle
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,12 +29,15 @@ import pytest
 from repro import CartesianGrid, NodeAllocation, nearest_neighbor
 from repro.engine import EvaluationEngine, MappingRequest
 from repro.engine.cluster.protocol import (
+    CHALLENGE,
     GET,
     HELLO,
     JOB_DONE,
     JOB_FAIL,
     JOB_RESULT,
     MAGIC,
+    MAX_FRAME_BYTES,
+    MAX_HANDSHAKE_BYTES,
     PING,
     PROTOCOL_VERSION,
     REJECT,
@@ -307,8 +311,9 @@ class TestMalformedFrames:
 
     def _check(self, caplog, send) -> None:
         caplog.set_level(logging.WARNING, logger="asyncio")
-        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
-            client = ServiceClient("127.0.0.1", daemon.port)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=30.0
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
             before = client.metrics()["pool"]["protocol_errors"]
             with socket.create_connection(
                 ("127.0.0.1", daemon.port), timeout=10
@@ -354,6 +359,29 @@ class TestMalformedFrames:
             send_message(sock, (SUBMIT, [[(0, "opaque")]], {"priority": "urgent"}))
 
         self._check(caplog, send)
+
+    def test_oversized_hello_is_refused_unread(self, caplog):
+        """A peer that has not authenticated may not announce a large
+        frame: the daemon closes at once, well before its 30 s heartbeat
+        timeout and without waiting for the payload."""
+        start = time.monotonic()
+        header = struct.pack(">I", MAX_FRAME_BYTES)
+        self._check(caplog, lambda sock: sock.sendall(header))
+        assert time.monotonic() - start < 5.0
+
+    def test_oversized_auth_is_refused_unread(self):
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=30.0, secret="s3cret"
+        ) as daemon:
+            with socket.create_connection(
+                ("127.0.0.1", daemon.port), timeout=10
+            ) as sock:
+                send_message(sock, hello({"role": "client"}))
+                assert recv_message(sock)[0] == CHALLENGE
+                sock.sendall(struct.pack(">I", MAX_HANDSHAKE_BYTES + 1))
+                assert recv_message(sock)[0] == REJECT
+                assert self._closed(sock)
+            assert daemon.metrics()["pool"]["protocol_errors"] == 1
 
     @pytest.mark.parametrize(
         "payload",
@@ -515,8 +543,8 @@ class TestWorkerRoundTrip:
             worker = _spawn_worker(daemon.port)
             try:
                 daemon.wait_for_workers(1, timeout=60)
-                backend = ServiceBackend("127.0.0.1", daemon.port)
-                results = backend.evaluate_batch(requests)
+                with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                    results = backend.evaluate_batch(requests)
             finally:
                 worker.terminate()
                 worker.wait(timeout=30)
@@ -531,8 +559,8 @@ class TestWorkerRoundTrip:
             worker = _spawn_worker(daemon.port)
             try:
                 daemon.wait_for_workers(1, timeout=60)
-                backend = ServiceBackend("127.0.0.1", daemon.port)
-                results = backend.evaluate_batch(requests)
+                with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                    results = backend.evaluate_batch(requests)
             finally:
                 worker.terminate()
                 worker.wait(timeout=30)

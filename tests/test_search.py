@@ -287,6 +287,7 @@ class TestMetrics:
             finally:
                 client.cancel(handle.job_id)
                 handle.close()
+                client.close()
 
     def test_eta_shrinks_under_a_steadily_completing_worker(self):
         """Hand-driven worker at a steady pace: each completion lowers
@@ -332,6 +333,7 @@ class TestMetrics:
             finally:
                 worker.close()
                 handle.close()
+                client.close()
 
     def test_store_counters_and_prune_policy(self, tmp_path):
         with ServiceDaemon(
@@ -373,13 +375,13 @@ class TestMetrics:
             store_max_bytes=1 << 20,
             store_prune_interval=0.05,
         ) as daemon:
-            client = ServiceClient("127.0.0.1", daemon.port)
-            deadline = time.monotonic() + 10
-            while time.monotonic() < deadline:
-                prune = client.metrics()["store"]["prune"]
-                if prune["errors"] >= 2:
-                    break
-                time.sleep(0.05)
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                deadline = time.monotonic() + 10
+                while time.monotonic() < deadline:
+                    prune = client.metrics()["store"]["prune"]
+                    if prune["errors"] >= 2:
+                        break
+                    time.sleep(0.05)
             assert prune["errors"] >= 2  # the loop survived its first failure
             assert prune["last_error"] == "OSError: cache dir unreadable"
             assert prune["runs"] == 0
@@ -418,6 +420,7 @@ class TestSearchCLI:
             finally:
                 client.cancel(handle.job_id)
                 handle.close()
+                client.close()
         document = json.loads(output.read_text())
         assert document["schema"] == "repro.metrics/v1"
         assert "oldest_age" in document["queue"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import select
 import signal
 import socket
 import subprocess
@@ -49,6 +50,7 @@ from repro.engine.cluster.protocol import (
     CANCEL_REPLY,
     CHALLENGE,
     GET,
+    HELLO,
     METRICS_REPLY,
     SECRET_ENV,
     SHARD,
@@ -67,6 +69,7 @@ from repro.engine import diskcache
 from repro.engine.cluster import coordinator
 from repro.engine.cluster.worker import run_worker
 from repro.engine.diskcache import cell_key
+from repro.service import client as service_client
 from repro.service import parse_service_spec
 
 from .test_backends import _requests, _signature, _weighted_requests
@@ -153,6 +156,28 @@ class _FakeServiceWorker:
         self.sock.close()
 
 
+def _count_connects(monkeypatch) -> list:
+    """One entry per connection a :class:`ServiceClient` opens."""
+    opened: list = []
+    connect = service_client.connect_with_retry
+
+    def counting(*args, **kwargs):
+        opened.append(args[:2])
+        return connect(*args, **kwargs)
+
+    monkeypatch.setattr(service_client, "connect_with_retry", counting)
+    return opened
+
+
+def _wait_for_gets(daemon: ServiceDaemon, count: int) -> None:
+    """Block until *count* workers' GETs wait on the daemon's queue."""
+    deadline = time.monotonic() + 10
+    waiting = daemon._coordinator._waiting
+    while daemon._snapshot(len, waiting) < count:
+        assert time.monotonic() < deadline, "the GETs never reached the daemon"
+        time.sleep(0.01)
+
+
 # ----------------------------------------------------------------------
 # The service backend against a real daemon + worker (subprocesses)
 # ----------------------------------------------------------------------
@@ -225,6 +250,22 @@ class TestServiceBackend:
                 map(_signature, serial_results)
             )
 
+    def test_a_backend_keeps_one_connection_across_sweeps(
+        self, service, monkeypatch
+    ):
+        """Two sweeps on one backend share one connection and handshake,
+        with rows equal to serial; closing the backend closes it."""
+        spec = _stream_spec()
+        serial = run(spec).to_rows()
+        opened = _count_connects(monkeypatch)
+        with ServiceBackend("127.0.0.1", service) as backend:
+            first = run(spec, backend).to_rows()
+            second = run(spec, backend).to_rows()
+            (kept,) = backend.client._idle
+        assert kept.sock.fileno() == -1  # ServiceBackend.close closed it
+        assert len(opened) == 1
+        assert first == serial and second == serial
+
     def test_sweep_api_through_spec_string(self, service):
         """resolve_backend("service:...") drops into repro.run unchanged."""
         spec = SweepSpec(
@@ -288,6 +329,7 @@ class TestJobLifecycle:
             low.close()
             if high is not None:
                 high.close()
+            client.close()
 
     def test_cancel_one_job_leaves_the_other(self, job_daemon):
         """Acceptance: cancelling one job does not disturb the other."""
@@ -311,10 +353,26 @@ class TestJobLifecycle:
             worker.close()
             doomed.close()
             kept.close()
+            client.close()
+
+    def test_a_one_get_at_a_time_worker_completes_a_job(self, job_daemon):
+        """A worker that asks for a shard only once it is idle (as
+        workers did before asking ahead) is still served every shard."""
+        worker = _FakeServiceWorker(job_daemon)
+        with ServiceClient("127.0.0.1", job_daemon) as client:
+            with client.submit([[("serial", i)] for i in range(3)]) as handle:
+                try:
+                    for _ in range(3):
+                        message = worker.pull()
+                        worker.finish(message[1], message[2])
+                finally:
+                    worker.close()
+                got = sorted(shard_id for shard_id, _ in handle.results())
+        assert got == sorted(handle.shard_ids)
 
     def test_cancel_unknown_job_is_false(self, job_daemon):
-        client = ServiceClient("127.0.0.1", job_daemon)
-        assert client.cancel("job-999999") is False
+        with ServiceClient("127.0.0.1", job_daemon) as client:
+            assert client.cancel("job-999999") is False
 
     def test_status_single_job_and_fields(self, job_daemon):
         client = ServiceClient("127.0.0.1", job_daemon)
@@ -332,13 +390,14 @@ class TestJobLifecycle:
         finally:
             assert client.cancel(handle.job_id) is True
             handle.close()
+            client.close()
 
     def test_empty_job_is_done_immediately(self, job_daemon):
-        client = ServiceClient("127.0.0.1", job_daemon)
-        with client.submit([]) as handle:
-            assert handle.shard_ids == []
-            assert list(handle.results()) == []
-        (record,) = client.status(handle.job_id)
+        with ServiceClient("127.0.0.1", job_daemon) as client:
+            with client.submit([]) as handle:
+                assert handle.shard_ids == []
+                assert list(handle.results()) == []
+            (record,) = client.status(handle.job_id)
         assert record["state"] == "done"
 
 
@@ -363,6 +422,67 @@ class TestDaemonLifecycle:
             assert len(list(fresh.results())) == 1
             worker.close()
             fresh.close()
+            client.close()
+
+    def test_an_undrained_handle_is_not_reused(self, monkeypatch):
+        """A handle closed before JOB_DONE closes its connection, which
+        cancels its job; the next operation connects afresh."""
+        opened = _count_connects(monkeypatch)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
+            handle = client.submit([[("x", 0)]], label="abandoned")
+            handle.close()
+            deadline = time.monotonic() + 20
+            while client.status(handle.job_id)[0]["state"] != "cancelled":
+                assert time.monotonic() < deadline, "the job was not cancelled"
+                time.sleep(0.05)
+        assert len(opened) == 2  # the job's, then the status calls' one
+
+    def test_a_restarted_daemon_gets_a_fresh_connection(self, monkeypatch):
+        """A kept connection to a daemon that has since restarted is
+        noticed before use: the next submit connects anew and runs."""
+        opened = _count_connects(monkeypatch)
+        first = ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0)
+        client = ServiceClient("127.0.0.1", first.port)
+        try:
+            assert client.status() == []  # its connection is kept
+            first.close()
+            with ServiceDaemon(
+                "127.0.0.1", first.port, heartbeat_timeout=6.0
+            ) as second:
+                worker = _FakeServiceWorker(second.port)
+                try:
+                    handle = client.submit([[("y", 0)]])
+                    message = worker.pull()
+                    worker.finish(message[1], message[2])
+                    assert len(list(handle.results())) == 1
+                finally:
+                    worker.close()
+        finally:
+            client.close()
+            first.close()
+        assert len(opened) == 2
+
+    def test_an_idle_connection_past_the_heartbeat_interval_is_replaced(
+        self, monkeypatch
+    ):
+        """The daemon drops a client silent for three heartbeat
+        intervals; the client reuses a connection idle for less than
+        one, and replaces an older one."""
+        opened = _count_connects(monkeypatch)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
+            client.status()
+            (kept,) = client._idle
+            assert kept.interval == 2.0  # as WELCOME announced it
+            client.status()
+            assert len(opened) == 1
+            kept.idle_since -= kept.interval  # as if idle for one interval
+            client.status()
+            assert kept.sock.fileno() == -1  # closed, not leaked
+        assert len(opened) == 2
 
     def test_daemon_close_fails_open_jobs(self):
         daemon = ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0)
@@ -372,6 +492,7 @@ class TestDaemonLifecycle:
         with pytest.raises(ServiceError, match="shut down|closed|lost"):
             list(handle.results())
         handle.close()
+        client.close()
 
     def test_wait_for_workers_timeout(self):
         with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0) as daemon:
@@ -387,10 +508,11 @@ class TestInProcessDaemon:
         with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=6.0) as daemon:
             worker = _spawn_worker(daemon.port)
             daemon.wait_for_workers(1, timeout=60)
-            ServiceBackend("127.0.0.1", daemon.port).evaluate_batch(_requests())
-            client = ServiceClient("127.0.0.1", daemon.port)
-            status = client.status_full()
-            metrics = client.metrics()
+            with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                backend.evaluate_batch(_requests())
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                status = client.status_full()
+                metrics = client.metrics()
         (job,) = status["jobs"]
         assert job["state"] == "done" and job["shards"] > 0
         assert status["pool"]["workers"] == 1
@@ -399,6 +521,22 @@ class TestInProcessDaemon:
         assert metrics["store"]["enabled"] is False
         assert worker.wait(timeout=30) == 0
 
+    def test_close_does_not_wait_on_an_idle_tls_client(self, tls_files):
+        """An idle kept TLS connection has nobody reading it to answer a
+        TLS close; the daemon aborts it instead of waiting for it."""
+        cert, key = tls_files
+        daemon = ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0, tls_cert=cert, tls_key=key
+        )
+        with ServiceClient("127.0.0.1", daemon.port, tls_ca=cert) as client:
+            try:
+                assert client.status() == []  # its connection stays, idle
+            finally:
+                start = time.monotonic()
+                daemon.close()
+                elapsed = time.monotonic() - start
+        assert elapsed < 2.0
+
     def test_tls_cluster_byte_identical_to_serial(self, tls_files, serial_results):
         """A self-signed daemon: its certificate is the trust root."""
         cert, key = tls_files
@@ -406,8 +544,8 @@ class TestInProcessDaemon:
             "127.0.0.1", 0, heartbeat_timeout=6.0, tls_cert=cert, tls_key=key
         ) as daemon:
             worker = _spawn_worker(daemon.port, "--tls-ca", cert)
-            backend = ServiceBackend("127.0.0.1", daemon.port, tls_ca=cert)
-            results = backend.evaluate_batch(_requests())
+            with ServiceBackend("127.0.0.1", daemon.port, tls_ca=cert) as backend:
+                results = backend.evaluate_batch(_requests())
         assert list(map(_signature, results)) == list(
             map(_signature, serial_results)
         )
@@ -425,10 +563,10 @@ class TestInProcessDaemon:
             worker = _spawn_worker(
                 daemon.port, "--tls-ca", tls_pki["server_ca"]
             )
-            backend = ServiceBackend(
+            with ServiceBackend(
                 "127.0.0.1", daemon.port, tls_ca=tls_pki["server_ca"]
-            )
-            results = backend.evaluate_batch(_requests())
+            ) as backend:
+                results = backend.evaluate_batch(_requests())
         assert list(map(_signature, results)) == list(
             map(_signature, serial_results)
         )
@@ -456,21 +594,22 @@ class TestInProcessDaemon:
                 "--tls-cert", client_cert,
                 "--tls-key", client_key,
             )
-            backend = ServiceBackend(
+            with ServiceBackend(
                 "127.0.0.1",
                 daemon.port,
                 tls_ca=tls_pki["server_ca"],
                 tls_cert=client_cert,
                 tls_key=client_key,
-            )
-            results = backend.evaluate_batch(_requests())
-            jobs = ServiceClient(
+            ) as backend:
+                results = backend.evaluate_batch(_requests())
+            with ServiceClient(
                 "127.0.0.1",
                 daemon.port,
                 tls_ca=tls_pki["server_ca"],
                 tls_cert=client_cert,
                 tls_key=client_key,
-            ).status()
+            ) as client:
+                jobs = client.status()
             anonymous = ServiceClient(
                 "127.0.0.1",
                 daemon.port,
@@ -490,10 +629,10 @@ class TestInProcessDaemon:
             "127.0.0.1", 0, heartbeat_timeout=6.0, disk_cache_dir=tmp_path
         ) as daemon:
             worker = _spawn_worker(daemon.port)
-            backend = ServiceBackend("127.0.0.1", daemon.port)
-            first = backend.evaluate_batch(_requests())
-            second = backend.evaluate_batch(_requests())
-            jobs = ServiceClient("127.0.0.1", daemon.port).status()
+            with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                first = backend.evaluate_batch(_requests())
+                second = backend.evaluate_batch(_requests())
+                jobs = backend.client.status()
         assert [job["state"] for job in jobs] == ["done", "done"]
         assert jobs[0]["shards"] > 0
         assert jobs[1]["shards"] == 0  # every cell came from the store
@@ -521,10 +660,10 @@ class TestSharedSecret:
 
             worker = threading.Thread(target=serve)
             worker.start()
-            backend = ServiceBackend(
+            with ServiceBackend(
                 "127.0.0.1", daemon.port, secret="tops3cret"
-            )
-            results = backend.evaluate_batch(_requests())
+            ) as backend:
+                results = backend.evaluate_batch(_requests())
             daemon.close()
             worker.join(timeout=30)
         assert box["code"] == 0
@@ -567,10 +706,10 @@ class TestSharedSecret:
                 ServiceClient("127.0.0.1", daemon.port).status()
             with pytest.raises(ServiceError, match="authentication failed"):
                 ServiceClient("127.0.0.1", daemon.port, secret="bad").status()
-            client = ServiceClient(
+            with ServiceClient(
                 "127.0.0.1", daemon.port, secret="tops3cret"
-            )
-            assert client.status() == []
+            ) as client:
+                assert client.status() == []
 
     def test_resolve_secret_precedence(self, monkeypatch):
         monkeypatch.delenv(SECRET_ENV, raising=False)
@@ -607,10 +746,10 @@ class TestSharedSecret:
                 stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL,
             )
-            backend = ServiceBackend(
+            with ServiceBackend(
                 "127.0.0.1", daemon.port, secret="envsecret"
-            )
-            results = backend.evaluate_batch(_requests())
+            ) as backend:
+                results = backend.evaluate_batch(_requests())
             daemon.close()
         assert list(map(_signature, results)) == list(
             map(_signature, serial_results)
@@ -651,11 +790,12 @@ class _FlakyCoordinator:
             return
         conn, _ = self.listener.accept()
         self.accepts += 1
-        recv_message(conn)  # HELLO
-        send_message(conn, (WELCOME, {"heartbeat_interval": 1.0}))
-        self._recv_until(conn, GET)
-        send_message(conn, (SHUTDOWN,))
-        self._recv_until(conn, "never")  # drain until the worker closes
+        with conn:
+            recv_message(conn)  # HELLO
+            send_message(conn, (WELCOME, {"heartbeat_interval": 1.0}))
+            self._recv_until(conn, GET)
+            send_message(conn, (SHUTDOWN,))
+            self._recv_until(conn, "never")  # drain until the worker closes
 
     def close(self) -> None:
         self.listener.close()
@@ -701,9 +841,9 @@ class TestMalformedReplies:
     def test_malformed_reply_raises_service_error(self, method, args, reply):
         fake = _MalformedDaemon(reply)
         try:
-            client = ServiceClient("127.0.0.1", fake.port)
-            with pytest.raises(ServiceError, match="unexpected service reply"):
-                getattr(client, method)(*args)
+            with ServiceClient("127.0.0.1", fake.port) as client:
+                with pytest.raises(ServiceError, match="unexpected service reply"):
+                    getattr(client, method)(*args)
         finally:
             fake.close()
         assert not fake.thread.is_alive()
@@ -739,6 +879,112 @@ class TestWorkerReconnect:
             fake.close()
         assert code == 1
         assert fake.accepts == 1
+
+
+# ----------------------------------------------------------------------
+# A worker asks for its next shard before evaluating the current one
+# ----------------------------------------------------------------------
+class TestWorkerPrefetch:
+    def test_the_worker_asks_for_its_next_shard_before_evaluating(self):
+        """The real worker's second GET reaches the coordinator (played
+        by hand here) before its first RESULT."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(30)
+        codes: list[int] = []
+        worker = threading.Thread(
+            target=lambda: codes.append(
+                run_worker(
+                    f"127.0.0.1:{listener.getsockname()[1]}",
+                    backend_spec="serial",
+                    reconnect_timeout=0,
+                    log=lambda *_: None,
+                )
+            ),
+            daemon=True,
+        )
+        worker.start()
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(30)
+                assert recv_message(conn)[0] == HELLO
+                send_message(conn, (WELCOME, {"heartbeat_interval": 60.0}))
+                assert recv_message(conn) == (GET,)
+                send_message(conn, (SHARD, 7, [(0, _requests()[0])]))
+                assert recv_message(conn) == (GET,)  # before the RESULT
+                reply = recv_message(conn)
+                assert reply[:2] == (RESULT, 7)
+                send_message(conn, (SHUTDOWN,))
+                worker.join(timeout=30)
+        finally:
+            listener.close()
+        assert codes == [0]
+
+    def test_an_idle_worker_gets_a_new_shard_before_a_busy_one(self):
+        """A busy worker's GET asking ahead is older than an idle
+        worker's, yet a new one-shard job goes to the idle worker."""
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
+            busy = _FakeServiceWorker(daemon.port)
+            idle = _FakeServiceWorker(daemon.port)
+            first = client.submit([[("first", 0)]])
+            second = None
+            try:
+                held = busy.pull()
+                send_message(busy.sock, (GET,))  # asks ahead, first
+                _wait_for_gets(daemon, 1)
+                send_message(idle.sock, (GET,))
+                _wait_for_gets(daemon, 2)
+                second = client.submit([[("second", 0)]])
+                message = recv_message(idle.sock)
+                assert message[0] == SHARD and message[1] in second.shard_ids
+                readable, _, _ = select.select([busy.sock], [], [], 0.2)
+                assert readable == []  # the older GET still waits
+                idle.finish(message[1], message[2])
+                busy.finish(held[1], held[2])
+                assert len(list(first.results())) == 1
+                assert len(list(second.results())) == 1
+            finally:
+                busy.close()
+                idle.close()
+                first.close()
+                if second is not None:
+                    second.close()
+
+    def test_a_worker_killed_holding_two_shards_charges_only_the_first(self):
+        """Both shards of a dead worker are requeued, but only the one it
+        was evaluating counts towards ``max_shard_requeues``: the shard
+        it had asked for ahead never ran."""
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=6.0, max_shard_requeues=1
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
+            x = client.submit([[("x", 0)]], label="x")
+            y = client.submit([[("y", 0)]], label="y")
+            try:
+                for _ in range(2):
+                    worker = _FakeServiceWorker(daemon.port)
+                    evaluating = worker.pull()
+                    ahead = worker.pull()
+                    assert evaluating[1] in x.shard_ids
+                    assert ahead[1] in y.shard_ids
+                    worker.close()  # dies holding both
+                # x's shard was charged for both deaths, y's for neither
+                with pytest.raises(ServiceError, match="poisoned"):
+                    list(x.results())
+                worker = _FakeServiceWorker(daemon.port)
+                try:
+                    message = worker.pull()
+                    assert message[1] in y.shard_ids
+                    worker.finish(message[1], message[2])
+                    assert len(list(y.results())) == 1
+                finally:
+                    worker.close()
+            finally:
+                x.close()
+                y.close()
 
 
 # ----------------------------------------------------------------------
@@ -795,14 +1041,14 @@ class TestRunStream:
         stream = run_stream(spec, backend=f"service:127.0.0.1:{service}")
         next(stream)
         stream.close()
-        client = ServiceClient("127.0.0.1", service)
-        deadline = time.monotonic() + 20
-        while time.monotonic() < deadline:
-            states = {r["state"] for r in client.status()}
-            if states <= {"done", "cancelled", "failed"}:
-                return
-            time.sleep(0.1)
-        pytest.fail(f"jobs left non-terminal: {client.status()}")
+        with ServiceClient("127.0.0.1", service) as client:
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                states = {r["state"] for r in client.status()}
+                if states <= {"done", "cancelled", "failed"}:
+                    return
+                time.sleep(0.1)
+            pytest.fail(f"jobs left non-terminal: {client.status()}")
 
 
 # ----------------------------------------------------------------------
@@ -1173,6 +1419,8 @@ class TestResultStore:
                 worker.close()
                 for handle in (ha, hb):
                     handle.close()
+                a.close()
+                b.close()
 
     def test_cancelling_the_owner_rescues_the_subscriber(self, tmp_path):
         """Cancelling the job that owns an in-flight cell re-dispatches
@@ -1205,6 +1453,8 @@ class TestResultStore:
                 worker.close()
                 for handle in (ha, hb):
                     handle.close()
+                a.close()
+                b.close()
 
     def test_partial_hits_dispatch_only_unknown_cells(self, tmp_path):
         """A job mixing known and novel cells ships only the novel ones."""
@@ -1239,6 +1489,7 @@ class TestResultStore:
                 worker.close()
                 h1.close()
                 h2.close()
+                client.close()
 
     def test_opaque_payloads_pass_through_untouched(self, tmp_path):
         """Unkeyable items are dispatched verbatim and their payloads
@@ -1258,6 +1509,7 @@ class TestResultStore:
             finally:
                 worker.close()
                 handle.close()
+                client.close()
 
 
 # ----------------------------------------------------------------------
@@ -1495,6 +1747,7 @@ class TestSharedCellStore:
             finally:
                 worker.close()
                 handle.close()
+                client.close()
         assert store["corrupt"] == 1 and store["misses"] == 1
         assert list(map(_row_signature, got)) == list(map(_row_signature, rows))
 
@@ -1553,11 +1806,11 @@ class TestStoreMemory:
         with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
             _replay(daemon.port, spec)
             (tmp_path / f"result-{cell_key(requests[0])}.cell").unlink()
-            client = ServiceClient("127.0.0.1", daemon.port)
-            with client.submit([list(enumerate(requests))]) as handle:
-                (record,) = client.status(handle.job_id)
-                store = client.metrics()["store"]
-                assert client.cancel(handle.job_id) is True
+            with ServiceClient("127.0.0.1", daemon.port) as client:
+                with client.submit([list(enumerate(requests))]) as handle:
+                    (record,) = client.status(handle.job_id)
+                    store = client.metrics()["store"]
+                    assert client.cancel(handle.job_id) is True
         assert record["shards"] == 1  # queued for a worker, not answered
         assert store["misses"] == 1
         assert store["memory_hits"] == len(requests) - 1
@@ -1613,6 +1866,7 @@ class TestStoreMemory:
             ask(0, 2)
             assert loads == [keys[0], keys[1], keys[2]]
             store = ask(1)
+            client.close()
         assert loads == [keys[0], keys[1], keys[2], keys[1]]
         assert store["memory_hits"] == 3
         assert (store["memory_cells"], store["memory_bytes"]) == (2, 2 * size)
@@ -1645,6 +1899,7 @@ class TestStoreMemory:
                 store = client.metrics()["store"]
             finally:
                 worker.close()
+                client.close()
         assert len(loads) == 2  # the first submission's miss, then one load
         assert (store["memory_cells"], store["memory_hits"]) == (1, 1)
 
@@ -1654,8 +1909,9 @@ class TestStoreMemory:
         requests = spec.compile()
         path = tmp_path / f"result-{cell_key(requests[0])}.cell"
         path.write_bytes(b"\x80\x05garbage")
-        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
-            client = ServiceClient("127.0.0.1", daemon.port)
+        with ServiceDaemon(
+            "127.0.0.1", 0, disk_cache_dir=tmp_path
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
             for attempt in (1, 2):
                 with client.submit([list(enumerate(requests))]) as handle:
                     (record,) = client.status(handle.job_id)

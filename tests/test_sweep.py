@@ -17,6 +17,7 @@ from repro import (
     MetricSpec,
     NodeAllocation,
     ResultSet,
+    Stencil,
     SweepSpec,
     run,
     run_stream,
@@ -24,6 +25,7 @@ from repro import (
 from repro.engine import EvaluationEngine, ProcessBackend, weighted_bytes_metric
 from repro.engine.backends import shard_payloads, strip_request_tag
 from repro.engine.metrics import as_metric_spec, register_metric
+from repro.engine.request import group_by_instance
 from repro.exceptions import ReproError
 from repro.experiments.figure8 import figure8_sweep
 from repro.experiments.instances import Instance, instance_set
@@ -1090,3 +1092,25 @@ def test_figure8_sweep_validates_once_per_instance_group(monkeypatch):
     assert len(calls) == 144
     shard_payloads(requests, 32)
     assert len(calls) == 144
+
+
+def test_figure8_sweep_deals_with_one_key_hash_per_instance_group(monkeypatch):
+    """The 1008 cells share 144 sets of instance objects: dealing them
+    into shards hashes a stencil at most once per set, and the groups
+    are those of a plain ``instance_key`` grouping, in the same order."""
+    requests = figure8_sweep("nearest_neighbor").compile()
+    plain: dict = {}
+    for i, request in enumerate(requests):
+        plain.setdefault(request.instance_key, []).append(i)
+    assert group_by_instance(requests) == plain
+    assert list(group_by_instance(requests)) == list(plain)
+    calls = []
+    stencil_hash = Stencil.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return stencil_hash(self)
+
+    monkeypatch.setattr(Stencil, "__hash__", counting)
+    shard_payloads(requests, 32)
+    assert 0 < len(calls) <= 144
