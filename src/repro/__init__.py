@@ -25,8 +25,9 @@ The library provides:
   (:mod:`repro.engine`),
 * a standing sweep service — one daemon, persistent workers, many
   concurrent prioritised driver jobs (:mod:`repro.service`),
-* a portfolio search racing mapper candidates under a budget, with
-  early cancellation of dominated ones (:mod:`repro.search`),
+* a portfolio search racing mapper candidates under a budget, one job
+  per rung, so dominated ones evaluate no later instance
+  (:mod:`repro.search`),
 * drivers regenerating every figure and table of the evaluation
   (:mod:`repro.experiments`).
 

@@ -7,11 +7,9 @@ instances of this cache.  ``functools.lru_cache`` is unsuitable because the engi
 needs per-cache statistics, explicit invalidation, and a compute
 callback supplied at call time rather than bound at decoration time.
 
-``get_or_compute`` is single-flight: when threads sharing one engine
-(the portfolio search's candidate threads) miss on the same key at
-once — typical at the start of a race, when every candidate wants the
-same instance's edge array — exactly one computes and the rest wait for
-its value.
+The lock guards the entries and counters, not the work: a compute
+callback runs outside it, so two threads that miss one key at once may
+both compute it, and the later ``put`` wins.
 """
 
 from __future__ import annotations
@@ -23,18 +21,6 @@ from dataclasses import dataclass
 from typing import Any
 
 __all__ = ["CacheStats", "LRUCache"]
-
-
-class _Flight:
-    """One in-progress computation that concurrent callers wait on."""
-
-    __slots__ = ("done", "value", "failed", "owner")
-
-    def __init__(self):
-        self.done = threading.Event()
-        self.value: Any = None
-        self.failed = False
-        self.owner = threading.get_ident()
 
 
 @dataclass(frozen=True)
@@ -70,73 +56,27 @@ class LRUCache:
         self._capacity = capacity
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
-        self._pending: dict[Hashable, _Flight] = {}
         self._hits = 0
         self._misses = 0
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """Return the cached value of *key*, computing and storing on miss.
 
-        Computation is *single-flight*: the compute callback runs
-        outside the lock (so misses on different keys do not serialise),
-        but concurrent misses on the *same* key elect one leader — the
-        others block until the leader's value is stored and share it,
-        instead of duplicating the work.  Waiters count as hits.  If the
-        leader's callback raises, the exception propagates to the leader
-        and one waiter is promoted to retry.
-
-        Callbacks should not call back into the cache: a *same-key*
-        reentrant call is detected and degrades to computing twice
-        (the pre-single-flight behaviour) rather than deadlocking, but
-        a cycle across *different* keys on different threads cannot be
-        detected and will block both leaders forever.
+        The callback runs outside the lock, so misses on different keys
+        do not serialise and a callback may call back into the cache.
+        Concurrent misses on one key each run the callback (each a
+        miss); the later store wins.  A callback that raises stores
+        nothing.
         """
-        while True:
-            with self._lock:
-                if key in self._data:
-                    self._hits += 1
-                    self._data.move_to_end(key)
-                    return self._data[key]
-                flight = self._pending.get(key)
-                leader = flight is None
-                if leader:
-                    flight = _Flight()
-                    self._pending[key] = flight
-                    self._misses += 1
-
-            if leader:
-                try:
-                    value = compute()
-                except BaseException:
-                    with self._lock:
-                        self._pending.pop(key, None)
-                    flight.failed = True
-                    flight.done.set()
-                    raise
-                self.put(key, value)
-                with self._lock:
-                    self._pending.pop(key, None)
-                flight.value = value
-                flight.done.set()
-                return value
-
-            if flight.owner == threading.get_ident():
-                # Reentrant same-key call from inside the leader's own
-                # compute: waiting would deadlock on ourselves, so fall
-                # back to duplicate compute (the later store wins).  The
-                # value is not served from the cache, so it is a miss —
-                # leaving it uncounted overstates hit_rate.
-                with self._lock:
-                    self._misses += 1
-                value = compute()
-                self.put(key, value)
-                return value
-            flight.done.wait()
-            if flight.failed:
-                continue  # leader raised; this thread retries (may lead)
-            with self._lock:
+        with self._lock:
+            if key in self._data:
                 self._hits += 1
-            return flight.value
+                self._data.move_to_end(key)
+                return self._data[key]
+            self._misses += 1
+        value = compute()
+        self.put(key, value)
+        return value
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Return the cached value of *key* or *default* (counts as a

@@ -671,10 +671,7 @@ class Coordinator:
     async def start(self) -> None:
         """Bind the server and start the heartbeat reaper."""
         self._server = await asyncio.start_server(
-            self._handle_connection,
-            self._host or None,
-            self._port,
-            ssl=self._ssl_context,
+            self._handle_connection, self._host or None, self._port
         )
         sockname = self._server.sockets[0].getsockname()
         self._address = (sockname[0], sockname[1])
@@ -872,11 +869,11 @@ class Coordinator:
         ever completed), ``worker_early_deaths`` (workers that
         disconnected without completing a single shard, while the
         coordinator was not closing) and ``protocol_errors``
-        (connections closed on a frame or message that raised
-        :class:`ProtocolError`).  It is the ``pool`` section of
-        :meth:`service_snapshot` and :meth:`metrics_snapshot`, so an
-        external monitor sees the same numbers through STATUS and
-        METRICS.
+        (connections closed on a refused TLS handshake, or on a frame
+        or message that raised :class:`ProtocolError`).  It is the
+        ``pool`` section of :meth:`service_snapshot` and
+        :meth:`metrics_snapshot`, so an external monitor sees the same
+        numbers through STATUS and METRICS.
         """
         workers = list(self._workers)
         return {
@@ -1256,19 +1253,39 @@ class Coordinator:
         The connection stays in ``_connections`` until its transport
         has closed, so :meth:`aclose` can abort and await whatever is
         still open: a transport still closing when the event loop stops
-        would never close its socket.
+        would never close its socket.  With a TLS context the handshake
+        runs here, so a peer it turns away counts under
+        ``protocol_errors``.
         """
         task = asyncio.current_task()
         self._connections[task] = writer.transport
+        handshake_failed = False
         try:
-            if not self._closing:  # else accepted just before the close
-                await self._serve_connection(reader, writer)
+            if self._closing:  # accepted just before the close
+                return
+            if self._ssl_context is not None:
+                try:
+                    await writer.start_tls(
+                        self._ssl_context,
+                        ssl_handshake_timeout=self._heartbeat_timeout,
+                    )
+                except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
+                    handshake_failed = True
+                    if isinstance(exc, ssl.SSLError):  # refused by TLS
+                        self._protocol_errors += 1
+                    return
+                self._connections[task] = writer.transport
+            await self._serve_connection(reader, writer)
         finally:
             writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
+            # asyncio closes the transport of a failed handshake itself
+            # but tells the stream only when TLS refused the peer, so
+            # after a timeout or a reset wait_closed would never return.
+            if not handshake_failed:
+                try:
+                    await writer.wait_closed()
+                except OSError:
+                    pass
             del self._connections[task]
 
     async def _serve_connection(

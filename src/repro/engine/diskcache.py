@@ -544,8 +544,8 @@ class DiskStore:
     their index — stored as ``result-<key>.cell`` under the request's
     :func:`cell_key`, in the layout the module docstring describes.
     Publishes are atomic, and the counters are lock-guarded: threads
-    sharing one engine (the portfolio search's candidates) share its
-    handle, so unguarded ``+= 1`` bumps would lose updates.
+    sharing one engine share its handle, so unguarded ``+= 1`` bumps
+    would lose updates.
 
     Parameters
     ----------

@@ -23,8 +23,8 @@ backend only has to honour the ``MappingRequest -> MappingResult``
 contract: :mod:`repro.engine.backends` builds on that seam —
 ``ProcessBackend`` shards request lists across worker processes, each
 running its own engine warmed through the shared result store.  Threads
-may still share one engine (the portfolio search's candidates do); its
-caches are thread-safe and compute each entry once.
+may still share one engine: its caches are thread-safe, though two
+threads that miss one entry at once may both compute it.
 """
 
 from __future__ import annotations

@@ -92,9 +92,10 @@ class ServiceError(ClusterError):
 class SearchError(ReproError, RuntimeError):
     """A portfolio mapper search cannot produce a winner.
 
-    Raised when every candidate's evaluation stream failed (backend
-    down, all cells erroring) or the budget expired before a single
-    candidate could be ranked.  Partial failures do *not* raise: a
-    candidate whose stream dies is eliminated with an ``error`` audit
-    record and the race continues with the survivors.
+    Raised when every candidate names an unknown mapper, when a rung's
+    evaluation stream fails (backend down, a mapper raising something
+    other than :class:`MappingError`), or when a budget ends the race
+    before the first rung is ranked.  An unknown candidate alone does
+    *not* raise: it gets an ``error`` audit record and the race
+    continues with the others.
     """

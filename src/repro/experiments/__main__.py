@@ -41,7 +41,9 @@ certificate::
 queue depth and age, worker-pool and result-store gauges) from the
 daemon's METRICS document; ``--format json`` emits the raw document.
 ``search`` races mapper candidates under a budget instead of sweeping
-them exhaustively — dominated candidates are cancelled early::
+them exhaustively — one job per rung, so a dominated candidate
+evaluates no later instance (a job priority travels in the
+``service:host:port:priority`` spec)::
 
     python -m repro.experiments search --nodes 4,8,16,27 \
         --backend service:head-node:7077
@@ -865,7 +867,6 @@ def _search(args, parser) -> int:
             seed=args.seed,
             budget_seconds=args.budget_seconds,
             max_cells=args.max_cells,
-            priority=args.priority,
         )
     except (KeyError, ValueError) as exc:
         parser.error(str(exc))
@@ -1094,7 +1095,10 @@ _FLAGS: dict[str, dict] = {
         "decides the winner",
     ),
     "--max-cells": dict(
-        type=int, metavar="N", help="evaluated-cell budget (see --budget-seconds)"
+        type=int,
+        metavar="N",
+        help="evaluated-cell budget; a rung that would pass it is not run, "
+        "and the last ranked rung decides the winner",
     ),
     "--topology": dict(
         metavar="KIND:PARAMS",
@@ -1177,7 +1181,7 @@ _VERBS = {
     ),
     "search": (
         _search,
-        ("--family", "--priority", "--backend", *_OUTPUT)
+        ("--family", "--backend", *_OUTPUT)
         + ("--nodes", "--ppn", "--mappers", "--objective", "--eta")
         + ("--min-instances", "--seed", "--budget-seconds", "--max-cells")
         + ("--topology", "--contention"),

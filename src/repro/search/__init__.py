@@ -9,22 +9,21 @@ successive-halving racing loop over mapper/parameter candidates:
   :class:`~repro.sweep.SweepSpec` axis cross-product) and the candidate
   mappers, plus the racing knobs — objective column, halving factor
   ``eta``, deterministic ``seed``, wall-clock and cell budgets;
-* :func:`run_search` submits every candidate's full sweep up front (on
-  the service tier: one prioritised job per candidate), consumes the
-  result streams incrementally, ranks candidates on deterministic
-  instance prefixes (*rungs*), and **early-cancels** the dominated ones
-  — a killed candidate's still-queued shards are withdrawn through the
-  per-job ``CANCEL`` path; how many are still queued depends on
-  dispatch order, and ``SearchResult.cells_evaluated`` reports what
-  actually ran;
+* :func:`run_search` submits one job per *rung* (the survivors times
+  the instances that rung adds to a seeded order), ranks the survivors
+  on the objective total over the rung's instance prefix, and drops the
+  dominated ones before it submits the next rung — an eliminated
+  candidate never evaluates a later instance, so
+  ``SearchResult.cells_evaluated`` is exact for a spec and seed on every
+  backend, and never exceeds ``max_cells``;
 * the :class:`SearchResult` carries the winner's full rows (reassembled
   into exhaustive sweep order, byte-identical to what the exhaustive
   sweep would report for that mapper) and a complete audit trail of why
   every other candidate was killed.
 
 The racing decisions only ever read cells from seeded, deterministic
-instance prefixes, so the same spec and seed produce the same winner
-and the same audit trail regardless of backend timing.
+instance prefixes, so the same spec and seed produce the same winner,
+audit trail and cell counts regardless of backend timing.
 
 >>> import repro
 >>> spec = repro.SearchSpec([4, 8], candidates=("blocked", "hyperplane"))

@@ -1,69 +1,50 @@
 """The successive-halving racing loop behind :func:`run_search`.
 
-One consumer thread per candidate streams that candidate's sweep
-(`run_stream(..., indexed=True)`) into shared per-instance tallies; the
-driver thread waits until every surviving candidate has completed the
-current rung's deterministic instance prefix, ranks the survivors on
-the objective total over that prefix, and stops the dominated ones.  A
-stopped candidate's thread closes its stream; on the service backend
-that cancels the candidate's job through the per-job ``CANCEL`` path,
-which withdraws the job's still-queued shards.  Whether any are still
-queued depends on dispatch order, not on the race: the coordinator
-serves one tenant's jobs first in, first out, so with every candidate
-submitted under one tenant an eliminated candidate's shards may all
-have been dispatched before the first rung ranks, and the race then
-evaluates as many cells as the exhaustive sweep.
-:attr:`SearchResult.cells_evaluated <repro.search.SearchResult>`
-reports what actually ran.
+The race runs in the caller's thread as one job per rung.  Rung *r*
+evaluates the survivors of rung *r - 1* on the instances it adds to the
+seeded order (``order[k[r-1]:k[r]]``); the driver ranks the survivors
+on their objective total over the rung's whole instance prefix, drops
+the dominated ones, and only then submits the next rung.  An eliminated
+candidate never evaluates a later instance, so the cells a race
+evaluates are fixed by the spec and seed on every backend, and both
+budgets are checks the driver makes itself: ``max_cells`` before each
+rung is submitted, ``budget_seconds`` as each row lands (expiry closes
+the running rung's stream, which cancels its job on the service
+backend).
 
-Determinism: rung rankings read only rows from seeded instance
-prefixes, and rung scores are recomputed from the stored rows in cell
+Determinism: rung scores are recomputed from the stored rows in cell
 order at ranking time (never accumulated in arrival order), so the same
-spec and seed produce the same winner and audit trail on any backend,
-regardless of shard timing.
+spec and seed produce the same winner, audit trail and cell counts on
+any backend, regardless of shard timing.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-import time
 import random
+import time
+from contextlib import closing
 
+from ..engine.registry import resolve_mapper
 from ..exceptions import SearchError
-from ..sweep import ResultSet, run_stream
+from ..sweep import ResultSet, _acquire_backend, run_stream
 from .spec import CandidateAudit, SearchResult, SearchSpec
 
 __all__ = ["run_search"]
 
-# Driver poll interval while waiting for rung prefixes (also bounds how
-# late a budget expiry is noticed).
-_WAIT_TICK = 0.05
-
 
 class _CandidateState:
-    """Shared mutable state of one racing candidate (guard: the driver's
-    condition variable)."""
+    """The rows and audit record of one racing candidate."""
 
-    def __init__(self, index, name, spec, per_instance, n_instances):
+    def __init__(self, index, name, per_instance):
         self.index = index  # position in the spec's candidate order (tie-break)
         self.name = name
-        self.spec = spec  # single-mapper SweepSpec, instances in shuffled order
         self.per_instance = per_instance
-        self.done_by_pos = [0] * n_instances  # rows landed per shuffled position
-        self.rows_by_index = {}  # candidate-spec cell index -> SweepRow
+        # cell index of the candidate's sweep over the shuffled instance
+        # order -> SweepRow
+        self.rows_by_index = {}
         self.cells = 0
-        self.stop = threading.Event()
-        self.finished = False  # stream exhausted or thread exited
-        self.error = None
-        self.thread = None
         self.audit = CandidateAudit(name=name, mapper=name)
-
-    def prefix_done(self, k: int) -> bool:
-        """All cells of the first *k* shuffled instances have landed."""
-        return all(
-            self.done_by_pos[pos] >= self.per_instance for pos in range(k)
-        )
 
     def prefix_score(self, k: int, objective: str, minimize: bool) -> float:
         """Objective total over the first *k* instances, in cell order.
@@ -82,36 +63,6 @@ class _CandidateState:
         return total
 
 
-def _consume(state: _CandidateState, backend, cond, counters) -> None:
-    """Candidate thread body: stream rows into shared state until stopped."""
-    stream = None
-    try:
-        stream = run_stream(state.spec, backend, indexed=True)
-        for index, row in stream:
-            with cond:
-                state.rows_by_index[index] = row
-                state.done_by_pos[index // state.per_instance] += 1
-                state.cells += 1
-                counters["cells"] += 1
-                cond.notify_all()
-            if state.stop.is_set():
-                break
-    except Exception as exc:  # noqa: BLE001 - surfaced via the audit trail
-        with cond:
-            state.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        if stream is not None:
-            try:
-                # Early-cancels the candidate's remaining shards when the
-                # loop above broke out (service backend: per-job CANCEL).
-                stream.close()
-            except Exception:
-                pass
-        with cond:
-            state.finished = True
-            cond.notify_all()
-
-
 def _format_score(value: float, minimize: bool) -> str:
     if math.isinf(value):
         return "inf (failed cells)"
@@ -119,27 +70,29 @@ def _format_score(value: float, minimize: bool) -> str:
     return f"{shown:g}"
 
 
+def _every_candidate_failed(states) -> SearchError:
+    return SearchError(
+        "every candidate failed before a ranking: "
+        + "; ".join(f"{s.name}: {s.audit.reason}" for s in states)
+    )
+
+
 def run_search(spec: SearchSpec, backend=None) -> SearchResult:
     """Race the spec's candidates and return the :class:`SearchResult`.
 
-    *backend* is anything :func:`repro.sweep.run` accepts: ``None``
-    (per-candidate private engines), a CLI spec string (resolved once
-    per candidate, so ``"service:PORT"`` gives each candidate its own
-    prioritised job), or a live :class:`~repro.engine.backends.Backend`
-    — which is then shared by all candidate threads and must tolerate
-    concurrent ``evaluate_stream`` calls (the service backend does:
-    each running job holds a connection of its own; so does an
-    :class:`~repro.engine.EvaluationEngine`, whose caches compute each
-    entry once whichever thread asks first).
+    *backend* is anything :func:`repro.sweep.run` accepts: ``None`` (one
+    private engine for the whole race), a CLI spec string (resolved once
+    per race, so ``"process:2"`` is one pool and ``"service:PORT"`` one
+    client), or a live :class:`~repro.engine.backends.Backend`, which
+    stays open for the caller.  Each rung is one ``evaluate_stream``
+    call on it.
 
-    Raises :class:`~repro.exceptions.SearchError` only when *no*
-    candidate could be ranked at all (every stream failed, or the
-    budget expired before the first rung completed anywhere).
+    Raises :class:`~repro.exceptions.SearchError` when no candidate can
+    be ranked: every candidate names an unknown mapper, a rung's stream
+    failed, or a budget ended the race before the first rung was ranked.
     """
     start = time.monotonic()
-    deadline = (
-        None if spec.budget_seconds is None else start + spec.budget_seconds
-    )
+    deadline = None if spec.budget_seconds is None else start + spec.budget_seconds
     n = len(spec.base.instances)
     order = list(range(n))
     random.Random(spec.seed).shuffle(order)
@@ -147,30 +100,23 @@ def run_search(spec: SearchSpec, backend=None) -> SearchResult:
     rungs = spec.rungs()
     per_instance = spec.cells_per_instance
 
-    cond = threading.Condition()
-    counters = {"cells": 0}
     states = [
-        _CandidateState(
-            index,
-            name,
-            spec.base.subset(instances=shuffled_labels, mappers=[name]),
-            per_instance,
-            n,
-        )
+        _CandidateState(index, name, per_instance)
         for index, name in enumerate(spec.candidates)
     ]
-    for state in states:
-        state.thread = threading.Thread(
-            target=_consume,
-            args=(state, backend, cond, counters),
-            name=f"repro-search-{state.name}",
-            daemon=True,
-        )
-        state.thread.start()
-
-    survivors = list(states)
-    ranked_rung = -1
-    budget_reason = None
+    survivors = []
+    for state, (_, mapper) in zip(states, spec.base.mappers):
+        # The engine raises an unknown name's KeyError for the whole
+        # job, which would fail the other candidates of its rung.
+        try:
+            resolve_mapper(mapper)
+        except KeyError as exc:
+            state.audit.status = "error"
+            state.audit.reason = f"{type(exc).__name__}: {exc}"
+        else:
+            survivors.append(state)
+    if not survivors:
+        raise _every_candidate_failed(states)
 
     def rank(candidates, k, rung_index):
         """Sort *candidates* best-first on the rung prefix, audit scores."""
@@ -183,75 +129,66 @@ def run_search(spec: SearchSpec, backend=None) -> SearchResult:
         )
         for state in scored:
             internal = state.prefix_score(k, spec.objective, spec.minimize)
-            state.audit.scores[rung_index] = (
-                internal if spec.minimize else -internal
-            )
+            state.audit.scores[rung_index] = internal if spec.minimize else -internal
             state.audit.rung_reached = rung_index
             state.audit.instances_scored = k
         return scored
 
-    with cond:
+    total_cells = 0
+    ranked_rung = -1
+    budget_reason = None
+    backend, owned = _acquire_backend(backend)
+    try:
+        prefix = 0
         for rung_index, k in enumerate(rungs):
-            # Wait for every survivor to land the rung's instance prefix.
-            while True:
-                for state in list(survivors):
-                    if state.error is not None or (
-                        state.finished and not state.prefix_done(k)
-                    ):
-                        survivors.remove(state)
-                        state.audit.status = "error"
-                        state.audit.reason = (
-                            state.error
-                            or f"stream ended before rung {rung_index} "
-                            f"({k} instance(s)) completed"
-                        )
-                if not survivors:
-                    raise SearchError(
-                        "every candidate failed before a ranking: "
-                        + "; ".join(
-                            f"{s.name}: {s.audit.reason}" for s in states
-                        )
-                    )
-                if all(state.prefix_done(k) for state in survivors):
-                    break
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    budget_reason = (
-                        f"wall-clock budget ({spec.budget_seconds:g}s) "
-                        f"expired during rung {rung_index}"
-                    )
-                    break
-                if (
-                    spec.max_cells is not None
-                    and counters["cells"] >= spec.max_cells
-                ):
-                    budget_reason = (
-                        f"cell budget ({spec.max_cells}) exhausted during "
-                        f"rung {rung_index}"
-                    )
-                    break
-                cond.wait(_WAIT_TICK)
+            width = len(survivors)
+            rung_cells = width * (k - prefix) * per_instance
+            if spec.max_cells is not None and total_cells + rung_cells > spec.max_cells:
+                budget_reason = (
+                    f"cell budget ({spec.max_cells}) exhausted during "
+                    f"rung {rung_index}"
+                )
+                break
+            rung = spec.base.subset(
+                instances=shuffled_labels[prefix:k],
+                mappers=[state.name for state in survivors],
+            )
+            # The mapper is the innermost axis of the rung's cells, so rung
+            # cell i is cell first + i // width of survivor i % width.
+            first = prefix * per_instance
+            try:
+                with closing(run_stream(rung, backend, indexed=True)) as stream:
+                    for index, row in stream:
+                        state = survivors[index % width]
+                        state.rows_by_index[first + index // width] = row
+                        state.cells += 1
+                        total_cells += 1
+                        if deadline is not None and time.monotonic() >= deadline:
+                            budget_reason = (
+                                f"wall-clock budget ({spec.budget_seconds:g}s) "
+                                f"expired during rung {rung_index}"
+                            )
+                            break
+            except Exception as exc:  # noqa: BLE001 - surfaced via the audit trail
+                for state in survivors:
+                    state.audit.status = "error"
+                    state.audit.reason = f"{type(exc).__name__}: {exc}"
+                raise _every_candidate_failed(states) from exc
             if budget_reason is not None:
                 break
             survivors = rank(survivors, k, rung_index)
             ranked_rung = rung_index
-            if rung_index == len(rungs) - 1:
-                break
+            prefix = k
             keep = max(1, math.ceil(len(survivors) / spec.eta))
-            if keep >= len(survivors):
+            if rung_index == len(rungs) - 1 or keep >= len(survivors):
                 continue
             losers = survivors[keep:]
             leader = survivors[0]
-            leader_score = leader.prefix_score(
-                k, spec.objective, spec.minimize
-            )
+            leader_score = leader.prefix_score(k, spec.objective, spec.minimize)
             ranked = len(survivors)
             survivors = survivors[:keep]
             for position, loser in enumerate(losers, start=keep + 1):
-                loser_score = loser.prefix_score(
-                    k, spec.objective, spec.minimize
-                )
-                loser.stop.set()
+                loser_score = loser.prefix_score(k, spec.objective, spec.minimize)
                 loser.audit.status = "eliminated"
                 loser.audit.reason = (
                     f"dominated at rung {rung_index} ({k} instance(s)): "
@@ -260,91 +197,51 @@ def run_search(spec: SearchSpec, backend=None) -> SearchResult:
                     f"{leader.name} {_format_score(leader_score, spec.minimize)} "
                     f"(rank {position}/{ranked})"
                 )
+    finally:
+        if owned is not None:
+            owned.close()
 
-        if budget_reason is not None:
-            # Finalize on the deepest rung prefix the rankable survivors
-            # share; survivors that never completed even the first rung
-            # cannot be compared fairly and are set aside.  This stays
-            # deterministic for a deterministic cut point (e.g. a cell
-            # budget on a serial backend).
-            def landed_prefix(state):
-                return next(
-                    (
-                        pos
-                        for pos in range(n)
-                        if state.done_by_pos[pos] < per_instance
-                    ),
-                    n,
-                )
-
-            rankable = [
-                state for state in survivors if landed_prefix(state) >= rungs[0]
-            ]
-            if rankable:
-                common = min(landed_prefix(state) for state in rankable)
-                final_rung = max(
-                    index
-                    for index, size in enumerate(rungs)
-                    if size <= common
-                )
-                set_aside = [s for s in survivors if s not in rankable]
-                survivors = rank(rankable, rungs[final_rung], final_rung)
-                ranked_rung = final_rung
-                survivors.extend(set_aside)
-            elif ranked_rung < 0:
-                raise SearchError(
-                    f"{budget_reason} before any candidate completed the "
-                    f"first rung ({rungs[0]} instance(s))"
-                )
-            # else: keep the order of the last completed ranking.
-            for state in survivors[1:]:
-                state.audit.status = "budget"
-                state.audit.reason = budget_reason
-            survivors = survivors[:1]
-
-        winner = survivors[0]
-        winner.audit.status = "winner"
-        if winner.audit.reason is None:
-            winner.audit.reason = (
-                budget_reason
-                if budget_reason is not None
-                else f"best {spec.objective} over all {n} instance(s)"
+    if budget_reason is not None:
+        # The race ends on the last ranked rung; rows of the rung the
+        # budget cut count as evaluated but rank nobody.
+        if ranked_rung < 0:
+            raise SearchError(
+                f"{budget_reason} before any candidate completed the "
+                f"first rung ({rungs[0]} instance(s))"
             )
-        for state in states:
-            if state.audit.status == "racing":  # final-rung survivors
-                state.audit.status = "finished"
-                state.audit.reason = (
-                    f"outscored by {winner.name} at the final rung"
-                )
-            state.stop.set()
-            state.audit.cells_evaluated = state.cells
+        for state in survivors[1:]:
+            state.audit.status = "budget"
+            state.audit.reason = budget_reason
+        survivors = survivors[:1]
 
-        # Winner rows, reassembled into the base spec's cell order so a
-        # complete race is byte-identical to the exhaustive sweep's
-        # winner slice.
-        inverse = [0] * n
-        for position, original in enumerate(order):
-            inverse[original] = position
-        winner_rows = []
-        for original in range(n):
-            base = inverse[original] * per_instance
-            for offset in range(per_instance):
-                row = winner.rows_by_index.get(base + offset)
-                if row is not None:
-                    winner_rows.append(row)
-        complete = (
-            budget_reason is None and len(winner_rows) == n * per_instance
+    winner = survivors[0]
+    winner.audit.status = "winner"
+    if winner.audit.reason is None:
+        winner.audit.reason = (
+            budget_reason
+            if budget_reason is not None
+            else f"best {spec.objective} over all {n} instance(s)"
         )
-        total_cells = counters["cells"]
-
     for state in states:
-        state.thread.join(timeout=10.0)
-    with cond:
-        # Late rows from threads that were still draining when the race
-        # was decided still count as dispatched work.
-        total_cells = counters["cells"]
-        for state in states:
-            state.audit.cells_evaluated = state.cells
+        if state.audit.status == "racing":  # final-rung survivors
+            state.audit.status = "finished"
+            state.audit.reason = f"outscored by {winner.name} at the final rung"
+        state.audit.cells_evaluated = state.cells
+
+    # Winner rows, reassembled into the base spec's cell order so a
+    # complete race is byte-identical to the exhaustive sweep's winner
+    # slice.
+    inverse = [0] * n
+    for position, original in enumerate(order):
+        inverse[original] = position
+    winner_rows = []
+    for original in range(n):
+        base = inverse[original] * per_instance
+        for offset in range(per_instance):
+            row = winner.rows_by_index.get(base + offset)
+            if row is not None:
+                winner_rows.append(row)
+    complete = budget_reason is None and len(winner_rows) == n * per_instance
 
     rows = ResultSet(winner_rows)
     return SearchResult(

@@ -55,12 +55,13 @@ class SearchSpec:
         read deterministic instance prefixes of that order, so the same
         spec and seed always crown the same winner.
     budget_seconds, max_cells:
-        Optional wall-clock / evaluated-cell budgets; on expiry the
-        search finalizes on the deepest fully-ranked rung instead of
-        racing to the end.
-    priority:
-        Advisory job priority for service-tier candidate jobs (used by
-        the CLI when it builds per-candidate backends).
+        Optional wall-clock / evaluated-cell budgets; the race then
+        ends on the last ranked rung instead of racing to the end.
+        ``max_cells`` is checked before each rung is submitted, so a
+        race never evaluates more cells (and one whose first rung alone
+        exceeds it raises :class:`~repro.exceptions.SearchError`);
+        ``budget_seconds`` is checked as each row lands, and the rows
+        of the rung it cuts are evaluated but rank nobody.
     """
 
     def __init__(
@@ -79,7 +80,6 @@ class SearchSpec:
         seed: int = 0,
         budget_seconds: float | None = None,
         max_cells: int | None = None,
-        priority: int = 0,
     ):
         if not objective or not isinstance(objective, str):
             raise ValueError(f"objective must be a column name, got {objective!r}")
@@ -109,7 +109,6 @@ class SearchSpec:
         self.seed = int(seed)
         self.budget_seconds = budget_seconds
         self.max_cells = None if max_cells is None else int(max_cells)
-        self.priority = int(priority)
 
     # ------------------------------------------------------------------
     def rungs(self) -> tuple[int, ...]:
@@ -154,17 +153,17 @@ class CandidateAudit:
 
     ``status`` is one of ``"winner"``, ``"finished"`` (ranked at the
     final rung but outscored), ``"eliminated"`` (dominated at an
-    intermediate rung and early-cancelled), ``"budget"`` (still racing
-    when the budget expired) or ``"error"`` (its evaluation stream
-    died).  ``scores`` maps rung index to the objective total over that
-    rung's instance prefix (in the caller's orientation — larger is
-    better only when ``minimize=False``); ``rung_reached`` is the
-    deepest rung the candidate was ranked at, ``-1`` if none.
+    intermediate rung, so it evaluated no later instance), ``"budget"``
+    (still racing when the budget expired) or ``"error"`` (an unknown
+    mapper, or its rung's evaluation stream died).  ``scores`` maps rung
+    index to the objective total over that rung's instance prefix (in
+    the caller's orientation — larger is better only when
+    ``minimize=False``); ``rung_reached`` is the deepest rung the
+    candidate was ranked at, ``-1`` if none.
 
-    Every field is deterministic for a given spec and seed except
-    ``cells_evaluated``, which for eliminated candidates depends on how
-    many in-flight rows landed before the candidate noticed its stop
-    signal.
+    Every field, ``cells_evaluated`` included, is the same for a given
+    spec and seed on every backend; only a wall-clock budget makes the
+    cut point depend on timing.
     """
 
     name: str

@@ -241,8 +241,7 @@ class ServiceClient:
             else None
         )
         # Connections handed back by finished operations, oldest first.
-        # Locked: one backend may run concurrent streams (the search
-        # driver does).
+        # Locked: one client may serve streams in several threads.
         self._idle: list[_Connection] = []
         self._idle_lock = threading.Lock()
         self._closed = False

@@ -665,9 +665,9 @@ class SweepSpec:
 
         Each argument is an iterable of axis labels; ``None`` keeps the
         axis unchanged.  The returned spec lists the entries in the
-        *given* order — a portfolio search uses this both to isolate
-        one mapper candidate and to shuffle the instance axis under a
-        seed.  Unknown labels raise :class:`ValueError`.  Allocations,
+        *given* order — a portfolio search uses this to pick each
+        rung's surviving mappers and its slice of the instance axis,
+        shuffled under a seed.  Unknown labels raise :class:`ValueError`.  Allocations,
         metrics, tags and overrides carry over unchanged.
         """
 

@@ -77,47 +77,9 @@ class TestLRUCache:
         cache.get("missing")
         assert cache.stats().hit_rate == 0.5
 
-    def test_concurrent_misses_on_same_key_compute_once(self):
-        """Single-flight: concurrent misses on one key elect one leader;
-        the waiters block and share the leader's value instead of
-        duplicating the (expensive) computation."""
-        import threading
-
-        cache = LRUCache(4)
-        leader_entered = threading.Event()
-        release_leader = threading.Event()
-        computed = []
-
-        def compute():
-            leader_entered.set()
-            assert release_leader.wait(timeout=10)
-            computed.append(threading.get_ident())
-            return 42
-
-        results = []
-
-        def run():
-            results.append(cache.get_or_compute("key", compute))
-
-        leader = threading.Thread(target=run)
-        leader.start()
-        assert leader_entered.wait(timeout=10)
-        # The leader is inside compute(); this thread must now wait on
-        # the same flight, not start a second computation.
-        waiter = threading.Thread(target=run)
-        waiter.start()
-        release_leader.set()
-        leader.join(timeout=10)
-        waiter.join(timeout=10)
-        assert len(computed) == 1  # exactly one compute ran
-        assert results == [42, 42]  # both calls share the value
-        stats = cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
-
     def test_reentrant_same_key_compute_does_not_deadlock(self):
         """A compute callback that calls back into the cache for the
-        same key degrades to duplicate compute instead of waiting on
-        its own flight forever."""
+        same key computes it again instead of deadlocking."""
         cache = LRUCache(4)
         calls = []
 
@@ -130,9 +92,9 @@ class TestLRUCache:
         assert cache.get("key") == 7
 
     def test_reentrant_fallback_counts_as_miss(self):
-        """The duplicate-compute fallback serves nothing from the cache,
-        so it must count as a miss — otherwise hit_rate silently
-        overstates whenever callbacks re-enter."""
+        """The reentrant compute serves nothing from the cache, so it
+        must count as a miss — otherwise hit_rate silently overstates
+        whenever callbacks re-enter."""
         cache = LRUCache(4)
 
         def outer():
@@ -140,15 +102,15 @@ class TestLRUCache:
 
         cache.get_or_compute("key", outer)
         stats = cache.stats()
-        # outer leader miss + reentrant fallback miss; the trailing
-        # get() hit below keeps hit_rate honest
+        # outer miss + reentrant miss; the trailing get() hit below
+        # keeps hit_rate honest
         assert stats.misses == 2
         assert cache.get("key") == 7
         assert cache.stats().hits == 1
 
     def test_failed_leader_promotes_a_waiter(self):
-        """If the leader's compute raises, the exception reaches the
-        leader and a waiting thread retries the computation."""
+        """If one thread's compute raises, the exception reaches that
+        thread alone, and a concurrent miss on the key stores its value."""
         import threading
 
         cache = LRUCache(4)
@@ -395,13 +357,11 @@ class TestEvaluationEngine:
         assert (result.jsum, result.jmax) == (ref.jsum, ref.jmax)
 
     def test_parallel_matches_serial(self, instance, monkeypatch):
-        """Threads sharing one engine, as the portfolio search's
-        candidates do, get the serial run's results byte for byte, and
-        each (instance, mapper) pair is mapped once among them all."""
+        """Threads sharing one engine get the serial run's results byte
+        for byte, even when their misses on one key overlap."""
         import sys
         import threading
         import time
-        from collections import Counter
 
         _, stencil, alloc = instance
         requests = [
@@ -424,24 +384,18 @@ class TestEvaluationEngine:
 
         serial = [signature(r) for r in EvaluationEngine().evaluate_batch(requests)]
 
-        calls: Counter = Counter()
-        lock = threading.Lock()
-
-        class Counting:
-            """The registry's mapper, counting (and slowing) each run so
-            the threads' misses on one key overlap."""
+        class Slowed:
+            """The registry's mapper, slowing each run so the threads'
+            misses on one key overlap."""
 
             def __init__(self, name):
                 self.mapper = resolve_mapper(name)
-                self.name = name
 
             def map_ranks(self, grid, stencil, alloc):
-                with lock:
-                    calls[(grid.dims, self.name)] += 1
                 time.sleep(0.005)
                 return self.mapper.map_ranks(grid, stencil, alloc)
 
-        monkeypatch.setattr("repro.engine.engine.resolve_mapper", Counting)
+        monkeypatch.setattr("repro.engine.engine.resolve_mapper", Slowed)
         engine = EvaluationEngine()
         threads = 4
         barrier = threading.Barrier(threads)
@@ -473,9 +427,6 @@ class TestEvaluationEngine:
         assert not any(worker.is_alive() for worker in workers)
         assert sorted(rows) == list(range(threads))
         assert all(rows[t] == serial for t in range(threads))
-        assert calls == Counter(
-            {(r.grid.dims, r.mapper): 1 for r in requests}
-        )
 
     def test_edge_cache_shared_across_batches(self, instance):
         grid, stencil, alloc = instance

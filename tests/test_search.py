@@ -1,7 +1,7 @@
 """Portfolio search (racing) and the METRICS observability surface.
 
 Covers the `repro.search` subsystem — rung schedules, racing
-determinism, early cancellation, audit trails, budgets — plus the v6
+determinism, exact cell counts, audit trails, budgets — plus the v6
 METRICS round-trip (queue age, per-job progress/ETA, store gauges) and
 the `watch`/`search` CLI verbs.
 """
@@ -28,6 +28,8 @@ from .test_cluster import _spawn_worker
 from .test_service import _FakeServiceWorker
 
 CANDIDATES = ("blocked", "hyperplane", "kd_tree", "random")
+# Eight instances race in rungs of 1, 2, 4 and 8: 4 + 2 + 1x2 + 1x4 cells.
+EIGHT_NODES = (4, 8, 12, 16, 20, 27, 32, 45)
 
 
 def _spec(nodes=(4, 8, 16, 27), candidates=CANDIDATES, **kwargs):
@@ -108,25 +110,18 @@ class TestSearchSpec:
 class TestRacing:
     def test_same_seed_same_winner_and_audit(self):
         """Racing decisions are deterministic: same seed, same winner,
-        same eliminations (cells_evaluated is the one timing-dependent
-        audit field)."""
+        same eliminations, same cell counts."""
 
-        def decisions(result):
-            return [
-                {
-                    k: v
-                    for k, v in audit.to_record().items()
-                    if k != "cells_evaluated"
-                }
-                for audit in result.candidates
-            ]
+        def records(result):
+            return [audit.to_record() for audit in result.candidates]
 
         first = run_search(_spec(seed=3))
         second = run_search(_spec(seed=3))
         assert first.winner == second.winner
         assert first.instance_order == second.instance_order
         assert first.rungs == second.rungs
-        assert decisions(first) == decisions(second)
+        assert first.cells_evaluated == second.cells_evaluated
+        assert records(first) == records(second)
 
     def test_seed_shuffles_the_instance_order(self):
         orders = {
@@ -176,12 +171,33 @@ class TestRacing:
         assert result.winner == min(totals, key=totals.get)
 
     def test_early_cancel_evaluates_fewer_cells_than_exhaustive(self):
-        spec = _spec(nodes=(4, 8, 12, 16, 20, 27, 32, 45))
+        spec = _spec(nodes=EIGHT_NODES)
         result = run_search(spec, backend=_SlowBackend())
         assert result.complete
-        assert result.cells_evaluated < result.exhaustive_cells
+        assert result.cells_evaluated == 12
+        assert result.exhaustive_cells == 32
         # the winner still evaluated everything; some loser was cut short
         assert result.audit(result.winner).cells_evaluated == 8
+
+    @pytest.mark.parametrize("backend", [None, "serial", "process:2"])
+    def test_rungs_evaluate_an_exact_cell_count(self, backend):
+        """One job per rung: a candidate dropped at rung r evaluated the
+        first k[r] instances and nothing more, on every backend."""
+        result = run_search(_spec(nodes=EIGHT_NODES), backend=backend)
+        assert result.complete
+        assert result.cells_evaluated == 12
+        counts = sorted(audit.cells_evaluated for audit in result.candidates)
+        assert counts == [1, 1, 2, 8]
+
+    def test_serial_race_starts_no_thread(self, monkeypatch):
+        import threading
+
+        def refuse(thread):
+            raise AssertionError(f"the race started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = run_search(_spec(), backend="serial")
+        assert result.complete
 
     def test_dominated_candidates_carry_a_full_audit_trail(self):
         result = run_search(_spec())
@@ -212,15 +228,32 @@ class TestRacing:
         assert result.winner in ("blocked", "hyperplane")
         assert result.complete
 
+    def test_a_raising_mapper_fails_its_rung(self):
+        """An exception other than ``MappingError`` fails the rung's
+        whole job, as it fails ``run(spec.base)``."""
+        import repro
+
+        class Broken(repro.BlockedMapper):
+            def map_ranks(self, grid, stencil, alloc):
+                raise RuntimeError("broken mapper")
+
+        spec = _spec(candidates={"blocked": "blocked", "broken": Broken()})
+        with pytest.raises(RuntimeError, match="broken mapper"):
+            run(spec.base)
+        with pytest.raises(SearchError, match="RuntimeError: broken mapper"):
+            run_search(spec)
+
     def test_every_candidate_failing_raises_search_error(self):
         with pytest.raises(SearchError, match="every candidate failed"):
             run_search(_spec(candidates=("nope_a", "nope_b")))
 
     def test_cell_budget_cuts_the_race_short(self):
         result = run_search(
-            _spec(nodes=(4, 8, 12, 16, 20, 27, 32, 45), max_cells=10),
+            _spec(nodes=EIGHT_NODES, max_cells=10),
             backend=_SlowBackend(),
         )
+        # rungs 0-2 take 4 + 2 + 2 cells; rung 3's 4 would pass 10
+        assert result.cells_evaluated == 8
         assert not result.complete
         assert result.winner in CANDIDATES
         # the budget reason lands on the survivors it cut — or on the
@@ -235,6 +268,56 @@ class TestRacing:
             audit.status in ("budget", "winner") for audit in cut
         )
         assert result.cells_evaluated < result.exhaustive_cells
+
+    def test_cell_budget_below_the_first_rung_raises(self):
+        with pytest.raises(SearchError, match=r"cell budget \(3\) exhausted"):
+            run_search(_spec(nodes=EIGHT_NODES, max_cells=3))
+
+    def test_wall_clock_budget_ends_on_the_last_ranked_rung(self, monkeypatch):
+        """The clock runs out as the first row of rung 1 lands: the row
+        counts, rung 0's ranking stands, and its leader wins."""
+        now = [0.0]
+
+        class Clock:
+            """The driver's ``time`` module, under the test's control."""
+
+            @staticmethod
+            def monotonic():
+                return now[0]
+
+        class Expiring:
+            """A serial engine whose fifth result lands past the deadline."""
+
+            def __init__(self):
+                self.engine = EvaluationEngine()
+                self.results = 0
+
+            def evaluate_stream(self, requests):
+                for result in self.engine.evaluate_stream(requests):
+                    self.results += 1
+                    if self.results == 5:
+                        now[0] = 1000.0
+                    yield result
+
+        monkeypatch.setattr("repro.search.driver.time", Clock)
+        result = run_search(
+            _spec(nodes=EIGHT_NODES, budget_seconds=60), backend=Expiring()
+        )
+        assert not result.complete
+        assert result.cells_evaluated == 5
+        leader = min(
+            result.candidates,
+            key=lambda a: (a.scores[0], CANDIDATES.index(a.name)),
+        )
+        assert result.winner == leader.name
+        statuses = sorted(audit.status for audit in result.candidates)
+        assert statuses == ["budget", "eliminated", "eliminated", "winner"]
+        for audit in result.candidates:
+            assert audit.rung_reached == 0  # rung 1 ranked nobody
+            if audit.status in ("budget", "winner"):
+                assert audit.reason == (
+                    "wall-clock budget (60s) expired during rung 1"
+                )
 
     def test_result_json_document(self):
         result = run_search(_spec())
@@ -474,6 +557,14 @@ class TestSearchCLI:
         with pytest.raises(SystemExit):
             experiments_main(["search", "--nodes", "4,banana"])
 
+    def test_search_cli_takes_no_priority(self, capsys):
+        """A job priority travels in ``service:host:port:priority``."""
+        from repro.experiments.__main__ import main as experiments_main
+
+        with pytest.raises(SystemExit) as exit_info:
+            experiments_main(["search", "--priority", "1", "--nodes", "4"])
+        assert exit_info.value.code == 2
+
 
 # ----------------------------------------------------------------------
 # The racing driver over the service tier (in-process daemon, real work)
@@ -488,6 +579,9 @@ class TestSearchOverService:
         local = run_search(spec)
         with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
             workers = [_spawn_worker(daemon.port) for _ in range(2)]
+            # A worker still connecting when the daemon closes retries
+            # for its whole connect timeout.
+            daemon.wait_for_workers(2, timeout=30)
             remote = run_search(
                 _spec(), backend=f"service:127.0.0.1:{daemon.port}"
             )
@@ -496,3 +590,20 @@ class TestSearchOverService:
         assert remote.winner == local.winner
         assert remote.winner_rows.to_json() == local.winner_rows.to_json()
         assert remote.complete
+
+    def test_service_race_is_one_job_per_rung(self):
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
+            workers = [_spawn_worker(daemon.port) for _ in range(2)]
+            daemon.wait_for_workers(2, timeout=30)
+            result = run_search(
+                _spec(nodes=EIGHT_NODES),
+                backend=f"service:127.0.0.1:{daemon.port}",
+            )
+            jobs = daemon.jobs()
+        for worker in workers:
+            assert worker.wait(timeout=30) == 0
+        assert result.complete
+        assert result.cells_evaluated == 12
+        counts = sorted(audit.cells_evaluated for audit in result.candidates)
+        assert counts == [1, 1, 2, 8]
+        assert [job["state"] for job in jobs] == ["done"] * 4

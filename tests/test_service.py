@@ -537,6 +537,36 @@ class TestInProcessDaemon:
                 elapsed = time.monotonic() - start
         assert elapsed < 2.0
 
+    def test_failed_tls_handshakes_hold_up_nothing(self, tls_files):
+        """A peer whose TLS handshake times out is closed uncounted, one
+        speaking cleartext counts under ``protocol_errors``, and neither
+        connection holds up the daemon's close."""
+        cert, key = tls_files
+        daemon = ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=2.0, tls_cert=cert, tls_key=key
+        )
+        try:
+            for payload in (b"", b"\0" * 64):
+                with socket.create_connection(
+                    ("127.0.0.1", daemon.port), timeout=10
+                ) as peer:
+                    peer.sendall(payload)
+                    try:
+                        assert peer.recv(1) == b""  # the daemon closed it
+                    except ConnectionResetError:
+                        pass
+                if not payload:
+                    assert daemon.metrics()["pool"]["protocol_errors"] == 0
+            deadline = time.monotonic() + 10
+            while daemon.metrics()["pool"]["protocol_errors"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+        finally:
+            start = time.monotonic()
+            daemon.close()
+            elapsed = time.monotonic() - start
+        assert elapsed < 2.0
+
     def test_tls_cluster_byte_identical_to_serial(self, tls_files, serial_results):
         """A self-signed daemon: its certificate is the trust root."""
         cert, key = tls_files
@@ -577,7 +607,8 @@ class TestInProcessDaemon:
     ):
         """*tls_ca* signs client certificates, not the daemon's: a
         backend presenting one runs its batches, and the port still
-        turns away every peer without a client certificate."""
+        turns away every peer without a client certificate, counting
+        each under ``protocol_errors``."""
         cert, key = tls_pki["daemon"]
         client_cert, client_key = tls_pki["client"]
         with ServiceDaemon(
@@ -610,6 +641,7 @@ class TestInProcessDaemon:
                 tls_key=client_key,
             ) as client:
                 jobs = client.status()
+            refused_before = daemon.metrics()["pool"]["protocol_errors"]
             anonymous = ServiceClient(
                 "127.0.0.1",
                 daemon.port,
@@ -618,6 +650,14 @@ class TestInProcessDaemon:
             )
             with pytest.raises(ServiceError):
                 anonymous.status()
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                refused_after = daemon.metrics()["pool"]["protocol_errors"]
+                if refused_after:
+                    break
+                time.sleep(0.05)
+        assert refused_before == 0
+        assert refused_after >= 1
         assert list(map(_signature, results)) == list(
             map(_signature, serial_results)
         )
