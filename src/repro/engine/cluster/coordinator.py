@@ -113,20 +113,28 @@ untouched, so the coordinator stays payload-agnostic where it cannot
 key.  Job STATUS records count *dispatched* shards only: a fully
 store-served job reports ``shards: 0``.
 
+Cells stay encoded throughout: a worker's ``RESULT`` rows carry each
+cell as the ``.cell`` bytes of the store (protocol v7).  Every cell a
+worker sends is checked on receipt, its structure and CRC always and
+its key wherever the coordinator keyed the item; a cell that fails is a
+protocol error from that worker, whose connection closes so that its
+shards are requeued as if it had died, and nothing of the shard is
+stored.  A checked cell is published exactly as received, and a
+``JOB_RESULT`` splices the bytes of its cells, whether they came from a
+worker, the store or memory.
+
 The store has a memory front, as an engine's LRUs sit in front of its
-store: every cell :meth:`DiskStore.load
-<repro.engine.diskcache.DiskStore.load>` returns is remembered under
-its key, and a repeat lookup is answered from memory without reading
-or decoding the file again.  Memory is bounded by one constant,
-``_MEMORY_BYTES`` (64 MiB of ``perm`` and ``per_node`` array bytes);
-the least recently used cells make room.  A memory hit bumps the cell
-file's mtime, so ``prune`` still orders cells by recency of use, and a
-remembered cell whose file is gone (``cache clear``, ``--store-ttl``,
-``--store-max-bytes``) is forgotten and looked up on disk like any
-other cell.  Memory hits count as store ``hits`` and also as
-``memory_hits`` in METRICS.  Only loaded cells are remembered: a
-freshly computed cell's arrays are views into its whole RESULT frame,
-so it enters memory on its first load instead.
+store: every cell :meth:`DiskStore.load_bytes
+<repro.engine.diskcache.DiskStore.load_bytes>` returns, and a copy of
+every cell published, is remembered under its key as bytes, and a
+repeat lookup is answered from memory without reading the file again.
+Memory is bounded by one constant, ``_MEMORY_BYTES`` (64 MiB of cell
+bytes, ``len(cell)``); the least recently used cells make room.  A
+memory hit bumps the cell file's mtime, so ``prune`` still orders cells
+by recency of use, and a remembered cell whose file is gone (``cache
+clear``, ``--store-ttl``, ``--store-max-bytes``) is forgotten and
+looked up on disk like any other cell.  Memory hits count as store
+``hits`` and also as ``memory_hits`` in METRICS.
 """
 
 from __future__ import annotations
@@ -134,13 +142,14 @@ from __future__ import annotations
 import asyncio
 import heapq
 import hmac
+import itertools
 import secrets
 import ssl
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..diskcache import DiskStore, cell_key
+from ..diskcache import CellError, DiskStore, cell_key, decode_cell
 from .protocol import (
     AUTH,
     CANCEL,
@@ -199,8 +208,8 @@ DEFAULT_TENANT = "default"
 #: an unbounded population of one-shot clients.
 _TENANT_LIMIT = 1024
 
-#: Array bytes (``perm.nbytes + per_node.nbytes``) of the loaded cells
-#: the coordinator keeps in memory in front of its result store.
+#: Bytes (``len(cell)``) of the cells the coordinator keeps in memory in
+#: front of its result store.
 _MEMORY_BYTES = 64 << 20
 
 
@@ -261,6 +270,9 @@ class _Shard:
     id: int
     items: list
     job: _Job
+    #: The cell key each item's cell must carry (``None`` where the
+    #: coordinator keyed none); ``None`` checks no key.
+    keys: list | None = None
     requeues: int = 0
     #: Loop time of the latest (re-)enqueue; feeds the queue-age gauge.
     enqueued_at: float = 0.0
@@ -297,17 +309,6 @@ class _ClientConn:
         self.write_lock = asyncio.Lock()
 
 
-def _row_value(row) -> tuple | None:
-    """The storable ``(perm, cost, error, metrics)`` of one worker row.
-
-    Worker shards answer with ``(index, perm, cost, error, metrics)``
-    rows; anything else is not a row the store understands.
-    """
-    if isinstance(row, (tuple, list)) and len(row) == 5:
-        return tuple(row[1:])
-    return None
-
-
 class _PendingShard:
     """One client-visible shard being assembled from store hits,
     in-flight subscriptions, and (a sub-shard of) dispatched items."""
@@ -342,11 +343,12 @@ class _Assembly:
     """One client submission's result-store/single-flight bookkeeping.
 
     The coordinator job(s) backing the submission stream into a private
-    ``internal`` queue; the pump task parses worker rows, publishes
-    keyed cells (store + fan-out to waiters), and emits fully assembled
-    shards as synthesized ``(RESULT, shard_id, rows)`` frames on the
+    ``internal`` queue; the pump task folds in worker rows (checked on
+    receipt, one per dispatched item, in order), publishes keyed cells
+    (store + fan-out to waiters), and emits fully assembled shards as
+    synthesized ``(RESULT, shard_id, rows)`` frames on the
     ``client_queue`` the session forwarder streams from.  Raw
-    (unkeyable) shards are forwarded verbatim, unparsed.
+    (unkeyable) shards are forwarded verbatim.
     """
 
     def __init__(
@@ -385,15 +387,7 @@ class _Assembly:
             if self.done:
                 return
             if kind == RESULT:
-                incomplete = self._on_result(shard_id, payload)
-                if incomplete is not None:
-                    await self._abort(
-                        FAIL,
-                        incomplete.id,
-                        "worker returned an incomplete or unparseable "
-                        "shard payload",
-                    )
-                    return
+                self._on_result(shard_id, payload)
             elif kind == FAIL:
                 await self._abort(FAIL, shard_id, payload)
                 return
@@ -406,50 +400,38 @@ class _Assembly:
                 self.client_queue.put_nowait((SHUTDOWN, None, None))
                 return
 
-    def _on_result(self, shard_id: int, payload) -> _PendingShard | None:
-        """Fold one dispatched shard's rows in; returns the pending
-        shard a malformed payload left unfillable, if any."""
+    def _on_result(self, shard_id: int, rows: list) -> None:
+        """Fold one dispatched shard's rows in: one ``(index, cell)``
+        row per dispatched item, in order."""
         self.outstanding.discard(shard_id)
         ps = self.raw_ids.pop(shard_id, None)
         if ps is not None:
             ps.emitted = True
-            self.client_queue.put_nowait((RESULT, ps.id, payload))
+            self.client_queue.put_nowait((RESULT, ps.id, rows))
             self.unemitted -= 1
             self._maybe_release()
-            return None
+            return
         entry = self.dispatch_map.pop(shard_id, None)
         if entry is None:
-            return None
+            return
         kind, plan = entry
-        rows = payload if isinstance(payload, list) else []
         if kind == "rescue":
             # Rows resolve purely through the publish path: our own
             # positions are waiter subscriptions on the rescued cells.
-            for row in rows:
-                value = _row_value(row)
-                key = plan.get(row[0]) if value is not None else None
-                if key is not None:
-                    self.coord._publish_cell(key, value)
-            return None
+            for (_, cell), key in zip(rows, plan):
+                self.coord._publish_cell(key, cell)
+            return
         ps = plan
-        index_to_pos = {ps.items[pos][0]: pos for pos in ps.dispatch}
-        for row in rows:
-            value = _row_value(row)
-            if value is None:
-                continue
-            pos = index_to_pos.get(row[0])
-            if pos is None:
-                continue
-            if ps.rows[pos] is None:
-                ps.rows[pos] = tuple(row)
-                ps.missing -= 1
+        for pos, (_, cell) in zip(ps.dispatch, rows):
             if ps.keys[pos] is not None:
-                self.coord._publish_cell(ps.keys[pos], value)
-        if ps.missing > 0:
-            return ps
-        if not ps.emitted:
+                cell = self.coord._publish_cell(ps.keys[pos], cell)
+            if ps.rows[pos] is None:
+                ps.rows[pos] = (ps.items[pos][0], cell)
+                ps.missing -= 1
+        # Positions joined onto another job's in-flight cells fill in
+        # when that cell is published.
+        if ps.missing == 0 and not ps.emitted:
             self._emit(ps)
-        return None
 
     def _emit(self, ps: _PendingShard) -> None:
         ps.emitted = True
@@ -496,15 +478,17 @@ class _Assembly:
             (index, self.coord._cells[key].request)
             for index, key in key_by_index.items()
         ]
+        keys = list(key_by_index.values())
         job, shard_ids = await self.coord.submit(
             [items],
             self.internal,
             priority=self.priority,
             label=f"{self.label}:rescue" if self.label else "rescue",
             tenant=self.tenant,
+            keys=[keys],
         )
         self.jobs.append(job)
-        self.dispatch_map[shard_ids[0]] = ("rescue", dict(key_by_index))
+        self.dispatch_map[shard_ids[0]] = ("rescue", keys)
         self.outstanding.add(shard_ids[0])
         self._ensure_pump()
 
@@ -656,9 +640,9 @@ class Coordinator:
         self._store_hits = 0
         self._store_joins = 0
         self._store_misses = 0
-        # The store's memory front: key -> (cell, array bytes) of cells
-        # DiskStore.load returned, least recently used first.
-        self._memory: OrderedDict[str, tuple[tuple, int]] = OrderedDict()
+        # The store's memory front: key -> cell bytes, least recently
+        # used first.
+        self._memory: OrderedDict[str, bytes] = OrderedDict()
         self._memory_bytes = 0
         self._memory_hits = 0
         #: Updated in place by the hosting daemon's auto-prune loop
@@ -783,12 +767,16 @@ class Coordinator:
         priority: int = 0,
         label: str = "",
         tenant: str = "",
+        keys: list[list] | None = None,
     ) -> tuple[_Job, list[int]]:
         """Queue one job of shards; results stream into *results*.
 
         Each element of *shard_items* is one shard's ``(index,
-        request)`` list.  Completed shards arrive on *results* as
-        ``(RESULT, shard_id, payload)`` tuples; a worker-crashed shard
+        request)`` list, and each element of *keys* (when given) the
+        cell key its items' cells must carry, ``None`` where unkeyed.
+        Completed shards arrive on *results* as ``(RESULT, shard_id,
+        rows)`` tuples, one ``(index, cell)`` row per item, every cell
+        checked; a worker-crashed shard
         as ``(FAIL, shard_id, message)``; a cancellation as ``(CANCEL,
         None, None)``; coordinator shutdown as ``(SHUTDOWN, None,
         None)``.  Larger *priority* values are scheduled first;
@@ -813,8 +801,10 @@ class Coordinator:
         self._next_job_seq += 1
         shard_ids: list[int] = []
         async with self._cond:
-            for items in shard_items:
-                shard = _Shard(self._alloc_shard_id(), items, job)
+            for items, item_keys in zip(
+                shard_items, itertools.repeat(None) if keys is None else keys
+            ):
+                shard = _Shard(self._alloc_shard_id(), items, job, item_keys)
                 job.pending.add(shard.id)
                 shard_ids.append(shard.id)
                 self._push(shard)
@@ -920,7 +910,7 @@ class Coordinator:
         until the first completion).  Finished jobs from the status history are
         included with ``eta`` 0 so a watcher sees them land.  ``store``
         carries the result store's hit counters, its count of corrupt
-        (unreadable) entries, its memory front's hits, cells and array
+        (unreadable) entries, its memory front's hits, cells and cell
         bytes (``memory_hits``, ``memory_cells``, ``memory_bytes``),
         and prune stats.
         """
@@ -1474,7 +1464,15 @@ class Coordinator:
                 self._waiting.discard(conn)
             return self._pop_shard()
 
-    def _complete(self, conn: _WorkerConn, shard_id: int, payload: list) -> None:
+    def _complete(self, conn: _WorkerConn, shard_id: int, rows: list) -> None:
+        """Hand a worker's ``RESULT`` rows to the shard's job.
+
+        Raises :class:`ProtocolError`, completing nothing, unless the
+        rows answer the shard: one per item, each cell well-formed and
+        filed under its item's key wherever the shard has one.  The
+        caller then closes the connection, which requeues the shard.
+        """
+        self._check_rows(conn.inflight.get(shard_id), rows)
         shard = conn.inflight.pop(shard_id, None)
         if shard is None:
             return  # stale: shard was requeued away from this worker
@@ -1489,7 +1487,24 @@ class Coordinator:
             job.tenant.shards_completed += 1
         if not job.pending:
             self._finish_job(job)
-        job.results.put_nowait((RESULT, shard_id, payload))
+        job.results.put_nowait((RESULT, shard_id, rows))
+
+    @staticmethod
+    def _check_rows(shard: _Shard | None, rows: list) -> None:
+        """Raise :class:`ProtocolError` unless *rows* answer *shard*
+        (``None`` for a shard this connection does not hold, whose cells
+        are checked all the same)."""
+        if shard is not None and len(rows) != len(shard.items):
+            raise ProtocolError(
+                f"{len(rows)} result rows for the {len(shard.items)} items "
+                f"of shard {shard.id}"
+            )
+        keys = (None if shard is None else shard.keys) or itertools.repeat(None)
+        for (index, cell), key in zip(rows, keys):
+            try:
+                decode_cell(cell, key)
+            except CellError as exc:
+                raise ProtocolError(f"malformed cell for item {index}: {exc}") from None
 
     def _fail(self, conn: _WorkerConn, shard_id: int, message: str) -> None:
         shard = conn.inflight.pop(shard_id, None)
@@ -1575,53 +1590,60 @@ class Coordinator:
             return None
         return cell_key(item[1], memo)
 
-    def _load_cell(self, key: str) -> tuple | None:
-        """The stored cell under *key*, or ``None``.
+    def _load_cell(self, key: str) -> bytes | None:
+        """The bytes of the stored cell under *key*, or ``None``.
 
         A remembered cell is served from memory while its file is still
         there, with one mtime bump so :func:`~repro.engine.diskcache.prune`
         sees the use; a cell whose file is gone is forgotten and looked
         up on disk like any other.  A cell the disk returns is
-        remembered, the least recently used ones making room, unless it
-        alone is larger than the whole budget.
+        remembered.
         """
-        entry = self._memory.get(key)
-        if entry is not None:
+        cell = self._memory.get(key)
+        if cell is not None:
             if self._result_store.touch(key):
                 self._memory.move_to_end(key)
                 self._memory_hits += 1
-                return entry[0]
+                return cell
             del self._memory[key]
-            self._memory_bytes -= entry[1]
-        value = self._result_store.load(key)
-        if value is None:
-            return None
-        perm, cost = value[0], value[1]
-        size = 0 if perm is None else perm.nbytes
-        if cost is not None:
-            size += cost.per_node.nbytes
-        if size <= _MEMORY_BYTES:
-            self._memory[key] = (value, size)
-            self._memory_bytes += size
-            while self._memory_bytes > _MEMORY_BYTES:
-                _, (_, evicted) = self._memory.popitem(last=False)
-                self._memory_bytes -= evicted
-        return value
+            self._memory_bytes -= len(cell)
+        cell = self._result_store.load_bytes(key)
+        if cell is not None:
+            self._remember(key, cell)
+        return cell
 
-    def _publish_cell(self, key: str, value: tuple) -> None:
-        """Persist one computed cell and fan it out to every subscriber."""
-        if self._result_store is not None:
-            self._result_store.store(key, value)
-        cell = self._cells.pop(key, None)
-        if cell is None:
+    def _remember(self, key: str, cell: bytes) -> None:
+        """Keep *cell* in memory, the least recently used cells making
+        room, unless it alone is larger than the whole budget."""
+        if len(cell) > _MEMORY_BYTES:
             return
-        for asm, ps, pos, index in cell.waiters:
+        old = self._memory.pop(key, None)
+        if old is not None:
+            self._memory_bytes -= len(old)
+        self._memory[key] = cell
+        self._memory_bytes += len(cell)
+        while self._memory_bytes > _MEMORY_BYTES:
+            _, evicted = self._memory.popitem(last=False)
+            self._memory_bytes -= len(evicted)
+
+    def _publish_cell(self, key: str, cell):
+        """Persist one computed cell as received, remember a copy of its
+        bytes and fan it out to every subscriber; returns the cell as
+        kept (the copy once stored)."""
+        if self._result_store.store(key, cell):
+            cell = bytes(cell)  # not a view pinning the whole RESULT frame
+            self._remember(key, cell)
+        inflight = self._cells.pop(key, None)
+        if inflight is None:
+            return cell
+        for asm, ps, pos, index in inflight.waiters:
             if asm.done or ps.emitted or ps.rows[pos] is not None:
                 continue
-            ps.rows[pos] = (index, *value)
+            ps.rows[pos] = (index, cell)
             ps.missing -= 1
             if ps.missing == 0:
                 asm._emit(ps)
+        return cell
 
     async def _abandon(self, asm: _Assembly) -> None:
         """Detach a finished/failed/cancelled submission from the
@@ -1681,10 +1703,10 @@ class Coordinator:
                     ps.dispatch.append(pos)
                     continue
                 ps.keys[pos] = key
-                value = self._load_cell(key)
-                if value is not None:
+                cell = self._load_cell(key)
+                if cell is not None:
                     self._store_hits += 1
-                    ps.rows[pos] = (item[0], *value)
+                    ps.rows[pos] = (item[0], cell)
                     ps.missing -= 1
                     continue
                 cell = self._cells.get(key)
@@ -1708,14 +1730,12 @@ class Coordinator:
                 asm._emit(ps)
         dispatched = [ps for ps in asm.shards if ps.dispatch]
         job, shard_ids = await self.submit(
-            [
-                list(ps.items) if ps.raw else [ps.items[pos] for pos in ps.dispatch]
-                for ps in dispatched
-            ],
+            [[ps.items[pos] for pos in ps.dispatch] for ps in dispatched],
             asm.internal,
             priority=priority,
             label=label,
             tenant=tenant,
+            keys=[[ps.keys[pos] for pos in ps.dispatch] for ps in dispatched],
         )
         asm.jobs.append(job)
         asm.job_id = job.id

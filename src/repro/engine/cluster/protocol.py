@@ -2,29 +2,39 @@
 
 Frames are a 4-byte big-endian length prefix followed by the message
 payload; messages are plain tuples whose first element is one of the
-kind constants below.  Pickle (not JSON/msgpack) because shards carry
-NumPy arrays, ``MappingCost`` records and configured ``Mapper``
-instances — the same values that already cross the
-:class:`~repro.engine.backends.ProcessBackend` boundary by value.
+kind constants below.  The payload comes in three layouts,
+distinguished by its first byte:
 
-Since protocol v4 the payload comes in two layouts, distinguished by
-its first byte:
+* ``0x52`` — the *results* layout (v7) of ``RESULT`` and
+  ``JOB_RESULT``: each row travels as its cell index plus the cell's
+  ``.cell`` bytes, the layout :class:`~repro.engine.diskcache.DiskStore`
+  writes (header with key and CRC-32, raw arrays, JSON metrics; see
+  :mod:`repro.engine.diskcache`)::
 
+      0x52 | u8 kind | >q shard_id | >H job_id_len | >I rows
+           | job_id (UTF-8; empty in a RESULT)
+           | (>q index | >I cell_len)*rows | cell bytes, in row order
+
+  Plain data, never a pickle: one codec carries a cell on disk, in the
+  service daemon's memory and on the wire, so the daemon checks a
+  worker's cells and stores them as received, and answers a stored
+  cell by splicing bytes it already holds.  A cell whose request has
+  no content key carries the all-zero key.
 * ``0x80`` (the pickle ``PROTO`` opcode) — a plain pickle, used for
-  every message that carries no array buffers (handshakes, heartbeats,
-  control traffic).  Handshake messages therefore stay parseable by
-  older and newer peers alike, so version mismatches are answered with
-  a clean ``REJECT`` instead of a mid-frame crash.
+  every other message that carries no array buffers (handshakes,
+  heartbeats, control traffic).  Handshake messages therefore stay
+  parseable by older and newer peers alike, so version mismatches are
+  answered with a clean ``REJECT`` instead of a mid-frame crash.
 * ``0x93`` (the npy magic byte) — a *segmented* payload: the pickle of
   the message with its buffers extracted out-of-band (PEP 574),
   followed by the raw buffer segments::
 
       0x93 | >I header_len | pickled header | (>I seg_len | raw bytes)*
 
-  NumPy arrays anywhere in the message — shard permutations, result
-  ``MappingCost.per_node`` rows, explicit-perm requests — serialize as
-  raw framed segments instead of being copied into the pickle stream,
-  and decode as zero-copy (read-only) views over the received payload.
+  NumPy arrays anywhere in the message — shard permutations,
+  explicit-perm requests — serialize as raw framed segments instead of
+  being copied into the pickle stream, and decode as zero-copy
+  (read-only) views over the received payload.
 
 The blocking peers (worker and service client) turn Nagle's algorithm
 off (``TCP_NODELAY``) on the TCP sockets :func:`connect_with_retry`
@@ -70,11 +80,13 @@ context is built with a CA of its own.  The ``REPRO_TLS_CERT`` /
 defaults wherever the flags are accepted, so spec strings like
 ``--backend service:host:port`` work over TLS unchanged.
 
-Security note: like ``multiprocessing`` pipes, the protocol
-deserializes pickled data from its peers.  Bind coordinators on trusted
-networks only (e.g. a cluster's private interconnect, or localhost
-through an SSH tunnel); the shared secret keeps stray or mistaken
-peers out, it is not a substitute for network-level isolation.
+Security note: result frames are plain data, but every other frame is
+still a pickle, and like ``multiprocessing`` pipes the protocol
+deserializes those from its peers (HELLO and AUTH under
+:data:`MAX_HANDSHAKE_BYTES`).  Bind coordinators on trusted networks
+only (e.g. a cluster's private interconnect, or localhost through an
+SSH tunnel); the shared secret keeps stray or mistaken peers out, it is
+not a substitute for network-level isolation.
 
 Message catalogue (worker ``->`` coordinator unless noted):
 
@@ -92,8 +104,8 @@ Message catalogue (worker ``->`` coordinator unless noted):
 ``GET``     ``(GET,)`` — the work-stealing pull: hand me the next shard
             (a worker sends its next one before evaluating a shard)
 ``SHARD``   coordinator: ``(SHARD, shard_id, [(index, request), ...])``
-``RESULT``  ``(RESULT, shard_id,
-            [(index, perm, cost, error, metrics), ...])``
+``RESULT``  ``(RESULT, shard_id, [(index, cell), ...])`` — one row
+            per shard item, in item order, in the results layout
 ``FAIL``    ``(FAIL, shard_id, message)`` — the shard crashed the
             worker's engine; requeueing would loop, so the sweep fails
 ``PING``    ``(PING,)`` — heartbeat, sent while idle and mid-shard
@@ -111,7 +123,9 @@ Client message set (client ``->`` service daemon unless noted; see
 ``REJECTED``    daemon: ``(REJECTED, reason: str)`` — the submission
                 was refused by admission control (per-client quota);
                 the session stays open for further messages
-``JOB_RESULT``  daemon: ``(JOB_RESULT, job_id, shard_id, payload)``
+``JOB_RESULT``  daemon: ``(JOB_RESULT, job_id, shard_id, [(index,
+                cell), ...])`` — one shard's rows, in the results
+                layout; the client decodes each cell
 ``JOB_FAIL``    daemon: ``(JOB_FAIL, job_id, shard_id, message)`` —
                 the job failed; its remaining shards are withdrawn
 ``JOB_DONE``    daemon: ``(JOB_DONE, job_id)`` — every shard streamed
@@ -216,7 +230,9 @@ __all__ = [
 #: v6: observability — the ``METRICS``/``METRICS_REPLY`` round-trip
 #: exposing per-job progress/ETA, queue depth *and* age, per-tenant
 #: counters, worker-pool gauges and result-store hit rates.
-PROTOCOL_VERSION = 6
+#: v7: ``RESULT`` and ``JOB_RESULT`` rows are ``(index, cell)``, each
+#: cell the ``.cell`` bytes of the result store, in the results layout.
+PROTOCOL_VERSION = 7
 
 #: The pickle protocol of every frame.  Pinned (rather than
 #: ``pickle.HIGHEST_PROTOCOL``) so coordinators and workers on different
@@ -277,6 +293,16 @@ _HEADER = struct.Struct(">I")
 #: pickle at protocol >= 2, which is what payload sniffing relies on.
 _SEGMENTED = 0x93
 
+#: First byte of a results payload (``RESULT`` and ``JOB_RESULT``).
+_RESULTS = 0x52
+_RESULT_CODES = {RESULT: 1, JOB_RESULT: 2}
+_RESULT_KINDS = {code: kind for kind, code in _RESULT_CODES.items()}
+#: Layout byte, kind code, shard id, job id length and row count; then
+#: the UTF-8 job id (empty in a RESULT), the row table and the cells.
+_RESULTS_HEAD = struct.Struct(">BBqHI")
+#: One row of the table: the cell's index and its byte length.
+_ROW = struct.Struct(">qI")
+
 
 class ProtocolError(ConnectionError):
     """The peer sent something that is not a protocol frame."""
@@ -286,13 +312,65 @@ def encode_frames(message: tuple) -> list:
     """One wire frame as a list of buffers (zero-copy where possible).
 
     The first element is the 4-byte outer length prefix; the rest is
-    the payload.  Messages without array buffers produce a plain-pickle
-    payload; messages carrying NumPy arrays produce the segmented v4
-    layout, whose raw buffer segments are *views* of the arrays being
-    sent — nothing is copied into the pickle stream.  The asyncio side
-    hands the list to ``writer.writelines``; blocking peers join it
-    once (:func:`encode_message`) and write the frame in one call.
+    the payload.  ``RESULT`` and ``JOB_RESULT`` messages produce the
+    results layout, whose cells are the row buffers themselves, spliced
+    in uncopied.  Other messages without array buffers produce a
+    plain-pickle payload; those carrying NumPy arrays produce the
+    segmented layout, whose raw buffer segments are *views* of the
+    arrays being sent — nothing is copied into the pickle stream.  The
+    asyncio side hands the list to ``writer.writelines``; blocking peers
+    join it once (:func:`encode_message`) and write the frame in one
+    call.
     """
+    if _is_results(message):
+        parts = _results_parts(message)
+        total = sum(map(len, parts))
+    else:
+        parts, total = _pickle_parts(message)
+    if total > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"message of {total} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte frame limit",
+        )
+    return [_HEADER.pack(total), *parts]
+
+
+def _is_results(message) -> bool:
+    return (
+        type(message) is tuple
+        and bool(message)
+        and isinstance(message[0], str)
+        and message[0] in _RESULT_CODES
+    )
+
+
+def _results_parts(message: tuple) -> list:
+    """The results-layout payload of a ``RESULT``/``JOB_RESULT`` message,
+    as a header-and-table buffer followed by the cells."""
+    try:
+        if message[0] == RESULT:
+            _, shard_id, rows = message
+            job = b""
+        else:
+            _, job_id, shard_id, rows = message
+            job = job_id.encode("utf-8")
+        cells = [cell for _, cell in rows]
+        head = [
+            _RESULTS_HEAD.pack(
+                _RESULTS, _RESULT_CODES[message[0]], shard_id, len(job), len(rows)
+            ),
+            job,
+        ]
+        head.extend(_ROW.pack(index, len(cell)) for index, cell in rows)
+    except (ValueError, TypeError, AttributeError, struct.error) as exc:
+        raise ProtocolError(
+            f"a {message[0]} frame carries (int index, cell bytes) rows: {exc}"
+        ) from None
+    return [b"".join(head), *cells]
+
+
+def _pickle_parts(message: tuple) -> tuple[list, int]:
+    """The plain or segmented pickle payload of *message*, and its size."""
     buffers: list[pickle.PickleBuffer] = []
     try:
         header = pickle.dumps(
@@ -307,21 +385,14 @@ def encode_frames(message: tuple) -> list:
         header = pickle.dumps(message, protocol=WIRE_PICKLE_PROTOCOL)
         raws = []
     if not raws:
-        total = len(header)
-        parts: list = [header]
-    else:
-        parts = [bytes((_SEGMENTED,)) + _HEADER.pack(len(header)), header]
-        total = 1 + _HEADER.size + len(header)
-        for raw in raws:
-            parts.append(_HEADER.pack(raw.nbytes))
-            parts.append(raw)
-            total += _HEADER.size + raw.nbytes
-    if total > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"message of {total} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame limit",
-        )
-    return [_HEADER.pack(total), *parts]
+        return [header], len(header)
+    parts: list = [bytes((_SEGMENTED,)) + _HEADER.pack(len(header)), header]
+    total = 1 + _HEADER.size + len(header)
+    for raw in raws:
+        parts.append(_HEADER.pack(raw.nbytes))
+        parts.append(raw)
+        total += _HEADER.size + raw.nbytes
+    return parts, total
 
 
 def encode_message(message: tuple) -> bytes:
@@ -335,15 +406,24 @@ def encode_message(message: tuple) -> bytes:
 
 
 def decode_payload(payload) -> tuple:
-    """Decode one frame payload (either layout) back into its message.
+    """Decode one frame payload (any layout) back into its message.
 
-    Array buffers of a segmented payload are handed to pickle as
-    memoryview slices of *payload*, so decoded NumPy arrays are
-    zero-copy read-only views over the received bytes.  A payload that
-    does not decode (not a pickle, truncated, a bad segment table)
-    raises :class:`ProtocolError`, whatever pickle itself raised.
+    A results payload decodes to ``(RESULT, shard_id, rows)`` or
+    ``(JOB_RESULT, job_id, shard_id, rows)`` whose rows are ``(index,
+    cell)`` pairs, each cell a memoryview slice of *payload*; the cells
+    themselves are the receiver's to check
+    (:func:`~repro.engine.diskcache.decode_cell`).  Array buffers of a
+    segmented payload are handed to pickle as memoryview slices of
+    *payload*, so decoded NumPy arrays are zero-copy read-only views
+    over the received bytes.  A payload that does not decode (not a
+    pickle, truncated, a bad segment or row table, trailing bytes, or a
+    pickled ``RESULT``/``JOB_RESULT``, which travel only in the results
+    layout) raises :class:`ProtocolError`, whatever pickle itself
+    raised.
     """
     view = memoryview(payload)
+    if view.nbytes and view[0] == _RESULTS:
+        return _decode_results(view)
     if not view.nbytes or view[0] != _SEGMENTED:
         return _unpickle(view)
     offset = 1
@@ -366,13 +446,45 @@ def decode_payload(payload) -> tuple:
     return _unpickle(header, buffers)
 
 
+def _decode_results(view: memoryview) -> tuple:
+    """The message of a results payload; its cells stay unparsed."""
+    if view.nbytes < _RESULTS_HEAD.size:
+        raise ProtocolError("truncated results header")
+    _, code, shard_id, job_len, count = _RESULTS_HEAD.unpack_from(view)
+    kind = _RESULT_KINDS.get(code)
+    table = _RESULTS_HEAD.size + job_len
+    cells = table + count * _ROW.size
+    if kind is None or (kind == RESULT) != (job_len == 0):
+        raise ProtocolError(f"results kind {code} with a {job_len}-byte job id")
+    if cells > view.nbytes:
+        raise ProtocolError("truncated results table")
+    rows = []
+    offset = cells
+    for index, length in _ROW.iter_unpack(view[table:cells]):
+        end = offset + length
+        rows.append((index, view[offset:end]))
+        offset = end
+    if offset != view.nbytes:
+        raise ProtocolError("results rows do not add up to the payload")
+    if kind == RESULT:
+        return RESULT, shard_id, rows
+    try:
+        job_id = str(view[_RESULTS_HEAD.size:table], "utf-8")
+    except UnicodeDecodeError:
+        raise ProtocolError("undecodable job id") from None
+    return JOB_RESULT, job_id, shard_id, rows
+
+
 def _unpickle(data: memoryview, buffers: list | None = None) -> tuple:
     try:
-        return pickle.loads(data, buffers=buffers)
+        message = pickle.loads(data, buffers=buffers)
     except Exception as exc:  # pickle raises almost anything on bad bytes
         raise ProtocolError(
             f"undecodable payload: {type(exc).__name__}: {exc}"
         ) from exc
+    if _is_results(message):
+        raise ProtocolError(f"a pickled {message[0]} frame")
+    return message
 
 
 def hello(info: dict | None = None) -> tuple:

@@ -13,7 +13,9 @@ that does not answer within that timeout, at least 1 s, counts as a
 lost coordinator) and sends one ``GET``.  Then it loops: receive a
 shard, ``GET`` the next one, evaluate this one on a local backend (the
 serial engine by default; ``--backend process[:N]`` for multi-core
-hosts), send the ``RESULT`` back.  Asking before evaluating lets the
+hosts), send the ``RESULT`` back: each result encoded as the ``.cell``
+a result store would file it as, key included, so a daemon with a store
+publishes it as received.  Asking before evaluating lets the
 coordinator send the next shard while this one runs, so no round trip
 sits between two shards; a worker holds at most one shard beyond the
 one it evaluates.  A heartbeat thread pings throughout, including while
@@ -56,6 +58,7 @@ import os
 import socket
 import threading
 
+from ..diskcache import cell_key, encode_cell
 from .protocol import (
     CHALLENGE,
     FAIL,
@@ -84,6 +87,26 @@ __all__ = ["run_worker"]
 _SHUTDOWN = "shutdown"
 _LOST = "lost"
 _REJECTED = "rejected"
+
+
+def _result_rows(items: list, results: list) -> list:
+    """The ``RESULT`` rows of one evaluated shard: each item's index and
+    its result's ``.cell`` bytes, under the key the result store files
+    it by (all zeros where the request has none)."""
+    memo: dict = {}  # the shard's items share their instance objects
+    rows = []
+    for (index, request), result in zip(items, results):
+        cell = encode_cell(
+            (result.perm, result.cost, result.error, result.metrics),
+            cell_key(request, memo),
+        )
+        if cell is None:
+            raise ValueError(
+                f"the result of item {index} holds a value the cell "
+                f"layout cannot carry"
+            )
+        rows.append((index, cell))
+    return rows
 
 
 def _serve_connection(
@@ -170,20 +193,7 @@ def _serve_connection(
                 return _LOST
             try:
                 results = backend.evaluate_batch([request for _, request in items])
-                reply_message = (
-                    RESULT,
-                    shard_id,
-                    [
-                        (
-                            index,
-                            result.perm,
-                            result.cost,
-                            result.error,
-                            result.metrics,
-                        )
-                        for (index, _), result in zip(items, results)
-                    ],
-                )
+                reply_message = (RESULT, shard_id, _result_rows(items, results))
             except Exception as exc:  # engine bug: report, do not requeue
                 reply_message = (FAIL, shard_id, f"{type(exc).__name__}: {exc}")
             if not send(reply_message, " sending results"):

@@ -38,6 +38,12 @@ cell's own key (the 32 bytes its file name spells in hex); the four
 ``bottleneck_node`` (int64); the two arrays' dtype strings (8 bytes
 each, NUL-padded); and the four sections' byte lengths (uint64).
 
+The layout is the one cell codec of the package, for disk, memory and
+network alike (:func:`encode_cell`, :func:`decode_cell`): a service
+worker sends each result as these bytes, the daemon keeps them in
+memory and publishes them as received, and a client decodes them.  So
+a cell's file bytes do not depend on which tier computed it.
+
 A file is used only if its magic, version and key match, its section
 lengths add up to its size, its checksum holds and every section
 decodes; arrays decode as zero-copy, read-only ``np.frombuffer`` views.
@@ -67,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import tempfile
 import threading
@@ -92,6 +99,9 @@ __all__ = [
     "metric_payload",
     "request_payload",
     "cell_key",
+    "CellError",
+    "encode_cell",
+    "decode_cell",
 ]
 
 #: Environment variable naming the default on-disk cache directory.
@@ -362,15 +372,25 @@ _VERSION = 2
 _HEADER = struct.Struct("<4sIII32s4q8s8s4Q")
 #: The CRC covers every byte after the magic and the CRC itself.
 _CRC_FROM = 8
+#: Offset of the 32-byte key in the header.
+_KEY_AT = 16
+#: The key of a cell whose request has no :func:`cell_key`.
+_NO_KEY = bytes(32)
 _PERM, _COST, _ERROR = 1, 2, 4
 #: NumPy kinds whose dtype string rebuilds the dtype exactly (bool,
 #: signed and unsigned integers, floats, complex).
 _ARRAY_KINDS = frozenset("biufc")
+#: The dtype strings of those kinds (``array.dtype.str``), NUL-padded.
+_DTYPE_TEXT = re.compile(rb"[<>|][biufc][0-9]{1,2}\0*")
 _METRIC_TYPES = frozenset((type(None), bool, int, float, str))
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 #: Never block opening an entry: a FIFO planted under a cell's name
 #: reads as empty (a corrupt miss) instead of stalling the reader.
 _OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)
+
+
+class CellError(ValueError):
+    """Bytes that are not a well-formed cell under the expected key."""
 
 
 def _digest(key: str) -> bytes | None:
@@ -399,10 +419,17 @@ def _array_section(array) -> tuple[bytes, bytes] | None:
     return array.dtype.str.encode("ascii"), array.tobytes()
 
 
-def _encode(digest: bytes, cell) -> bytes | None:
-    """The file bytes of *cell* under key *digest*, or ``None`` when the
-    layout cannot carry it exactly."""
-    if type(cell) is not tuple or len(cell) != 4:
+def encode_cell(cell, key: str | None = None) -> bytes | None:
+    """The ``.cell`` bytes of *cell* under *key*, or ``None`` when the
+    layout cannot carry it exactly.
+
+    *cell* is a ``(perm, cost, error, metrics)`` tuple and *key* its
+    :func:`cell_key`; ``None`` (an uncacheable request) writes the
+    all-zero key.  The one encoder of the store's files, of a
+    worker's ``RESULT`` rows and so of every cell a client receives.
+    """
+    digest = _NO_KEY if key is None else _digest(key)
+    if digest is None or type(cell) is not tuple or len(cell) != 4:
         return None
     perm, cost, error, metrics = cell
     flags = 0
@@ -451,61 +478,99 @@ def _encode(digest: bytes, cell) -> bytes | None:
     )
 
 
-def _array(data: bytes, start: int, end: int, dtype: bytes, present: int):
-    """One array section of a cell file, or ``None`` when absent.
+#: Dtypes by their NUL-padded header field; at most a few hundred
+#: fields match ``_DTYPE_TEXT``.
+_DTYPES: dict[bytes, np.dtype] = {}
+_NO_DTYPE = bytes(8)
 
-    Raises ``ValueError``/``TypeError`` on a malformed section.
-    """
+
+def _dtype(field: bytes) -> np.dtype:
+    """The dtype a header's dtype field names; :class:`CellError` unless
+    it is a bool, integer, float or complex one."""
+    dtype = _DTYPES.get(field)
+    if dtype is None:
+        if _DTYPE_TEXT.fullmatch(field) is None:
+            raise CellError(f"not a numeric dtype string: {field!r}")
+        try:
+            dtype = np.dtype(field.rstrip(b"\0").decode("ascii"))
+        except TypeError:  # e.g. "<i3"
+            raise CellError(f"not a numeric dtype string: {field!r}") from None
+        _DTYPES[field] = dtype
+    return dtype
+
+
+def _array(view: memoryview, start: int, size: int, field: bytes, present: int):
+    """The array section of *size* bytes at *start*, or ``None`` when
+    absent."""
     if not present:
-        if end > start or dtype.strip(b"\0"):
-            raise ValueError("an absent section has content")
+        if size or field != _NO_DTYPE:
+            raise CellError("an absent section has content")
         return None
-    dtype = np.dtype(dtype.rstrip(b"\0").decode("ascii"))
-    if dtype.kind not in _ARRAY_KINDS or (end - start) % dtype.itemsize:
-        raise ValueError("not a numeric array section")
-    return np.frombuffer(data, dtype, (end - start) // dtype.itemsize, start)
+    dtype = _dtype(field)
+    if size % dtype.itemsize:
+        raise CellError("an array section is not a whole number of items")
+    return np.frombuffer(view, dtype, size // dtype.itemsize, start)
 
 
-def _decode(data: bytes, digest: bytes | None) -> tuple | None:
-    """The cell in *data*, or ``None`` unless *data* is a well-formed
-    cell filed under *digest*."""
-    if len(data) < _HEADER.size:
-        return None
+def decode_cell(data, key: str | None = None) -> tuple:
+    """The ``(perm, cost, error, metrics)`` cell in *data*.
+
+    *data* is any bytes-like object; arrays decode as zero-copy,
+    read-only views over it.  Raises :class:`CellError` unless *data*
+    is exactly one well-formed cell — magic, version, section lengths,
+    CRC-32 and every section — and, when *key* is given, one filed
+    under that key.  Nothing in *data* is ever executed.  Every cell a
+    service client receives goes through here, so it is kept lean.
+    """
+    view = data if type(data) is memoryview else memoryview(data)
+    size = len(view)
+    if size < _HEADER.size:
+        raise CellError("shorter than a cell header")
     (
-        magic, crc, version, flags, key, jsum, jmax, total_edges, bottleneck,
-        perm_dtype, node_dtype, n_perm, n_node, n_error, n_metrics,
-    ) = _HEADER.unpack_from(data)
-    perm_end = _HEADER.size + n_perm
-    node_end = perm_end + n_node
-    error_end = node_end + n_error
-    end = error_end + n_metrics
+        magic, crc, version, flags, stored_key, jsum, jmax, total_edges,
+        bottleneck, perm_field, node_field, n_perm, n_node, n_error, n_metrics,
+    ) = _HEADER.unpack_from(view)
+    node_at = _HEADER.size + n_perm
+    error_at = node_at + n_node
+    metrics_at = error_at + n_error
     if (
         magic != _MAGIC
         or version != _VERSION
-        or key != digest
         or flags & ~(_PERM | _COST | _ERROR)
-        or end != len(data)
-        or zlib.crc32(memoryview(data)[_CRC_FROM:end]) != crc
+        or metrics_at + n_metrics != size
     ):
-        return None
-    try:
-        perm = _array(data, _HEADER.size, perm_end, perm_dtype, flags & _PERM)
-        per_node = _array(data, perm_end, node_end, node_dtype, flags & _COST)
-        error = (
-            data[node_end:error_end].decode("utf-8") if flags & _ERROR else None
-        )
-        blob = data[error_end:end]
-        # most cells carry no metrics: skip the JSON parser for them
-        metrics = {} if blob == b"{}" else json.loads(blob.decode("ascii"))
-    except (ValueError, TypeError, RecursionError):
-        return None
-    if (error is None and n_error) or not _flat_metrics(metrics):
-        return None
+        raise CellError("not a well-formed version-2 cell")
+    if key is not None and stored_key != _digest(key):
+        raise CellError("filed under another key")
+    if zlib.crc32(view[_CRC_FROM:]) != crc:
+        raise CellError("CRC mismatch")
+    perm = _array(view, _HEADER.size, n_perm, perm_field, flags & _PERM)
+    per_node = _array(view, node_at, n_node, node_field, flags & _COST)
+    if flags & _ERROR:
+        try:
+            error = str(view[error_at:metrics_at], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CellError(f"undecodable error text: {exc}") from None
+    elif n_error:
+        raise CellError("an absent section has content")
+    else:
+        error = None
+    if n_metrics == 2 and view[metrics_at:] == b"{}":  # most cells
+        metrics = {}
+    else:
+        try:
+            metrics = json.loads(str(view[metrics_at:], "ascii"))
+        except (ValueError, RecursionError) as exc:  # UnicodeDecodeError too
+            raise CellError(f"undecodable metrics: {exc}") from None
+        if not _flat_metrics(metrics):
+            raise CellError("metrics are not a flat dict of scalars")
     if per_node is None:
         if jsum or jmax or total_edges or bottleneck:
-            return None
+            raise CellError("a cost without its per-node array")
         return perm, None, error, metrics
-    cost = MappingCost(
+    # As pickle rebuilds one: no frozen-dataclass __init__ per cell.
+    cost = object.__new__(MappingCost)
+    cost.__dict__.update(
         jsum=jsum,
         jmax=jmax,
         total_edges=total_edges,
@@ -513,6 +578,15 @@ def _decode(data: bytes, digest: bytes | None) -> tuple | None:
         bottleneck_node=bottleneck,
     )
     return perm, cost, error, metrics
+
+
+def _filed_under(data, digest: bytes) -> bool:
+    """Whether *data* opens with a cell header carrying *digest*."""
+    return (
+        len(data) >= _HEADER.size
+        and data[:4] == _MAGIC
+        and data[_KEY_AT:_KEY_AT + 32] == digest
+    )
 
 
 @dataclass(frozen=True)
@@ -598,6 +672,21 @@ class DiskStore:
         ``corrupt`` — a crashed writer, a stray or misfiled file must
         never fail a sweep, and nothing in the file is ever executed.
         """
+        found = self._read(key)
+        return None if found is None else found[1]
+
+    def load_bytes(self, key: str) -> bytes | None:
+        """The file bytes of the cell under *key*, once :meth:`load`
+        would accept them, or ``None``; counted as :meth:`load` counts.
+
+        For the service daemon, which keeps cells encoded and splices
+        them into its result frames.
+        """
+        found = self._read(key)
+        return None if found is None else found[0]
+
+    def _read(self, key: str) -> tuple[bytes, tuple] | None:
+        """``(file bytes, decoded cell)`` under *key*, or ``None``."""
         path = self._path(key)
         try:
             fd = os.open(path, _OPEN_FLAGS)
@@ -605,21 +694,21 @@ class DiskStore:
             self._count(miss=True)
             return None
         except OSError:
-            cell = None
+            found = None
         else:
             try:
-                cell = _decode(os.read(fd, os.fstat(fd).st_size), _digest(key))
-                if cell is not None:
-                    _touch(fd)
-            except OSError:
-                cell = None
+                data = os.read(fd, os.fstat(fd).st_size)
+                found = data, decode_cell(data, key)
+                _touch(fd)
+            except (OSError, CellError):
+                found = None
             finally:
                 os.close(fd)
-        if cell is None:
+        if found is None:
             self._count(miss=True, corrupt=True)
             return None
         self._count(hit=True)
-        return cell
+        return found
 
     def touch(self, key: str) -> bool:
         """Bump the mtime of the entry under *key*, as a load hit does;
@@ -638,24 +727,35 @@ class DiskStore:
             pass  # present but read-only: keeps its old timestamp
         return True
 
-    def store(self, key: str, cell: tuple) -> bool:
+    def store(self, key: str, cell) -> bool:
         """Atomically publish *cell* under *key*; ``False`` if refused.
 
-        A cell the layout cannot carry exactly is refused: anything but
-        a ``(perm, cost, error, metrics)`` tuple; a ``perm`` or
-        ``per_node`` that is not a 1-D bool, integer, float or complex
-        ``ndarray``; a ``cost`` that is not a :class:`MappingCost` of
-        plain int64-range ``int`` fields; an ``error`` that is not UTF-8
-        encodable ``str`` or ``None``; ``metrics`` that are not a flat
-        ``str`` -> ``None|bool|int|float|str`` dict; a key that is not
-        64 hex digits.  An unwritable or full cache directory also
-        returns ``False`` and leaves no file behind (callers still hold
-        the in-memory copy).  Readers can only ever observe complete
+        *cell* is a ``(perm, cost, error, metrics)`` tuple, or the bytes
+        of one already encoded under *key* (:func:`encode_cell`), which
+        are written as they are: the service daemon publishes a
+        worker's cells so, after checking them with
+        :func:`decode_cell`.  Bytes whose header names another key are
+        refused, and so is a tuple the layout cannot carry exactly:
+        anything but a ``(perm, cost, error, metrics)`` tuple; a
+        ``perm`` or ``per_node`` that is not a 1-D bool, integer, float
+        or complex ``ndarray``; a ``cost`` that is not a
+        :class:`MappingCost` of plain int64-range ``int`` fields; an
+        ``error`` that is not UTF-8 encodable ``str`` or ``None``;
+        ``metrics`` that are not a flat ``str`` ->
+        ``None|bool|int|float|str`` dict; a key that is not 64 hex
+        digits.  An unwritable or full cache directory also returns
+        ``False`` and leaves no file behind (callers still hold the
+        in-memory copy).  Readers can only ever observe complete
         entries — the tmp file carries a ``.tmp`` suffix no reader
         globs, and ``os.replace`` is atomic.
         """
         digest = _digest(key)
-        data = None if digest is None else _encode(digest, cell)
+        if digest is None:
+            return False
+        if isinstance(cell, (bytes, memoryview)):
+            data = cell if _filed_under(cell, digest) else None
+        else:
+            data = encode_cell(cell, key)
         if data is None:
             return False
         path = self._path(key)

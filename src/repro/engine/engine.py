@@ -50,6 +50,41 @@ from .request import MappingRequest, MappingResult, group_by_instance, rebuild_r
 
 __all__ = ["EvaluationEngine"]
 
+#: Metric value types a result cell carries as they are.
+_PLAIN_VALUES = frozenset((type(None), bool, int, float, str))
+
+
+def _plain_metric_row(row) -> dict:
+    """*row* (a mapping of metric columns) as a dict of plain values.
+
+    NumPy bool, integer, floating and string scalars (and subclasses of
+    the plain types) become ``bool``, ``int``, ``float`` and ``str``;
+    any other value, or a column name that is not a ``str``, raises
+    :class:`MappingError` naming the column and the type.  So every
+    row's values are ones a result cell stores and a service worker
+    sends exactly, and every backend shows the same row.
+    """
+    row = dict(row)
+    for name, value in row.items():
+        if type(value) in _PLAIN_VALUES and type(name) is str:
+            continue
+        if type(name) is not str:
+            raise MappingError(f"column name {name!r} is not a str")
+        if isinstance(value, (bool, np.bool_)):
+            row[name] = bool(value)
+        elif isinstance(value, (int, np.integer)):
+            row[name] = int(value)
+        elif isinstance(value, (float, np.floating)):
+            row[name] = float(value)
+        elif isinstance(value, str):  # np.str_ too
+            row[name] = str(value)
+        else:
+            raise MappingError(
+                f"column {name!r} holds a {type(value).__name__}, not a "
+                f"bool, int, float or str"
+            )
+    return row
+
 
 class EvaluationEngine:
     """Caching, batching, in-process executor of mapping evaluations.
@@ -512,9 +547,9 @@ class EvaluationEngine:
                         f"{len(to_compute)} permutations"
                     )
                 # normalise inside the try: a malformed row (not a
-                # mapping of columns) is this metric's failure, not a
-                # batch abort
-                rows = [dict(row) for row in rows]
+                # mapping of plain columns) is this metric's failure,
+                # not a batch abort
+                rows = [_plain_metric_row(row) for row in rows]
             except Exception as exc:  # noqa: BLE001 - becomes a cell error
                 errors[spec] = f"metric {spec.name!r} failed: {exc}"
                 continue

@@ -274,16 +274,20 @@ def rebuild_result(
 
     Process pools, service workers and the result store all hand cells
     back by value.  The unpickled buffers are frozen so results are indistinguishable
-    from the in-process engine's (which shares read-only caches).
+    from the in-process engine's (which shares read-only caches).  Built
+    as pickle builds one, without the frozen dataclass's ``__init__``:
+    a service job rebuilds one result per cell.
     """
     if perm is not None:
         perm.setflags(write=False)
     if cost is not None:
         cost.per_node.setflags(write=False)
-    return MappingResult(
+    result = object.__new__(MappingResult)
+    result.__dict__.update(
         request=request,
         perm=perm,
         cost=cost,
         error=error,
         metrics=dict(metrics or {}),
     )
+    return result

@@ -26,6 +26,7 @@ from collections.abc import Iterable, Iterator
 from ..engine.backends import rebuild_batch, rebuild_stream, shard_payloads
 from ..engine.cluster.protocol import parse_address
 from ..engine.request import MappingRequest, MappingResult
+from ..exceptions import ServiceError
 from .client import ServiceClient
 
 __all__ = ["ServiceBackend", "parse_service_spec"]
@@ -148,7 +149,12 @@ class ServiceBackend:
     # Evaluation
     # ------------------------------------------------------------------
     def _completed_shards(self, requests: list[MappingRequest]) -> Iterator[list]:
-        """Submit one job for *requests*, yielding completed payloads."""
+        """Submit one job for *requests*, yielding completed payloads.
+
+        Each shard must come back with its own rows, in order: row
+        indices travel outside the cells' checksums, so a shard answered
+        with any other indices raises :class:`ServiceError`.
+        """
         if self._closed:
             raise RuntimeError("service backend is closed")
         if not requests:
@@ -157,8 +163,17 @@ class ServiceBackend:
         handle = self._client.submit(
             payloads, priority=self.priority, label=self.label
         )
+        indices = {
+            shard_id: [index for index, _ in shard]
+            for shard_id, shard in zip(handle.shard_ids, payloads)
+        }
         try:
-            for _, payload in handle.results():
+            for shard_id, payload in handle.results():
+                if [row[0] for row in payload] != indices.get(shard_id):
+                    raise ServiceError(
+                        f"job {handle.job_id} answered shard {shard_id} "
+                        f"with the rows of other cells"
+                    )
                 yield payload
         finally:
             # Early exit (generator closed, job failed) cancels the

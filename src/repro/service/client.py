@@ -58,6 +58,7 @@ from ..engine.cluster.protocol import (
     send_message,
     start_heartbeat,
 )
+from ..engine.diskcache import CellError, decode_cell
 from ..exceptions import ServiceError
 
 __all__ = ["ServiceClient", "JobHandle"]
@@ -101,6 +102,15 @@ class _Connection:
             pass
 
 
+def _decode_rows(rows: list) -> list:
+    """``(index, perm, cost, error, metrics)`` rows of a ``JOB_RESULT``'s
+    ``(index, cell)`` rows; a malformed cell is a :class:`ProtocolError`."""
+    try:
+        return [(index, *decode_cell(cell)) for index, cell in rows]
+    except CellError as exc:
+        raise ProtocolError(f"malformed result cell: {exc}") from None
+
+
 class JobHandle:
     """One submitted job: its id and the connection streaming results.
 
@@ -125,18 +135,29 @@ class JobHandle:
         )
 
     def results(self):
-        """Yield ``(shard_id, payload)`` per completed shard, then stop
-        at the stream's ``JOB_DONE`` and hand the connection back.
+        """Yield ``(shard_id, rows)`` per completed shard, then stop at
+        the stream's ``JOB_DONE`` and hand the connection back.
 
-        Raises :class:`~repro.exceptions.ServiceError` when the job
-        fails, is cancelled (possibly by another connection), the
-        daemon shuts down mid-job, or it sends a frame that is none of
-        these.
+        Each row is ``(index, perm, cost, error, metrics)``, decoded
+        from the cell the daemon sent (arrays are read-only views over
+        the received frame).  Raises :class:`~repro.exceptions.
+        ServiceError` when the job fails, is cancelled (possibly by
+        another connection), the daemon shuts down mid-job, or it sends
+        a frame that is none of these or a cell that does not decode.
         """
         while True:
             try:
                 message = recv_message(self._conn.sock)
-            except (ProtocolError, OSError) as exc:
+                rows = (
+                    _decode_rows(message[3])
+                    if is_frame(message, JOB_RESULT, str, int, list)
+                    else None
+                )
+            except ProtocolError as exc:
+                raise ServiceError(
+                    f"malformed frame from the service daemon mid-job: {exc}"
+                ) from None
+            except OSError as exc:
                 raise ServiceError(
                     f"lost the service connection mid-job: {exc}"
                 ) from None
@@ -144,8 +165,8 @@ class JobHandle:
                 raise ServiceError(
                     "the service daemon closed the connection mid-job"
                 )
-            if is_frame(message, JOB_RESULT, str, int, list):
-                yield message[2], message[3]
+            if rows is not None:
+                yield message[2], rows
             elif is_frame(message, JOB_FAIL, str, int, object):
                 raise ServiceError(
                     f"job {self.job_id} failed on shard {message[2]}: "

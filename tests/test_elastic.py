@@ -211,7 +211,7 @@ class TestAdmission:
 
     def test_rejected_wire_constant_is_current(self):
         assert REJECTED == "rejected_submit"
-        assert PROTOCOL_VERSION == 6
+        assert PROTOCOL_VERSION == 7
 
 
 class TestShutdownWithQueue:

@@ -16,15 +16,19 @@ job's result stream cannot act on is a protocol error there too.
 
 from __future__ import annotations
 
+import functools
 import logging
 import pickle
 import socket
 import struct
+import tempfile
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import CartesianGrid, NodeAllocation, nearest_neighbor
 from repro.engine import EvaluationEngine, MappingRequest
@@ -58,11 +62,14 @@ from repro.engine.cluster.protocol import (
     recv_message,
     send_message,
 )
-from repro.engine.cluster.worker import run_worker
+from repro.engine.cluster.coordinator import Coordinator, _Shard
+from repro.engine.cluster.worker import _result_rows, run_worker
+from repro.engine.diskcache import DiskStore, cell_key, decode_cell, encode_cell
 from repro.exceptions import ServiceError
 from repro.service import ServiceBackend, ServiceClient, ServiceDaemon
+from repro.service.client import _decode_rows
 
-from .test_backends import _requests, _signature
+from .test_backends import _requests, _signature, _weighted_requests
 from .test_cluster import _spawn_worker
 
 
@@ -78,7 +85,7 @@ def _roundtrip(message: tuple) -> tuple:
 class TestSegmentedEncoding:
     def test_plain_messages_stay_plain_pickle(self):
         for message in [("ping",), (HELLO, MAGIC, 4, {"pid": 1}),
-                        ("result", 3, [("a", 1.5)])]:
+                        ("fail", 3, [("a", 1.5)])]:
             payload = _payload(message)
             assert payload[0] == 0x80  # pickle PROTO opcode
             assert pickle.loads(payload) == message
@@ -127,9 +134,9 @@ class TestSegmentedEncoding:
 
     def test_nested_containers_roundtrip(self):
         arr = np.arange(3000, dtype=np.int64)
-        message = ("result", {"xs": [arr, {"inner": arr[:5]}]}, (1, "two"))
+        message = ("m", {"xs": [arr, {"inner": arr[:5]}]}, (1, "two"))
         decoded = _roundtrip(message)
-        assert decoded[0] == "result" and decoded[2] == (1, "two")
+        assert decoded[0] == "m" and decoded[2] == (1, "two")
         assert decoded[1]["xs"][0].tobytes() == arr.tobytes()
         assert decoded[1]["xs"][1]["inner"].tolist() == [0, 1, 2, 3, 4]
 
@@ -138,7 +145,7 @@ class TestSegmentedEncoding:
         payload = _payload(message)
         assert payload[0] == 0x80
         assert message[3]["pickle"] == WIRE_PICKLE_PROTOCOL
-        assert message[2] == PROTOCOL_VERSION == 6
+        assert message[2] == PROTOCOL_VERSION == 7
 
     def test_socket_roundtrip(self):
         """send_message/recv_message carry a segmented frame intact."""
@@ -241,11 +248,18 @@ class TestOneWritePerFrame:
             ((PING,), 2),
             ((SHARD, 5, [np.arange(2000, dtype=np.int64).reshape(-1, 2)]), 5),
             (
-                (RESULT, 9, [np.arange(i, i + 4, dtype=np.int64) for i in range(600)]),
-                1203,
+                (
+                    RESULT,
+                    9,
+                    [
+                        (i, encode_cell((np.arange(i, i + 4), None, None, {})))
+                        for i in range(600)
+                    ],
+                ),
+                602,
             ),
         ],
-        ids=["ping", "shard-one-array", "600-arrays"],
+        ids=["ping", "shard-one-array", "600-cells"],
     )
     def test_one_sendall_per_message(self, message, parts):
         assert len(encode_frames(message)) == parts
@@ -510,7 +524,10 @@ class TestMalformedFramesToPeers:
         def script(conn: socket.socket) -> None:
             assert recv_message(conn)[0] == SUBMIT
             send_message(conn, (SUBMITTED, "job-1", [0]))
-            send_message(conn, frame)
+            # pickled as v6 sent every frame: the JOB_RESULT cases are
+            # frames the results layout cannot even express
+            payload = pickle.dumps(frame, protocol=WIRE_PICKLE_PROTOCOL)
+            conn.sendall(struct.pack(">I", len(payload)) + payload)
 
         consumer = threading.Thread(target=consume, daemon=True)
         self._serve_one(listener, consumer, script)
@@ -567,3 +584,166 @@ class TestWorkerRoundTrip:
         assert [_signature(r) for r in results] == [
             _signature(r) for r in serial
         ]
+
+
+# ----------------------------------------------------------------------
+# Fuzzing the results layout
+# ----------------------------------------------------------------------
+@functools.cache
+def _fuzz_shard() -> tuple[list, list]:
+    """``(items, rows)`` of one real shard: mapped cells with a metric
+    column, and a mapper's rejection (nodecart on uneven nodes)."""
+    requests = [
+        *_weighted_requests()[:2],
+        MappingRequest(
+            CartesianGrid([5, 7]),
+            nearest_neighbor(2),
+            NodeAllocation([5, 10, 20]),
+            "nodecart",
+        ),
+    ]
+    items = list(enumerate(requests))
+    results = EvaluationEngine(max_workers=1).evaluate_batch(requests)
+    return items, _result_rows(items, results)
+
+
+def _cell_values(cell: tuple) -> tuple:
+    perm, cost, error, metrics = cell
+    return (
+        None if perm is None else (perm.dtype.str, perm.tobytes()),
+        None if cost is None else (
+            cost.jsum, cost.jmax, cost.total_edges, cost.bottleneck_node,
+            cost.per_node.dtype.str, cost.per_node.tobytes(),
+        ),
+        error,
+        repr(metrics),
+    )
+
+
+def _sent_values() -> list:
+    return [_cell_values(decode_cell(cell)) for _, cell in _fuzz_shard()[1]]
+
+
+#: (offset, width) of the cell header fields the fuzzer overwrites:
+#: magic, version, flags, the two dtype strings, the four lengths.
+_CELL_FIELDS = [
+    (0, 4), (8, 4), (12, 4), (80, 8), (88, 8),
+    (96, 8), (104, 8), (112, 8), (120, 8),
+]
+
+#: Values the fuzzer writes into a field (cut or NUL-padded to it).
+_FIELD_VALUES = st.sampled_from(
+    [
+        b"\0" * 8,
+        b"\xff" * 8,  # -1, or 2**64 - 1
+        b"\x7f" + b"\xff" * 7,
+        b"\0\0\0\x80\0\0\0\0",
+        b"RCEL",
+        b"\x01",
+        b"\x03",
+        b"<i3",  # not a NumPy dtype
+        b"|O8",  # objects
+        b"<M8",  # datetimes
+        b"<f8",  # valid, but not the sent one
+        b"<i4",
+        b"abcdefgh",
+    ]
+) | st.binary(min_size=1, max_size=8)
+
+
+def _mutate(data, payload: bytes, fields: list[tuple[int, int]]) -> bytes:
+    """*payload* truncated, with a bit flipped, with trailing bytes, or
+    with one of *fields* overwritten."""
+    how = data.draw(st.sampled_from(["truncate", "flip", "trailing", "field"]))
+    if how == "truncate":
+        return payload[: data.draw(st.integers(0, len(payload) - 1))]
+    if how == "flip":
+        at = data.draw(st.integers(0, len(payload) - 1))
+        bit = 1 << data.draw(st.integers(0, 7))
+        return payload[:at] + bytes([payload[at] ^ bit]) + payload[at + 1:]
+    if how == "trailing":
+        return payload + data.draw(st.binary(min_size=1, max_size=16))
+    at, width = data.draw(st.sampled_from(fields))
+    value = data.draw(_FIELD_VALUES)[:width].ljust(width, b"\0")
+    return payload[:at] + value + payload[at + width:]
+
+
+def _frame_fields(payload: bytes, job: str) -> list[tuple[int, int]]:
+    """The header, row table and cell header fields of a results payload."""
+    rows = _fuzz_shard()[1]
+    table = 16 + len(job.encode())
+    fields = [(1, 1), (2, 8), (10, 2), (12, 4)]  # kind, shard, job id, rows
+    start = table + 12 * len(rows)
+    for i, (_, cell) in enumerate(rows):
+        fields += [(table + 12 * i, 8), (table + 12 * i + 8, 4)]
+        fields += [(start + at, width) for at, width in _CELL_FIELDS]
+        start += len(cell)
+    assert start == len(payload)
+    return fields
+
+
+class TestResultsLayoutFuzz:
+    """Mangled RESULT and JOB_RESULT payloads are refused, never
+    misread: a client gets ``ProtocolError`` (its job stream raises
+    ``ServiceError``), the daemon a ``ProtocolError`` from decoding or
+    from checking the rows (a counted close), and the store a counted
+    miss.  Anything accepted decodes to exactly the cells sent; row
+    indices sit outside the cells, and ``ServiceBackend`` checks them
+    against its shards."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_mangled_job_result_is_a_protocol_error(self, data):
+        job = "job-000042"
+        payload = encode_message((JOB_RESULT, job, 7, _fuzz_shard()[1]))[4:]
+        mangled = _mutate(data, payload, _frame_fields(payload, job))
+        try:
+            message = decode_payload(mangled)
+            assert message[0] == JOB_RESULT
+            rows = _decode_rows(message[3])
+        except ProtocolError:
+            return
+        assert [_cell_values(row[1:]) for row in rows] == _sent_values()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_mangled_result_is_refused_by_the_daemon(self, data):
+        items, rows = _fuzz_shard()
+        keys = [cell_key(request) for _, request in items]
+        payload = encode_message((RESULT, 7, rows))[4:]
+        mangled = _mutate(data, payload, _frame_fields(payload, ""))
+        try:
+            message = decode_payload(mangled)
+            assert message[0] == RESULT
+            Coordinator._check_rows(_Shard(7, items, None, keys), message[2])
+        except ProtocolError:
+            return
+        assert [_cell_values(decode_cell(c)) for _, c in message[2]] == _sent_values()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.integers(0, 2))
+    def test_a_mangled_cell_file_is_a_counted_miss(self, data, which):
+        items, rows = _fuzz_shard()
+        key = cell_key(items[which][1])
+        mangled = _mutate(data, rows[which][1], _CELL_FIELDS)
+        with tempfile.TemporaryDirectory() as directory:
+            store = DiskStore(directory)
+            with open(f"{directory}/result-{key}.cell", "wb") as handle:
+                handle.write(mangled)
+            cell = store.load(key)
+            corrupt = store.stats().corrupt
+        if cell is None:
+            assert corrupt == 1
+        else:
+            assert _cell_values(cell) == _sent_values()[which]
+
+    def test_every_flipped_perm_byte_fails_the_crc(self):
+        """A perm byte is plain data to every check but the CRC."""
+        items, rows = _fuzz_shard()
+        perm_bytes = decode_cell(rows[0][1])[0].nbytes
+        payload = encode_message((JOB_RESULT, "job-1", 7, rows[:1]))[4:]
+        perm_at = len(payload) - len(rows[0][1]) + 128
+        for at in range(perm_at, perm_at + perm_bytes, 7):
+            flipped = payload[:at] + bytes([payload[at] ^ 1]) + payload[at + 1:]
+            with pytest.raises(ProtocolError, match="CRC"):
+                _decode_rows(decode_payload(flipped)[3])

@@ -51,15 +51,18 @@ from repro.engine.cluster.protocol import (
     CHALLENGE,
     GET,
     HELLO,
+    MAGIC,
     METRICS_REPLY,
     SECRET_ENV,
     SHARD,
     SHUTDOWN,
     STATUS_REPLY,
+    REJECT,
     RESULT,
     TLS_CERT_ENV,
     WELCOME,
     auth_digest,
+    encode_message,
     hello,
     recv_message,
     resolve_secret,
@@ -67,8 +70,9 @@ from repro.engine.cluster.protocol import (
 )
 from repro.engine import diskcache
 from repro.engine.cluster import coordinator
-from repro.engine.cluster.worker import run_worker
-from repro.engine.diskcache import cell_key
+from repro.engine.cluster.worker import _result_rows, run_worker
+from repro.engine.diskcache import cell_key, decode_cell, encode_cell
+from repro.engine.metrics import register_metric
 from repro.service import client as service_client
 from repro.service import parse_service_spec
 
@@ -147,9 +151,10 @@ class _FakeServiceWorker:
         return message
 
     def finish(self, shard_id: int, items: list) -> None:
+        """Answer every item with an error cell reading ``payload-<shard>``."""
+        cell = encode_cell((None, None, f"payload-{shard_id}", {}))
         send_message(
-            self.sock,
-            (RESULT, shard_id, [f"payload-{shard_id}" for _ in items]),
+            self.sock, (RESULT, shard_id, [(i, cell) for i in range(len(items))])
         )
 
     def close(self) -> None:
@@ -1379,13 +1384,16 @@ def _row_signature(row) -> tuple:
 
 
 def _worker_rows(items: list) -> list:
-    """What a real worker would answer for one shard, computed locally."""
+    """What a real worker would answer for one shard, computed locally:
+    ``(index, cell)`` rows from the worker's own encoder."""
     with EvaluationEngine(max_workers=1) as engine:
         results = engine.evaluate_batch([request for _, request in items])
-    return [
-        (index, result.perm, result.cost, result.error, result.metrics)
-        for (index, _), result in zip(items, results)
-    ]
+    return _result_rows(items, results)
+
+
+def _values(rows: list) -> list:
+    """The ``(index, perm, cost, error, metrics)`` rows of cell rows."""
+    return [(index, *decode_cell(cell)) for index, cell in rows]
 
 
 class TestResultStore:
@@ -1487,7 +1495,7 @@ class TestResultStore:
                 got_b = [p for _, p in hb.results()]
                 assert len(got_b) == 1
                 assert list(map(_row_signature, got_b[0])) == list(
-                    map(_row_signature, rows)
+                    map(_row_signature, _values(rows))
                 )
             finally:
                 worker.close()
@@ -1531,6 +1539,36 @@ class TestResultStore:
                 h2.close()
                 client.close()
 
+    def test_a_joined_cell_may_arrive_after_the_shards_own_rows(self, tmp_path):
+        """A shard holding a cell joined onto another job's computation
+        and a novel cell waits for both, whichever comes back first."""
+        requests = _requests()[:2]
+        with ServiceDaemon(
+            "127.0.0.1", 0, disk_cache_dir=tmp_path
+        ) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+            a = ServiceClient("127.0.0.1", daemon.port)
+            b = ServiceClient("127.0.0.1", daemon.port)
+            ha = a.submit([[(0, requests[0])]], label="owner")
+            hb = None
+            try:
+                owned = worker.pull()
+                hb = b.submit([[(0, requests[0]), (1, requests[1])]], label="joiner")
+                novel = worker.pull()  # only the novel cell was dispatched
+                assert [index for index, _ in novel[2]] == [1]
+                send_message(worker.sock, (RESULT, novel[1], _worker_rows(novel[2])))
+                send_message(worker.sock, (RESULT, owned[1], _worker_rows(owned[2])))
+                assert len(list(ha.results())) == 1
+                ((_, got),) = list(hb.results())
+                assert [row[0] for row in got] == [0, 1]
+            finally:
+                worker.close()
+                for handle in (ha, hb):
+                    if handle is not None:
+                        handle.close()
+                a.close()
+                b.close()
+
     def test_opaque_payloads_pass_through_untouched(self, tmp_path):
         """Unkeyable items are dispatched verbatim and their payloads
         forwarded unparsed, even with the store armed."""
@@ -1545,7 +1583,7 @@ class TestResultStore:
                 assert message[2] == [("opaque", 0)]
                 worker.finish(message[1], message[2])
                 ((_, payload),) = list(handle.results())
-                assert payload == [f"payload-{message[1]}"]
+                assert [row[3] for row in payload] == [f"payload-{message[1]}"]
             finally:
                 worker.close()
                 handle.close()
@@ -1679,9 +1717,9 @@ class TestSharedCellStore:
         spec = _weighted_spec()
         serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
         calls: list[tuple[str, str | None, threading.Thread]] = []
-        real_load, real_store = DiskStore.load, DiskStore.store
+        real_load, real_store = DiskStore.load_bytes, DiskStore.store
 
-        def load(store, key):
+        def load_bytes(store, key):
             calls.append(("load", None, threading.current_thread()))
             return real_load(store, key)
 
@@ -1689,7 +1727,7 @@ class TestSharedCellStore:
             calls.append(("store", key, threading.current_thread()))
             return real_store(store, key, cell)
 
-        monkeypatch.setattr(DiskStore, "load", load)
+        monkeypatch.setattr(DiskStore, "load_bytes", load_bytes)
         monkeypatch.setattr(DiskStore, "store", store)
         box: dict = {}
         with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
@@ -1789,7 +1827,9 @@ class TestSharedCellStore:
                 handle.close()
                 client.close()
         assert store["corrupt"] == 1 and store["misses"] == 1
-        assert list(map(_row_signature, got)) == list(map(_row_signature, rows))
+        assert list(map(_row_signature, got)) == list(
+            map(_row_signature, _values(rows))
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1802,15 +1842,16 @@ def _warm_store(directory, requests: list) -> None:
 
 
 def _count_loads(monkeypatch) -> list[str]:
-    """The key of every later :meth:`DiskStore.load` call, in order."""
+    """The key of every later :meth:`DiskStore.load_bytes` call (a
+    daemon's cell reads), in order."""
     keys: list[str] = []
-    real_load = DiskStore.load
+    real_load = DiskStore.load_bytes
 
-    def load(store, key):
+    def load_bytes(store, key):
         keys.append(key)
         return real_load(store, key)
 
-    monkeypatch.setattr(DiskStore, "load", load)
+    monkeypatch.setattr(DiskStore, "load_bytes", load_bytes)
     return keys
 
 
@@ -1876,10 +1917,7 @@ class TestStoreMemory:
         _warm_store(tmp_path, requests)
         keys = [cell_key(request) for request in requests]
         stored = DiskStore(tmp_path)
-        sizes = {
-            stored.load(key)[0].nbytes + stored.load(key)[1].per_node.nbytes
-            for key in keys
-        }
+        sizes = {len(stored.load_bytes(key)) for key in keys}
         (size,) = sizes
         budget = 2 * size + size // 2  # room for two cells, not three
         monkeypatch.setattr(coordinator, "_MEMORY_BYTES", budget)
@@ -1911,12 +1949,9 @@ class TestStoreMemory:
         assert store["memory_hits"] == 3
         assert (store["memory_cells"], store["memory_bytes"]) == (2, 2 * size)
 
-    def test_a_published_cell_enters_memory_on_its_first_load(
-        self, tmp_path, monkeypatch
-    ):
-        """A computed cell's arrays are views into its RESULT frame, so the
-        daemon stores it without remembering it; the next submission
-        loads it once, and the one after that is a memory hit."""
+    def test_a_published_cell_is_remembered(self, tmp_path, monkeypatch):
+        """The daemon remembers a copy of each cell it publishes: the
+        next two submissions are memory hits and read no file."""
         payload = [[(0, _requests()[0])]]
         loads = _count_loads(monkeypatch)
         with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
@@ -1928,7 +1963,7 @@ class TestStoreMemory:
                     rows = _worker_rows(message[2])
                     send_message(worker.sock, (RESULT, message[1], rows))
                     list(handle.results())
-                assert client.metrics()["store"]["memory_cells"] == 0
+                assert client.metrics()["store"]["memory_cells"] == 1
                 for _ in range(2):
 
                     def job() -> list:
@@ -1940,8 +1975,8 @@ class TestStoreMemory:
             finally:
                 worker.close()
                 client.close()
-        assert len(loads) == 2  # the first submission's miss, then one load
-        assert (store["memory_cells"], store["memory_hits"]) == (1, 1)
+        assert len(loads) == 1  # the first submission's miss
+        assert (store["memory_cells"], store["memory_hits"]) == (1, 2)
 
     def test_a_corrupt_cell_is_never_remembered(self, tmp_path):
         spec = _weighted_spec()
@@ -1962,6 +1997,190 @@ class TestStoreMemory:
                 assert (store["corrupt"], store["misses"]) == (attempt, attempt)
                 assert store["memory_cells"] == len(requests) - 1
         assert store["memory_hits"] == len(requests) - 1
+
+
+# ----------------------------------------------------------------------
+# Faults on the results path
+# ----------------------------------------------------------------------
+def _held_shard(coord):
+    """The one shard a coordinator's workers hold."""
+    (shard,) = [s for conn in coord._workers for s in conn.inflight.values()]
+    return shard
+
+
+def _closed(sock: socket.socket) -> bool:
+    sock.settimeout(10)
+    try:
+        return sock.recv(1) == b""
+    except ConnectionResetError:
+        return True
+
+
+class TestResultFaults:
+    def test_a_half_sent_result_requeues_the_shard(self):
+        """A worker dying halfway through its RESULT frame is a counted
+        protocol error; its shard is charged one requeue and a second
+        worker's rows come back as serial."""
+        requests = _requests()[:4]
+        serial = EvaluationEngine(max_workers=1).evaluate_batch(requests)
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=30.0
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
+            with client.submit([list(enumerate(requests))]) as handle:
+                first = _FakeServiceWorker(daemon.port)
+                message = first.pull()
+                shard = daemon._snapshot(_held_shard, daemon._coordinator)
+                frame = encode_message(
+                    (RESULT, message[1], _worker_rows(message[2]))
+                )
+                first.sock.sendall(frame[: len(frame) // 2])
+                first.close()
+                second = _FakeServiceWorker(daemon.port)
+                try:
+                    again = second.pull()
+                    assert again[1] == message[1]
+                    assert shard.requeues == 1
+                    send_message(
+                        second.sock, (RESULT, again[1], _worker_rows(again[2]))
+                    )
+                    ((_, rows),) = list(handle.results())
+                finally:
+                    second.close()
+            pool = client.metrics()["pool"]
+        assert pool["protocol_errors"] == 1
+        expected = [
+            (i, r.perm, r.cost, r.error, r.metrics) for i, r in enumerate(serial)
+        ]
+        assert list(map(_row_signature, rows)) == list(
+            map(_row_signature, expected)
+        )
+
+    @pytest.mark.parametrize("fault", ["wrong-key", "bad-crc"])
+    def test_a_bad_cell_closes_the_worker_and_stores_nothing(self, tmp_path, fault):
+        """A cell under another item's key, or with a broken checksum, is
+        a protocol error from its worker: the connection closes, the
+        shard is requeued, and neither key gets a file until a good
+        worker answers."""
+        requests = _requests()[:2]
+        keys = [cell_key(request) for request in requests]
+        with ServiceDaemon(
+            "127.0.0.1", 0, heartbeat_timeout=30.0, disk_cache_dir=tmp_path
+        ) as daemon, ServiceClient("127.0.0.1", daemon.port) as client:
+            with client.submit([list(enumerate(requests))]) as handle:
+                bad = _FakeServiceWorker(daemon.port)
+                try:
+                    message = bad.pull()
+                    rows = _worker_rows(message[2])
+                    index, cell = rows[0]
+                    if fault == "wrong-key":
+                        cell = encode_cell(decode_cell(cell), keys[1])
+                    else:
+                        cell = cell[:-1] + bytes([cell[-1] ^ 1])
+                    rows[0] = (index, cell)
+                    send_message(bad.sock, (RESULT, message[1], rows))
+                    assert _closed(bad.sock)
+                finally:
+                    bad.close()
+                assert client.metrics()["pool"]["protocol_errors"] == 1
+                assert list(tmp_path.iterdir()) == []
+                good = _FakeServiceWorker(daemon.port)
+                try:
+                    again = good.pull()
+                    assert again[1] == message[1]
+                    send_message(
+                        good.sock, (RESULT, again[1], _worker_rows(again[2]))
+                    )
+                    ((_, got),) = list(handle.results())
+                finally:
+                    good.close()
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            f"result-{key}.cell" for key in keys
+        )
+        assert [row[0] for row in got] == [0, 1]
+
+    def test_rows_of_other_cells_fail_the_batch(self):
+        """A daemon without a store forwards a worker's rows as sent; the
+        service backend refuses a shard answered out of order."""
+        requests = _requests()[:2]  # one instance: one shard
+        box: dict = {}
+        with ServiceDaemon("127.0.0.1", 0, heartbeat_timeout=30.0) as daemon:
+            worker = _FakeServiceWorker(daemon.port)
+
+            def evaluate() -> None:
+                with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                    try:
+                        backend.evaluate_batch(requests)
+                    except ServiceError as exc:
+                        box["error"] = exc
+
+            thread = threading.Thread(target=evaluate, daemon=True)
+            thread.start()
+            try:
+                message = worker.pull()
+                rows = _worker_rows(message[2])[::-1]
+                send_message(worker.sock, (RESULT, message[1], rows))
+                thread.join(timeout=30)
+            finally:
+                worker.close()
+        assert not thread.is_alive()
+        assert "rows of other cells" in str(box["error"])
+
+    def test_a_v6_hello_is_rejected(self):
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+            with socket.create_connection(
+                ("127.0.0.1", daemon.port), timeout=30
+            ) as sock:
+                send_message(sock, (HELLO, MAGIC, 6, {"pickle": 5, "role": "worker"}))
+                reply = recv_message(sock)
+        assert reply[0] == REJECT
+        assert "coordinator speaks 7, peer speaks 6" in reply[1]
+
+
+def _list_values(ctx, perms, spec):
+    """A metric with one plain column and one list-valued column."""
+    return [{"plain": 1.5, "listed": [1, 2]} for _ in range(perms.shape[0])]
+
+
+class TestMetricValueRule:
+    def test_a_list_valued_metric_errs_alike_on_every_backend(self, monkeypatch):
+        """A metric value no result cell can carry is that metric's
+        failure, with the same row on serial, process and service."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        register_metric("test_list_values", _list_values, replace=True)
+        spec = SweepSpec(
+            instances=[InstanceSpec.from_nodes(4, 8)],
+            stencils=["nearest_neighbor"],
+            mappers=["blocked", "hyperplane"],
+            metrics=["test_list_values"],
+        )
+        serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
+        with ProcessBackend(2) as backend:
+            process = run(spec, backend).to_rows()
+        box: dict = {}
+        with ServiceDaemon("127.0.0.1", 0) as daemon:
+
+            def serve() -> None:
+                box["code"] = run_worker(
+                    f"127.0.0.1:{daemon.port}",
+                    backend_spec="serial",
+                    reconnect_timeout=0,
+                    log=lambda *_: None,
+                )
+
+            worker = threading.Thread(target=serve, daemon=True)
+            worker.start()
+            daemon.wait_for_workers(1, timeout=60)
+            with ServiceBackend("127.0.0.1", daemon.port) as backend:
+                service = run(spec, backend).to_rows()
+        worker.join(timeout=30)
+        assert not worker.is_alive() and box["code"] == 0
+        assert process == serial and service == serial
+        for row in serial:
+            assert row["error"] == (
+                "metric 'test_list_values' failed: column 'listed' holds a "
+                "list, not a bool, int, float or str"
+            )
+            assert row["jsum"] is not None and row["metrics"] == {}
 
 
 class TestServeJobsSignals:

@@ -1114,3 +1114,26 @@ def test_figure8_sweep_deals_with_one_key_hash_per_instance_group(monkeypatch):
     monkeypatch.setattr(Stencil, "__hash__", counting)
     shard_payloads(requests, 32)
     assert 0 < len(calls) <= 144
+
+
+def test_numpy_metric_values_are_stored_and_served(tmp_path):
+    """NumPy scalars and non-finite floats reach results as plain
+    values, so a rerun against the same store is answered from it."""
+    register_metric("test_payload_values", _payload_values, replace=True)
+    spec = SweepSpec(
+        instances=[InstanceSpec.from_nodes(4, 8)],
+        stencils=["nearest_neighbor"],
+        mappers=["blocked", "hyperplane"],
+        metrics=["test_payload_values"],
+    )
+    runs = []
+    for _ in range(2):
+        with EvaluationEngine(max_workers=1, disk_cache_dir=tmp_path) as engine:
+            results = run(spec, engine)
+            runs.append((results.to_rows(), engine.disk_store_stats()["result"]))
+    (first, cold), (second, warm) = runs
+    assert (cold.misses, cold.stores) == (2, 2)
+    assert (warm.hits, warm.misses) == (2, 0)
+    assert repr(second) == repr(first)
+    values = [value for _, result in results._pending for value in result.metrics.values()]
+    assert {type(value) for value in values} == {int, float}
