@@ -71,12 +71,14 @@ Client sessions
 ---------------
 Semantics of one client connection:
 
-* ``SUBMIT`` queues a job and answers ``SUBMITTED`` with its id; the
-  coordinator then streams ``JOB_RESULT`` frames as shards complete,
-  terminated by exactly one of ``JOB_DONE`` (all shards delivered),
-  ``JOB_FAIL`` (a shard crashed a worker's engine — the job's
-  remaining shards are withdrawn), ``JOB_CANCELLED`` (cancelled by
-  this or any other connection) or ``SHUTDOWN`` (coordinator closing).
+* ``SUBMIT`` queues a job and answers ``SUBMITTED`` with its id and
+  one id per submitted shard; the coordinator then streams one
+  ``JOB_RESULT`` frame per shard as shards complete, terminated by
+  exactly one of ``JOB_DONE`` (all shards delivered), ``JOB_FAIL`` (a
+  shard crashed a worker's engine — the frame names that shard by its
+  ``SUBMITTED`` id, and the job's remaining shards are withdrawn),
+  ``JOB_CANCELLED`` (cancelled by this or any other connection) or
+  ``SHUTDOWN`` (coordinator closing).
 * ``STATUS`` / ``METRICS`` / ``CANCEL`` may be sent on any client
   connection — also one that never submitted — and answer
   ``STATUS_REPLY`` / ``METRICS_REPLY`` / ``CANCEL_REPLY``.  Cancelling
@@ -91,6 +93,9 @@ Semantics of one client connection:
 * One connection may carry any number of jobs one after another: a
   :class:`~repro.service.client.ServiceClient` keeps its connection
   between jobs and calls.
+* A message of any other shape, from a client or a worker, is a
+  protocol error: the connection closes and counts under
+  ``protocol_errors``, as an undecodable frame does.
 
 The result store
 ----------------
@@ -102,16 +107,19 @@ request's :func:`~repro.engine.diskcache.cell_key`, and every
 submitted cell is first looked up there.  Engines with the same cache
 directory read and write the same cells, so cells computed by a
 serial or process run are answered here too, and the other
-way round.  A job whose cells are all known is answered without
-dispatching a single shard to a worker, with byte-identical rows;
-partially known jobs dispatch only the unknown cells.  Identical cells
-*in flight* across concurrent jobs are single-flight: one computation
-fans its row out to every subscribing job (and into the store).
-Cells with no stable content key — mapper *instances*, exotic metric
-params, or opaque non-request payloads — pass through to workers
-untouched, so the coordinator stays payload-agnostic where it cannot
-key.  Job STATUS records count *dispatched* shards only: a fully
-store-served job reports ``shards: 0``.
+way round.  A shard whose cells are all known is answered at submit,
+without dispatching it to a worker, with byte-identical rows; any
+other shard is dispatched, under the id the client was given, with its
+unknown cells only, and carries the rows the store answered.  The
+worker's rows fill the gaps in order, each keyed cell is published, and
+the shard's rows stream to the client like any other shard's.
+Identical cells submitted concurrently are each computed; each
+completion publishes the same bytes, so the store keeps one file per
+key.  Cells with no stable content key — mapper *instances*, exotic
+metric params, or opaque non-request payloads — pass through to
+workers untouched, so the coordinator stays payload-agnostic where it
+cannot key.  Job STATUS records count *dispatched* shards only: a
+fully store-served job reports ``shards: 0``.
 
 Cells stay encoded throughout: a worker's ``RESULT`` rows carry each
 cell as the ``.cell`` bytes of the store (protocol v7).  Every cell a
@@ -181,6 +189,7 @@ from .protocol import (
     WELCOME,
     ProtocolError,
     auth_digest,
+    is_frame,
     read_message,
     write_message,
 )
@@ -265,7 +274,7 @@ class _Job:
 
 @dataclass(eq=False)
 class _Shard:
-    """One unit of distributable work: ``(index, request)`` pairs."""
+    """One client shard: the ``(index, request)`` items a worker gets."""
 
     id: int
     items: list
@@ -273,6 +282,11 @@ class _Shard:
     #: The cell key each item's cell must carry (``None`` where the
     #: coordinator keyed none); ``None`` checks no key.
     keys: list | None = None
+    #: With a result store, the client's rows: ``(index, cell)`` where
+    #: the store answered, ``None`` where an item of *items* goes to a
+    #: worker.  ``None`` without a store: the worker's rows are the
+    #: client's.
+    rows: list | None = None
     requeues: int = 0
     #: Loop time of the latest (re-)enqueue; feeds the queue-age gauge.
     enqueued_at: float = 0.0
@@ -307,190 +321,6 @@ class _ClientConn:
         # the lock, two tasks awaiting drain() during a flow-control
         # pause trip asyncio's single-waiter assertion.
         self.write_lock = asyncio.Lock()
-
-
-class _PendingShard:
-    """One client-visible shard being assembled from store hits,
-    in-flight subscriptions, and (a sub-shard of) dispatched items."""
-
-    __slots__ = ("items", "rows", "keys", "dispatch", "id", "raw", "emitted", "missing")
-
-    def __init__(self, items: list):
-        self.items = items
-        self.rows: list = [None] * len(items)
-        self.keys: list = [None] * len(items)
-        self.dispatch: list[int] = []  # positions shipped to workers
-        self.id: int | None = None  # client-visible shard id
-        self.raw = False  # opaque passthrough (no parsing)
-        self.emitted = False
-        self.missing = len(items)
-
-
-class _InflightCell:
-    """One cell being computed once for every subscribing job."""
-
-    __slots__ = ("key", "request", "owner", "waiters")
-
-    def __init__(self, key: str, request, owner: "_Assembly"):
-        self.key = key
-        self.request = request
-        self.owner = owner
-        # (assembly, pending shard, position, client index) per subscriber.
-        self.waiters: list[tuple] = []
-
-
-class _Assembly:
-    """One client submission's result-store/single-flight bookkeeping.
-
-    The coordinator job(s) backing the submission stream into a private
-    ``internal`` queue; the pump task folds in worker rows (checked on
-    receipt, one per dispatched item, in order), publishes keyed cells
-    (store + fan-out to waiters), and emits fully assembled shards as
-    synthesized ``(RESULT, shard_id, rows)`` frames on the
-    ``client_queue`` the session forwarder streams from.  Raw
-    (unkeyable) shards are forwarded verbatim.
-    """
-
-    def __init__(
-        self,
-        coord: "Coordinator",
-        client_queue: asyncio.Queue,
-        *,
-        priority: int,
-        label: str,
-        tenant: str = "",
-    ):
-        self.coord = coord
-        self.client_queue = client_queue
-        self.internal: asyncio.Queue = asyncio.Queue()
-        self.priority = priority
-        self.label = label
-        self.tenant = tenant
-        self.shards: list[_PendingShard] = []
-        self.dispatch_map: dict[int, tuple] = {}  # dispatched shard id -> plan
-        self.raw_ids: dict[int, _PendingShard] = {}
-        self.outstanding: set[int] = set()
-        self.jobs: list[_Job] = []  # coordinator jobs (primary first)
-        self.job_id: str | None = None
-        self.unemitted = 0
-        self.done = False
-        self.pump_task: asyncio.Task | None = None
-
-    # -- frame plumbing ------------------------------------------------
-    def _ensure_pump(self) -> None:
-        if self.pump_task is None or self.pump_task.done():
-            self.pump_task = asyncio.create_task(self._pump())
-
-    async def _pump(self) -> None:
-        while self.outstanding and not self.done:
-            kind, shard_id, payload = await self.internal.get()
-            if self.done:
-                return
-            if kind == RESULT:
-                self._on_result(shard_id, payload)
-            elif kind == FAIL:
-                await self._abort(FAIL, shard_id, payload)
-                return
-            elif kind == CANCEL:
-                await self.cancel()
-                return
-            else:  # SHUTDOWN
-                self.done = True
-                self.coord._assemblies.pop(self.job_id, None)
-                self.client_queue.put_nowait((SHUTDOWN, None, None))
-                return
-
-    def _on_result(self, shard_id: int, rows: list) -> None:
-        """Fold one dispatched shard's rows in: one ``(index, cell)``
-        row per dispatched item, in order."""
-        self.outstanding.discard(shard_id)
-        ps = self.raw_ids.pop(shard_id, None)
-        if ps is not None:
-            ps.emitted = True
-            self.client_queue.put_nowait((RESULT, ps.id, rows))
-            self.unemitted -= 1
-            self._maybe_release()
-            return
-        entry = self.dispatch_map.pop(shard_id, None)
-        if entry is None:
-            return
-        kind, plan = entry
-        if kind == "rescue":
-            # Rows resolve purely through the publish path: our own
-            # positions are waiter subscriptions on the rescued cells.
-            for (_, cell), key in zip(rows, plan):
-                self.coord._publish_cell(key, cell)
-            return
-        ps = plan
-        for pos, (_, cell) in zip(ps.dispatch, rows):
-            if ps.keys[pos] is not None:
-                cell = self.coord._publish_cell(ps.keys[pos], cell)
-            if ps.rows[pos] is None:
-                ps.rows[pos] = (ps.items[pos][0], cell)
-                ps.missing -= 1
-        # Positions joined onto another job's in-flight cells fill in
-        # when that cell is published.
-        if ps.missing == 0 and not ps.emitted:
-            self._emit(ps)
-
-    def _emit(self, ps: _PendingShard) -> None:
-        ps.emitted = True
-        self.client_queue.put_nowait((RESULT, ps.id, list(ps.rows)))
-        self.unemitted -= 1
-        self._maybe_release()
-
-    def _maybe_release(self) -> None:
-        if self.unemitted == 0 and not self.outstanding and not self.done:
-            self.done = True
-            self.coord._assemblies.pop(self.job_id, None)
-
-    # -- termination ---------------------------------------------------
-    async def _abort(self, kind, shard_id, payload) -> None:
-        """Fail the submission: notify the client, withdraw all work."""
-        if self.done:
-            return
-        self.done = True
-        self.client_queue.put_nowait((kind, shard_id, payload))
-        await self._withdraw()
-
-    async def cancel(self) -> None:
-        """Cancel the submission across all its coordinator jobs."""
-        if self.done:
-            return
-        await self._abort(CANCEL, None, None)
-        current = asyncio.current_task()
-        if self.pump_task is not None and self.pump_task is not current:
-            # Its job queues may never produce another frame; don't
-            # leave it parked on the internal queue forever.
-            self.pump_task.cancel()
-
-    async def _withdraw(self) -> None:
-        self.coord._assemblies.pop(self.job_id, None)
-        await self.coord._abandon(self)
-        for job in self.jobs:
-            if not job.finished:
-                await self.coord.cancel(job)
-
-    async def _redispatch(self, key_by_index: dict[int, str]) -> None:
-        """Submit a supplemental job for in-flight cells inherited from
-        a dead owner; their rows resolve via the publish path."""
-        items = [
-            (index, self.coord._cells[key].request)
-            for index, key in key_by_index.items()
-        ]
-        keys = list(key_by_index.values())
-        job, shard_ids = await self.coord.submit(
-            [items],
-            self.internal,
-            priority=self.priority,
-            label=f"{self.label}:rescue" if self.label else "rescue",
-            tenant=self.tenant,
-            keys=[keys],
-        )
-        self.jobs.append(job)
-        self.dispatch_map[shard_ids[0]] = ("rescue", keys)
-        self.outstanding.add(shard_ids[0])
-        self._ensure_pump()
 
 
 class Coordinator:
@@ -632,13 +462,9 @@ class Coordinator:
         self._protocol_errors = 0
         self._clients: set[_ClientConn] = set()
         self._result_store = None if cache_dir is None else DiskStore(cache_dir)
-        self._cells: dict[str, _InflightCell] = {}
-        self._assemblies: dict[str, _Assembly] = {}
-        # Result-store accounting (METRICS): cells answered from the
-        # store / joined onto an identical in-flight computation /
-        # dispatched to workers.
+        # Result-store accounting (METRICS): keyed cells answered from
+        # the store / dispatched to workers.
         self._store_hits = 0
-        self._store_joins = 0
         self._store_misses = 0
         # The store's memory front: key -> cell bytes, least recently
         # used first.
@@ -676,16 +502,6 @@ class Coordinator:
     async def aclose(self) -> None:
         """Stop serving: shut workers down, fail outstanding jobs."""
         self._closing = True
-        # Wake every submission: pumps are cancelled (their coordinator
-        # jobs are about to be failed anyway) and the client queues get
-        # the SHUTDOWN frame directly so forwarders unwind.
-        for asm in list(self._assemblies.values()):
-            asm.done = True
-            if asm.pump_task is not None:
-                asm.pump_task.cancel()
-            asm.client_queue.put_nowait((SHUTDOWN, None, None))
-        self._assemblies.clear()
-        self._cells.clear()
         if self._reaper is not None:
             self._reaper.cancel()
         if self._server is not None:
@@ -767,21 +583,23 @@ class Coordinator:
         priority: int = 0,
         label: str = "",
         tenant: str = "",
-        keys: list[list] | None = None,
     ) -> tuple[_Job, list[int]]:
         """Queue one job of shards; results stream into *results*.
 
         Each element of *shard_items* is one shard's ``(index,
-        request)`` list, and each element of *keys* (when given) the
-        cell key its items' cells must carry, ``None`` where unkeyed.
-        Completed shards arrive on *results* as ``(RESULT, shard_id,
-        rows)`` tuples, one ``(index, cell)`` row per item, every cell
-        checked; a worker-crashed shard
+        request)`` list.  With a result store the cells it knows are
+        answered first (see the module docstring): a shard answered
+        whole goes onto *results* at once, and any other is dispatched
+        with its unanswered items only.  Completed shards arrive on
+        *results* as ``(RESULT, shard_id, rows)`` tuples, one ``(index,
+        cell)`` row per item, every cell checked; a worker-crashed shard
         as ``(FAIL, shard_id, message)``; a cancellation as ``(CANCEL,
         None, None)``; coordinator shutdown as ``(SHUTDOWN, None,
         None)``.  Larger *priority* values are scheduled first;
         *tenant* names the submitting client for fair-share accounting
-        (unnamed submissions share the default tenant).
+        (unnamed submissions share the default tenant).  Returns the job
+        and one shard id per element of *shard_items*; the job's STATUS
+        record counts the dispatched shards only.
         """
         if self._closing:
             raise RuntimeError("coordinator is closed")
@@ -800,16 +618,23 @@ class Coordinator:
         )
         self._next_job_seq += 1
         shard_ids: list[int] = []
+        # The items of one decoded submission share their instance
+        # objects, so the key memo builds each instance payload once.
+        memo: dict = {}
         async with self._cond:
-            for items, item_keys in zip(
-                shard_items, itertools.repeat(None) if keys is None else keys
-            ):
-                shard = _Shard(self._alloc_shard_id(), items, job, item_keys)
-                job.pending.add(shard.id)
+            for items in shard_items:
+                shard = _Shard(self._next_shard_id, items, job)
+                self._next_shard_id += 1
                 shard_ids.append(shard.id)
+                if self._result_store is not None:
+                    self._answer(shard, memo)
+                    if not shard.items:
+                        results.put_nowait((RESULT, shard.id, shard.rows))
+                        continue
+                job.pending.add(shard.id)
                 self._push(shard)
-            job.total = len(shard_ids)
-            if shard_ids:
+            job.total = len(job.pending)
+            if job.pending:
                 self._jobs[job.id] = job
             else:
                 self._finish_job(job)
@@ -830,6 +655,18 @@ class Coordinator:
             self._discard_queued(job)
         self._finish_job(job)
         job.results.put_nowait((CANCEL, None, None))
+
+    async def cancel_job(self, job_id: object) -> bool:
+        """Cancel a client job by id; ``False`` when unknown or finished.
+
+        A job the result store answered whole finished at submit, so it
+        is never cancelled: its rows are already on their way.
+        """
+        job = self._jobs.get(job_id) if isinstance(job_id, str) else None
+        if job is None:
+            return False
+        await self.cancel(job)
+        return True
 
     def jobs_snapshot(self, job_id: str | None = None) -> list[dict]:
         """Status records of live and recently finished jobs.
@@ -947,7 +784,7 @@ class Coordinator:
             jobs.append(record)
         jobs.sort(key=lambda r: r["job"])
         pool = self.load_snapshot()
-        looked_up = self._store_hits + self._store_joins + self._store_misses
+        looked_up = self._store_hits + self._store_misses
         return {
             "schema": "repro.metrics/v1",
             "time": time.time(),
@@ -961,17 +798,11 @@ class Coordinator:
             "store": {
                 "enabled": self._result_store is not None,
                 "hits": self._store_hits,
-                "inflight_joins": self._store_joins,
                 "misses": self._store_misses,
                 "corrupt": (
                     0 if self._result_store is None else self._result_store.corrupt
                 ),
-                "hit_rate": (
-                    None
-                    if not looked_up
-                    else (self._store_hits + self._store_joins) / looked_up
-                ),
-                "inflight_cells": len(self._cells),
+                "hit_rate": None if not looked_up else self._store_hits / looked_up,
                 "memory_hits": self._memory_hits,
                 "memory_cells": len(self._memory),
                 "memory_bytes": self._memory_bytes,
@@ -1030,14 +861,6 @@ class Coordinator:
     # ------------------------------------------------------------------
     # Job bookkeeping
     # ------------------------------------------------------------------
-    def _alloc_shard_id(self) -> int:
-        """Next shard id — one counter for every id a client ever sees,
-        so synthesized shards (result-store hits) never collide with
-        dispatched ones."""
-        sid = self._next_shard_id
-        self._next_shard_id += 1
-        return sid
-
     def _tenant(self, name: str) -> _Tenant:
         """The accounting record of *name* (created on first use)."""
         name = name or DEFAULT_TENANT
@@ -1364,20 +1187,17 @@ class Coordinator:
         try:
             while True:
                 message = await read_message(reader)
-                if message is None or not isinstance(message, tuple) or not message:
+                if message is None:
                     break
                 conn.last_seen = asyncio.get_running_loop().time()
-                kind = message[0]
-                if kind == GET:
+                if is_frame(message, GET):
                     conn.gets.put_nowait(True)
-                elif kind == RESULT:
+                elif is_frame(message, RESULT, int, list):
                     self._complete(conn, message[1], message[2])
-                elif kind == FAIL:
+                elif is_frame(message, FAIL, int, str):
                     self._fail(conn, message[1], message[2])
-                elif kind == PING:
-                    pass
-                else:
-                    break
+                elif not is_frame(message, PING):
+                    raise ProtocolError("malformed worker message")
         except ProtocolError:
             self._protocol_errors += 1
         except (ConnectionError, OSError):
@@ -1465,7 +1285,9 @@ class Coordinator:
             return self._pop_shard()
 
     def _complete(self, conn: _WorkerConn, shard_id: int, rows: list) -> None:
-        """Hand a worker's ``RESULT`` rows to the shard's job.
+        """Hand a worker's ``RESULT`` rows to the shard's job, filled
+        into the rows the result store answered (:meth:`_fill`) when the
+        shard has them.
 
         Raises :class:`ProtocolError`, completing nothing, unless the
         rows answer the shard: one per item, each cell well-formed and
@@ -1487,6 +1309,8 @@ class Coordinator:
             job.tenant.shards_completed += 1
         if not job.pending:
             self._finish_job(job)
+        if shard.rows is not None:
+            rows = self._fill(shard, rows)
         job.results.put_nowait((RESULT, shard_id, rows))
 
     @staticmethod
@@ -1579,16 +1403,48 @@ class Coordinator:
                     conn.writer.close()
 
     # ------------------------------------------------------------------
-    # Result store / cross-job single-flight
+    # Result store
     # ------------------------------------------------------------------
-    @staticmethod
-    def _cell_key(item, memo: dict) -> str | None:
-        """Stable content key of one ``(index, request)`` shard item,
-        or ``None`` for opaque/unkeyable payloads (pure passthrough).
-        *memo* is the submission's :func:`cell_key` memo."""
-        if not (isinstance(item, tuple) and len(item) == 2):
-            return None
-        return cell_key(item[1], memo)
+    def _answer(self, shard: _Shard, memo: dict) -> None:
+        """Answer what the result store knows of *shard*.
+
+        Leaves the shard its unanswered items, the key each one's cell
+        must carry (``None`` for opaque or unkeyable payloads, which
+        pass through untouched) and the client's rows, ``None`` at each
+        unanswered item.  *memo* is the submission's :func:`cell_key`
+        memo.
+        """
+        items, keys, rows = [], [], []
+        for item in shard.items:
+            key = (
+                cell_key(item[1], memo)
+                if isinstance(item, tuple) and len(item) == 2
+                else None
+            )
+            cell = None if key is None else self._load_cell(key)
+            if cell is not None:
+                self._store_hits += 1
+                rows.append((item[0], cell))
+                continue
+            if key is not None:
+                self._store_misses += 1
+            items.append(item)
+            keys.append(key)
+            rows.append(None)
+        shard.items, shard.keys, shard.rows = items, keys, rows
+
+    def _fill(self, shard: _Shard, rows: list) -> list:
+        """The client's rows of a store-backed *shard*: the worker's
+        checked *rows* fill the gaps the store left, in order, and each
+        keyed cell is published on the way."""
+        fresh = zip(rows, shard.keys)
+        for pos, row in enumerate(shard.rows):
+            if row is None:
+                (index, cell), key = next(fresh)
+                if key is not None:
+                    cell = self._publish_cell(key, cell)
+                shard.rows[pos] = (index, cell)
+        return shard.rows
 
     def _load_cell(self, key: str) -> bytes | None:
         """The bytes of the stored cell under *key*, or ``None``.
@@ -1627,148 +1483,12 @@ class Coordinator:
             self._memory_bytes -= len(evicted)
 
     def _publish_cell(self, key: str, cell):
-        """Persist one computed cell as received, remember a copy of its
-        bytes and fan it out to every subscriber; returns the cell as
-        kept (the copy once stored)."""
+        """Persist one computed cell as received and remember a copy of
+        its bytes; returns the cell as kept (the copy once stored)."""
         if self._result_store.store(key, cell):
             cell = bytes(cell)  # not a view pinning the whole RESULT frame
             self._remember(key, cell)
-        inflight = self._cells.pop(key, None)
-        if inflight is None:
-            return cell
-        for asm, ps, pos, index in inflight.waiters:
-            if asm.done or ps.emitted or ps.rows[pos] is not None:
-                continue
-            ps.rows[pos] = (index, cell)
-            ps.missing -= 1
-            if ps.missing == 0:
-                asm._emit(ps)
         return cell
-
-    async def _abandon(self, asm: _Assembly) -> None:
-        """Detach a finished/failed/cancelled submission from the
-        single-flight table: drop its subscriptions, and hand each
-        in-flight cell it owned to a surviving waiter, which dispatches
-        a supplemental (rescue) job for the inherited cells."""
-        rescues: dict[_Assembly, dict[int, str]] = {}
-        for key in list(self._cells):
-            cell = self._cells[key]
-            cell.waiters = [w for w in cell.waiters if not w[0].done]
-            if cell.owner is not asm and not cell.owner.done:
-                continue
-            if not cell.waiters:
-                del self._cells[key]
-                continue
-            heir = cell.waiters[0][0]
-            cell.owner = heir
-            rescues.setdefault(heir, {})[cell.waiters[0][3]] = key
-        for heir, key_by_index in rescues.items():
-            await heir._redispatch(key_by_index)
-
-    async def submit_job(
-        self,
-        payloads: list[list],
-        results: asyncio.Queue,
-        *,
-        priority: int = 0,
-        label: str = "",
-        tenant: str = "",
-    ) -> tuple[_Job, list[int]]:
-        """Queue one client job, serving repeat cells from the result
-        store and deduplicating identical in-flight cells across jobs.
-
-        Falls back to plain :meth:`submit` when no cache directory is
-        configured.  Returns ``(job, client_shard_ids)``; the ids cover
-        *every* submitted shard (dispatched or not), while the job's
-        STATUS record counts only dispatched shards.
-        """
-        if self._result_store is None:
-            return await self.submit(
-                payloads, results, priority=priority, label=label, tenant=tenant
-            )
-        asm = _Assembly(self, results, priority=priority, label=label, tenant=tenant)
-        # Everything up to the submit below runs without suspension, so
-        # the store lookups, in-flight subscriptions and client-visible
-        # shard ids are established atomically with respect to other
-        # submissions (and to publishes resolving our subscriptions).
-        # The items of one decoded submission share their instance
-        # objects, so the key memo builds each instance payload once.
-        memo: dict = {}
-        for items in payloads:
-            ps = _PendingShard(items)
-            ps.id = self._alloc_shard_id()
-            for pos, item in enumerate(items):
-                key = self._cell_key(item, memo)
-                if key is None:
-                    ps.dispatch.append(pos)
-                    continue
-                ps.keys[pos] = key
-                cell = self._load_cell(key)
-                if cell is not None:
-                    self._store_hits += 1
-                    ps.rows[pos] = (item[0], cell)
-                    ps.missing -= 1
-                    continue
-                cell = self._cells.get(key)
-                if cell is not None:
-                    self._store_joins += 1
-                    cell.waiters.append((asm, ps, pos, item[0]))
-                    continue
-                self._store_misses += 1
-                self._cells[key] = _InflightCell(key, item[1], asm)
-                ps.dispatch.append(pos)
-            # A shard with no keyable item at all is forwarded verbatim,
-            # payload unparsed: the coordinator stays agnostic to
-            # non-request workloads.
-            ps.raw = bool(ps.dispatch) and all(k is None for k in ps.keys)
-            asm.shards.append(ps)
-        asm.unemitted = len(asm.shards)
-        # Shards fully resolved from the store complete before any
-        # worker sees the job (possibly the whole job: zero dispatch).
-        for ps in asm.shards:
-            if ps.missing == 0 and not ps.emitted:
-                asm._emit(ps)
-        dispatched = [ps for ps in asm.shards if ps.dispatch]
-        job, shard_ids = await self.submit(
-            [[ps.items[pos] for pos in ps.dispatch] for ps in dispatched],
-            asm.internal,
-            priority=priority,
-            label=label,
-            tenant=tenant,
-            keys=[[ps.keys[pos] for pos in ps.dispatch] for ps in dispatched],
-        )
-        asm.jobs.append(job)
-        asm.job_id = job.id
-        for ps, sid in zip(dispatched, shard_ids):
-            asm.outstanding.add(sid)
-            if ps.raw:
-                asm.raw_ids[sid] = ps
-            else:
-                asm.dispatch_map[sid] = ("shard", ps)
-        if not asm.done and asm.unemitted:
-            self._assemblies[job.id] = asm
-            if asm.outstanding:
-                asm._ensure_pump()
-        return job, [ps.id for ps in asm.shards]
-
-    async def cancel_job(self, job_id: object) -> bool:
-        """Cancel a client job by id; ``False`` when unknown or finished.
-
-        A store-backed submission can outlive its (possibly already
-        finished) coordinator job while it waits on shared in-flight
-        cells, so cancelling goes through its assembly when it has one.
-        """
-        if not isinstance(job_id, str):
-            return False
-        asm = self._assemblies.get(job_id)
-        if asm is not None:
-            await asm.cancel()
-            return True
-        job = self._jobs.get(job_id)
-        if job is None:
-            return False
-        await self.cancel(job)
-        return True
 
     # ------------------------------------------------------------------
     # Client sessions
@@ -1803,24 +1523,23 @@ class Coordinator:
                     )
                 except asyncio.TimeoutError:
                     break
-                if message is None or not isinstance(message, tuple) or not message:
+                if message is None:
                     break
-                kind = message[0]
-                if kind == PING:
+                if is_frame(message, PING):
                     continue
-                if kind == SUBMIT and len(message) == 3:
+                if is_frame(message, SUBMIT, object, object):
                     await self._client_submit(conn, message[1], message[2])
-                elif kind == STATUS and len(message) == 2:
+                elif is_frame(message, STATUS, object):
                     await self._send(
                         conn, (STATUS_REPLY, self.service_snapshot(message[1]))
                     )
-                elif kind == METRICS:
+                elif is_frame(message, METRICS):
                     await self._send(conn, (METRICS_REPLY, self.metrics_snapshot()))
-                elif kind == CANCEL and len(message) == 2:
+                elif is_frame(message, CANCEL, object):
                     ok = await self.cancel_job(message[1])
                     await self._send(conn, (CANCEL_REPLY, message[1], ok))
                 else:
-                    break
+                    raise ProtocolError("malformed client message")
         except ProtocolError:
             self._protocol_errors += 1
         except (ConnectionError, OSError):
@@ -1853,7 +1572,7 @@ class Coordinator:
             await self._send(conn, (REJECTED, reason))
             return
         results: asyncio.Queue = asyncio.Queue()
-        job, shard_ids = await self.submit_job(
+        job, shard_ids = await self.submit(
             payloads,
             results,
             priority=priority,

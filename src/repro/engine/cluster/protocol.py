@@ -127,7 +127,8 @@ Client message set (client ``->`` service daemon unless noted; see
                 cell), ...])`` — one shard's rows, in the results
                 layout; the client decodes each cell
 ``JOB_FAIL``    daemon: ``(JOB_FAIL, job_id, shard_id, message)`` —
-                the job failed; its remaining shards are withdrawn
+                the job failed on that shard, one of the ids
+                ``SUBMITTED`` gave; its remaining shards are withdrawn
 ``JOB_DONE``    daemon: ``(JOB_DONE, job_id)`` — every shard streamed
 ``JOB_CANCELLED`` daemon: ``(JOB_CANCELLED, job_id)`` — cancelled (by
                 this client or any other connection)

@@ -63,11 +63,12 @@ class ServiceDaemon:
         requeued, clients' unfinished jobs are cancelled.
     disk_cache_dir:
         Result-store directory backing the daemon's content-addressed
-        result serving, which answers repeat cells without dispatching
-        work (see :mod:`repro.engine.cluster.coordinator`).  Engines
-        pointed at the same directory share those cells; workers are
-        not told about it (``work --cache-dir`` sets theirs).  Defaults
-        to ``REPRO_CACHE_DIR``; unset disables it.
+        result serving, which answers stored cells without dispatching
+        work and dispatches the rest, identical cells of concurrent
+        jobs each (see :mod:`repro.engine.cluster.coordinator`).
+        Engines pointed at the same directory share those cells;
+        workers are not told about it (``work --cache-dir`` sets
+        theirs).  Defaults to ``REPRO_CACHE_DIR``; unset disables it.
     max_shard_requeues:
         Worker deaths one shard may survive before its job fails.
     secret:

@@ -34,6 +34,7 @@ from repro import CartesianGrid, NodeAllocation, nearest_neighbor
 from repro.engine import EvaluationEngine, MappingRequest
 from repro.engine.cluster.protocol import (
     CHALLENGE,
+    FAIL,
     GET,
     HELLO,
     JOB_DONE,
@@ -363,6 +364,38 @@ class TestMalformedFrames:
             send_message(sock, hello({"role": role}))
             assert recv_message(sock)[0] == WELCOME
             sock.sendall(self._frame(b"not a pickle"))
+
+        self._check(caplog, send)
+
+    @pytest.mark.parametrize(
+        "role, message",
+        [
+            ("client", (SUBMIT,)),
+            ("client", ("bogus", 1)),
+            ("client", 42),
+            ("worker", (FAIL,)),
+            ("worker", (FAIL, 1)),
+            ("worker", ("bogus",)),
+            ("worker", 42),
+        ],
+        ids=[
+            "client-bare-submit",
+            "client-unknown-kind",
+            "client-int",
+            "worker-bare-fail",
+            "worker-short-fail",
+            "worker-unknown-kind",
+            "worker-int",
+        ],
+    )
+    def test_malformed_message_after_the_handshake(self, caplog, role, message):
+        """A frame that decodes but is no message of the peer's role is
+        a counted close, as an undecodable one is."""
+
+        def send(sock: socket.socket) -> None:
+            send_message(sock, hello({"role": role}))
+            assert recv_message(sock)[0] == WELCOME
+            send_message(sock, message)
 
         self._check(caplog, send)
 

@@ -49,6 +49,7 @@ from repro.engine.cluster.protocol import (
     AUTH,
     CANCEL_REPLY,
     CHALLENGE,
+    FAIL,
     GET,
     HELLO,
     MAGIC,
@@ -1435,139 +1436,73 @@ class TestResultStore:
         serial = run(spec, EvaluationEngine(max_workers=1)).to_rows()
         assert second == serial
 
-    def test_concurrent_identical_cells_compute_once(self, tmp_path):
-        """Two clients submitting identical in-flight cells trigger
-        exactly one computation, fanned out to both jobs."""
-        payload = [(i, r) for i, r in enumerate(_requests()[:4])]
-        with ServiceDaemon(
-            "127.0.0.1", 0, disk_cache_dir=tmp_path
-        ) as daemon:
-            worker = _FakeServiceWorker(daemon.port)
-            a = ServiceClient("127.0.0.1", daemon.port)
-            b = ServiceClient("127.0.0.1", daemon.port)
-            try:
-                ha = a.submit([payload], label="owner")
-                message = worker.pull()  # job A's only shard
-                hb = b.submit([payload], label="subscriber")
-                # B dispatched nothing: all its cells subscribed to A's
-                (record,) = b.status(hb.job_id)
-                assert record["shards"] == 0
-                # exactly the one computation answers both jobs
-                rows = _worker_rows(message[2])
-                send_message(worker.sock, (RESULT, message[1], rows))
-                got_a = [p for _, p in ha.results()]
-                got_b = [p for _, p in hb.results()]
-                assert len(got_a) == 1 and len(got_b) == 1
-                assert list(map(_row_signature, got_b[0])) == list(
-                    map(_row_signature, got_a[0])
-                )
-                # no rescue/extra jobs ever appeared
-                assert len(daemon.jobs()) == 2
-            finally:
-                worker.close()
-                for handle in (ha, hb):
-                    handle.close()
-                a.close()
-                b.close()
-
-    def test_cancelling_the_owner_rescues_the_subscriber(self, tmp_path):
-        """Cancelling the job that owns an in-flight cell re-dispatches
-        the cell on behalf of a job still waiting for it."""
-        payload = [(i, r) for i, r in enumerate(_requests()[:2])]
-        with ServiceDaemon(
-            "127.0.0.1", 0, disk_cache_dir=tmp_path
-        ) as daemon:
-            worker = _FakeServiceWorker(daemon.port)
-            a = ServiceClient("127.0.0.1", daemon.port)
-            b = ServiceClient("127.0.0.1", daemon.port)
-            try:
-                ha = a.submit([payload], label="owner")
-                worker.pull()  # A's shard is in flight on the worker
-                hb = b.submit([payload], label="subscriber")
-                assert b.status(hb.job_id)[0]["shards"] == 0
-                assert a.cancel(ha.job_id) is True
-                with pytest.raises(ServiceError, match="cancelled"):
-                    list(ha.results())
-                # the subscriber inherited the cells: a rescue shard
-                rescue = worker.pull()
-                rows = _worker_rows(rescue[2])
-                send_message(worker.sock, (RESULT, rescue[1], rows))
-                got_b = [p for _, p in hb.results()]
-                assert len(got_b) == 1
-                assert list(map(_row_signature, got_b[0])) == list(
-                    map(_row_signature, _values(rows))
-                )
-            finally:
-                worker.close()
-                for handle in (ha, hb):
-                    handle.close()
-                a.close()
-                b.close()
-
     def test_partial_hits_dispatch_only_unknown_cells(self, tmp_path):
-        """A job mixing known and novel cells ships only the novel ones."""
+        """A job mixing known and novel cells ships only the novel ones,
+        and its rows come back in item order, the known ones as the warm
+        run's, whether the known cells lead or interleave."""
         requests = _requests()[:4]
-        with ServiceDaemon(
-            "127.0.0.1", 0, disk_cache_dir=tmp_path
-        ) as daemon:
+        for warm_at in ((0, 1), (0, 2)):
+            store = tmp_path / "-".join(map(str, warm_at))
+            with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=store) as daemon:
+                worker = _FakeServiceWorker(daemon.port)
+                client = ServiceClient("127.0.0.1", daemon.port)
+                h1 = h2 = None
+                try:
+                    h1 = client.submit(
+                        [[(i, requests[i]) for i in warm_at]], label="warm"
+                    )
+                    message = worker.pull()
+                    send_message(
+                        worker.sock,
+                        (RESULT, message[1], _worker_rows(message[2])),
+                    )
+                    ((_, warm),) = list(h1.results())
+                    # repeat the known cells among novel ones
+                    mixed = [(i, r) for i, r in enumerate(requests)]
+                    h2 = client.submit([mixed], label="mixed")
+                    message = worker.pull()
+                    # only the novel cells shipped
+                    novel = [i for i in range(len(requests)) if i not in warm_at]
+                    assert [index for index, _ in message[2]] == novel
+                    send_message(
+                        worker.sock,
+                        (RESULT, message[1], _worker_rows(message[2])),
+                    )
+                    (got,) = [p for _, p in h2.results()]
+                    assert [row[0] for row in got] == [0, 1, 2, 3]
+                    assert all(row[1] is not None for row in got)
+                    assert [_row_signature(got[i]) for i in warm_at] == list(
+                        map(_row_signature, warm)
+                    )
+                finally:
+                    worker.close()
+                    for handle in (h1, h2):
+                        if handle is not None:
+                            handle.close()
+                    client.close()
+
+    def test_job_fail_names_a_submitted_shard(self, tmp_path):
+        """A shard a worker FAILs reaches the client as JOB_FAIL naming
+        one of the shard ids SUBMITTED gave it."""
+        requests = _requests()[:2]
+        with ServiceDaemon("127.0.0.1", 0, disk_cache_dir=tmp_path) as daemon:
             worker = _FakeServiceWorker(daemon.port)
             client = ServiceClient("127.0.0.1", daemon.port)
+            handle = client.submit(
+                [[(0, requests[0])], [(1, requests[1])]], label="failing"
+            )
             try:
-                warm = [(i, r) for i, r in enumerate(requests[:2])]
-                h1 = client.submit([warm], label="warm")
-                message = worker.pull()
-                send_message(
-                    worker.sock,
-                    (RESULT, message[1], _worker_rows(message[2])),
-                )
-                assert len(list(h1.results())) == 1
-                # repeat the two known cells plus two novel ones
-                mixed = [(i, r) for i, r in enumerate(requests)]
-                h2 = client.submit([mixed], label="mixed")
-                message = worker.pull()
-                assert len(message[2]) == 2  # only the novel cells shipped
-                send_message(
-                    worker.sock,
-                    (RESULT, message[1], _worker_rows(message[2])),
-                )
-                (got,) = [p for _, p in h2.results()]
-                assert [row[0] for row in got] == [0, 1, 2, 3]
-                assert all(row[1] is not None for row in got)
+                failed = worker.pull()
+                send_message(worker.sock, (FAIL, failed[1], "boom"))
+                with pytest.raises(
+                    ServiceError, match=f"failed on shard {failed[1]}: boom"
+                ):
+                    list(handle.results())
+                assert failed[1] in handle.shard_ids
             finally:
                 worker.close()
-                h1.close()
-                h2.close()
+                handle.close()
                 client.close()
-
-    def test_a_joined_cell_may_arrive_after_the_shards_own_rows(self, tmp_path):
-        """A shard holding a cell joined onto another job's computation
-        and a novel cell waits for both, whichever comes back first."""
-        requests = _requests()[:2]
-        with ServiceDaemon(
-            "127.0.0.1", 0, disk_cache_dir=tmp_path
-        ) as daemon:
-            worker = _FakeServiceWorker(daemon.port)
-            a = ServiceClient("127.0.0.1", daemon.port)
-            b = ServiceClient("127.0.0.1", daemon.port)
-            ha = a.submit([[(0, requests[0])]], label="owner")
-            hb = None
-            try:
-                owned = worker.pull()
-                hb = b.submit([[(0, requests[0]), (1, requests[1])]], label="joiner")
-                novel = worker.pull()  # only the novel cell was dispatched
-                assert [index for index, _ in novel[2]] == [1]
-                send_message(worker.sock, (RESULT, novel[1], _worker_rows(novel[2])))
-                send_message(worker.sock, (RESULT, owned[1], _worker_rows(owned[2])))
-                assert len(list(ha.results())) == 1
-                ((_, got),) = list(hb.results())
-                assert [row[0] for row in got] == [0, 1]
-            finally:
-                worker.close()
-                for handle in (ha, hb):
-                    if handle is not None:
-                        handle.close()
-                a.close()
-                b.close()
 
     def test_opaque_payloads_pass_through_untouched(self, tmp_path):
         """Unkeyable items are dispatched verbatim and their payloads
